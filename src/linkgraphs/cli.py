@@ -78,7 +78,7 @@ def _cmd_build(args):
         H = link_graph(G, ell, args.limit)
     elif args.kind == "path":
         H = path_graph(G, ell, args.limit)
-    elif args.kind in ("arc", "iterated"):
+    elif args.kind == "arc":
         A = arc_digraph(G, ell, args.limit)
         if args.format == "dot":
             _emit(A.to_dot(), args.out)
@@ -210,7 +210,7 @@ def main(argv=None):
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("build", help="emit a derived graph")
-    p.add_argument("--kind", choices=["link", "path", "arc", "iterated"], default="link")
+    p.add_argument("--kind", choices=["link", "path", "arc"], default="link")
     common(p)
     p.set_defaults(fn=_cmd_build)
 

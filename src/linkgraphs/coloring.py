@@ -7,14 +7,13 @@ import json
 import math
 from dataclasses import dataclass
 
-from .construction import LabeledGraph, link_graph
+from .construction import LabeledGraph, index_adjacency, link_graph
 from .errors import (
     InvalidParameter,
     OracleTooLarge,
     PartialColoring,
     PreconditionViolated,
 )
-from .multigraph import Multigraph
 
 DEFAULT_CHROMATIC_CAP = 64
 
@@ -51,22 +50,9 @@ class EdgeColoring:
         return len(set(self.assignment.values()))
 
 
-def _adjacency_of(H):
-    if isinstance(H, LabeledGraph):
-        return H.adjacency()
-    if isinstance(H, Multigraph):
-        idx = {v: i for i, v in enumerate(H.vertices)}
-        adj = [set() for _ in range(H.n)]
-        for _, u, v in H.edges():
-            adj[idx[u]].add(idx[v])
-            adj[idx[v]].add(idx[u])
-        return adj
-    return H  # already a list of neighbour sets
-
-
 def is_proper(H, coloring):
     """True iff no edge is monochromatic; the assignment must be total."""
-    adj = _adjacency_of(H)
+    adj = index_adjacency(H)
     n = len(adj)
     assign = coloring.assignment
     if len(assign) != n or any(i not in assign for i in range(n)):
@@ -135,7 +121,7 @@ def exact_chromatic(H, cap=DEFAULT_CHROMATIC_CAP):
     Deterministic: ties break on vertex index.  Parallel edges are irrelevant
     for properness and are collapsed by the adjacency view.
     """
-    adj = _adjacency_of(H)
+    adj = index_adjacency(H)
     n = len(adj)
     if cap is not None and n > cap:
         raise OracleTooLarge(n, cap)
@@ -153,15 +139,14 @@ def exact_chromatic(H, cap=DEFAULT_CHROMATIC_CAP):
     best_k = ub
     best_assign = dict(best)
     colors = {}
-    n_adj = adj
 
     def choose():
         pick, key = None, None
         for v in range(n):
             if v in colors:
                 continue
-            sat = len({colors[w] for w in n_adj[v] if w in colors})
-            k2 = (sat, len(n_adj[v]), -v)
+            sat = len({colors[w] for w in adj[v] if w in colors})
+            k2 = (sat, len(adj[v]), -v)
             if key is None or k2 > key:
                 pick, key = v, k2
         return pick
@@ -175,7 +160,7 @@ def exact_chromatic(H, cap=DEFAULT_CHROMATIC_CAP):
             best_k = used_k
             best_assign = dict(colors)
             return
-        seen = {colors[w] for w in n_adj[v] if w in colors}
+        seen = {colors[w] for w in adj[v] if w in colors}
         for c in range(1, min(used_k + 1, best_k - 1) + 1):
             if c in seen:
                 continue
@@ -221,7 +206,7 @@ def reduce_coloring(H, coloring, r):
     Precondition: every vertex sees at most ``r`` distinct foreign colours.
     For ``t <= r + 1`` the input is returned unchanged (the bound equals t).
     """
-    adj = _adjacency_of(H)
+    adj = index_adjacency(H)
     n = len(adj)
     if r < 0:
         raise InvalidParameter(f"r must be >= 0, got {r}")
@@ -405,11 +390,3 @@ def chromatic_upper_bounds(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
         ell, chi, chi_prime, exact_chi, exact_chi_prime, parity, delta_bound, two_back
     )
 
-
-def three_colorable_threshold(G, ell):
-    """True when the closed-form decay guarantees three colours at this length."""
-    if ell % 2 == 0:
-        base = exact_chromatic(link_graph(G, 0))[0]
-        return base <= 3 or ell > 2 * math.log(base - 3, 1.5)
-    base = exact_edge_chromatic(G)[0]
-    return base <= 3 or ell > 2 * math.log(base - 3, 1.5) + 1

@@ -22,7 +22,6 @@ from .links import (
     is_cycle,
     is_link_of,
     is_path,
-    links_of_subgraph,
     one_step_shunts,
 )
 from .multigraph import Multigraph
@@ -54,9 +53,6 @@ class LabeledGraph:
     def m(self):
         return len(self.edges)
 
-    def degree(self, i):
-        return sum(1 for a, b, _ in self.edges if a == i or b == i)
-
     def degrees(self):
         deg = [0] * self.n
         for a, b, _ in self.edges:
@@ -84,37 +80,17 @@ class LabeledGraph:
         return groups
 
     def is_connected(self):
-        if self.n <= 1:
-            return True
-        adj = self.adjacency()
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
+        return self.n <= 1 or len(reachable(self.adjacency(), 0)) == self.n
 
     def components(self):
         adj = self.adjacency()
         seen = set()
         comps = []
         for s in range(self.n):
-            if s in seen:
-                continue
-            comp = []
-            queue = deque([s])
-            seen.add(s)
-            while queue:
-                v = queue.popleft()
-                comp.append(v)
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            comps.append(sorted(comp))
+            if s not in seen:
+                comp = reachable(adj, s)
+                seen |= comp
+                comps.append(sorted(comp))
         return comps
 
     def simplify(self):
@@ -174,6 +150,37 @@ class LabeledGraph:
             lines.append(f'  n{a} -- n{b} [label="{lab}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def index_adjacency(host):
+    """Simple adjacency of a host as a list of neighbour-index sets.
+
+    Vertices are indexed in the host's order; parallel edges collapse.  A
+    list of neighbour sets passes through unchanged.
+    """
+    if isinstance(host, LabeledGraph):
+        return host.adjacency()
+    if isinstance(host, Multigraph):
+        idx = {v: i for i, v in enumerate(host.vertices)}
+        adj = [set() for _ in range(host.n)]
+        for _, u, v in host.edges():
+            adj[idx[u]].add(idx[v])
+            adj[idx[v]].add(idx[u])
+        return adj
+    return host
+
+
+def reachable(adj, start, allowed=None):
+    """Set of indices reachable from ``start`` over an index adjacency,
+    stepping only onto ``allowed`` indices when given."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen and (allowed is None or y in allowed):
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 @dataclass
@@ -637,7 +644,7 @@ def link_graph_connected(G, ell, limit=None):
     hub = hub_subgraph(G, ell, limit)
     if not hub.is_connected():
         return False
-    hub_links = set(links_of_subgraph(G, hub, ell, limit))
+    hub_links = set(enumerate_links(hub, ell, limit))
     if not hub_links:
         # degenerate: hub too small to host a link of this length
         return link_graph(G, ell, limit).is_connected()

@@ -27,16 +27,11 @@ from .construction import (
     natural_partition,
     path_graph,
     quotient_embedding_check,
+    reachable,
     verify_almost_standard,
 )
 from .errors import LimitExceeded, OracleTooLarge
-from .links import (
-    Arc,
-    Link,
-    enumerate_links,
-    hub_subgraph,
-    links_of_subgraph,
-)
+from .links import Arc, Link, enumerate_links, hub_subgraph
 from .minors import hadwiger_lower_bound, hadwiger_number, verify_minor
 from .multigraph import Multigraph
 
@@ -342,7 +337,7 @@ def _check_multiplicity(inst, caps, cache, records):
                 l0 = Link.from_arc(_alternating_arc(u, e, v, f, ell))
                 l1 = Link.from_arc(_alternating_arc(v, f, u, e, ell))
                 i, j = H.index[l0], H.index[l1]
-                if H.multiplicity(i, j) != 2:
+                if len(groups.get((i, j) if i < j else (j, i), ())) != 2:
                     return "fail", f"parallel pair {e},{f} not doubled at length {ell}"
             return "pass", f"{len(doubled)} doubled pairs, all patterned"
 
@@ -368,7 +363,7 @@ def _check_hub(inst, caps, cache, records):
                     l.middle_segment(s)
                     for l in cache.links(inst, base + s)
                 }
-                for sl in links_of_subgraph(G, hub, s, caps.suite_links):
+                for sl in enumerate_links(hub, s, caps.suite_links):
                     if sl not in seen:
                         return "fail", f"{sl} not a middle segment at length {base + s}"
             if not G.is_connected() or not links:
@@ -401,7 +396,7 @@ def _check_hub(inst, caps, cache, records):
             adj = H.adjacency()
             for comp_verts in hub.components():
                 comp = hub.induced_subgraph(comp_verts)
-                comp_links = set(links_of_subgraph(G, comp, ell, caps.suite_links))
+                comp_links = set(enumerate_links(comp, ell, caps.suite_links))
                 if not comp_links:
                     continue
                 if ell % 2 == 0:
@@ -409,15 +404,7 @@ def _check_hub(inst, caps, cache, records):
                 else:
                     member = lambda l: comp.has_edge(l.middle_unit())
                 allowed = {i for i, l in enumerate(H.vertices) if member(l)}
-                start = H.index[min(comp_links)]
-                seen = {start}
-                stack = [start]
-                while stack:
-                    x = stack.pop()
-                    for y in adj[x]:
-                        if y in allowed and y not in seen:
-                            seen.add(y)
-                            stack.append(y)
+                seen = reachable(adj, H.index[min(comp_links)], allowed)
                 for l in comp_links:
                     if H.index[l] not in seen:
                         return "fail", f"{l} unreachable within its hub component"
@@ -730,8 +717,13 @@ def _check_hadwiger_conjecture(inst, caps, cache, records):
                     if eta < chi:
                         return "fail", f"eta {eta} < chi {chi}"
                     return "pass", f"eta {eta} >= chi {chi}"
-                if ell < 1 or H.m == 0:
-                    return "skip", "link graph beyond an oracle cap"
+                if ell < 1:
+                    return "skip", (
+                        f"link graph beyond the Hadwiger cap {caps.hadwiger_cap}; "
+                        "no witness route at ell=0"
+                    )
+                if H.m == 0:
+                    return "skip", "link graph has no edge"
                 res = hadwiger_lower_bound(G, ell, H=H, eta_cap=caps.hadwiger_cap,
                                            limit=caps.suite_links)
                 if res.bound < chi:

@@ -324,7 +324,3 @@ def hub_subgraph(G, ell, limit=None):
         return G.induced_subgraph(units)
     return G.edge_subgraph(units)
 
-
-def links_of_subgraph(G, sub, ell, limit=None):
-    """``ell``-links of ``G`` lying entirely inside the subgraph ``sub``."""
-    return enumerate_links(sub, ell, limit)

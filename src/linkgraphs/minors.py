@@ -8,7 +8,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .canon import canonical_key
-from .construction import LabeledGraph, link_graph
+from .construction import LabeledGraph, index_adjacency, link_graph, reachable
 from .errors import (
     BranchSetLacksLink,
     InvalidParameter,
@@ -88,22 +88,9 @@ class VerifyResult:
         return self.ok
 
 
-def _host_adjacency(host):
-    if isinstance(host, LabeledGraph):
-        return host.adjacency()
-    if isinstance(host, Multigraph):
-        idx = {v: i for i, v in enumerate(host.vertices)}
-        adj = [set() for _ in range(host.n)]
-        for _, u, v in host.edges():
-            adj[idx[u]].add(idx[v])
-            adj[idx[v]].add(idx[u])
-        return adj
-    return host
-
-
 def verify_minor(host, witness):
     """Structurally check every invariant of a witness; never raises."""
-    adj = _host_adjacency(host)
+    adj = index_adjacency(host)
     n = len(adj)
     sets = witness.branch_sets
     if len(sets) != witness.target_size:
@@ -118,17 +105,7 @@ def verify_minor(host, witness):
             if v in seen:
                 return VerifyResult(False, f"branch sets overlap at {v}")
             seen.add(v)
-        # connectivity of the induced subgraph
-        start = next(iter(bs))
-        reach = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y in bs and y not in reach:
-                    reach.add(y)
-                    queue.append(y)
-        if reach != set(bs):
+        if reachable(adj, next(iter(bs)), bs) != set(bs):
             return VerifyResult(False, f"branch set {k} is not connected")
     all_branch = seen
     interiors = set()
@@ -319,83 +296,10 @@ class CutInstance:
         return X, Y
 
 
-def _shortest_arc(G, source, target):
-    """Lexicographically-least shortest dipath as an Arc (vertices of G)."""
-    if source == target:
-        return Arc((source,))
-    parent = {source: None}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for eid, w in G.incident(v):
-            if w not in parent:
-                parent[w] = (v, eid)
-                if w == target:
-                    units = [w]
-                    node = w
-                    while parent[node] is not None:
-                        node, e = parent[node]
-                        units.extend([e, node])
-                    return Arc(tuple(reversed(units)))
-                queue.append(w)
-    return None
-
-
-def _multi_source_arc(G, sources, target):
-    """Shortest dipath from any source vertex to the target."""
-    parent = {}
-    queue = deque()
-    for s in sorted(sources):
-        parent[s] = None
-        queue.append(s)
-    if target in parent:
-        return Arc((target,))
-    while queue:
-        v = queue.popleft()
-        for eid, w in G.incident(v):
-            if w not in parent:
-                parent[w] = (v, eid)
-                if w == target:
-                    units = [w]
-                    node = w
-                    while parent[node] is not None:
-                        node, e = parent[node]
-                        units.extend([e, node])
-                    return Arc(tuple(reversed(units)))
-                queue.append(w)
-    return None
-
-
 def shortest_cycle_arc(G):
     """A shortest cycle as a closed Arc, or None for forests."""
-    best = None
-    for eid, (u, v) in ((e, G.endpoints(e)) for e in G.edge_ids):
-        # shortest u-v path avoiding eid
-        parent = {u: None}
-        queue = deque([u])
-        found = False
-        while queue and not found:
-            x = queue.popleft()
-            for fid, w in G.incident(x):
-                if fid == eid or w in parent:
-                    continue
-                parent[w] = (x, fid)
-                if w == v:
-                    found = True
-                    break
-                queue.append(w)
-        if not found:
-            continue
-        units = [v]
-        node = v
-        while parent[node] is not None:
-            node, e = parent[node]
-            units.extend([e, node])
-        units.reverse()
-        closed = Arc(tuple(units) + (eid, u))
-        if best is None or closed.length < best.length:
-            best = closed
-    return best
+    units = G.shortest_cycle()
+    return None if units is None else Arc(units)
 
 
 def _rotate_closed(arc, p):
@@ -430,9 +334,10 @@ def _x_paths(X, cut_arcs, ell):
     for i in range(t):
         for j in range(i, t):
             xi, xj = cut_arcs[i].head_vertex, cut_arcs[j].head_vertex
-            arc = _shortest_arc(X, xi, xj)
-            if arc is None or arc.length > ell - 1:
+            units = X.shortest_walk((xi,), xj)
+            if units is None or len(units) // 2 > ell - 1:
                 raise PreconditionViolated("attachment vertices too far apart")
+            arc = Arc(units)
             paths[(i, j)] = arc
             paths[(j, i)] = arc.reverse()
     return paths
@@ -499,7 +404,7 @@ def complete_minor_from_cut(G, ell, inst, H=None, limit=None):
     def o_cycle(i):
         ip = (i + 1) % t
         rev_ip = Arc((cut[ip].head_vertex, cut[ip].units[1], cut[ip].tail_vertex))
-        qarc = _shortest_arc(Y, cut[ip].tail_vertex, cut[i].tail_vertex)
+        qarc = Arc(Y.shortest_walk((cut[ip].tail_vertex,), cut[i].tail_vertex))
         walk = conjunction(paths[(i, ip)], rev_ip)
         walk = conjunction(walk, qarc)
         return conjunction(walk, cut[i])
@@ -541,9 +446,9 @@ def complete_minor_with_cycle(G, ell, inst, H=None, limit=None):
     z_attach = []  # last window before the step into each branch set
     z_extra = []
     for i in range(t):
-        parc = _multi_source_arc(Y, [cycle.units[2 * p] for p in range(cycle.length)],
-                                 cut[i].tail_vertex)
-        assert parc is not None, "complement connectivity was validated"
+        units = Y.shortest_walk(cycle.vertices()[:-1], cut[i].tail_vertex)
+        assert units is not None, "complement connectivity was validated"
+        parc = Arc(units)
         z = parc.tail_vertex
         qarc = None
         for rot in rotations:
@@ -587,15 +492,10 @@ def complete_minor_with_cycle(G, ell, inst, H=None, limit=None):
 # -- bipartite clique minor -----------------------------------------------------
 
 
-def bipartite_clique_minor(d):
-    """Clique minor of order ``d`` inside the complete bipartite ``K_{d-1,d-1}``:
-    two opposite corner singletons plus matched cross pairs."""
-    if d < 2:
-        raise InvalidParameter(f"needs d >= 2, got {d}")
-    host = complete_bipartite(d - 1, d - 1)
-    idx = {v: i for i, v in enumerate(host.vertices)}
-    a = [idx[f"a{i}"] for i in range(d - 1)]
-    b = [idx[f"b{i}"] for i in range(d - 1)]
+def _bipartite_model(a, b):
+    """Branch sets and connectors of the ``K_d`` model of
+    ``bipartite_clique_minor`` on sides ``a`` and ``b`` of length ``d - 1``."""
+    d = len(a) + 1
     sets = [frozenset({a[0]}), frozenset({b[0]})]
     for i in range(1, d - 1):
         sets.append(frozenset({a[i], b[i]}))
@@ -611,6 +511,19 @@ def bipartite_clique_minor(d):
             else:
                 path = (a[i - 1], b[j - 1])
             connectors[(i, j)] = path
+    return sets, connectors
+
+
+def bipartite_clique_minor(d):
+    """Clique minor of order ``d`` inside the complete bipartite ``K_{d-1,d-1}``:
+    two opposite corner singletons plus matched cross pairs."""
+    if d < 2:
+        raise InvalidParameter(f"needs d >= 2, got {d}")
+    host = complete_bipartite(d - 1, d - 1)
+    idx = {v: i for i, v in enumerate(host.vertices)}
+    a = [idx[f"a{i}"] for i in range(d - 1)]
+    b = [idx[f"b{i}"] for i in range(d - 1)]
+    sets, connectors = _bipartite_model(a, b)
     witness = MinorWitness(d, _complete_edges(d), sets, connectors, host, "bipartite")
     check = verify_minor(host, witness)
     assert check.ok, check.reason
@@ -673,7 +586,7 @@ def lift_minor(G, ell, branch_sets, H=None, hub=None, limit=None):
 
     inner_links = []
     for k, sub in enumerate(subs):
-        found = enumerate_links(sub, ell, limit) if _has_arc_of_length(sub, ell) else []
+        found = enumerate_links(sub, ell, limit)
         if not found:
             raise BranchSetLacksLink(f"branch set {k} holds no link of length {ell}")
         inner_links.append(set(found))
@@ -683,16 +596,7 @@ def lift_minor(G, ell, branch_sets, H=None, hub=None, limit=None):
     for k, sub in enumerate(subs):
         members = {i for i, l in enumerate(H.vertices) if _middle_in(l, sub, ell)}
         inner_idx = {H.index[l] for l in inner_links[k]}
-        comp = set()
-        start = min(inner_idx)
-        queue = deque([start])
-        comp.add(start)
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y in members and y not in comp:
-                    comp.add(y)
-                    queue.append(y)
+        comp = reachable(adj, min(inner_idx), members)
         assert inner_idx <= comp, "links of one branch set fell into two components"
         lifted.append(frozenset(comp))
 
@@ -786,23 +690,8 @@ def _degeneracy_route(G, ell, H):
         b_links = [Link.from_arc(Arc(p.units + (eid, w))) for eid, w in b_ext]
         if len(set(a_links) | set(b_links)) != 2 * (d - 1):
             continue
-        ai = [H.index[l] for l in a_links]
-        bi = [H.index[l] for l in b_links]
-        sets = [frozenset({ai[0]}), frozenset({bi[0]})]
-        for k in range(1, d - 1):
-            sets.append(frozenset({ai[k], bi[k]}))
-        connectors = {}
-        for i in range(d):
-            for j in range(i + 1, d):
-                if i == 0 and j == 1:
-                    path = (ai[0], bi[0])
-                elif i == 0:
-                    path = (ai[0], bi[j - 1])
-                elif i == 1:
-                    path = (bi[0], ai[j - 1])
-                else:
-                    path = (ai[i - 1], bi[j - 1])
-                connectors[(i, j)] = path
+        sets, connectors = _bipartite_model([H.index[l] for l in a_links],
+                                            [H.index[l] for l in b_links])
         witness = MinorWitness(d, _complete_edges(d), sets, connectors, H, "degeneracy")
         check = verify_minor(H, witness)
         if check.ok:

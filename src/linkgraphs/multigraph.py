@@ -251,25 +251,52 @@ class Multigraph:
                 cuts.add(root)
         return sorted(cuts)
 
+    def shortest_walk(self, sources, target, avoid=None):
+        """Units ``(v0, e1, v1, ..., vk)`` of a shortest walk from the nearest
+        source to ``target`` that never uses the edge ``avoid``; None if none.
+
+        Breadth-first from the sorted sources over sorted incidences; the
+        first discovery of a vertex fixes its parent, which breaks ties.
+        """
+        parent = {}
+        queue = deque()
+        for s in sorted(sources):
+            parent[s] = None
+            queue.append(s)
+        if target in parent:
+            return (target,)
+        while queue:
+            v = queue.popleft()
+            for eid, w in self._adj[v]:
+                if eid == avoid or w in parent:
+                    continue
+                parent[w] = (v, eid)
+                if w == target:
+                    units = [w]
+                    while parent[w] is not None:
+                        w, eid = parent[w]
+                        units += (eid, w)
+                    return tuple(reversed(units))
+                queue.append(w)
+        return None
+
+    def shortest_cycle(self):
+        """Units of a shortest closed walk ``(u, ..., v, e, u)`` through an edge
+        ``e = uv`` and a shortest u-v walk avoiding it, or None for forests.
+
+        Ties go to the least edge id; a parallel pair is a 2-cycle.
+        """
+        best = None
+        for eid, (u, v) in self._endpoints.items():
+            walk = self.shortest_walk((u,), v, avoid=eid)
+            if walk is not None and (best is None or len(walk) + 2 < len(best)):
+                best = walk + (eid, u)
+        return best
+
     def girth(self):
         """Length of a shortest cycle; a parallel pair is a 2-cycle; inf for forests."""
-        best = INFINITE
-        for eid, (u, v) in self._endpoints.items():
-            # shortest u-v distance avoiding eid, plus the edge itself
-            dist = {u: 0}
-            queue = deque([u])
-            while queue:
-                x = queue.popleft()
-                if x == v:
-                    break
-                for fid, w in self._adj[x]:
-                    if fid == eid or w in dist:
-                        continue
-                    dist[w] = dist[x] + 1
-                    queue.append(w)
-            if v in dist:
-                best = min(best, dist[v] + 1)
-        return best
+        cyc = self.shortest_cycle()
+        return INFINITE if cyc is None else len(cyc) // 2
 
     # -- subgraphs -----------------------------------------------------------
 

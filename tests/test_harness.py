@@ -13,7 +13,7 @@ from linkgraphs.harness import (
     negative_controls,
     verify_suite,
 )
-from linkgraphs.multigraph import complete, dipole
+from linkgraphs.multigraph import Multigraph, complete, cycle, dipole
 
 
 SMALL_CAPS = Caps(suite_links=4000, ell_range=(0, 1, 2, 3), recolour_instances=25)
@@ -63,6 +63,23 @@ class TestSuite:
         names = [inst.name for inst in default_corpus()]
         assert "petersen" in names and "parallel-bridge" in names
         assert sum(1 for n in names if n.startswith("random")) == 2
+
+
+class TestTheorem3Skips:
+    @staticmethod
+    def _thm3(G, ell):
+        report = verify_suite(corpus=[CorpusInstance("g", G)], claims=["Thm3"],
+                              caps=Caps(ell_range=(ell,)))
+        return [(r.claim, r.status, r.detail) for r in report.records]
+
+    def test_ell_zero_names_the_hadwiger_cap(self):
+        assert self._thm3(cycle(13), 0) == [
+            ("Thm3.5", "skip", "link graph beyond the Hadwiger cap 12; no witness route at ell=0")
+        ]
+
+    def test_edgeless_link_graph_says_so(self):
+        matching = Multigraph([], [(f"e{k}", f"a{k}", f"b{k}") for k in range(13)])
+        assert self._thm3(matching, 1) == [("Thm3.5", "skip", "link graph has no edge")]
 
 
 class TestNegativeControls:
@@ -117,6 +134,13 @@ class TestCli:
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["build"])  # missing graph argument
+        assert exc.value.code == 2
+
+    def test_build_kind_iterated_is_rejected(self, tmp_path):
+        gfile = tmp_path / "d2.txt"
+        main(["gen", "dipole", "2", "--out", str(gfile)])
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--kind", "iterated", "--ell", "1", str(gfile)])
         assert exc.value.code == 2
 
     def test_limit_error_exit_code(self, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkgraphs import canon
+from linkgraphs.links import Arc, validate_arc
 from linkgraphs.errors import (
     InvalidParameter,
     LoopRejected,
@@ -175,6 +176,41 @@ class TestMetrics:
     @settings(max_examples=60, deadline=None)
     def test_degeneracy_at_most_max_degree(self, G):
         assert G.degeneracy() <= G.max_degree()
+
+
+class TestShortestWalks:
+    @given(multigraphs(), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_walk_length_is_the_distance(self, G, k):
+        sources = G.vertices[:k]
+        for v in G.vertices:
+            walk = G.shortest_walk(sources, v)
+            dist = min(G.distance(s, v) for s in sources)
+            if dist == INF:
+                assert walk is None
+                continue
+            arc = Arc(walk)
+            assert validate_arc(G, arc)
+            assert walk[0] in sources and walk[-1] == v
+            assert arc.length == dist
+
+    @given(multigraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_shortest_cycle_has_girth_length(self, G):
+        cyc = G.shortest_cycle()
+        if G.m == G.n - len(G.components()):  # a forest
+            assert cyc is None and G.girth() == INF
+            return
+        arc = Arc(cyc)
+        assert validate_arc(G, arc)
+        assert cyc[0] == cyc[-1]
+        inner = arc.vertices()[:-1]
+        assert len(set(inner)) == len(inner)
+        assert arc.length == G.girth()
+
+    def test_avoided_edge_is_never_used(self):
+        assert dipole(1).shortest_walk(("u0",), "u1", avoid="e1") is None
+        assert dipole(2).shortest_walk(("u0",), "u1", avoid="e1") == ("u0", "e2", "u1")
 
 
 class TestSubgraphs:
