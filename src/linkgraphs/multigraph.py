@@ -272,10 +272,10 @@ class Multigraph:
                     continue
                 parent[w] = (v, eid)
                 if w == target:
-                    units = [w]
-                    while parent[w] is not None:
-                        w, eid = parent[w]
-                        units += (eid, w)
+                    units, node = [w], w
+                    while parent[node] is not None:
+                        node, e = parent[node]
+                        units += (e, node)
                     return tuple(reversed(units))
                 queue.append(w)
         return None

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkgraphs import canon
-from linkgraphs.links import Arc, validate_arc
 from linkgraphs.errors import (
     InvalidParameter,
     LoopRejected,
     MalformedLine,
     UnknownVertex,
 )
+from linkgraphs.links import Arc, validate_arc
 from strategies import multigraphs
 
 from linkgraphs.multigraph import (
