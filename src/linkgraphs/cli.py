@@ -162,7 +162,7 @@ def _cmd_color(args):
 def _cmd_minor(args):
     G = _load_graph(args.graph)
     ell = _parse_ells(args.ell)[0]
-    res = hadwiger_lower_bound(G, ell, eta_cap=args.oracle_cap, limit=args.limit)
+    res = hadwiger_lower_bound(G, ell, eta_cap=args.hadwiger_cap, limit=args.limit)
     payload = json.loads(res.witness.to_json())
     payload["bound"] = res.bound
     payload["route"] = res.route
@@ -174,6 +174,7 @@ def _cmd_verify(args):
     caps = Caps(
         suite_links=args.limit or Caps.suite_links,
         chromatic_cap=args.oracle_cap or Caps.chromatic_cap,
+        hadwiger_cap=args.hadwiger_cap,
         ell_range=tuple(_parse_ells(args.ell)),
     )
     if args.graph:
@@ -197,7 +198,8 @@ def main(argv=None):
     def common(p, graph_required=True):
         p.add_argument("--ell", default="1", help="window length, e.g. 2 or 0..5")
         p.add_argument("--limit", type=int, default=None, help="link enumeration cap")
-        p.add_argument("--oracle-cap", dest="oracle_cap", type=int, default=64)
+        p.add_argument("--oracle-cap", dest="oracle_cap", type=int, default=64,
+                       help="exact colouring oracle cap")
         p.add_argument("--format", choices=["json", "dot", "edgelist"], default="json")
         p.add_argument("--out", default=None)
         if graph_required:
@@ -223,15 +225,22 @@ def main(argv=None):
     common(p)
     p.set_defaults(fn=_cmd_color)
 
+    def hadwiger_cap(p):
+        p.add_argument("--hadwiger-cap", dest="hadwiger_cap", type=int,
+                       default=Caps.hadwiger_cap, help="exact Hadwiger oracle cap")
+
     p = sub.add_parser("minor", help="verified clique-minor lower bound")
     common(p)
+    hadwiger_cap(p)
     p.set_defaults(fn=_cmd_minor)
 
     p = sub.add_parser("verify", help="run claim suites")
     p.add_argument("--claims", default=None, help=f"comma list from {ALL_CLAIMS}")
     p.add_argument("--ell", default="0..5")
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--oracle-cap", dest="oracle_cap", type=int, default=None)
+    p.add_argument("--oracle-cap", dest="oracle_cap", type=int, default=None,
+                   help="exact colouring oracle cap")
+    hadwiger_cap(p)
     p.add_argument("--out", default=None)
     p.add_argument("graph", nargs="?", default=None)
     p.set_defaults(fn=_cmd_verify)

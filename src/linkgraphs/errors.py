@@ -92,3 +92,7 @@ class BranchSetLacksLink(LinkGraphError):
 
 class NoEdge(LinkGraphError):
     pass
+
+
+class WitnessInvalid(LinkGraphError):
+    """A constructed minor witness or model failed its own check."""

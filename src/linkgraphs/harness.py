@@ -155,12 +155,17 @@ def default_corpus(seeds=DEFAULT_SEEDS):
 
 
 class _Cache:
-    """Per-run cache of enumerations and derived graphs."""
+    """Per-run cache of enumerations, derived graphs and oracle answers.
+
+    Everything is keyed by ``(instance name, ell)``.  An oracle call that
+    raises is not stored, so asking again raises again.
+    """
 
     def __init__(self, caps):
         self.caps = caps
         self._links = {}
         self._graphs = {}
+        self._answers = {}
 
     def links(self, inst, ell):
         key = (inst.name, ell)
@@ -180,6 +185,38 @@ class _Cache:
                 self._graphs[key] = link_graph(inst.graph, ell, self.caps.suite_links)
         return self._graphs[key]
 
+    def _answer(self, kind, inst, ell, solve):
+        key = (kind, inst.name, ell)
+        if key not in self._answers:
+            self._answers[key] = solve()
+        return self._answers[key]
+
+    def eta(self, inst, ell=None):
+        """Hadwiger number of the base graph (``ell=None``) or of its link graph."""
+
+        def solve():
+            G = inst.graph if ell is None else self.graph(inst, ell).to_multigraph()
+            return hadwiger_number(G, self.caps.hadwiger_cap)
+
+        return self._answer("eta", inst, ell, solve)
+
+    def chi(self, inst, ell):
+        """``exact_chromatic`` of the link graph: ``(chi, colouring)``."""
+        return self._answer(
+            "chi", inst, ell,
+            lambda: exact_chromatic(self.graph(inst, ell), self.caps.chromatic_cap),
+        )
+
+    def lower_bound(self, inst, ell):
+        """The verified clique-minor lower bound in the link graph."""
+        return self._answer(
+            "lower_bound", inst, ell,
+            lambda: hadwiger_lower_bound(
+                inst.graph, ell, H=self.graph(inst, ell),
+                eta_cap=self.caps.hadwiger_cap, limit=self.caps.suite_links,
+            ),
+        )
+
 
 def _timed(records, claim, inst_name, ell, fn):
     start = time.perf_counter()
@@ -189,6 +226,8 @@ def _timed(records, claim, inst_name, ell, fn):
         status, detail = "skip", f"limit: {exc}"
     except OracleTooLarge as exc:
         status, detail = "skip", f"oracle: {exc}"
+    except Exception as exc:
+        status, detail = "fail", f"{type(exc).__name__}: {exc}"
     ms = int((time.perf_counter() - start) * 1000)
     records.append(ClaimRecord(claim, inst_name, ell, status, detail, ms))
 
@@ -537,7 +576,7 @@ def _check_chromatic(inst, caps, cache, records):
         H = cache.graph(inst, ell)
         if H is None or H.n > caps.chromatic_cap:
             continue
-        chi, col = exact_chromatic(H, caps.chromatic_cap)
+        chi, col = cache.chi(inst, ell)
         assert is_proper(H, col)
         exact_chis[ell] = chi
     for ell in caps.ell_range:
@@ -649,7 +688,7 @@ def _check_minors(inst, caps, cache, records):
     G = inst.graph
     dege = G.degeneracy()
     try:
-        eta_g = hadwiger_number(G, caps.hadwiger_cap)
+        eta_g = cache.eta(inst)
     except OracleTooLarge:
         eta_g = None
     for ell in caps.minor_ells:
@@ -659,8 +698,7 @@ def _check_minors(inst, caps, cache, records):
                 return "skip", "beyond the suite link budget"
             if H.m == 0:
                 return "skip", "link graph has no edge"
-            res = hadwiger_lower_bound(G, ell, H=H, eta_cap=caps.hadwiger_cap,
-                                       limit=caps.suite_links)
+            res = cache.lower_bound(inst, ell)
             check = verify_minor(H, res.witness)
             if not check.ok:
                 return "fail", f"witness invalid: {check.reason}"
@@ -669,7 +707,7 @@ def _check_minors(inst, caps, cache, records):
                 return "fail", f"bound {res.bound} below max(eta, degeneracy) = {floor}"
             detail = f"bound {res.bound} via {res.route}"
             if H.n <= caps.hadwiger_cap:
-                eta_h = hadwiger_number(H.to_multigraph(), caps.hadwiger_cap)
+                eta_h = cache.eta(inst, ell)
                 if eta_h < res.bound:
                     return "fail", f"oracle eta {eta_h} below witnessed bound {res.bound}"
                 if eta_g is not None and eta_h < floor:
@@ -711,9 +749,9 @@ def _check_hadwiger_conjecture(inst, caps, cache, records):
                     return "skip", "beyond the suite link budget"
                 if H.n > caps.chromatic_cap:
                     return "skip", "link graph beyond an oracle cap"
-                chi, _ = exact_chromatic(H, caps.chromatic_cap)
+                chi, _ = cache.chi(inst, ell)
                 if H.n <= caps.hadwiger_cap:
-                    eta = hadwiger_number(H.to_multigraph(), caps.hadwiger_cap)
+                    eta = cache.eta(inst, ell)
                     if eta < chi:
                         return "fail", f"eta {eta} < chi {chi}"
                     return "pass", f"eta {eta} >= chi {chi}"
@@ -724,8 +762,7 @@ def _check_hadwiger_conjecture(inst, caps, cache, records):
                     )
                 if H.m == 0:
                     return "skip", "link graph has no edge"
-                res = hadwiger_lower_bound(G, ell, H=H, eta_cap=caps.hadwiger_cap,
-                                           limit=caps.suite_links)
+                res = cache.lower_bound(inst, ell)
                 if res.bound < chi:
                     return "fail", f"witnessed bound {res.bound} < chi {chi}"
                 return "pass", f"witnessed bound {res.bound} >= chi {chi}"

@@ -17,6 +17,7 @@ from .errors import (
     NoEdge,
     OracleTooLarge,
     PreconditionViolated,
+    WitnessInvalid,
 )
 from .links import (
     Arc,
@@ -218,9 +219,13 @@ def hadwiger_model(G, cap=DEFAULT_HADWIGER_CAP):
 
     Returns ``(eta, branch_sets)`` with branch sets of original vertex names.
     """
-    simp = G.underlying_simple()
     eta = hadwiger_number(G, cap)
-    verts, pairs = simp.simple_index_graph()
+    return eta, _model_of_order(G, eta)
+
+
+def _model_of_order(G, eta):
+    """Branch sets of a K_eta model in G, where eta is G's Hadwiger number."""
+    verts, pairs = G.underlying_simple().simple_index_graph()
     failed = set()
 
     def dfs(n, edges, labels):
@@ -245,9 +250,10 @@ def hadwiger_model(G, cap=DEFAULT_HADWIGER_CAP):
         failed.add(key)
         return None
 
-    model = dfs(simp.n, frozenset(pairs), [frozenset({v}) for v in verts])
-    assert model is not None, "model search disagrees with the oracle"
-    return eta, model
+    model = dfs(len(verts), frozenset(pairs), [frozenset({v}) for v in verts])
+    if model is None:
+        raise WitnessInvalid(f"no K_{eta} model found; the search disagrees with the oracle")
+    return model
 
 
 # -- cut instances and the two cut constructions -------------------------------
@@ -770,9 +776,8 @@ def _eta_route(G, ell, H, eta_cap, limit):
         peeled.edge_ids
     ):
         return None  # hub equality failed; other routes must serve
-    eta2, model = hadwiger_model(peeled, eta_cap)
-    assert eta2 == eta
-    sets = [set(bs) for bs in model]
+    # peeling degree-one vertices keeps every clique minor of order >= 3
+    sets = [set(bs) for bs in _model_of_order(peeled, eta)]
     assigned = set().union(*sets)
     changed = True
     while changed:
@@ -891,7 +896,8 @@ def hadwiger_lower_bound(G, ell, H=None, eta_cap=DEFAULT_HADWIGER_CAP, limit=Non
             continue
         if w is not None:
             check = verify_minor(H, w)
-            assert check.ok, f"{name} witness failed verification: {check.reason}"
+            if not check.ok:
+                raise WitnessInvalid(f"{name} witness failed verification: {check.reason}")
             witnesses.append(w)
         else:
             notes.append(f"{name}: no witness")

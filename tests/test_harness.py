@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
+from linkgraphs import cli, harness
 from linkgraphs.cli import main
+from linkgraphs.construction import LabeledGraph, link_graph
 from linkgraphs.harness import (
     ALL_CLAIMS,
     Caps,
@@ -13,7 +16,14 @@ from linkgraphs.harness import (
     negative_controls,
     verify_suite,
 )
-from linkgraphs.multigraph import Multigraph, complete, cycle, dipole
+from linkgraphs.multigraph import (
+    Multigraph,
+    complete,
+    complete_bipartite,
+    cycle,
+    dipole,
+    path,
+)
 
 
 SMALL_CAPS = Caps(suite_links=4000, ell_range=(0, 1, 2, 3), recolour_instances=25)
@@ -82,6 +92,98 @@ class TestTheorem3Skips:
         assert self._thm3(matching, 1) == [("Thm3.5", "skip", "link graph has no edge")]
 
 
+def _rows(report):
+    records = json.loads(report.to_json())["records"]
+    return sorted(
+        ({k: v for k, v in rec.items() if k != "ms"} for rec in records),
+        key=lambda rec: (rec["claim"], rec["instance"], str(rec["ell"])),
+    )
+
+
+class TestOracleMemo:
+    CORPUS = [
+        CorpusInstance("bipartite(2,4)", complete_bipartite(2, 4), (2, 4)),
+        CorpusInstance("cycle(5)", cycle(5)),
+        CorpusInstance("path(5)", path(5)),
+        CorpusInstance("dipole(2)", dipole(2)),
+    ]
+    CAPS = Caps(ell_range=(0, 1, 2, 3))
+    CLAIMS = ["Thm1", "Thm2", "Thm3"]
+
+    def test_each_answer_is_computed_once(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, key):
+            real = getattr(harness, name)
+
+            def wrapper(*args, **kwargs):
+                k = key(*args, **kwargs)
+                if k is not None:
+                    calls[(name,) + k] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, wrapper)
+
+        counting("hadwiger_number", lambda G, cap: (G.serialize(),))
+        # link graphs only: Cor1.2 and ArcChrom colour other graphs
+        counting("exact_chromatic",
+                 lambda H, cap: (H.ell, H.to_json()) if isinstance(H, LabeledGraph) else None)
+        counting("hadwiger_lower_bound", lambda G, ell, **kw: (G.serialize(), ell))
+        verify_suite(corpus=self.CORPUS, claims=self.CLAIMS, caps=self.CAPS)
+        assert {k[0] for k in calls} == {
+            "hadwiger_number", "exact_chromatic", "hadwiger_lower_bound"
+        }
+        assert max(calls.values()) == 1, [(k[0], c) for k, c in calls.items() if c > 1]
+
+    def test_records_do_not_depend_on_which_claim_filled_the_memo(self):
+        combined = verify_suite(corpus=self.CORPUS, claims=self.CLAIMS, caps=self.CAPS)
+        separate = []
+        for claim in self.CLAIMS:
+            separate += _rows(verify_suite(corpus=self.CORPUS, claims=[claim], caps=self.CAPS))
+        key = lambda rec: (rec["claim"], rec["instance"], str(rec["ell"]))
+        assert _rows(combined) == sorted(separate, key=key)
+        assert {r["claim"][:4] for r in separate} == {"Thm1", "Thm2", "Thm3"}
+
+
+class TestUnexpectedErrors:
+    CORPUS = [CorpusInstance("cycle(5)", cycle(5)), CorpusInstance("path(5)", path(5))]
+    CAPS = Caps(ell_range=(1,))
+
+    @staticmethod
+    def _break_oracle_on_cycle5(monkeypatch):
+        broken = link_graph(cycle(5), 1).to_multigraph().serialize()
+        real = harness.hadwiger_number
+
+        def oracle(G, cap):
+            if G.serialize() == broken:
+                raise RuntimeError("oracle crashed")
+            return real(G, cap)
+
+        monkeypatch.setattr(harness, "hadwiger_number", oracle)
+
+    def test_exception_becomes_a_fail_record(self, monkeypatch):
+        before = _rows(verify_suite(corpus=self.CORPUS, claims=["Thm3"], caps=self.CAPS))
+        self._break_oracle_on_cycle5(monkeypatch)
+        report = verify_suite(corpus=self.CORPUS, claims=["Thm3"], caps=self.CAPS)
+        after = _rows(report)
+        assert not report.passed()
+        broken = [r for r in after if r["instance"] == "cycle(5)"]
+        assert [r["claim"] for r in broken] == ["Thm3.1", "Thm3.5"]
+        assert all(r["status"] == "fail" and r["detail"] == "RuntimeError: oracle crashed"
+                   for r in broken)
+        untouched = [r for r in after if r["instance"] != "cycle(5)"]
+        assert untouched and untouched == [r for r in before if r["instance"] != "cycle(5)"]
+
+    def test_verify_exits_one(self, monkeypatch, tmp_path):
+        gfile = tmp_path / "c5.txt"
+        main(["gen", "cycle", "5", "--out", str(gfile)])
+        self._break_oracle_on_cycle5(monkeypatch)
+        out = tmp_path / "report.json"
+        rc = main(["verify", "--claims", "Thm3", "--ell", "1", "--out", str(out), str(gfile)])
+        assert rc == 1
+        assert json.loads(out.read_text())["counts"]["fail"] == 2
+
+
 class TestNegativeControls:
     def test_all_corruptions_detected(self):
         results = negative_controls()
@@ -119,6 +221,42 @@ class TestCli:
         assert main(["minor", "--ell", "1", "--out", str(out), str(gfile)]) == 0
         data = json.loads(out.read_text())
         assert data["bound"] >= 5
+
+    def test_minor_uses_the_hadwiger_cap(self, monkeypatch, tmp_path):
+        gfile = tmp_path / "d3.txt"
+        main(["gen", "dipole", "3", "--out", str(gfile)])
+        seen = []
+        real = cli.hadwiger_lower_bound
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["eta_cap"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "hadwiger_lower_bound", spy)
+        out = str(tmp_path / "minor.json")
+        assert main(["minor", "--ell", "1", "--out", out, str(gfile)]) == 0
+        assert main(["minor", "--ell", "1", "--oracle-cap", "30", "--out", out, str(gfile)]) == 0
+        assert main(["minor", "--ell", "1", "--hadwiger-cap", "7", "--out", out, str(gfile)]) == 0
+        assert seen == [Caps().hadwiger_cap, Caps().hadwiger_cap, 7]
+
+    def test_verify_passes_both_caps(self, monkeypatch, tmp_path):
+        gfile = tmp_path / "d3.txt"
+        main(["gen", "dipole", "3", "--out", str(gfile)])
+        seen = []
+        real = cli.verify_suite
+
+        def spy(**kwargs):
+            seen.append(kwargs["caps"])
+            return real(**kwargs)
+
+        monkeypatch.setattr(cli, "verify_suite", spy)
+        out = str(tmp_path / "report.json")
+        base = ["verify", "--claims", "Obs3.3", "--ell", "1", "--out", out]
+        assert main(base + [str(gfile)]) == 0
+        assert main(base + ["--oracle-cap", "30", "--hadwiger-cap", "9", str(gfile)]) == 0
+        assert [(c.chromatic_cap, c.hadwiger_cap) for c in seen] == [
+            (Caps().chromatic_cap, Caps().hadwiger_cap), (30, 9)
+        ]
 
     def test_verify_subcommand(self, tmp_path):
         gfile = tmp_path / "k4.txt"

@@ -1,19 +1,26 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from linkgraphs import minors
 from linkgraphs.construction import link_graph
 from linkgraphs.errors import (
     BranchSetLacksLink,
     NoCycleInY,
     PreconditionViolated,
+    WitnessInvalid,
 )
 from linkgraphs.minors import (
     CutInstance,
     MinorWitness,
     _complete_edges,
+    _model_of_order,
     bipartite_clique_minor,
     complete_minor_from_cut,
     complete_minor_with_cycle,
@@ -247,3 +254,57 @@ class TestLowerBound:
         assert data["target"].startswith("K_")
         assert isinstance(data["branch_sets"], list)
         assert all("-" in k for k in data["connectors"])
+
+
+OVERLAPPING_WITNESS_SCRIPT = """
+import sys
+from linkgraphs import minors
+from linkgraphs.errors import WitnessInvalid
+from linkgraphs.multigraph import complete
+
+if sys.flags.optimize < 1:
+    sys.exit("expected python -O")
+
+
+def overlapping(G, ell, H):
+    return minors.MinorWitness(2, minors._complete_edges(2),
+                               [frozenset({0, 1}), frozenset({1})], {(0, 1): (0, 1)},
+                               H, "degeneracy")
+
+
+minors._degeneracy_route = overlapping
+try:
+    minors.hadwiger_lower_bound(complete(4), 2)
+except WitnessInvalid as exc:
+    print(exc)
+else:
+    sys.exit("an invalid witness was accepted")
+"""
+
+
+class TestWitnessGate:
+    def test_invalid_witness_raises_under_optimize(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-O", "-c", OVERLAPPING_WITNESS_SCRIPT],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("degeneracy witness failed verification")
+
+    def test_model_search_without_a_model_raises(self):
+        with pytest.raises(WitnessInvalid):
+            _model_of_order(cycle(4), 4)
+
+    def test_model_route_solves_eta_once(self, monkeypatch):
+        calls = []
+        real = minors.hadwiger_number
+
+        def counting(G, cap=minors.DEFAULT_HADWIGER_CAP):
+            calls.append(G.n)
+            return real(G, cap)
+
+        monkeypatch.setattr(minors, "hadwiger_number", counting)
+        res = hadwiger_lower_bound(petersen(), 1)
+        assert res.route == "hub-lift" and res.bound == 5
+        assert calls == [10]
