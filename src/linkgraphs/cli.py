@@ -174,7 +174,6 @@ def _cmd_verify(args):
     caps = Caps(
         suite_links=args.limit or Caps.suite_links,
         chromatic_cap=args.oracle_cap or Caps.chromatic_cap,
-        hadwiger_cap=args.hadwiger_cap,
         ell_range=tuple(_parse_ells(args.ell)),
     )
     if args.graph:
@@ -195,15 +194,15 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph_required=True):
+    def common(p, oracle_cap=True):
         p.add_argument("--ell", default="1", help="window length, e.g. 2 or 0..5")
         p.add_argument("--limit", type=int, default=None, help="link enumeration cap")
-        p.add_argument("--oracle-cap", dest="oracle_cap", type=int, default=64,
-                       help="exact colouring oracle cap")
+        if oracle_cap:
+            p.add_argument("--oracle-cap", dest="oracle_cap", type=int, default=64,
+                           help="exact colouring oracle cap")
         p.add_argument("--format", choices=["json", "dot", "edgelist"], default="json")
         p.add_argument("--out", default=None)
-        if graph_required:
-            p.add_argument("graph", help="edge-list file")
+        p.add_argument("graph", help="edge-list file")
 
     p = sub.add_parser("gen", help="write a generator instance as an edge list")
     p.add_argument("name")
@@ -225,13 +224,10 @@ def main(argv=None):
     common(p)
     p.set_defaults(fn=_cmd_color)
 
-    def hadwiger_cap(p):
-        p.add_argument("--hadwiger-cap", dest="hadwiger_cap", type=int,
-                       default=Caps.hadwiger_cap, help="exact Hadwiger oracle cap")
-
     p = sub.add_parser("minor", help="verified clique-minor lower bound")
-    common(p)
-    hadwiger_cap(p)
+    common(p, oracle_cap=False)
+    p.add_argument("--hadwiger-cap", dest="hadwiger_cap", type=int,
+                   default=Caps.hadwiger_cap, help="exact Hadwiger oracle cap")
     p.set_defaults(fn=_cmd_minor)
 
     p = sub.add_parser("verify", help="run claim suites")
@@ -240,7 +236,6 @@ def main(argv=None):
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--oracle-cap", dest="oracle_cap", type=int, default=None,
                    help="exact colouring oracle cap")
-    hadwiger_cap(p)
     p.add_argument("--out", default=None)
     p.add_argument("graph", nargs="?", default=None)
     p.set_defaults(fn=_cmd_verify)

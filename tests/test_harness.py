@@ -235,11 +235,15 @@ class TestCli:
         monkeypatch.setattr(cli, "hadwiger_lower_bound", spy)
         out = str(tmp_path / "minor.json")
         assert main(["minor", "--ell", "1", "--out", out, str(gfile)]) == 0
-        assert main(["minor", "--ell", "1", "--oracle-cap", "30", "--out", out, str(gfile)]) == 0
         assert main(["minor", "--ell", "1", "--hadwiger-cap", "7", "--out", out, str(gfile)]) == 0
-        assert seen == [Caps().hadwiger_cap, Caps().hadwiger_cap, 7]
+        assert seen == [Caps().hadwiger_cap, 7]
+        # `minor` never colours, so the colouring cap is a usage error there
+        with pytest.raises(SystemExit) as exc:
+            main(["minor", "--ell", "1", "--oracle-cap", "30", "--out", out, str(gfile)])
+        assert exc.value.code == 2
+        assert seen == [Caps().hadwiger_cap, 7]
 
-    def test_verify_passes_both_caps(self, monkeypatch, tmp_path):
+    def test_verify_passes_the_colouring_cap(self, monkeypatch, tmp_path):
         gfile = tmp_path / "d3.txt"
         main(["gen", "dipole", "3", "--out", str(gfile)])
         seen = []
@@ -253,9 +257,9 @@ class TestCli:
         out = str(tmp_path / "report.json")
         base = ["verify", "--claims", "Obs3.3", "--ell", "1", "--out", out]
         assert main(base + [str(gfile)]) == 0
-        assert main(base + ["--oracle-cap", "30", "--hadwiger-cap", "9", str(gfile)]) == 0
+        assert main(base + ["--oracle-cap", "30", str(gfile)]) == 0
         assert [(c.chromatic_cap, c.hadwiger_cap) for c in seen] == [
-            (Caps().chromatic_cap, Caps().hadwiger_cap), (30, 9)
+            (Caps().chromatic_cap, Caps().hadwiger_cap), (30, Caps().hadwiger_cap)
         ]
 
     def test_verify_subcommand(self, tmp_path):
