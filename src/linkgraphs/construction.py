@@ -16,13 +16,16 @@ from .errors import (
 from .links import (
     Arc,
     Link,
+    arc_windows,
     enumerate_arcs,
     enumerate_links,
     hub_subgraph,
     is_cycle,
     is_link_of,
     is_path,
-    one_step_shunts,
+    link_count,
+    link_windows,
+    shunt_reach,
 )
 from .multigraph import Multigraph
 
@@ -260,19 +263,9 @@ class PartitionCheck:
 
 def link_graph(G, ell, limit=None):
     """The graph on ``ell``-links whose edges are the one-longer links."""
-    verts = tuple(enumerate_links(G, ell, limit))
-    idx = {v: i for i, v in enumerate(verts)}
-    edge_list = []
-    for q in enumerate_links(G, ell + 1, limit):
-        w0 = Link.from_units(q.units[: 2 * ell + 1])
-        w1 = Link.from_units(q.units[2:])
-        assert w0 != w1, f"windows of {q} coincide; construction bug"
-        i, j = idx[w0], idx[w1]
-        if i > j:
-            i, j = j, i
-        edge_list.append((i, j, q))
-    edge_list.sort()
-    return LabeledGraph(ell, verts, tuple(edge_list), G, idx)
+    verts, labels, (tails, heads) = link_windows(G, ell, limit)
+    edges = sorted((i, j, q) if i < j else (j, i, q) for i, j, q in zip(tails, heads, labels))
+    return LabeledGraph(ell, tuple(verts), tuple(edges), G)
 
 
 def partial_link_graph(G, links, quals, limit=None):
@@ -320,18 +313,16 @@ def path_graph(G, ell, limit=None):
 
 
 def arc_digraph(G, ell, limit=None):
-    """Digraph on ``ell``-arcs; one labelled arc per one-longer arc."""
+    """Digraph on ``ell``-arcs; one labelled arc per one-longer arc.
+
+    The one-longer arcs come in lexicographic order, which is already the
+    order of their (tail window, head window) pairs.
+    """
     if ell < 1:
         raise InvalidParameter(f"arc digraph needs ell >= 1, got {ell}")
-    verts = tuple(enumerate_arcs(G, ell, limit))
-    idx = {a: i for i, a in enumerate(verts)}
-    arcs = []
-    for q in enumerate_arcs(G, ell + 1, limit):
-        tail = q.window(0, ell)
-        head = q.window(1, ell + 1)
-        arcs.append((idx[tail], idx[head], q))
-    arcs.sort()
-    return LabeledDigraph(ell, verts, tuple(arcs), G, idx)
+    verts, labels, windows = arc_windows(G, ell, limit)
+    arcs = tuple((t, h, q) for (t, h), q in zip(windows, labels))
+    return LabeledDigraph(ell, tuple(verts), arcs, G)
 
 
 @dataclass
@@ -638,22 +629,14 @@ def link_graph_connected(G, ell, limit=None):
     to a link lying inside the hub.  When the hub hosts no link at all the
     criterion is silent and we fall back to direct breadth-first search.
     """
-    all_links = enumerate_links(G, ell, limit)
-    if len(all_links) <= 1:
+    n_links = link_count(G, ell, limit)
+    if n_links <= 1:
         return True
     hub = hub_subgraph(G, ell, limit)
     if not hub.is_connected():
         return False
-    hub_links = set(enumerate_links(hub, ell, limit))
-    if not hub_links:
+    reached = shunt_reach(G, ell, hub)
+    if not reached:
         # degenerate: hub too small to host a link of this length
         return link_graph(G, ell, limit).is_connected()
-    seen = set(hub_links)
-    queue = deque(sorted(hub_links))
-    while queue:
-        cur = queue.popleft()
-        for _, nxt in one_step_shunts(G, cur):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == len(all_links)
+    return reached == n_links

@@ -30,7 +30,7 @@ from .construction import (
     reachable,
     verify_almost_standard,
 )
-from .errors import LimitExceeded, OracleTooLarge
+from .errors import LimitExceeded, OracleTooLarge, WitnessInvalid
 from .links import Arc, Link, enumerate_links, hub_subgraph
 from .minors import hadwiger_lower_bound, hadwiger_number, verify_minor
 from .multigraph import Multigraph
@@ -201,11 +201,17 @@ class _Cache:
         return self._answer("eta", inst, ell, solve)
 
     def chi(self, inst, ell):
-        """``exact_chromatic`` of the link graph: ``(chi, colouring)``."""
-        return self._answer(
-            "chi", inst, ell,
-            lambda: exact_chromatic(self.graph(inst, ell), self.caps.chromatic_cap),
-        )
+        """``exact_chromatic`` of the link graph: ``(chi, colouring)``.  A
+        colouring that is not proper raises ``WitnessInvalid``."""
+
+        def solve():
+            H = self.graph(inst, ell)
+            chi, col = exact_chromatic(H, self.caps.chromatic_cap)
+            if not is_proper(H, col):
+                raise WitnessInvalid(f"exact_chromatic gave an improper colouring at ell={ell}")
+            return chi, col
+
+        return self._answer("chi", inst, ell, solve)
 
     def lower_bound(self, inst, ell):
         """The verified clique-minor lower bound in the link graph."""
@@ -571,19 +577,21 @@ def _check_recolouring(caps, records):
 
 def _check_chromatic(inst, caps, cache, records):
     G = inst.graph
-    exact_chis = {}
-    for ell in caps.ell_range:
+
+    def exact_chi(ell):
+        """The oracle's chi at a length of this run; None beyond the oracle."""
+        if ell not in caps.ell_range:
+            return None
         H = cache.graph(inst, ell)
         if H is None or H.n > caps.chromatic_cap:
-            continue
-        chi, col = cache.chi(inst, ell)
-        assert is_proper(H, col)
-        exact_chis[ell] = chi
+            return None
+        return cache.chi(inst, ell)[0]
+
     for ell in caps.ell_range:
         def fn(ell=ell):
-            if ell not in exact_chis:
+            chi = exact_chi(ell)
+            if chi is None:
                 return "skip", "link graph beyond the chromatic oracle"
-            chi = exact_chis[ell]
             bounds = chromatic_upper_bounds(G, ell, caps.chromatic_cap, caps.suite_links)
             if ell % 2 == 0 and bounds.exact_chi and chi > bounds.parity_bound:
                 return "fail", f"chi {chi} > parity bound {bounds.parity_bound}"
@@ -612,25 +620,29 @@ def _check_chromatic(inst, caps, cache, records):
         _timed(records, claim, inst.name, ell, fn)
 
         def fn3(ell=ell):
-            if ell == 1 or ell not in exact_chis:
+            chi = None if ell == 1 else exact_chi(ell)
+            if chi is None:
                 return "skip", "not applicable or beyond oracle"
-            if exact_chis[ell] > G.max_degree() + 1:
-                return "fail", f"chi {exact_chis[ell]} > max degree + 1"
-            return "pass", f"chi={exact_chis[ell]} <= {G.max_degree() + 1}"
+            if chi > G.max_degree() + 1:
+                return "fail", f"chi {chi} > max degree + 1"
+            return "pass", f"chi={chi} <= {G.max_degree() + 1}"
 
         _timed(records, "Thm1.3", inst.name, ell, fn3)
 
         def fn4(ell=ell):
-            if ell < 2 or ell not in exact_chis or (ell - 2) not in exact_chis:
+            chi = None if ell < 2 else exact_chi(ell)
+            below = None if chi is None else exact_chi(ell - 2)
+            if below is None:
                 return "skip", "needs both oracle values"
-            if exact_chis[ell] > exact_chis[ell - 2]:
-                return "fail", f"chi rose: {exact_chis[ell]} > {exact_chis[ell - 2]}"
-            return "pass", f"{exact_chis[ell]} <= {exact_chis[ell - 2]}"
+            if chi > below:
+                return "fail", f"chi rose: {chi} > {below}"
+            return "pass", f"{chi} <= {below}"
 
         _timed(records, "Thm1.4", inst.name, ell, fn4)
 
         def fn_arc(ell=ell):
-            if ell < 1 or ell not in exact_chis:
+            chi = None if ell < 1 else exact_chi(ell)
+            if chi is None:
                 return "skip", "beyond oracle"
             links = cache.links(inst, ell)
             if links is None or 2 * len(links) > caps.chromatic_cap:
@@ -641,9 +653,9 @@ def _check_chromatic(inst, caps, cache, records):
                 adj[i].add(j)
                 adj[j].add(i)
             chi_a, _ = exact_chromatic(adj, None)
-            if chi_a > exact_chis[ell]:
+            if chi_a > chi:
                 return "fail", f"arc chromatic {chi_a} > link chromatic"
-            return "pass", f"{chi_a} <= {exact_chis[ell]}"
+            return "pass", f"{chi_a} <= {chi}"
 
         _timed(records, "ArcChrom", inst.name, ell, fn_arc)
 
@@ -664,8 +676,9 @@ def _check_chromatic(inst, caps, cache, records):
             rec = recursive_chromatic_bound(G, ell, caps.chromatic_cap, caps.suite_links)
             if rec.graph.n and rec.coloring.t > 3:
                 return "fail", f"recursive colouring uses {rec.coloring.t} > 3"
-            if ell in exact_chis and exact_chis[ell] > 3:
-                return "fail", f"exact chi {exact_chis[ell]} > 3"
+            chi = exact_chi(ell)
+            if chi is not None and chi > 3:
+                return "fail", f"exact chi {chi} > 3"
             return "pass", f"three-colourable at length {ell}"
 
         _timed(records, "Cor1.2", inst.name, ell, fn_cor12)
@@ -687,10 +700,13 @@ def _check_chromatic(inst, caps, cache, records):
 def _check_minors(inst, caps, cache, records):
     G = inst.graph
     dege = G.degeneracy()
-    try:
-        eta_g = cache.eta(inst)
-    except OracleTooLarge:
-        eta_g = None
+
+    def base_eta():
+        try:
+            return cache.eta(inst)
+        except OracleTooLarge:
+            return None
+
     for ell in caps.minor_ells:
         def fn(ell=ell):
             H = cache.graph(inst, ell)
@@ -702,6 +718,7 @@ def _check_minors(inst, caps, cache, records):
             check = verify_minor(H, res.witness)
             if not check.ok:
                 return "fail", f"witness invalid: {check.reason}"
+            eta_g = base_eta()
             floor = dege if eta_g is None else max(eta_g, dege)
             if res.bound < floor:
                 return "fail", f"bound {res.bound} below max(eta, degeneracy) = {floor}"

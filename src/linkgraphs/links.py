@@ -8,8 +8,12 @@ smaller unit tuple.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import ge, le
 
 from .errors import (
     BacktrackEdge,
@@ -158,53 +162,281 @@ def is_link_of(G, link):
     return validate_arc(G, link.as_arc())
 
 
-def enumerate_arcs(G, ell, limit=None):
-    """All ``ell``-arcs in lexicographic unit order, by depth-first extension."""
+# -- the integer arc kernel ----------------------------------------------------
+#
+# An ell-arc is a walk of ell darts (edge orientations) with no dart followed
+# by its own twin: a path in the non-backtracking digraph on the darts of G.
+# Level L holds L-arcs as integer ids; arc k of level L is arc parent[k] of
+# level L-1 followed by dart last[k].  Levels are built parent by parent with
+# successor darts in dart order, so ids run in lexicographic unit order, and
+# the link test ``units <= units[::-1]`` becomes ``k <= rev[k]``.
+
+
+def _walks(G, ell):
+    """Count the arcs of each length up to ``ell`` by first dart, without
+    enumerating them.
+
+    Returns ``(totals, fwd)``: ``totals[L]`` is the number of ``L``-arcs, and
+    ``fwd[d]`` is how many more darts, at most ``ell - 1``, a walk can take
+    after dart ``d``; walking back from ``d`` reaches ``fwd[twin[d]]``.
+    """
     if ell < 0:
         raise InvalidParameter(f"arc length must be >= 0, got {ell}")
-    cap = 2 * DEFAULT_LIMIT if limit is None else limit
-    out = []
-    if ell == 0:
-        for v in G.vertices:
-            out.append(Arc((v,)))
-            if len(out) > cap:
-                raise LimitExceeded(len(out), cap)
-        return out
-    incident = G.incident
-    for start in G.vertices:
-        # stack of partial unit tuples, extended in sorted edge order
-        stack = [(start,)]
-        while stack:
-            units = stack.pop()
-            if len(units) == 2 * ell + 1:
-                out.append(Arc(units))
-                if len(out) > cap:
-                    raise LimitExceeded(len(out), cap)
-                continue
-            last_edge = units[-2] if len(units) > 1 else None
-            head = units[-1]
-            # reversed: the stack pops smallest edge id first
-            for eid, w in reversed(incident(head)):
-                if eid != last_edge:
-                    stack.append(units + (eid, w))
+    D = G.darts()
+    totals = [G.n, len(D.head)][: ell + 1]
+    count = [1] * len(D.head)  # the L-arcs starting with each dart
+    fwd = [0] * len(D.head)
+    bounds = list(zip(D.start, D.start[1:]))
+    for L in range(2, ell + 1):
+        # the successors of d are the darts leaving its head, but its twin
+        out = [sum(count[lo:hi]) for lo, hi in bounds]
+        count = [out[h] - c for h, c in zip(D.head, map(count.__getitem__, D.twin))]
+        if 0 in count:
+            fwd = [L - 1 if c else f for c, f in zip(count, fwd)]
+        else:
+            fwd = [L - 1] * len(fwd)
+        totals.append(sum(count))
+        if not totals[-1]:
+            totals += [0] * (ell - L)
+            break
+    return totals, fwd
+
+
+def has_arc(G, ell):
+    """True when ``G`` has an ``ell``-arc."""
+    return _walks(G, ell)[0][ell] > 0
+
+
+def _check_limit(count, cap):
+    """Raise what an enumeration stopping one arc past ``cap`` raises."""
+    bound = max(cap, 0)
+    if count > bound:
+        raise LimitExceeded(bound + 1, cap)
+
+
+def _link_cap(ell, limit):
+    """``enumerate_links``' limit as a cap on arcs: twice ``limit`` for
+    ``ell >= 1``, where every link is an arc and its reverse."""
+    cap = DEFAULT_LIMIT if limit is None else limit
+    return cap if ell == 0 else 2 * cap
+
+
+_PACK_FROM = 1024  # arcs in a level from which its tables are packed
+
+
+class _Level:
+    """One level of the kernel.  For arc ``k`` of level ``L``: ``parent[k]``
+    and ``suffix[k]`` are its arc minus the last and minus the first dart, at
+    level ``L - 1``; ``rev[k]`` is its reverse and ``back[k]`` the twin of its
+    first dart.  The arcs of level ``L`` whose parent is ``p`` are
+    ``kids[p]:kids[p + 1]``."""
+
+    __slots__ = ("parent", "last", "suffix", "rev", "kids", "back")
+
+    def __init__(self, parent, last, suffix, rev, kids, back):
+        self.parent, self.last, self.suffix, self.rev = parent, last, suffix, rev
+        self.kids, self.back = kids, back
+
+    def pack(self):
+        """Store the tables of a large level as ``array('i')`` (4 bytes an entry,
+        not a list slot plus an int object); small ones stay lists, which are
+        cheaper to build and read."""
+        if len(self.last) >= _PACK_FROM:
+            for name in ("parent", "last", "suffix", "rev"):
+                setattr(self, name, array("i", getattr(self, name)))
+
+
+def _arc_levels(G, fwd, ell, top):
+    """Levels ``0..top`` of the arcs of ``G`` that lie inside some ``ell``-arc;
+    level 0 holds the vertices.
+
+    A partial arc from dart ``a`` to dart ``b`` at level ``L`` is kept when
+    ``fwd[twin[a]] + fwd[b] >= ell - L``, so levels up to ``ell`` hold at most
+    ``ell + 1`` times the ``ell``-arcs, and every arc at levels ``ell`` and
+    ``ell + 1`` is kept.  Each level is closed under prefix, suffix and reverse,
+    and both ``suffix(p.d) = suffix(p).d`` and
+    ``rev(a.d) = rev(suffix(a.d)).twin(first(a))`` are children of arcs one
+    level down, found by binary search among those children.  Only the last
+    two levels keep more than ``parent`` and ``last``.  ``fwd`` is the reach
+    table of ``_walks(G, ell)`` or of a longer count.
+    """
+    levels = [_Level((), (), (), range(G.n), (), ())]
+    if top == 0:
+        return levels
+    D = G.darts()
+    start, head, twin = D.start, D.head, D.twin
+    last = [d for d in range(len(head)) if fwd[d] + fwd[twin[d]] >= ell - 1]
+    where = dict(zip(last, range(len(last))))
+    parent = [D.tail[d] for d in last]
+    level1 = _Level(parent, last, [head[d] for d in last], [where[twin[d]] for d in last],
+                    [bisect_left(parent, v) for v in range(G.n + 1)], [twin[d] for d in last])
+    levels.append(level1)
+    for L in range(2, top + 1):
+        prev = levels[L - 1]
+        plast, pback, psuffix, pkids = prev.last, prev.back, prev.suffix, prev.kids
+        parent, last, back, suffix, kids = [], [], [], [], [0]
+        for p, x in enumerate(plast):
+            b, t, h = pback[p], twin[x], head[x]
+            need = ell - L - fwd[b]
+            # the children of suffix(p) one level down hold each suffix(p).d
+            s = psuffix[p]
+            lo, hi = pkids[s], pkids[s + 1]
+            for d in range(start[h], start[h + 1]):
+                if d != t and fwd[d] >= need:
+                    lo = bisect_left(plast, d, lo, hi)
+                    parent.append(p)
+                    last.append(d)
+                    back.append(b)
+                    suffix.append(lo)
+            kids.append(len(last))
+        prev_rev = prev.rev
+        rev = [bisect_left(last, b, kids[q], kids[q + 1])
+               for b, q in zip(back, map(prev_rev.__getitem__, suffix))]
+        levels.append(_Level(parent, last, suffix, rev, kids, back))
+        prev.pack()
+        if L > 2:
+            old = levels[L - 2]
+            old.suffix = old.rev = old.kids = old.back = None
+    levels[top].pack()
+    return levels
+
+
+def _canonical(level):
+    """Mask of the arcs of a level that are the canonical orientation of their link."""
+    return bytearray(map(le, range(len(level.rev)), level.rev))
+
+
+def _link_ids(level):
+    """Link index of every arc of a level: canonical arcs numbered in order."""
+    ids, count = array("i"), 0
+    for k, r in enumerate(level.rev):
+        if k <= r:
+            ids.append(count)
+            count += 1
+        else:
+            ids.append(ids[r])
+    return ids
+
+
+def _unit_tuples(G, levels, want):
+    """Unit tuples of the arcs ``want`` selects, as ``{level: mask}``: per level
+    the selected arcs in id order.  Only they and their prefixes get tuples, and
+    a level's tuples are dropped once the next level's are built."""
+    top = max(want)
+    need = {top: want[top]}
+    for L in range(top, 1, -1):
+        mask = bytearray(want[L - 1]) if L - 1 in want else bytearray(len(levels[L - 1].last))
+        for p in compress(levels[L].parent, need[L]):
+            mask[p] = 1
+        need[L - 1] = mask
+    steps = G.darts().steps
+    units = [(v,) for v in G.vertices]
+    out = {0: list(compress(units, want[0]))} if 0 in want else {}
+    for L in range(1, top + 1):
+        lv = levels[L]
+        units = [units[p] + steps[d] if keep else None
+                 for p, d, keep in zip(lv.parent, lv.last, need[L])]
+        if L in want:
+            out[L] = list(compress(units, want[L]))
     return out
+
+
+def _all(n):
+    return bytearray(b"\x01") * n
+
+
+def _kernel(G, ell, caps):
+    """Check each ``{length: cap}`` of ``caps`` on the arc counts, as an
+    enumeration stopping one arc past the cap would, then build the levels
+    up to the longest length."""
+    top = max(caps)
+    totals, fwd = _walks(G, top)
+    for length in sorted(caps):
+        _check_limit(totals[length], caps[length])
+    return _arc_levels(G, fwd, ell, top)
+
+
+def enumerate_arcs(G, ell, limit=None):
+    """All ``ell``-arcs in lexicographic unit order."""
+    levels = _kernel(G, ell, {ell: 2 * DEFAULT_LIMIT if limit is None else limit})
+    if ell == 0:
+        return [Arc((v,)) for v in G.vertices]
+    want = _all(len(levels[ell].last))
+    return [Arc(u) for u in _unit_tuples(G, levels, {ell: want})[ell]]
 
 
 def enumerate_links(G, ell, limit=None):
-    """All ``ell``-links in canonical order; exact 2:1 dedup from arcs."""
-    cap = DEFAULT_LIMIT if limit is None else limit
+    """All ``ell``-links in canonical order: one per arc and its reverse."""
+    levels = _kernel(G, ell, {ell: _link_cap(ell, limit)})
     if ell == 0:
-        arcs = enumerate_arcs(G, 0, cap)
-        return [Link(a.units) for a in arcs]
-    arcs = enumerate_arcs(G, ell, 2 * cap)
-    out = []
-    for a in arcs:
-        u = a.units
-        if u <= u[::-1]:
-            out.append(Link(u))
-            if len(out) > cap:
-                raise LimitExceeded(len(out), cap)
-    return out
+        return [Link((v,)) for v in G.vertices]
+    canon = _canonical(levels[ell])
+    return [Link(u) for u in _unit_tuples(G, levels, {ell: canon})[ell]]
+
+
+def link_count(G, ell, limit=None):
+    """The number of ``ell``-links, counted without enumerating them; over
+    ``limit`` it raises what ``enumerate_links`` raises."""
+    totals, _ = _walks(G, ell)
+    _check_limit(totals[ell], _link_cap(ell, limit))
+    return totals[ell] if ell == 0 else totals[ell] // 2
+
+
+def link_windows(G, ell, limit=None):
+    """What the link graph is built from: the ``ell``-links, the
+    ``(ell + 1)``-links, and per ``(ell + 1)``-link the indices of its two
+    windows among the ``ell``-links (the links of its kernel parent and suffix),
+    as two tables."""
+    levels = _kernel(G, ell, {ell: _link_cap(ell, limit), ell + 1: _link_cap(ell + 1, limit)})
+    link_of = _link_ids(levels[ell])
+    top = levels[ell + 1]
+    canon = _canonical(top)
+    ends = [array("i", map(link_of.__getitem__, compress(table, canon)))
+            for table in (top.parent, top.suffix)]
+    units = _unit_tuples(G, levels, {ell: _canonical(levels[ell]), ell + 1: canon})
+    return list(map(Link, units[ell])), list(map(Link, units[ell + 1])), ends
+
+
+def arc_windows(G, ell, limit=None):
+    """What the arc digraph is built from: the ``ell``-arcs, the
+    ``(ell + 1)``-arcs, and per ``(ell + 1)``-arc the indices of its tail and
+    head windows among the ``ell``-arcs."""
+    cap = 2 * DEFAULT_LIMIT if limit is None else limit
+    levels = _kernel(G, ell, {ell: cap, ell + 1: cap})
+    top = levels[ell + 1]
+    units = _unit_tuples(G, levels, {L: _all(len(levels[L].last)) for L in (ell, ell + 1)})
+    windows = list(zip(top.parent, top.suffix))
+    return list(map(Arc, units[ell])), list(map(Arc, units[ell + 1])), windows
+
+
+def shunt_reach(G, ell, hub):
+    """How many ``ell``-links of ``G`` shunt to a link lying inside the
+    subgraph ``hub``; 0 when no ``ell``-link lies inside it.
+
+    A one-step shunt is a link-graph edge, so this is a search over kernel ids
+    from the links all of whose edges (at length 0, whose vertex) are in ``hub``.
+    """
+    levels = _arc_levels(G, _walks(G, ell + 1)[1], ell, ell + 1)
+    if ell == 0:
+        inside = bytearray(map(hub.has_vertex, G.vertices))
+    else:
+        in_hub = bytearray(hub.has_edge(eid) for eid, _ in G.darts().steps)
+        inside = _all(G.n)
+        for lv in levels[1 : ell + 1]:
+            inside = bytearray(inside[p] & in_hub[d] for p, d in zip(lv.parent, lv.last))
+    link_of = _link_ids(levels[ell])
+    adj = [[] for _ in range(len(link_of) if ell == 0 else len(link_of) // 2)]
+    top = levels[ell + 1]
+    for p, s in zip(top.parent, top.suffix):
+        adj[link_of[p]].append(link_of[s])
+    seen = {link_of[k] for k in compress(range(len(inside)), inside)}
+    stack = list(seen)
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen)
 
 
 def is_path(link):
@@ -308,8 +540,19 @@ def can_shunt(G, L, R, middle_filter=None):
 
 
 def middle_units(G, ell, limit=None):
-    """The set of middle units over all ``ell``-links."""
-    return {link.middle_unit() for link in enumerate_links(G, ell, limit)}
+    """The set of middle units over all ``ell``-links, read off the reach
+    table: an edge whose darts can each walk ``h`` darts on for
+    ``ell = 2h + 1``, a vertex with two darts out that can each walk
+    ``h - 1`` darts on for ``ell = 2h``."""
+    totals, fwd = _walks(G, ell)
+    _check_limit(totals[ell], _link_cap(ell, limit))
+    if ell == 0:
+        return set(G.vertices)
+    D, h = G.darts(), ell // 2
+    if ell % 2 == 1:
+        return {D.steps[d][0] for d in range(len(D.head)) if min(fwd[d], fwd[D.twin[d]]) >= h}
+    able = bytes(map(ge, fwd, repeat(h - 1)))
+    return {v for v, lo, hi in zip(G.vertices, D.start, D.start[1:]) if able.count(1, lo, hi) >= 2}
 
 
 def hub_subgraph(G, ell, limit=None):

@@ -25,6 +25,7 @@ from .links import (
     conjunction,
     enumerate_arcs,
     enumerate_links,
+    has_arc,
     hub_subgraph,
     shunt_trace,
 )
@@ -134,6 +135,15 @@ def verify_minor(host, witness):
         if (i, j) not in witness.target_edges:
             return VerifyResult(False, f"connector {i}-{j} has no target edge")
     return VerifyResult(True, "")
+
+
+def _checked(host, witness, what):
+    """``witness`` once ``verify_minor`` accepts it; ``WitnessInvalid`` otherwise.
+    A plain ``if``, so the gate holds under ``python -O``."""
+    check = verify_minor(host, witness)
+    if not check.ok:
+        raise WitnessInvalid(f"{what} failed verification: {check.reason}")
+    return witness
 
 
 def _complete_edges(t):
@@ -421,9 +431,7 @@ def complete_minor_from_cut(G, ell, inst, H=None, limit=None):
     lbars = [_tail_window(o_cycle(i), ell) for i in range(t)]
     branch, connectors = _branch_sets_and_connectors(H, ell, lbars, paths, t)
     witness = MinorWitness(t, _complete_edges(t), branch, connectors, H, "cut")
-    check = verify_minor(H, witness)
-    assert check.ok, f"cut construction failed verification: {check.reason}"
-    return witness
+    return _checked(H, witness, "cut construction")
 
 
 def complete_minor_with_cycle(G, ell, inst, H=None, limit=None):
@@ -490,9 +498,7 @@ def complete_minor_with_cycle(G, ell, inst, H=None, limit=None):
         connectors[(i, zi)] = (li, H.index[z_attach[i]])
     witness = MinorWitness(t + 1, _complete_edges(t + 1), branch, connectors, H,
                            "cut+cycle")
-    check = verify_minor(H, witness)
-    assert check.ok, f"cycle construction failed verification: {check.reason}"
-    return witness
+    return _checked(H, witness, "cycle construction")
 
 
 # -- bipartite clique minor -----------------------------------------------------
@@ -531,9 +537,7 @@ def bipartite_clique_minor(d):
     b = [idx[f"b{i}"] for i in range(d - 1)]
     sets, connectors = _bipartite_model(a, b)
     witness = MinorWitness(d, _complete_edges(d), sets, connectors, host, "bipartite")
-    check = verify_minor(host, witness)
-    assert check.ok, check.reason
-    return witness
+    return _checked(host, witness, "bipartite construction")
 
 
 # -- hub lifting ----------------------------------------------------------------
@@ -544,22 +548,6 @@ def _middle_in(link, sub, ell):
     if ell % 2 == 0:
         return sub.has_vertex(unit)
     return sub.has_edge(unit)
-
-
-def _has_arc_of_length(G, ell):
-    if ell == 0:
-        return G.n > 0
-    for start in G.vertices:
-        stack = [(start,)]
-        while stack:
-            units = stack.pop()
-            if len(units) == 2 * ell + 1:
-                return True
-            last_edge = units[-2] if len(units) > 1 else None
-            for eid, w in G.incident(units[-1]):
-                if eid != last_edge:
-                    stack.append(units + (eid, w))
-    return False
 
 
 def lift_minor(G, ell, branch_sets, H=None, hub=None, limit=None):
@@ -650,9 +638,7 @@ def lift_minor(G, ell, branch_sets, H=None, hub=None, limit=None):
             connectors[(i, j)] = found
 
     witness = MinorWitness(len(sets), frozenset(cross), lifted, connectors, H, "hub-lift")
-    check = verify_minor(H, witness)
-    assert check.ok, f"hub lifting failed verification: {check.reason}"
-    return witness
+    return _checked(H, witness, "hub lifting")
 
 
 # -- the combined lower bound ---------------------------------------------------
@@ -682,9 +668,7 @@ def _degeneracy_route(G, ell, H):
             for j in range(i + 1, d):
                 connectors[(i, j)] = (edge_links[i], edge_links[j])
         witness = MinorWitness(d, _complete_edges(d), sets, connectors, H, "degeneracy")
-        check = verify_minor(H, witness)
-        assert check.ok, check.reason
-        return witness
+        return _checked(H, witness, "degeneracy construction")
     for p in enumerate_arcs(core, ell - 1, 5000):
         a_ext = [(eid, w) for eid, w in core.incident(p.tail_vertex)
                  if eid != p.tail_edge][: d - 1]
@@ -793,19 +777,23 @@ def _eta_route(G, ell, H, eta_cap, limit):
                     break
     deficient = None
     for k, bs in enumerate(sets):
-        if not _has_arc_of_length(peeled.induced_subgraph(bs), ell):
+        if not has_arc(peeled.induced_subgraph(bs), ell):
             deficient = k
             break
     if deficient is None:
         try:
             return lift_minor(peeled, ell, [frozenset(bs) for bs in sets], H=H,
                               hub=hub, limit=limit)
+        except WitnessInvalid:
+            raise
         except LinkGraphError:
             return None
     x_set = frozenset(sets[deficient])
     inst = CutInstance(peeled, x_set)
     try:
         return complete_minor_with_cycle(peeled, ell, inst, H=H, limit=limit)
+    except WitnessInvalid:
+        raise
     except LinkGraphError:
         return None
 
@@ -853,6 +841,8 @@ def _candidate_route(G, ell, H, limit, max_candidates=200, tries=12):
         for builder in (complete_minor_with_cycle, complete_minor_from_cut):
             try:
                 w = builder(sub, ell, inst, H=H, limit=limit)
+            except WitnessInvalid:
+                raise
             except LinkGraphError:
                 continue
             if best is None or w.target_size > best.target_size:
@@ -895,10 +885,7 @@ def hadwiger_lower_bound(G, ell, H=None, eta_cap=DEFAULT_HADWIGER_CAP, limit=Non
             notes.append(f"{name}: {exc}")
             continue
         if w is not None:
-            check = verify_minor(H, w)
-            if not check.ok:
-                raise WitnessInvalid(f"{name} witness failed verification: {check.reason}")
-            witnesses.append(w)
+            witnesses.append(_checked(H, w, f"{name} witness"))
         else:
             notes.append(f"{name}: no witness")
     best = max(witnesses, key=lambda w: w.target_size)

@@ -8,7 +8,7 @@ after construction.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import deque, namedtuple
 
 from .errors import (
     InvalidParameter,
@@ -20,11 +20,20 @@ from .errors import (
 
 INFINITE = math.inf
 
+Darts = namedtuple("Darts", "start tail head twin steps")
+Darts.__doc__ = """The 2m darts (edge orientations) of a multigraph as tuples.
+
+Darts are numbered in ``vertices`` x ``incident()`` order, so the darts
+leaving vertex index ``v`` are ``range(start[v], start[v + 1])`` and dart
+order is the lexicographic order of ``(tail, edge, head)``.  ``twin[d]`` is
+``d`` reversed and ``steps[d]`` is its ``(edge_id, head)`` unit pair.
+"""
+
 
 class Multigraph:
     """Finite undirected multigraph without loops; parallel edges allowed."""
 
-    __slots__ = ("_vertices", "_endpoints", "_adj", "_vset")
+    __slots__ = ("_vertices", "_endpoints", "_adj", "_vset", "_darts")
 
     def __init__(self, vertices=(), edges=()):
         """Build from vertex names and an iterable of ``(edge_id, u, v)``."""
@@ -47,6 +56,7 @@ class Multigraph:
             adj[u].append((eid, v))
             adj[v].append((eid, u))
         self._adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+        self._darts = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -92,6 +102,25 @@ class Multigraph:
             return self._adj[v]
         except KeyError:
             raise UnknownVertex(v) from None
+
+    def darts(self):
+        """The :class:`Darts` table, built on first use and then kept."""
+        if self._darts is None:
+            idx = {v: i for i, v in enumerate(self._vertices)}
+            start, tail, head, steps = [0], [], [], []
+            for i, v in enumerate(self._vertices):
+                for step in self._adj[v]:
+                    tail.append(i)
+                    head.append(idx[step[1]])
+                    steps.append(step)
+                start.append(len(steps))
+            pos = {(tail[d], steps[d][0]): d for d in range(len(steps))}
+            twin = [pos[head[d], steps[d][0]] for d in range(len(steps))]
+            # tuples: the arc kernel reads these in its inner loop, and a
+            # tuple item is read without boxing an int
+            self._darts = Darts(tuple(start), tuple(tail), tuple(head), tuple(twin),
+                                tuple(steps))
+        return self._darts
 
     def neighbors(self, v):
         return sorted({w for _, w in self.incident(v)})

@@ -1,0 +1,116 @@
+"""Reference builders by depth-first search over unit tuples.
+
+These are the original string-tuple implementations of arc and link
+enumeration, the link graph, the arc digraph and the hub criterion.  The
+package builds the same objects from its integer arc kernel; the tests check
+that both agree.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+from linkgraphs.construction import LabeledDigraph, LabeledGraph
+from linkgraphs.errors import InvalidParameter, LimitExceeded
+from linkgraphs.links import DEFAULT_LIMIT, Arc, Link, hub_subgraph, one_step_shunts
+
+
+def enumerate_arcs(G, ell, limit=None):
+    """All ``ell``-arcs in lexicographic unit order, by depth-first extension."""
+    if ell < 0:
+        raise InvalidParameter(f"arc length must be >= 0, got {ell}")
+    cap = 2 * DEFAULT_LIMIT if limit is None else limit
+    out = []
+    if ell == 0:
+        for v in G.vertices:
+            out.append(Arc((v,)))
+            if len(out) > cap:
+                raise LimitExceeded(len(out), cap)
+        return out
+    incident = G.incident
+    for start in G.vertices:
+        # stack of partial unit tuples, extended in sorted edge order
+        stack = [(start,)]
+        while stack:
+            units = stack.pop()
+            if len(units) == 2 * ell + 1:
+                out.append(Arc(units))
+                if len(out) > cap:
+                    raise LimitExceeded(len(out), cap)
+                continue
+            last_edge = units[-2] if len(units) > 1 else None
+            head = units[-1]
+            # reversed: the stack pops smallest edge id first
+            for eid, w in reversed(incident(head)):
+                if eid != last_edge:
+                    stack.append(units + (eid, w))
+    return out
+
+
+def enumerate_links(G, ell, limit=None):
+    """All ``ell``-links in canonical order; exact 2:1 dedup from arcs."""
+    cap = DEFAULT_LIMIT if limit is None else limit
+    if ell == 0:
+        arcs = enumerate_arcs(G, 0, cap)
+        return [Link(a.units) for a in arcs]
+    arcs = enumerate_arcs(G, ell, 2 * cap)
+    out = []
+    for a in arcs:
+        u = a.units
+        if u <= u[::-1]:
+            out.append(Link(u))
+            if len(out) > cap:
+                raise LimitExceeded(len(out), cap)
+    return out
+
+
+def link_graph(G, ell, limit=None):
+    """The graph on ``ell``-links whose edges are the one-longer links."""
+    verts = tuple(enumerate_links(G, ell, limit))
+    idx = {v: i for i, v in enumerate(verts)}
+    edge_list = []
+    for q in enumerate_links(G, ell + 1, limit):
+        w0 = Link.from_units(q.units[: 2 * ell + 1])
+        w1 = Link.from_units(q.units[2:])
+        assert w0 != w1, f"windows of {q} coincide"
+        i, j = idx[w0], idx[w1]
+        if i > j:
+            i, j = j, i
+        edge_list.append((i, j, q))
+    edge_list.sort()
+    return LabeledGraph(ell, verts, tuple(edge_list), G, idx)
+
+
+def arc_digraph(G, ell, limit=None):
+    """Digraph on ``ell``-arcs; one labelled arc per one-longer arc."""
+    if ell < 1:
+        raise InvalidParameter(f"arc digraph needs ell >= 1, got {ell}")
+    verts = tuple(enumerate_arcs(G, ell, limit))
+    idx = {a: i for i, a in enumerate(verts)}
+    arcs = []
+    for q in enumerate_arcs(G, ell + 1, limit):
+        arcs.append((idx[q.window(0, ell)], idx[q.window(1, ell + 1)], q))
+    arcs.sort()
+    return LabeledDigraph(ell, verts, tuple(arcs), G, idx)
+
+
+def link_graph_connected(G, ell, limit=None):
+    """The hub criterion with a breadth-first search over one-step shunts."""
+    all_links = enumerate_links(G, ell, limit)
+    if len(all_links) <= 1:
+        return True
+    hub = hub_subgraph(G, ell, limit)
+    if not hub.is_connected():
+        return False
+    hub_links = set(enumerate_links(hub, ell, limit))
+    if not hub_links:
+        return link_graph(G, ell, limit).is_connected()
+    seen = set(hub_links)
+    queue = deque(sorted(hub_links))
+    while queue:
+        cur = queue.popleft()
+        for _, nxt in one_step_shunts(G, cur):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return len(seen) == len(all_links)

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from linkgraphs import cli, harness
+from linkgraphs.coloring import Coloring
 from linkgraphs.cli import main
 from linkgraphs.construction import LabeledGraph, link_graph
 from linkgraphs.harness import (
@@ -182,6 +183,74 @@ class TestUnexpectedErrors:
         rc = main(["verify", "--claims", "Thm3", "--ell", "1", "--out", str(out), str(gfile)])
         assert rc == 1
         assert json.loads(out.read_text())["counts"]["fail"] == 2
+
+
+class TestOracleCallsInsideRecords:
+    """A bad answer from an oracle whose call feeds several claims gives
+    ``fail`` records for that instance only; the run goes on."""
+
+    CORPUS = [CorpusInstance("cycle(5)", cycle(5)), CorpusInstance("path(5)", path(5)),
+              CorpusInstance("dipole(2)", dipole(2))]
+    CAPS = Caps(ell_range=(0, 1, 2, 3), minor_ells=(1, 2))
+
+    @staticmethod
+    def _break_chromatic(monkeypatch):
+        """An improper colouring for cycle(5)'s link graphs, a crash for path(5)'s."""
+        real = harness.exact_chromatic
+
+        def oracle(H, cap):
+            if isinstance(H, LabeledGraph) and H.source == cycle(5):
+                return 1, Coloring({i: 0 for i in range(H.n)}, 1)
+            if isinstance(H, LabeledGraph) and H.source == path(5):
+                raise RuntimeError("oracle crashed")
+            return real(H, cap)
+
+        monkeypatch.setattr(harness, "exact_chromatic", oracle)
+
+    def test_bad_colourings_become_fail_records(self, monkeypatch):
+        claims = ["Thm1", "Thm3"]
+        before = _rows(verify_suite(corpus=self.CORPUS, claims=claims, caps=self.CAPS))
+        self._break_chromatic(monkeypatch)
+        after = _rows(verify_suite(corpus=self.CORPUS, claims=claims, caps=self.CAPS))
+        details = {name: {r["detail"] for r in after
+                          if r["instance"] == name and r["status"] == "fail"}
+                   for name in ("cycle(5)", "path(5)")}
+        assert details["cycle(5)"] == {
+            f"WitnessInvalid: exact_chromatic gave an improper colouring at ell={ell}"
+            for ell in self.CAPS.ell_range
+        }
+        assert details["path(5)"] == {"RuntimeError: oracle crashed"}
+        assert {r["claim"] for r in after if r["status"] == "fail"} >= {
+            "Thm1.1", "Thm1.2", "Thm1.3", "Thm1.4", "Thm3.5"}
+        untouched = [r for r in after if r["instance"] == "dipole(2)"]
+        assert untouched and untouched == [r for r in before if r["instance"] == "dipole(2)"]
+
+    def test_verify_exits_one_on_a_bad_colouring(self, monkeypatch, tmp_path):
+        gfile = tmp_path / "c5.txt"
+        main(["gen", "cycle", "5", "--out", str(gfile)])
+        self._break_chromatic(monkeypatch)
+        out = tmp_path / "report.json"
+        rc = main(["verify", "--claims", "Thm1", "--ell", "1", "--out", str(out), str(gfile)])
+        assert rc == 1
+        assert json.loads(out.read_text())["counts"]["fail"] >= 1
+
+    def test_base_eta_crash_becomes_fail_records(self, monkeypatch):
+        before = _rows(verify_suite(corpus=self.CORPUS, claims=["Thm2"], caps=self.CAPS))
+        real = harness.hadwiger_number
+        base = cycle(5).serialize()
+
+        def oracle(G, cap):
+            if G.serialize() == base:
+                raise RuntimeError("oracle crashed")
+            return real(G, cap)
+
+        monkeypatch.setattr(harness, "hadwiger_number", oracle)
+        after = _rows(verify_suite(corpus=self.CORPUS, claims=["Thm2"], caps=self.CAPS))
+        broken = [r for r in after if r["instance"] == "cycle(5)"]
+        assert [(r["ell"], r["status"], r["detail"]) for r in broken] == [
+            (ell, "fail", "RuntimeError: oracle crashed") for ell in (1, 2)]
+        assert ([r for r in after if r["instance"] != "cycle(5)"]
+                == [r for r in before if r["instance"] != "cycle(5)"])
 
 
 class TestNegativeControls:

@@ -1,0 +1,101 @@
+"""The integer arc kernel against the depth-first reference builders."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+
+import reference_links as ref
+from linkgraphs.construction import arc_digraph, link_graph, link_graph_connected
+from linkgraphs.errors import LimitExceeded
+from linkgraphs.links import (
+    _walks,
+    enumerate_arcs,
+    enumerate_links,
+    has_arc,
+    middle_units,
+)
+from linkgraphs.multigraph import Multigraph, complete, parallel_bridge, path, petersen, wheel
+
+from strategies import multigraphs
+
+# the reference walks every arc as a tuple; keep each example small
+ARC_BUDGET = 3000
+
+
+def _lengths(G, top=5):
+    """Lengths 0..top whose one-longer arcs fit the budget."""
+    totals = _walks(G, top + 1)[0]
+    return [ell for ell in range(top + 1) if totals[ell + 1] <= ARC_BUDGET]
+
+
+def _raised(fn, *args):
+    with pytest.raises(LimitExceeded) as info:
+        fn(*args)
+    return info.value.count, info.value.limit
+
+
+@settings(max_examples=80, deadline=None)
+@given(multigraphs(max_n=7, max_m=12))
+def test_kernel_matches_depth_first_reference(G):
+    for ell in _lengths(G):
+        assert enumerate_arcs(G, ell) == ref.enumerate_arcs(G, ell)
+        assert enumerate_links(G, ell) == ref.enumerate_links(G, ell)
+        H, R = link_graph(G, ell), ref.link_graph(G, ell)
+        assert H.vertices == R.vertices and H.edges == R.edges
+        assert H.same_labeled_graph(R) and H.index == R.index
+        if ell >= 1:
+            A, B = arc_digraph(G, ell), ref.arc_digraph(G, ell)
+            assert A.vertices == B.vertices and A.arcs == B.arcs
+        assert link_graph_connected(G, ell) == ref.link_graph_connected(G, ell)
+        assert middle_units(G, ell) == {l.middle_unit() for l in ref.enumerate_links(G, ell)}
+        assert has_arc(G, ell) == bool(ref.enumerate_arcs(G, ell))
+
+
+@pytest.mark.parametrize("G, ell", [(petersen(), 6), (wheel(5), 4), (complete(4), 5),
+                                    (parallel_bridge(), 7), (path(6), 6)])
+def test_kernel_matches_reference_at_larger_lengths(G, ell):
+    assert enumerate_links(G, ell) == ref.enumerate_links(G, ell)
+    H, R = link_graph(G, ell), ref.link_graph(G, ell)
+    assert H.vertices == R.vertices and H.edges == R.edges
+
+
+def test_ids_sort_as_edge_ids_sort():
+    # e10 sorts before e2: dart order follows the string ids, not the numbers
+    G = Multigraph([], [(f"e{k}", "a", "b") for k in range(1, 12)])
+    assert enumerate_arcs(G, 2) == ref.enumerate_arcs(G, 2)
+    assert link_graph(G, 1).edges == ref.link_graph(G, 1).edges
+
+
+@settings(max_examples=40, deadline=None)
+@given(multigraphs(max_n=6, max_m=9))
+def test_limits_at_the_boundary(G):
+    for ell in _lengths(G, 4):
+        arcs = len(ref.enumerate_arcs(G, ell))
+        links = len(ref.enumerate_links(G, ell))
+        assert len(enumerate_arcs(G, ell, arcs)) == arcs
+        assert len(enumerate_links(G, ell, links)) == links
+        if arcs:
+            assert _raised(enumerate_arcs, G, ell, arcs - 1) == _raised(
+                ref.enumerate_arcs, G, ell, arcs - 1)
+        if links:
+            assert _raised(enumerate_links, G, ell, links - 1) == _raised(
+                ref.enumerate_links, G, ell, links - 1)
+        enough = max(links, len(ref.enumerate_links(G, ell + 1)))
+        assert link_graph(G, ell, enough).n == links
+        if enough:
+            assert _raised(link_graph, G, ell, enough - 1) == _raised(
+                ref.link_graph, G, ell, enough - 1)
+
+
+def test_star_costs_its_output():
+    star = Multigraph([], [(f"e{k}", "c", f"l{k}") for k in range(2000)])
+    assert enumerate_arcs(star, 3, 10) == []
+    assert enumerate_links(star, 3, 10) == []
+    assert not has_arc(star, 3) and has_arc(star, 2)
+
+
+def test_counts_without_enumerating():
+    totals, _ = _walks(petersen(), 14)
+    assert totals == [10] + [30 * 2 ** (ell - 1) for ell in range(1, 15)]
+    assert totals[14] == 2 * 122_880

@@ -282,15 +282,61 @@ else:
 """
 
 
+REJECTED_WITNESS_SCRIPT = """
+import sys
+from linkgraphs import minors
+from linkgraphs.errors import WitnessInvalid
+from linkgraphs.multigraph import complete, wheel
+
+if sys.flags.optimize < 1:
+    sys.exit("expected python -O")
+
+minors.verify_minor = lambda host, witness: minors.VerifyResult(False, "rejected")
+W = wheel(5)
+hub = minors.CutInstance(W, frozenset({"h"}))
+K4 = complete(4)
+for build in (
+    lambda: minors.bipartite_clique_minor(3),
+    lambda: minors.complete_minor_from_cut(W, 1, hub),
+    lambda: minors.complete_minor_with_cycle(W, 1, hub),
+    lambda: minors.lift_minor(K4, 0, [frozenset({v}) for v in K4.vertices]),
+    lambda: minors.hadwiger_lower_bound(W, 1),
+    lambda: minors.hadwiger_lower_bound(W, 2),  # raised inside the model route
+):
+    try:
+        build()
+    except WitnessInvalid as exc:
+        print(exc)
+    else:
+        sys.exit("a rejected witness was returned")
+"""
+
+
+def _run_optimized(script):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestWitnessGate:
     def test_invalid_witness_raises_under_optimize(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-O", "-c", OVERLAPPING_WITNESS_SCRIPT],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = _run_optimized(OVERLAPPING_WITNESS_SCRIPT)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("degeneracy witness failed verification")
+
+    def test_constructors_raise_on_a_rejected_witness_under_optimize(self):
+        proc = _run_optimized(REJECTED_WITNESS_SCRIPT)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "bipartite construction failed verification: rejected",
+            "cut construction failed verification: rejected",
+            "cycle construction failed verification: rejected",
+            "hub lifting failed verification: rejected",
+            "degeneracy construction failed verification: rejected",
+            "cycle construction failed verification: rejected",
+        ]
 
     def test_model_search_without_a_model_raises(self):
         with pytest.raises(WitnessInvalid):
