@@ -1,7 +1,7 @@
 """Canonical forms for small (multi)graphs via refinement plus backtracking.
 
 Only intended for desk-scale instances (a few hundred vertices for the
-refinement, ~a dozen for heavily symmetric inputs); the Hadwiger oracle
+refinement, ~a dozen for heavily symmetric inputs); the Hadwiger model search
 memoizes on these keys.
 """
 

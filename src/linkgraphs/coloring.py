@@ -13,6 +13,7 @@ from .errors import (
     OracleTooLarge,
     PartialColoring,
     PreconditionViolated,
+    WitnessInvalid,
 )
 
 DEFAULT_CHROMATIC_CAP = 64
@@ -195,7 +196,9 @@ def exact_edge_chromatic(G, cap=DEFAULT_CHROMATIC_CAP):
                 adj[j].add(i)
     chi, col = exact_chromatic(adj, cap=None)
     delta = G.max_degree()
-    assert delta <= chi <= max(delta, math.floor(1.5 * delta)) or G.m == 0
+    if G.m and not delta <= chi <= max(delta, math.floor(1.5 * delta)):
+        raise WitnessInvalid(f"edge-chromatic number {chi} outside the Vizing-Shannon "
+                             f"range for maximum degree {delta}")
     return chi, EdgeColoring({eids[i]: c for i, c in col.assignment.items()}, chi)
 
 
@@ -239,9 +242,12 @@ def reduce_coloring(H, coloring, r):
 
     t_out = (t * r) // (r + 1) + 1
     out = Coloring(col, t_out)
-    assert out.max_color() <= t_out, "recolouring exceeded its bound"
-    assert is_proper(adj, out), "recolouring broke properness"
-    assert out.used() <= coloring.used(), "recolouring increased colour count"
+    if out.max_color() > t_out:
+        raise WitnessInvalid("recolouring exceeded its bound")
+    if not is_proper(adj, out):
+        raise WitnessInvalid("recolouring broke properness")
+    if out.used() > coloring.used():
+        raise WitnessInvalid("recolouring increased colour count")
     return out
 
 
@@ -312,7 +318,8 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
             col = Coloring(colors, max(k, 1) if H.n else 0)
             chi_p = col.t
             exact = False
-        assert is_proper(H, col)
+        if not is_proper(H, col):
+            raise WitnessInvalid("edge colouring transported to the line graph is not proper")
         return RecursiveColoring(1, H, col, exact, "edge-chromatic", chi_p)
     below = recursive_chromatic_bound(G, ell - 2, cap, limit)
     H = link_graph(G, ell, limit)

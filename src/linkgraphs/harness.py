@@ -179,10 +179,11 @@ class _Cache:
     def graph(self, inst, ell):
         key = (inst.name, ell)
         if key not in self._graphs:
-            if self.links(inst, ell) is None or self.links(inst, ell + 1) is None:
-                self._graphs[key] = None
-            else:
+            # link_graph checks the ell- and (ell + 1)-links against the budget
+            try:
                 self._graphs[key] = link_graph(inst.graph, ell, self.caps.suite_links)
+            except LimitExceeded:
+                self._graphs[key] = None
         return self._graphs[key]
 
     def _answer(self, kind, inst, ell, solve):

@@ -198,30 +198,75 @@ def _contract_pair(n, pairs, i, j):
     return n - 1, frozenset(out)
 
 
+def _merge(rows, i, j):
+    """Contract vertex ``j`` into ``i < j`` of a graph given by neighbour
+    bitmasks; vertices above ``j`` move down by one."""
+    low = (1 << j) - 1
+    out = []
+    for v, row in enumerate(rows):
+        if v == j:
+            continue
+        if v == i:
+            row |= rows[j]
+        out.append((row & low) | (row >> (j + 1) << j) | ((row >> j & 1) << i))
+    out[i] &= ~(1 << i)
+    return tuple(out)
+
+
+def _contracts_to(rows, m, t, failed):
+    """Whether the connected simple graph with neighbour bitmasks ``rows`` and
+    ``m`` edges contracts to K_t.
+
+    A K_t model in a connected graph grows to cover every vertex, so
+    contractions alone reach K_t, and such a model needs ``n - t`` edges
+    inside its branch sets plus ``t(t-1)/2`` between them.  ``failed`` holds
+    graphs already known to have no K_t minor (nor, then, any larger one)."""
+    n = len(rows)
+    spare = t * (t - 1) // 2 - t  # a covering model on n vertices needs spare + n edges
+    if n < t or spare + n > m:
+        return False
+    if 2 * m == n * (n - 1):
+        return True
+    if rows in failed:
+        return False
+    for i, row in enumerate(rows):
+        for j in range(i + 1, n):
+            if not row >> j & 1:
+                continue
+            # contracting ij loses ij and one edge per common neighbour
+            left = m - 1 - (row & rows[j]).bit_count()
+            if spare + n - 1 <= left and _contracts_to(_merge(rows, i, j), left, t, failed):
+                return True
+    failed.add(rows)
+    return False
+
+
 def hadwiger_number(G, cap=DEFAULT_HADWIGER_CAP):
-    """Largest clique minor order, by contraction recursion with memoised
-    canonical forms.  Parallel edges are collapsed first."""
+    """Largest clique minor order, by a decision search with edge-count
+    pruning, one connected component at a time.  Parallel edges are collapsed
+    first.
+
+    From the larger of the clique number and the best order found so far, the
+    search asks for K_{t+1}, K_{t+2}, ... until the answer is no.  Only
+    failures are memoised, under the raw graph (its tuple of neighbour
+    bitmasks), not a canonical form; one set serves every target, since a
+    graph without a K_t minor has no larger one."""
     simp = G.underlying_simple()
     if cap is not None and simp.n > cap:
         raise OracleTooLarge(simp.n, cap)
-    _, pairs = simp.simple_index_graph()
-    memo = {}
-
-    def rec(n, edges):
-        if n <= 1:
-            return n
-        key = canonical_key(n, {e: 1 for e in edges})
-        if key in memo:
-            return memo[key]
-        best = len(_max_clique_vertices(n, edges))
-        for i, j in sorted(edges):
-            if n - 1 <= best:
-                break
-            best = max(best, rec(*_contract_pair(n, edges, i, j)))
-        memo[key] = best
-        return best
-
-    return rec(simp.n, frozenset(pairs))
+    best = min(simp.n, 1)
+    failed = set()
+    for comp in simp.components():
+        _, edges = simp.induced_subgraph(comp).simple_index_graph()
+        rows = [0] * len(comp)
+        for i, j in edges:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        t = max(best, len(_max_clique_vertices(len(comp), edges))) + 1
+        while _contracts_to(tuple(rows), len(edges), t, failed):
+            t += 1
+        best = t - 1
+    return best
 
 
 def hadwiger_model(G, cap=DEFAULT_HADWIGER_CAP):

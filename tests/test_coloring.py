@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_optimized
 from strategies import multigraphs
 
 from linkgraphs.coloring import (
@@ -222,3 +223,62 @@ class TestBounds:
                 assert chi <= b.parity_bound
                 if b.max_degree_bound is not None:
                     assert chi <= b.max_degree_bound
+
+
+BAD_RESULT_SCRIPT = """
+import sys
+from linkgraphs import coloring
+from linkgraphs.coloring import Coloring, EdgeColoring
+from linkgraphs.errors import WitnessInvalid
+from linkgraphs.multigraph import complete, path
+
+if sys.flags.optimize < 1:
+    sys.exit("expected python -O")
+
+
+def expect_raise(build):
+    try:
+        build()
+    except WitnessInvalid as exc:
+        print(exc)
+    else:
+        sys.exit("a bad result was returned")
+
+
+PATH6 = [{1}, {0, 2}, {1, 3}, {2, 4}, {3, 5}, {4}]
+SIX = Coloring({v: v + 1 for v in range(6)}, 6)
+real_chromatic, real_proper = coloring.exact_chromatic, coloring.is_proper
+real_max_color, real_used = Coloring.max_color, Coloring.used
+
+coloring.exact_chromatic = lambda adj, cap=None: (1, Coloring({i: 1 for i in range(len(adj))}, 1))
+expect_raise(lambda: coloring.exact_edge_chromatic(complete(4)))
+coloring.exact_chromatic = real_chromatic
+
+Coloring.max_color = lambda self: self.t + 1
+expect_raise(lambda: coloring.reduce_coloring(PATH6, SIX, 2))
+Coloring.max_color = real_max_color
+
+answers = iter([True, False])  # the input passes, the output fails
+coloring.is_proper = lambda H, col: next(answers)
+expect_raise(lambda: coloring.reduce_coloring(PATH6, SIX, 2))
+coloring.is_proper = real_proper
+
+Coloring.used = lambda self: -self.t  # the output seems to use more colours
+expect_raise(lambda: coloring.reduce_coloring(PATH6, SIX, 2))
+Coloring.used = real_used
+
+coloring.exact_edge_chromatic = lambda G, cap=None: (1, EdgeColoring({e: 1 for e in G.edge_ids}, 1))
+expect_raise(lambda: coloring.recursive_chromatic_bound(path(3), 1))
+"""
+
+
+def test_bad_results_raise_under_optimize():
+    proc = run_optimized(BAD_RESULT_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "edge-chromatic number 1 outside the Vizing-Shannon range for maximum degree 3",
+        "recolouring exceeded its bound",
+        "recolouring broke properness",
+        "recolouring increased colour count",
+        "edge colouring transported to the line graph is not proper",
+    ]

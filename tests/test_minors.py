@@ -1,10 +1,6 @@
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -40,6 +36,8 @@ from linkgraphs.multigraph import (
     petersen,
     wheel,
 )
+
+from conftest import run_optimized
 
 
 def triangle_grid():
@@ -312,22 +310,14 @@ for build in (
 """
 
 
-def _run_optimized(script):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, env=env, timeout=120)
-
-
 class TestWitnessGate:
     def test_invalid_witness_raises_under_optimize(self):
-        proc = _run_optimized(OVERLAPPING_WITNESS_SCRIPT)
+        proc = run_optimized(OVERLAPPING_WITNESS_SCRIPT)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("degeneracy witness failed verification")
 
     def test_constructors_raise_on_a_rejected_witness_under_optimize(self):
-        proc = _run_optimized(REJECTED_WITNESS_SCRIPT)
+        proc = run_optimized(REJECTED_WITNESS_SCRIPT)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             "bipartite construction failed verification: rejected",
