@@ -296,8 +296,15 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     """
     if ell < 0:
         raise InvalidParameter(f"ell must be >= 0, got {ell}")
-    if ell == 0:
-        H = link_graph(G, 0, limit)
+    rec = _base_coloring(G, link_graph(G, ell % 2, limit), cap)
+    for length in range(ell % 2 + 2, ell + 1, 2):
+        rec = _lifted(G, rec, link_graph(G, length, limit))
+    return rec
+
+
+def _base_coloring(G, H, cap):
+    """The recursive colouring of the link graph ``H`` of ``G`` at length 0 or 1."""
+    if H.ell == 0:
         try:
             chi, col = exact_chromatic(H, cap)
             exact = True
@@ -306,28 +313,27 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
             chi, col = k, Coloring(colors, max(k, 1) if H.n else 0)
             exact = False
         return RecursiveColoring(0, H, col, exact, "chromatic", chi)
-    if ell == 1:
-        H = link_graph(G, 1, limit)
-        try:
-            chi_p, ecol = exact_edge_chromatic(G, cap)
-            exact = True
-            assign = {i: ecol.assignment[link.units[1]] for i, link in enumerate(H.vertices)}
-            col = Coloring(assign, chi_p)
-        except OracleTooLarge:
-            k, colors = greedy_coloring(H.adjacency())
-            col = Coloring(colors, max(k, 1) if H.n else 0)
-            chi_p = col.t
-            exact = False
-        if not is_proper(H, col):
-            raise WitnessInvalid("edge colouring transported to the line graph is not proper")
-        return RecursiveColoring(1, H, col, exact, "edge-chromatic", chi_p)
-    below = recursive_chromatic_bound(G, ell - 2, cap, limit)
-    H = link_graph(G, ell, limit)
-    if H.n == 0:
-        return RecursiveColoring(ell, H, Coloring({}, 0), below.exact_base,
-                                 below.base_kind, below.base_value)
-    col = lift_coloring(G, ell, below.graph, below.coloring, upper=H, limit=limit)
-    return RecursiveColoring(ell, H, col, below.exact_base, below.base_kind,
+    try:
+        chi_p, ecol = exact_edge_chromatic(G, cap)
+        exact = True
+        assign = {i: ecol.assignment[link.units[1]] for i, link in enumerate(H.vertices)}
+        col = Coloring(assign, chi_p)
+    except OracleTooLarge:
+        k, colors = greedy_coloring(H.adjacency())
+        col = Coloring(colors, max(k, 1) if H.n else 0)
+        chi_p = col.t
+        exact = False
+    if not is_proper(H, col):
+        raise WitnessInvalid("edge colouring transported to the line graph is not proper")
+    return RecursiveColoring(1, H, col, exact, "edge-chromatic", chi_p)
+
+
+def _lifted(G, below, H):
+    """The recursive colouring of the link graph ``H``, lifted from ``below``,
+    the recursive colouring two levels down."""
+    col = Coloring({}, 0) if H.n == 0 else lift_coloring(
+        G, H.ell, below.graph, below.coloring, upper=H)
+    return RecursiveColoring(H.ell, H, col, below.exact_base, below.base_kind,
                              below.base_value)
 
 

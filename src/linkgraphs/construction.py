@@ -18,7 +18,6 @@ from .links import (
     Link,
     arc_windows,
     enumerate_arcs,
-    enumerate_links,
     hub_subgraph,
     is_cycle,
     is_link_of,
@@ -43,6 +42,7 @@ class LabeledGraph:
     edges: tuple
     source: Multigraph | None = None
     index: dict = field(default_factory=dict, repr=False, compare=False)
+    _adj: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.index:
@@ -64,12 +64,18 @@ class LabeledGraph:
         return deg
 
     def adjacency(self):
-        """Simple adjacency as a list of sets of neighbour indices."""
-        adj = [set() for _ in range(self.n)]
-        for a, b, _ in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
+        """Simple adjacency as a list of sets of neighbour indices.
+
+        Built on the first call and shared by every later one, so callers
+        must not mutate it.
+        """
+        if self._adj is None:
+            adj = [set() for _ in range(self.n)]
+            for a, b, _ in self.edges:
+                adj[a].add(b)
+                adj[b].add(a)
+            self._adj = adj
+        return self._adj
 
     def multiplicity(self, i, j):
         pair = (i, j) if i < j else (j, i)
@@ -301,15 +307,29 @@ def path_graph(G, ell, limit=None):
     """Simple graph on ``ell``-paths joined through one-longer paths or cycles."""
     if ell < 0:
         raise InvalidParameter(f"ell must be >= 0, got {ell}")
-    if ell <= 1:
-        return link_graph(G, ell, limit).simplify()
-    paths = [p for p in enumerate_links(G, ell, limit) if is_path(p)]
-    quals = [
-        q
-        for q in enumerate_links(G, ell + 1, limit)
-        if is_path(q) or is_cycle(q)
-    ]
-    return partial_link_graph(G, paths, quals, limit).simplify()
+    return _path_graph_of(link_graph(G, ell, limit))
+
+
+def _path_graph_of(H):
+    """The path graph inside the link graph ``H``: the vertices that are paths,
+    and the edges between them whose label is a path or a cycle, simplified.
+    At ``ell >= 2`` a path graph without vertices has ``ell`` 0, as
+    ``partial_link_graph`` gives an empty link set."""
+    if H.ell <= 1:
+        return H.simplify()
+    new = [None] * H.n
+    verts = []
+    for i, v in enumerate(H.vertices):
+        if is_path(v):
+            new[i] = len(verts)
+            verts.append(v)
+    edges = []
+    for i, j, lab in H.edges:
+        a, b = new[i], new[j]
+        if a is not None and b is not None and (is_path(lab) or is_cycle(lab)):
+            edges.append((a, b, lab))
+    edges.sort()
+    return LabeledGraph(H.ell if verts else 0, tuple(verts), tuple(edges), H.source).simplify()
 
 
 def arc_digraph(G, ell, limit=None):
@@ -416,10 +436,10 @@ def natural_partition(H):
         raise WindowTooShort(f"natural partition needs ell >= 2, got {H.ell}")
     vparts = {}
     for i, link in enumerate(H.vertices):
-        vparts.setdefault(link.middle_segment(H.ell - 2), set()).add(i)
+        vparts.setdefault(link.middle_segment(H.ell - 2), []).append(i)
     eparts = {}
     for k, (_, _, lab) in enumerate(H.edges):
-        eparts.setdefault(lab.middle_segment(H.ell - 1), set()).add(k)
+        eparts.setdefault(lab.middle_segment(H.ell - 1), []).append(k)
     return AlmostStandardPartition(
         H.ell,
         {k: frozenset(v) for k, v in vparts.items()},
@@ -428,10 +448,17 @@ def natural_partition(H):
 
 
 def verify_almost_standard(H, partition):
-    """Check conditions (a)-(e) independently; raises only on non-partitions."""
+    """Check conditions (a)-(e) independently; raises only on non-partitions.
+
+    Part keys are numbered in sorted key order, and the checks work on those
+    numbers."""
     failures = []
-    vparts = list(partition.vertex_parts.items())
-    eparts = list(partition.edge_parts.items())
+    vkeys = sorted(partition.vertex_parts)
+    ekeys = sorted(partition.edge_parts)
+    vrank = {key: x for x, key in enumerate(vkeys)}
+    erank = {key: x for x, key in enumerate(ekeys)}
+    vparts = [(vrank[key], members) for key, members in partition.vertex_parts.items()]
+    eparts = [(erank[key], members) for key, members in partition.edge_parts.items()]
 
     covered = [None] * H.n
     for key, members in vparts:
@@ -455,22 +482,20 @@ def verify_almost_standard(H, partition):
     for i, j, _ in H.edges:
         if covered[i] == covered[j]:
             a_ok = False
-            failures.append(("a", f"edge inside part {covered[i]}"))
+            failures.append(("a", f"edge inside part {vkeys[covered[i]]}"))
             break
 
     # (b) every edge part touches exactly two vertex parts
     b_ok = True
-    incident_parts = {}
     for key, members in eparts:
         parts = set()
         for k in members:
             i, j, _ = H.edges[k]
             parts.add(covered[i])
             parts.add(covered[j])
-        incident_parts[key] = parts
         if len(parts) != 2:
             b_ok = False
-            failures.append(("b", f"edge part {key} touches {len(parts)} parts"))
+            failures.append(("b", f"edge part {ekeys[key]} touches {len(parts)} parts"))
 
     # (c) every edge part is the edge set of a complete bipartite subgraph
     c_ok = True
@@ -517,7 +542,7 @@ def verify_almost_standard(H, partition):
                         break
         if not ok:
             c_ok = False
-            failures.append(("c", f"edge part {key} is not complete bipartite"))
+            failures.append(("c", f"edge part {ekeys[key]} is not complete bipartite"))
 
     # (d) every vertex meets at most two edge parts
     d_ok = True
@@ -543,7 +568,7 @@ def verify_almost_standard(H, partition):
                 tag = (covered[v], ks[x], ks[y])
                 if tag in seen:
                     e_ok = False
-                    failures.append(("e", f"two vertices of {tag[0]} meet both parts"))
+                    failures.append(("e", f"two vertices of {vkeys[tag[0]]} meet both parts"))
                 else:
                     seen[tag] = v
     return PartitionCheck(a_ok, b_ok, c_ok, d_ok, e_ok, failures)
@@ -584,7 +609,11 @@ def quotient_embedding_check(G, ell, H=None, lower=None, limit=None):
         H = link_graph(G, ell, limit)
     if lower is None:
         lower = link_graph(G, ell - 2, limit)
-    part = natural_partition(H)
+    return _quotient_embeds(H, natural_partition(H), lower)
+
+
+def _quotient_embeds(H, part, lower):
+    """``quotient_embedding_check`` on the natural partition ``part`` of ``H``."""
     # keys must be vertices / edge labels of the lower graph
     for key in part.vertex_parts:
         if key not in lower.index:

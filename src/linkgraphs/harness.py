@@ -12,21 +12,22 @@ from dataclasses import dataclass, field
 from . import multigraph as mg
 from .coloring import (
     Coloring,
+    _base_coloring,
+    _lifted,
     chromatic_upper_bounds,
     exact_chromatic,
     exact_edge_chromatic,
     is_proper,
-    recursive_chromatic_bound,
     reduce_coloring,
 )
 from .construction import (
+    _path_graph_of,
+    _quotient_embeds,
     digraph_natural_iso_check,
     arc_digraph,
     link_graph,
     link_graph_connected,
     natural_partition,
-    path_graph,
-    quotient_embedding_check,
     reachable,
     verify_almost_standard,
 )
@@ -157,8 +158,9 @@ def default_corpus(seeds=DEFAULT_SEEDS):
 class _Cache:
     """Per-run cache of enumerations, derived graphs and oracle answers.
 
-    Everything is keyed by ``(instance name, ell)``.  An oracle call that
-    raises is not stored, so asking again raises again.
+    Everything is keyed by ``(instance name, ell)``, and each link graph is
+    built at most once.  An oracle call that raises is not stored, so asking
+    again raises again.
     """
 
     def __init__(self, caps):
@@ -168,12 +170,25 @@ class _Cache:
         self._answers = {}
 
     def links(self, inst, ell):
+        """The ``ell``-links, or ``None`` beyond the suite link budget.
+
+        A link graph already built holds them: the vertices of the one at
+        ``ell``, or the edge labels of the one at ``ell - 1``.  Both were
+        checked against the budget ``enumerate_links`` applies at ``ell``.
+        """
         key = (inst.name, ell)
         if key not in self._links:
-            try:
-                self._links[key] = enumerate_links(inst.graph, ell, self.caps.suite_links)
-            except LimitExceeded:
-                self._links[key] = None
+            H = self._graphs.get(key)
+            below = self._graphs.get((inst.name, ell - 1))
+            if H is not None:
+                self._links[key] = list(H.vertices)
+            elif below is not None:
+                self._links[key] = sorted(lab for _, _, lab in below.edges)
+            else:
+                try:
+                    self._links[key] = enumerate_links(inst.graph, ell, self.caps.suite_links)
+                except LimitExceeded:
+                    self._links[key] = None
         return self._links[key]
 
     def graph(self, inst, ell):
@@ -213,6 +228,22 @@ class _Cache:
             return chi, col
 
         return self._answer("chi", inst, ell, solve)
+
+    def recursive(self, inst, ell):
+        """``recursive_chromatic_bound`` of the link graph, lifted from the
+        memo two levels down.  Beyond the suite link budget it raises what
+        ``link_graph`` raises."""
+
+        def solve():
+            below = self.recursive(inst, ell - 2) if ell >= 2 else None
+            H = self.graph(inst, ell)
+            if H is None:
+                H = link_graph(inst.graph, ell, self.caps.suite_links)
+            if below is None:
+                return _base_coloring(inst.graph, H, self.caps.chromatic_cap)
+            return _lifted(inst.graph, below, H)
+
+        return self._answer("recursive", inst, ell, solve)
 
     def lower_bound(self, inst, ell):
         """The verified clique-minor lower bound in the link graph."""
@@ -318,9 +349,9 @@ def _check_looplessness(inst, caps, cache, records):
             for i, j, lab in H.edges:
                 if i == j:
                     return "fail", f"loop at {H.vertices[i]}"
-                w0 = Link.from_units(lab.units[: len(lab.units) - 2])
-                w1 = Link.from_units(lab.units[2:])
-                if w0 == w1:
+                # the two windows are one link when one equals the other or its reverse
+                w0, w1 = lab.units[:-2], lab.units[2:]
+                if w0 == w1 or w0 == w1[::-1]:
                     return "fail", f"windows of {lab} coincide"
             return "pass", f"{H.m} edges loopless"
 
@@ -495,7 +526,6 @@ def _check_hub(inst, caps, cache, records):
 
 
 def _check_partition(inst, caps, cache, records):
-    G = inst.graph
     for ell in caps.ell_range:
         if ell < 2:
             continue
@@ -509,8 +539,7 @@ def _check_partition(inst, caps, cache, records):
             check = verify_almost_standard(H, part)
             if not check.all_ok():
                 return "fail", f"conditions failed: {check.failures}"
-            if H.n and not quotient_embedding_check(G, ell, H=H, lower=lower,
-                                                    limit=caps.suite_links):
+            if H.n and not _quotient_embeds(H, part, lower):
                 return "fail", "quotient does not embed two levels down"
             return "pass", "conditions (a)-(e) and embedding hold"
 
@@ -603,7 +632,7 @@ def _check_chromatic(inst, caps, cache, records):
                     f"window-one chromatic {chi} differs from edge-chromatic "
                     f"{bounds.chi_prime}"
                 )
-            rec = recursive_chromatic_bound(G, ell, caps.chromatic_cap, caps.suite_links)
+            rec = cache.recursive(inst, ell)
             if rec.graph.n and not is_proper(rec.graph, rec.coloring):
                 return "fail", "recursive colouring not proper"
             if rec.exact_base:
@@ -674,7 +703,7 @@ def _check_chromatic(inst, caps, cache, records):
                 return "skip", "below the three-colour threshold"
             if cache.links(inst, ell) is None:
                 return "skip", "beyond the suite link budget"
-            rec = recursive_chromatic_bound(G, ell, caps.chromatic_cap, caps.suite_links)
+            rec = cache.recursive(inst, ell)
             if rec.graph.n and rec.coloring.t > 3:
                 return "fail", f"recursive colouring uses {rec.coloring.t} > 3"
             chi = exact_chi(ell)
@@ -690,7 +719,7 @@ def _check_chromatic(inst, caps, cache, records):
                 return "skip", "below the degree threshold"
             if cache.links(inst, ell) is None:
                 return "skip", "beyond the suite link budget"
-            rec = recursive_chromatic_bound(G, ell, caps.chromatic_cap, caps.suite_links)
+            rec = cache.recursive(inst, ell)
             if rec.graph.n and rec.coloring.t > 3:
                 return "fail", f"recursive colouring uses {rec.coloring.t} > 3"
             return "pass", f"three colours beyond the degree threshold"
@@ -796,7 +825,7 @@ def _check_path_graphs(inst, caps, cache, records):
             H = cache.graph(inst, ell)
             if H is None:
                 return "skip", "beyond the suite link budget"
-            P = path_graph(G, ell, caps.suite_links)
+            P = _path_graph_of(H)
             if girth > max(ell, 2):
                 if not P.same_labeled_graph(H):
                     return "fail", "path graph differs despite the girth bound"

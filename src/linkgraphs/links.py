@@ -80,13 +80,13 @@ class Link:
 
     @classmethod
     def from_arc(cls, arc):
-        u = arc.units
-        r = u[::-1]
-        return cls(u if u <= r else r)
+        return cls.from_units(arc.units)
 
     @classmethod
     def from_units(cls, units):
-        return cls.from_arc(Arc(tuple(units)))
+        u = tuple(units)
+        r = u[::-1]
+        return cls(u if u <= r else r)
 
     @property
     def length(self):

@@ -506,7 +506,8 @@ def complete_minor_with_cycle(G, ell, inst, H=None, limit=None):
     z_extra = []
     for i in range(t):
         units = Y.shortest_walk(cycle.vertices()[:-1], cut[i].tail_vertex)
-        assert units is not None, "complement connectivity was validated"
+        if units is None:
+            raise WitnessInvalid("the complement does not reach the cut from its cycle")
         parc = Arc(units)
         z = parc.tail_vertex
         qarc = None
@@ -518,7 +519,8 @@ def complete_minor_with_cycle(G, ell, inst, H=None, limit=None):
                 continue
             qarc = cand
             break
-        assert qarc is not None, "no valid window around the complement cycle"
+        if qarc is None:
+            raise WitnessInvalid("no valid window around the complement cycle")
         full = conjunction(conjunction(qarc, parc), cut[i])
         s = parc.length
         lbars.append(full.window(s + 1, ell + s + 1))
@@ -636,7 +638,8 @@ def lift_minor(G, ell, branch_sets, H=None, hub=None, limit=None):
         members = {i for i, l in enumerate(H.vertices) if _middle_in(l, sub, ell)}
         inner_idx = {H.index[l] for l in inner_links[k]}
         comp = reachable(adj, min(inner_idx), members)
-        assert inner_idx <= comp, "links of one branch set fell into two components"
+        if not inner_idx <= comp:
+            raise WitnessInvalid("links of one branch set fell into two components")
         lifted.append(frozenset(comp))
 
     # target edges: hub edges between different branch sets, one per pair
@@ -669,7 +672,8 @@ def lift_minor(G, ell, branch_sets, H=None, hub=None, limit=None):
                 if b in lifted[i] and a in lifted[j]:
                     found = (b, a)
                     break
-            assert found is not None, "no direct edge between lifted branch sets"
+            if found is None:
+                raise WitnessInvalid("no direct edge between lifted branch sets")
             connectors[(i, j)] = found
         else:
             found = None
@@ -679,7 +683,8 @@ def lift_minor(G, ell, branch_sets, H=None, hub=None, limit=None):
                 if a is not None and b is not None:
                     found = (a, mid, b)
                     break
-            assert found is not None, "no two-step connector through the crossing edge"
+            if found is None:
+                raise WitnessInvalid("no two-step connector through the crossing edge")
             connectors[(i, j)] = found
 
     witness = MinorWitness(len(sets), frozenset(cross), lifted, connectors, H, "hub-lift")

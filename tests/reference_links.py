@@ -1,18 +1,44 @@
 """Reference builders by depth-first search over unit tuples.
 
 These are the original string-tuple implementations of arc and link
-enumeration, the link graph, the arc digraph and the hub criterion.  The
-package builds the same objects from its integer arc kernel; the tests check
-that both agree.
+enumeration, the link graph, the arc digraph, the hub criterion, the path
+graph and the natural partition, with links canonicalised through ``Arc``.
+The package builds the same objects from its integer arc kernel or from a
+link graph it already holds; the tests check that both agree.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from linkgraphs.construction import LabeledDigraph, LabeledGraph
+from linkgraphs.construction import (
+    AlmostStandardPartition,
+    LabeledDigraph,
+    LabeledGraph,
+    partial_link_graph,
+)
 from linkgraphs.errors import InvalidParameter, LimitExceeded
-from linkgraphs.links import DEFAULT_LIMIT, Arc, Link, hub_subgraph, one_step_shunts
+from linkgraphs.links import (
+    DEFAULT_LIMIT,
+    Arc,
+    Link,
+    hub_subgraph,
+    is_cycle,
+    is_path,
+    one_step_shunts,
+)
+
+
+def canonical(units):
+    """The link of a unit tuple: the smaller of its arc and the reverse arc."""
+    arc = Arc(tuple(units))
+    return Link(min(arc, arc.reverse()).units)
+
+
+def middle_segment(link, k):
+    """The middle segment of length ``k`` of a link, canonicalised through ``Arc``."""
+    ell = link.length
+    return canonical(link.units[ell - k : ell + k + 1])
 
 
 def enumerate_arcs(G, ell, limit=None):
@@ -70,8 +96,8 @@ def link_graph(G, ell, limit=None):
     idx = {v: i for i, v in enumerate(verts)}
     edge_list = []
     for q in enumerate_links(G, ell + 1, limit):
-        w0 = Link.from_units(q.units[: 2 * ell + 1])
-        w1 = Link.from_units(q.units[2:])
+        w0 = canonical(q.units[: 2 * ell + 1])
+        w1 = canonical(q.units[2:])
         assert w0 != w1, f"windows of {q} coincide"
         i, j = idx[w0], idx[w1]
         if i > j:
@@ -114,3 +140,27 @@ def link_graph_connected(G, ell, limit=None):
                 seen.add(nxt)
                 queue.append(nxt)
     return len(seen) == len(all_links)
+
+
+def path_graph(G, ell, limit=None):
+    """The path graph by enumeration: the ``ell``-paths, joined by
+    ``partial_link_graph`` through the one-longer paths and cycles."""
+    if ell <= 1:
+        return link_graph(G, ell, limit).simplify()
+    paths = [p for p in enumerate_links(G, ell, limit) if is_path(p)]
+    quals = [q for q in enumerate_links(G, ell + 1, limit) if is_path(q) or is_cycle(q)]
+    return partial_link_graph(G, paths, quals, limit).simplify()
+
+
+def natural_partition(H):
+    """Vertices by their middle segment two shorter, edges one shorter."""
+    vparts, eparts = {}, {}
+    for i, link in enumerate(H.vertices):
+        vparts.setdefault(middle_segment(link, H.ell - 2), set()).add(i)
+    for k, (_, _, lab) in enumerate(H.edges):
+        eparts.setdefault(middle_segment(lab, H.ell - 1), set()).add(k)
+    return AlmostStandardPartition(
+        H.ell,
+        {k: frozenset(v) for k, v in vparts.items()},
+        {k: frozenset(v) for k, v in eparts.items()},
+    )

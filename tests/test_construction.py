@@ -207,6 +207,20 @@ class TestPartitions:
         check = verify_almost_standard(H, bad)
         assert not check.independent_parts
 
+    def test_failures_name_the_part_keys_in_part_order(self):
+        H = link_graph(dipole(3), 3)
+        part = natural_partition(H)
+        vkeys, ekeys = sorted(part.vertex_parts), sorted(part.edge_parts)
+        vparts, eparts = dict(part.vertex_parts), dict(part.edge_parts)
+        vparts[vkeys[0]] |= vparts.pop(vkeys[-1])
+        eparts[ekeys[1]] |= eparts.pop(ekeys[0])
+        check = verify_almost_standard(H, type(part)(3, vparts, eparts))
+        assert check.failures == [
+            ("a", "edge inside part [u0 e1 u1]"),
+            ("b", "edge part [u1 e1 u0 e3 u1] touches 1 parts"),
+            ("c", "edge part [u0 e1 u1 e3 u0] is not complete bipartite"),
+        ] + [("e", "two vertices of [u0 e1 u1] meet both parts")] * 3
+
     def test_singleton_partition_on_triangle(self):
         H = link_graph(complete(3), 0)
         part = type(natural_partition(link_graph(complete(3), 2)))(

@@ -6,9 +6,16 @@ from collections import Counter
 import pytest
 
 from linkgraphs import cli, harness
-from linkgraphs.coloring import Coloring
+from linkgraphs.coloring import (
+    Coloring,
+    exact_chromatic,
+    lift_coloring,
+    recursive_chromatic_bound,
+    reduce_coloring,
+)
 from linkgraphs.cli import main
 from linkgraphs.construction import LabeledGraph, link_graph
+from linkgraphs.errors import LimitExceeded
 from linkgraphs.harness import (
     ALL_CLAIMS,
     Caps,
@@ -17,6 +24,7 @@ from linkgraphs.harness import (
     negative_controls,
     verify_suite,
 )
+from linkgraphs.minors import hadwiger_lower_bound, verify_minor
 from linkgraphs.multigraph import (
     Multigraph,
     complete,
@@ -144,6 +152,80 @@ class TestOracleMemo:
         key = lambda rec: (rec["claim"], rec["instance"], str(rec["ell"]))
         assert _rows(combined) == sorted(separate, key=key)
         assert {r["claim"][:4] for r in separate} == {"Thm1", "Thm2", "Thm3"}
+
+
+class TestBuildOnce:
+    """One run builds each link graph once and derives the rest from it."""
+
+    CLAIMS = ["Obs3.1", "Lem4.1", "PathGirth", "Thm1", "Cor1.2", "Cor4.4"]
+    CAPS = Caps(ell_range=(0, 1, 2, 3, 4, 5))
+
+    def test_each_link_graph_and_recursive_colouring_is_built_once(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, length):
+            real = getattr(harness, name)
+
+            def wrapper(G, *args):
+                calls[(name, G.serialize(), length(*args))] += 1
+                return real(G, *args)
+
+            monkeypatch.setattr(harness, name, wrapper)
+
+        counting("link_graph", lambda ell, limit: ell)
+        counting("_base_coloring", lambda H, cap: H.ell)
+        counting("_lifted", lambda below, H: H.ell)
+        report = verify_suite(corpus=small_corpus(), claims=self.CLAIMS, caps=self.CAPS)
+        assert report.passed()
+        built = {(G, ell) for name, G, ell in calls if name == "link_graph"}
+        assert len(built) == 2 * len(self.CAPS.ell_range)
+        assert {name for name, _, _ in calls} == {"link_graph", "_base_coloring", "_lifted"}
+        assert max(calls.values()) == 1, [k for k, c in calls.items() if c > 1]
+        # Cor4.4 lifts to the top length on both instances
+        assert ("_lifted", complete(4).serialize(), 5) in calls
+
+    def test_recursive_colouring_equals_the_public_one(self):
+        inst = small_corpus()[1]
+        cache = harness._Cache(self.CAPS)
+        for ell in self.CAPS.ell_range:
+            got = cache.recursive(inst, ell)
+            want = recursive_chromatic_bound(inst.graph, ell, self.CAPS.chromatic_cap,
+                                             self.CAPS.suite_links)
+            assert got.graph.same_labeled_graph(want.graph)
+            assert (got.coloring, got.exact_base, got.base_kind, got.base_value) == (
+                want.coloring, want.exact_base, want.base_kind, want.base_value)
+
+    def test_recursive_colouring_beyond_the_budget_raises_as_link_graph_does(self):
+        inst = CorpusInstance("complete(4)", complete(4))
+        cache = harness._Cache(Caps(suite_links=40))
+        with pytest.raises(LimitExceeded) as got:
+            cache.recursive(inst, 4)
+        with pytest.raises(LimitExceeded) as want:
+            recursive_chromatic_bound(inst.graph, 4, limit=40)
+        assert str(got.value) == str(want.value)
+
+    def test_adjacency_is_built_once_and_never_changed(self):
+        G = complete(4)
+        H = link_graph(G, 2)
+        adj = H.adjacency()
+        before = [set(s) for s in adj]
+        _, col = exact_chromatic(H)
+        reduce_coloring(H, col, max(len(s) for s in adj))
+        lower = link_graph(G, 0)
+        lift_coloring(G, 2, lower, exact_chromatic(lower)[1], upper=H)
+        assert verify_minor(H, hadwiger_lower_bound(G, 2, H=H).witness).ok
+        assert H.adjacency() is adj and adj == before
+
+    def test_records_equal_separate_runs(self):
+        combined = verify_suite(corpus=small_corpus(), claims=self.CLAIMS, caps=self.CAPS)
+        separate = []
+        for claim in self.CLAIMS:
+            separate += _rows(verify_suite(corpus=small_corpus(), claims=[claim],
+                                           caps=self.CAPS))
+        key = lambda rec: (rec["claim"], rec["instance"], str(rec["ell"]))
+        assert _rows(combined) == sorted(separate, key=key)
+        assert {r["claim"] for r in separate} >= {
+            "Obs3.1", "Lem4.1", "PathGirth", "Thm1.1", "Thm1.2", "Cor1.2", "Cor4.4"}
 
 
 class TestUnexpectedErrors:

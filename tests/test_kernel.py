@@ -1,14 +1,26 @@
-"""The integer arc kernel against the depth-first reference builders."""
+"""The integer arc kernel, and what is derived from a link graph, against the
+depth-first reference builders."""
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 
 import reference_links as ref
-from linkgraphs.construction import arc_digraph, link_graph, link_graph_connected
+from linkgraphs import harness
+from linkgraphs.construction import (
+    arc_digraph,
+    link_graph,
+    link_graph_connected,
+    natural_partition,
+    path_graph,
+)
 from linkgraphs.errors import LimitExceeded
+from linkgraphs.harness import Caps, CorpusInstance, _Cache
 from linkgraphs.links import (
+    Link,
     _walks,
     enumerate_arcs,
     enumerate_links,
@@ -50,6 +62,45 @@ def test_kernel_matches_depth_first_reference(G):
         assert link_graph_connected(G, ell) == ref.link_graph_connected(G, ell)
         assert middle_units(G, ell) == {l.middle_unit() for l in ref.enumerate_links(G, ell)}
         assert has_arc(G, ell) == bool(ref.enumerate_arcs(G, ell))
+
+
+def _cached_links(G, ell, limit, built):
+    """``_Cache.links`` after the link graphs at the lengths ``built`` are
+    cached; once one of them exists, enumerating is an error."""
+    inst = CorpusInstance("g", G)
+    cache = _Cache(Caps(suite_links=limit))
+    if any([cache.graph(inst, length) is not None for length in built]):
+        with mock.patch.object(harness, "enumerate_links", side_effect=AssertionError):
+            return cache.links(inst, ell)
+    return cache.links(inst, ell)
+
+
+@settings(max_examples=80, deadline=None)
+@given(multigraphs(max_n=7, max_m=12))
+def test_derived_paths_match_reference(G):
+    for ell in _lengths(G):
+        P, R = path_graph(G, ell), ref.path_graph(G, ell)
+        assert P.same_labeled_graph(R)
+        assert (P.ell, P.vertices, P.edges) == (R.ell, R.vertices, R.edges)
+        H = link_graph(G, ell)
+        labels = [lab for _, _, lab in H.edges]
+        for link in H.vertices + tuple(labels):
+            u = link.units
+            assert Link.from_units(u) == Link.from_units(u[::-1]) == ref.canonical(u)
+            for k in range(link.length % 2, link.length + 1, 2):
+                assert link.middle_segment(k) == ref.middle_segment(link, k)
+        if ell >= 2:
+            part, want = natural_partition(H), ref.natural_partition(H)
+            assert part.vertex_parts == want.vertex_parts
+            assert part.edge_parts == want.edge_parts
+        n_links = len(H.vertices)
+        for limit in (n_links, max(n_links - 1, 0), len(labels)):
+            try:
+                want = ref.enumerate_links(G, ell, limit)
+            except LimitExceeded:
+                want = None
+            for built in ((), (ell,), (ell - 1,) if ell else ()):
+                assert _cached_links(G, ell, limit, built) == want
 
 
 @pytest.mark.parametrize("G, ell", [(petersen(), 6), (wheel(5), 4), (complete(4), 5),

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -344,3 +346,18 @@ class TestWitnessGate:
         res = hadwiger_lower_bound(petersen(), 1)
         assert res.route == "hub-lift" and res.bound == 5
         assert calls == [10]
+
+    def test_lift_raises_when_a_branch_set_splits(self, monkeypatch):
+        monkeypatch.setattr(minors, "reachable", lambda adj, start, allowed=None: {start})
+        sets = [frozenset({f"t{t}a", f"t{t}b", f"t{t}c"}) for t in range(4)]
+        with pytest.raises(WitnessInvalid, match="fell into two components"):
+            lift_minor(triangle_grid(), 2, sets)
+
+    def test_no_assert_statement_in_the_package(self):
+        """Every check in the package raises, so ``python -O`` keeps it."""
+        src = Path(__file__).resolve().parents[1] / "src" / "linkgraphs"
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Assert)]
+        assert found == []
