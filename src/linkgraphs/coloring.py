@@ -374,32 +374,40 @@ def _decay_bound(base, steps):
 
 def chromatic_upper_bounds(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     """Evaluate every applicable closed-form bound for reporting."""
-    chi = chi_prime = None
-    exact_chi = exact_chi_prime = False
-    parity = None
-    if ell % 2 == 0:
-        try:
-            chi, _ = exact_chromatic(link_graph(G, 0, limit), cap)
-            exact_chi = True
-        except OracleTooLarge:
-            chi, _ = greedy_coloring(link_graph(G, 0, limit).adjacency())
-        parity = _decay_bound(chi, ell // 2)
-    else:
-        try:
-            chi_prime, _ = exact_edge_chromatic(G, cap)
-            exact_chi_prime = True
-        except OracleTooLarge:
-            k, _ = greedy_coloring(link_graph(G, 1, limit).adjacency())
-            chi_prime = k
-        parity = _decay_bound(chi_prime, (ell - 1) // 2)
-    delta_bound = G.max_degree() + 1 if ell != 1 else None
-    two_back = None
+    bounds = _chromatic_bounds(G, ell, cap, lambda length: link_graph(G, length, limit),
+                               lambda H: exact_chromatic(H, cap)[0])
     if ell >= 2:
         try:
-            two_back, _ = exact_chromatic(link_graph(G, ell - 2, limit), cap)
+            bounds.two_back_bound, _ = exact_chromatic(link_graph(G, ell - 2, limit), cap)
         except OracleTooLarge:
-            two_back = None
-    return ChromaticBounds(
-        ell, chi, chi_prime, exact_chi, exact_chi_prime, parity, delta_bound, two_back
-    )
+            pass
+    return bounds
 
+
+def _chromatic_bounds(G, ell, cap, graph, chi):
+    """``chromatic_upper_bounds`` without the two-back bound.  ``graph(length)``
+    gives the link graph at length 0 or 1, and ``chi(H)`` the exact chromatic
+    number of the one at 0; both raise what the oracle and ``link_graph``
+    raise."""
+    even = ell % 2 == 0
+    if even:
+        H = graph(0)
+        try:
+            base, exact = chi(H), True
+        except OracleTooLarge:
+            base, exact = greedy_coloring(H.adjacency())[0], False
+    else:
+        try:
+            base, exact = exact_edge_chromatic(G, cap)[0], True
+        except OracleTooLarge:
+            base, exact = greedy_coloring(graph(1).adjacency())[0], False
+    return ChromaticBounds(
+        ell,
+        base if even else None,
+        None if even else base,
+        exact and even,
+        exact and not even,
+        _decay_bound(base, ell // 2),
+        G.max_degree() + 1 if ell != 1 else None,
+        None,
+    )

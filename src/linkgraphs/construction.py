@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import (
     InvalidParameter,
@@ -27,6 +28,10 @@ from .links import (
     shunt_reach,
 )
 from .multigraph import Multigraph
+
+# links and arcs order as their unit tuples, which sort and hash without a
+# Python-level comparison
+_units = attrgetter("units")
 
 
 @dataclass
@@ -111,19 +116,24 @@ class LabeledGraph:
         edges = tuple(sorted((a, b, lab) for (a, b), lab in keep.items()))
         return LabeledGraph(self.ell, self.vertices, edges, self.source)
 
-    def edge_signature(self):
-        """Label-based edge set, independent of vertex indexing."""
+    def _unit_signature(self):
+        """``edge_signature`` as sorted triples of unit tuples."""
+        units = [v.units for v in self.vertices]
         out = []
         for a, b, lab in self.edges:
-            va, vb = self.vertices[a], self.vertices[b]
-            lo, hi = (va, vb) if va <= vb else (vb, va)
-            out.append((lo, hi, lab))
-        return sorted(out)
+            ua, ub = units[a], units[b]
+            out.append((ua, ub, lab.units) if ua <= ub else (ub, ua, lab.units))
+        out.sort()
+        return out
+
+    def edge_signature(self):
+        """Label-based edge set, independent of vertex indexing."""
+        return [(Link(a), Link(b), Link(q)) for a, b, q in self._unit_signature()]
 
     def same_labeled_graph(self, other):
         return (
-            sorted(self.vertices) == sorted(other.vertices)
-            and self.edge_signature() == other.edge_signature()
+            sorted(map(_units, self.vertices)) == sorted(map(_units, other.vertices))
+            and self._unit_signature() == other._unit_signature()
         )
 
     def to_multigraph(self):
@@ -434,17 +444,21 @@ def natural_partition(H):
     """Group vertices by their middle segment two shorter, edges one shorter."""
     if H.ell < 2:
         raise WindowTooShort(f"natural partition needs ell >= 2, got {H.ell}")
-    vparts = {}
-    for i, link in enumerate(H.vertices):
-        vparts.setdefault(link.middle_segment(H.ell - 2), []).append(i)
-    eparts = {}
-    for k, (_, _, lab) in enumerate(H.edges):
-        eparts.setdefault(lab.middle_segment(H.ell - 1), []).append(k)
     return AlmostStandardPartition(
         H.ell,
-        {k: frozenset(v) for k, v in vparts.items()},
-        {k: frozenset(v) for k, v in eparts.items()},
+        _parts_by_middle(map(_units, H.vertices)),
+        _parts_by_middle(lab.units for _, _, lab in H.edges),
     )
+
+
+def _parts_by_middle(units):
+    """Positions of the unit tuples grouped by their middle segment one dart
+    shorter at each end, keyed by that segment as a link."""
+    parts = {}
+    for k, u in enumerate(units):
+        mid = u[2:-2]
+        parts.setdefault(min(mid, mid[::-1]), []).append(k)
+    return {Link(key): frozenset(members) for key, members in parts.items()}
 
 
 def verify_almost_standard(H, partition):
@@ -453,8 +467,8 @@ def verify_almost_standard(H, partition):
     Part keys are numbered in sorted key order, and the checks work on those
     numbers."""
     failures = []
-    vkeys = sorted(partition.vertex_parts)
-    ekeys = sorted(partition.edge_parts)
+    vkeys = sorted(partition.vertex_parts, key=_units)
+    ekeys = sorted(partition.edge_parts, key=_units)
     vrank = {key: x for x, key in enumerate(vkeys)}
     erank = {key: x for x, key in enumerate(ekeys)}
     vparts = [(vrank[key], members) for key, members in partition.vertex_parts.items()]

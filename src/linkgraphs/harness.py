@@ -8,13 +8,14 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import multigraph as mg
 from .coloring import (
     Coloring,
     _base_coloring,
+    _chromatic_bounds,
     _lifted,
-    chromatic_upper_bounds,
     exact_chromatic,
     exact_edge_chromatic,
     is_proper,
@@ -183,7 +184,8 @@ class _Cache:
             if H is not None:
                 self._links[key] = list(H.vertices)
             elif below is not None:
-                self._links[key] = sorted(lab for _, _, lab in below.edges)
+                self._links[key] = sorted((lab for _, _, lab in below.edges),
+                                          key=attrgetter("units"))
             else:
                 try:
                     self._links[key] = enumerate_links(inst.graph, ell, self.caps.suite_links)
@@ -200,6 +202,27 @@ class _Cache:
             except LimitExceeded:
                 self._graphs[key] = None
         return self._graphs[key]
+
+    def built(self, inst, ell):
+        """The link graph; beyond the suite link budget it raises what
+        ``link_graph`` raises."""
+        H = self.graph(inst, ell)
+        return link_graph(inst.graph, ell, self.caps.suite_links) if H is None else H
+
+    def hub(self, inst, ell):
+        """The hub subgraph of the base graph at ``ell``."""
+        return self._answer(
+            "hub", inst, ell, lambda: hub_subgraph(inst.graph, ell, self.caps.suite_links))
+
+    def middles(self, inst, length, s):
+        """The middle segments of length ``s`` of the ``length``-links, as
+        canonical unit tuples; ``None`` beyond the suite link budget."""
+
+        def solve():
+            links = self.links(inst, length)
+            return None if links is None else _middle_segments(links, length, s)
+
+        return self._answer("middles", inst, (length, s), solve)
 
     def _answer(self, kind, inst, ell, solve):
         key = (kind, inst.name, ell)
@@ -236,9 +259,7 @@ class _Cache:
 
         def solve():
             below = self.recursive(inst, ell - 2) if ell >= 2 else None
-            H = self.graph(inst, ell)
-            if H is None:
-                H = link_graph(inst.graph, ell, self.caps.suite_links)
+            H = self.built(inst, ell)
             if below is None:
                 return _base_coloring(inst.graph, H, self.caps.chromatic_cap)
             return _lifted(inst.graph, below, H)
@@ -254,6 +275,37 @@ class _Cache:
                 eta_cap=self.caps.hadwiger_cap, limit=self.caps.suite_links,
             ),
         )
+
+
+def _middle_segments(links, length, s):
+    """The middle segments of length ``s`` of ``length``-links, as canonical
+    unit tuples."""
+    lo, hi = length - s, length + s + 1
+    return {min(u, u[::-1]) for u in (link.units[lo:hi] for link in links)}
+
+
+def _hub_parts(H, hub):
+    """Per connected component of ``hub``, a subgraph of the base graph of the
+    link graph ``H``: the indices of the links of ``H`` inside it (all their
+    edges, or at ``ell = 0`` their vertex, in it), and the set of indices of
+    the links whose middle unit is in it."""
+    comps = hub.components()
+    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
+    edge_comp = {eid: comp_of[u] for eid, u, _ in hub.edges()}
+    inside = [[] for _ in comps]
+    middle = [set() for _ in inside]
+    ell = H.ell
+    mid_comp = comp_of if ell % 2 == 0 else edge_comp
+    for i, link in enumerate(H.vertices):
+        u = link.units
+        k = mid_comp.get(u[ell])
+        if k is None:
+            continue
+        middle[k].add(i)
+        # a link with every edge in the hub has its middle unit there too
+        if ell == 0 or all(map(edge_comp.__contains__, u[1::2])):
+            inside[k].append(i)
+    return list(zip(inside, middle))
 
 
 def _timed(records, claim, inst_name, ell, fn):
@@ -428,20 +480,17 @@ def _check_hub(inst, caps, cache, records):
             links = cache.links(inst, ell)
             if links is None:
                 return "skip", "beyond the suite link budget"
-            hub = hub_subgraph(G, ell, caps.suite_links)
+            hub = cache.hub(inst, ell)
             if G.is_connected() and not hub.is_connected():
                 return "fail", "hub disconnected for connected base"
             # short links of the hub appear as middle segments two levels up
             base = 2 * (ell // 2)
             for s in (0, 1, 2):
-                if cache.links(inst, base + s) is None:
+                seen = cache.middles(inst, base + s, s)
+                if seen is None:
                     return "skip", "beyond the suite link budget"
-                seen = {
-                    l.middle_segment(s)
-                    for l in cache.links(inst, base + s)
-                }
                 for sl in enumerate_links(hub, s, caps.suite_links):
-                    if sl not in seen:
+                    if sl.units not in seen:
                         return "fail", f"{sl} not a middle segment at length {base + s}"
             if not G.is_connected() or not links:
                 return "pass", "hub segments covered"
@@ -469,22 +518,15 @@ def _check_hub(inst, caps, cache, records):
             H = cache.graph(inst, ell)
             if H is None:
                 return "skip", "beyond the suite link budget"
-            hub = hub_subgraph(G, ell, caps.suite_links)
             adj = H.adjacency()
-            for comp_verts in hub.components():
-                comp = hub.induced_subgraph(comp_verts)
-                comp_links = set(enumerate_links(comp, ell, caps.suite_links))
-                if not comp_links:
+            for inside, allowed in _hub_parts(H, cache.hub(inst, ell)):
+                if not inside:
                     continue
-                if ell % 2 == 0:
-                    member = lambda l: comp.has_vertex(l.middle_unit())
-                else:
-                    member = lambda l: comp.has_edge(l.middle_unit())
-                allowed = {i for i, l in enumerate(H.vertices) if member(l)}
-                seen = reachable(adj, H.index[min(comp_links)], allowed)
-                for l in comp_links:
-                    if H.index[l] not in seen:
-                        return "fail", f"{l} unreachable within its hub component"
+                # the vertices of H run in link order: start from the least link
+                seen = reachable(adj, inside[0], allowed)
+                for i in inside:
+                    if i not in seen:
+                        return "fail", f"{H.vertices[i]} unreachable within its hub component"
             return "pass", "restricted shunting connects every hub component"
 
         _timed(records, "Lem3.7", inst.name, ell, lem37)
@@ -622,7 +664,10 @@ def _check_chromatic(inst, caps, cache, records):
             chi = exact_chi(ell)
             if chi is None:
                 return "skip", "link graph beyond the chromatic oracle"
-            bounds = chromatic_upper_bounds(G, ell, caps.chromatic_cap, caps.suite_links)
+            # chromatic_upper_bounds from the memo, less the two-back bound no check reads
+            bounds = _chromatic_bounds(G, ell, caps.chromatic_cap,
+                                       lambda length: cache.built(inst, length),
+                                       lambda _: cache.chi(inst, 0)[0])
             if ell % 2 == 0 and bounds.exact_chi and chi > bounds.parity_bound:
                 return "fail", f"chi {chi} > parity bound {bounds.parity_bound}"
             if ell % 2 == 1 and bounds.exact_chi_prime and chi > bounds.parity_bound:
@@ -832,9 +877,11 @@ def _check_path_graphs(inst, caps, cache, records):
                 return "pass", f"equal to the link graph (girth {girth})"
             # induced subgraph of the simplification on the path vertices
             S = H.simplify()
-            s_pairs = {(S.vertices[i], S.vertices[j]) for i, j, _ in S.edges}
-            p_pairs = {(P.vertices[i], P.vertices[j]) for i, j, _ in P.edges}
-            pv = set(P.vertices)
+            s_units = [v.units for v in S.vertices]
+            p_units = [v.units for v in P.vertices]
+            s_pairs = {(s_units[i], s_units[j]) for i, j, _ in S.edges}
+            p_pairs = {(p_units[i], p_units[j]) for i, j, _ in P.edges}
+            pv = set(p_units)
             induced = {
                 (a, b) for a, b in s_pairs if a in pv and b in pv
             }

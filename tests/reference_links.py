@@ -2,7 +2,8 @@
 
 These are the original string-tuple implementations of arc and link
 enumeration, the link graph, the arc digraph, the hub criterion, the path
-graph and the natural partition, with links canonicalised through ``Arc``.
+graph, the natural partition, the links of each hub component and the middle
+segments of Lemma 3.5, with links canonicalised through ``Arc``.
 The package builds the same objects from its integer arc kernel or from a
 link graph it already holds; the tests check that both agree.
 """
@@ -164,3 +165,27 @@ def natural_partition(H):
         {k: frozenset(v) for k, v in vparts.items()},
         {k: frozenset(v) for k, v in eparts.items()},
     )
+
+
+def hub_component_links(G, ell, limit=None):
+    """Per component of the hub, in ``components()`` order: the links of the
+    component, by enumerating them on its induced subgraph, and the test for
+    a link whose middle unit lies in it."""
+    hub = hub_subgraph(G, ell, limit)
+    out = []
+    for verts in hub.components():
+        comp = hub.induced_subgraph(verts)
+        if ell % 2 == 0:
+            member = lambda link, comp=comp: comp.has_vertex(link.middle_unit())
+        else:
+            member = lambda link, comp=comp: comp.has_edge(link.middle_unit())
+        out.append((set(enumerate_links(comp, ell, limit)), member))
+    return out
+
+
+def middle_segment_sets(G, ell, limit=None):
+    """The middle segments Lemma 3.5 looks up at ``ell``: for ``s`` = 0, 1, 2
+    those of length ``s`` of the links of length ``2 * (ell // 2) + s``."""
+    base = 2 * (ell // 2)
+    return [{middle_segment(link, s) for link in enumerate_links(G, base + s, limit)}
+            for s in (0, 1, 2)]

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from linkgraphs import cli, harness
+from linkgraphs import cli, coloring, harness
 from linkgraphs.coloring import (
     Coloring,
     exact_chromatic,
@@ -157,7 +157,7 @@ class TestOracleMemo:
 class TestBuildOnce:
     """One run builds each link graph once and derives the rest from it."""
 
-    CLAIMS = ["Obs3.1", "Lem4.1", "PathGirth", "Thm1", "Cor1.2", "Cor4.4"]
+    CLAIMS = ["Obs3.1", "Lem3.5", "Lem3.7", "Lem4.1", "PathGirth", "Thm1", "Cor1.2", "Cor4.4"]
     CAPS = Caps(ell_range=(0, 1, 2, 3, 4, 5))
 
     def test_each_link_graph_and_recursive_colouring_is_built_once(self, monkeypatch):
@@ -175,14 +175,36 @@ class TestBuildOnce:
         counting("link_graph", lambda ell, limit: ell)
         counting("_base_coloring", lambda H, cap: H.ell)
         counting("_lifted", lambda below, H: H.ell)
+        counting("hub_subgraph", lambda ell, limit: ell)
+        # the chromatic bounds of Thm1.1/1.2 read the link graphs of the run
+        monkeypatch.setattr(coloring, "link_graph", None)
         report = verify_suite(corpus=small_corpus(), claims=self.CLAIMS, caps=self.CAPS)
         assert report.passed()
         built = {(G, ell) for name, G, ell in calls if name == "link_graph"}
         assert len(built) == 2 * len(self.CAPS.ell_range)
-        assert {name for name, _, _ in calls} == {"link_graph", "_base_coloring", "_lifted"}
+        hubs = {(G, ell) for name, G, ell in calls if name == "hub_subgraph"}
+        assert hubs == built
+        assert {name for name, _, _ in calls} == {
+            "link_graph", "_base_coloring", "_lifted", "hub_subgraph"}
         assert max(calls.values()) == 1, [k for k, c in calls.items() if c > 1]
         # Cor4.4 lifts to the top length on both instances
         assert ("_lifted", complete(4).serialize(), 5) in calls
+
+    def test_middle_segments_are_collected_once_per_length(self, monkeypatch):
+        real = harness._middle_segments
+        for inst in small_corpus():
+            calls = Counter()
+
+            def counting(links, length, s):
+                calls[(length, s)] += 1
+                return real(links, length, s)
+
+            monkeypatch.setattr(harness, "_middle_segments", counting)
+            report = verify_suite(corpus=[inst], claims=["Lem3.5"], caps=self.CAPS)
+            assert report.passed()
+            # ell = 2h and 2h + 1 look up the same three sets
+            assert set(calls) == {(2 * h + s, s) for h in range(3) for s in (0, 1, 2)}
+            assert max(calls.values()) == 1
 
     def test_recursive_colouring_equals_the_public_one(self):
         inst = small_corpus()[1]
@@ -216,6 +238,13 @@ class TestBuildOnce:
         assert verify_minor(H, hadwiger_lower_bound(G, 2, H=H).witness).ok
         assert H.adjacency() is adj and adj == before
 
+    def test_same_labeled_graph_sees_a_swapped_label(self):
+        H = link_graph(complete(4), 1)
+        (a, b, p), (c, d, q) = H.edges[0], H.edges[-1]
+        swapped = (a, b, q), *H.edges[1:-1], (c, d, p)
+        assert H.same_labeled_graph(LabeledGraph(H.ell, H.vertices, H.edges))
+        assert not H.same_labeled_graph(LabeledGraph(H.ell, H.vertices, swapped))
+
     def test_records_equal_separate_runs(self):
         combined = verify_suite(corpus=small_corpus(), claims=self.CLAIMS, caps=self.CAPS)
         separate = []
@@ -225,7 +254,8 @@ class TestBuildOnce:
         key = lambda rec: (rec["claim"], rec["instance"], str(rec["ell"]))
         assert _rows(combined) == sorted(separate, key=key)
         assert {r["claim"] for r in separate} >= {
-            "Obs3.1", "Lem4.1", "PathGirth", "Thm1.1", "Thm1.2", "Cor1.2", "Cor4.4"}
+            "Obs3.1", "Lem3.5", "Lem3.7", "Lem4.1", "PathGirth", "Thm1.1", "Thm1.2", "Cor1.2",
+            "Cor4.4"}
 
 
 class TestUnexpectedErrors:

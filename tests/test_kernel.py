@@ -18,13 +18,14 @@ from linkgraphs.construction import (
     path_graph,
 )
 from linkgraphs.errors import LimitExceeded
-from linkgraphs.harness import Caps, CorpusInstance, _Cache
+from linkgraphs.harness import Caps, CorpusInstance, _Cache, _hub_parts
 from linkgraphs.links import (
     Link,
     _walks,
     enumerate_arcs,
     enumerate_links,
     has_arc,
+    hub_subgraph,
     middle_units,
 )
 from linkgraphs.multigraph import Multigraph, complete, parallel_bridge, path, petersen, wheel
@@ -101,6 +102,26 @@ def test_derived_paths_match_reference(G):
                 want = None
             for built in ((), (ell,), (ell - 1,) if ell else ()):
                 assert _cached_links(G, ell, limit, built) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_n=7, max_m=12))
+def test_hub_parts_and_middle_segments_match_reference(G):
+    totals = _walks(G, 7)[0]
+    cache = _Cache(Caps())
+    inst = CorpusInstance("g", G)
+    for ell in _lengths(G):
+        H = link_graph(G, ell)
+        parts = _hub_parts(H, hub_subgraph(G, ell))
+        want = ref.hub_component_links(G, ell)
+        assert len(parts) == len(want)
+        for (inside, allowed), (links, member) in zip(parts, want):
+            assert [H.vertices[i] for i in inside] == sorted(links)
+            assert allowed == {i for i, link in enumerate(H.vertices) if member(link)}
+        if totals[2 * (ell // 2) + 2] <= ARC_BUDGET:
+            for s, segments in enumerate(ref.middle_segment_sets(G, ell)):
+                got = cache.middles(inst, 2 * (ell // 2) + s, s)
+                assert {Link(u) for u in got} == segments
 
 
 @pytest.mark.parametrize("G, ell", [(petersen(), 6), (wheel(5), 4), (complete(4), 5),
