@@ -4,7 +4,6 @@ partition machinery with its quotient."""
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -514,47 +513,7 @@ def verify_almost_standard(H, partition):
     # (c) every edge part is the edge set of a complete bipartite subgraph
     c_ok = True
     for key, members in eparts:
-        ends = {}
-        for k in members:
-            i, j, _ = H.edges[k]
-            pair = (i, j)
-            ends[pair] = ends.get(pair, 0) + 1
-        # 2-colour the endpoints using only part edges
-        ok = True
-        side = {}
-        adj = {}
-        for i, j in ends:
-            adj.setdefault(i, set()).add(j)
-            adj.setdefault(j, set()).add(i)
-        for s in sorted(adj):
-            if s in side:
-                continue
-            side[s] = 0
-            queue = deque([s])
-            while queue and ok:
-                x = queue.popleft()
-                for y in adj[x]:
-                    if y not in side:
-                        side[y] = 1 - side[x]
-                        queue.append(y)
-                    elif side[y] == side[x]:
-                        ok = False
-                        break
-        if ok:
-            A = sorted(x for x in side if side[x] == 0)
-            B = sorted(x for x in side if side[x] == 1)
-            if len(A) * len(B) != len(ends) or any(v != 1 for v in ends.values()):
-                ok = False
-            else:
-                for x in A:
-                    for y in B:
-                        pair = (x, y) if x < y else (y, x)
-                        if pair not in ends:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-        if not ok:
+        if not _is_complete_bipartite([H.edges[k][:2] for k in members]):
             c_ok = False
             failures.append(("c", f"edge part {ekeys[key]} is not complete bipartite"))
 
@@ -586,6 +545,22 @@ def verify_almost_standard(H, partition):
                 else:
                     seen[tag] = v
     return PartitionCheck(a_ok, b_ok, c_ok, d_ok, e_ok, failures)
+
+
+def _is_complete_bipartite(pairs):
+    """True when the index pairs are the edges of a complete bipartite graph,
+    each once: every edge has one end among the neighbours of one vertex,
+    and the edges number the sides' product."""
+    edges = set(pairs)
+    if len(edges) != len(pairs):
+        return False
+    if not edges:
+        return True
+    x = pairs[0][0]
+    side = {j if i == x else i for i, j in edges if x in (i, j)}
+    ends = {v for pair in edges for v in pair}
+    return (len(edges) == len(side) * (len(ends) - len(side))
+            and all((i in side) != (j in side) for i, j in edges))
 
 
 def quotient(H, partition):

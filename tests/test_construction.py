@@ -10,6 +10,7 @@ from strategies import multigraphs
 
 from linkgraphs import canon
 from linkgraphs.construction import (
+    _is_complete_bipartite,
     arc_digraph,
     digraph_natural_iso_check,
     iterated_line_digraph,
@@ -220,6 +221,18 @@ class TestPartitions:
             ("b", "edge part [u1 e1 u0 e3 u1] touches 1 parts"),
             ("c", "edge part [u0 e1 u1 e3 u0] is not complete bipartite"),
         ] + [("e", "two vertices of [u0 e1 u1] meet both parts")] * 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(
+        lambda pair: pair[0] < pair[1]), max_size=10))
+    def test_complete_bipartite_test_matches_every_two_sided_split(self, pairs):
+        verts = sorted({v for pair in pairs for v in pair})
+        want = False
+        for mask in range(2 ** len(verts)):
+            side = {v for k, v in enumerate(verts) if mask >> k & 1}
+            across = [(i, j) for i in verts for j in verts if i < j and (i in side) != (j in side)]
+            want = want or sorted(pairs) == across
+        assert _is_complete_bipartite(pairs) == want
 
     def test_singleton_partition_on_triangle(self):
         H = link_graph(complete(3), 0)
