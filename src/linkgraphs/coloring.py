@@ -384,16 +384,16 @@ def chromatic_upper_bounds(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     return bounds
 
 
-def _chromatic_bounds(G, ell, cap, graph, chi):
+def _chromatic_bounds(G, ell, cap, graph, solve_chi):
     """``chromatic_upper_bounds`` without the two-back bound.  ``graph(length)``
-    gives the link graph at length 0 or 1, and ``chi(H)`` the exact chromatic
-    number of the one at 0; both raise what the oracle and ``link_graph``
-    raise."""
+    gives the link graph at length 0 or 1, and ``solve_chi(H)`` the exact
+    chromatic number of the one at 0; both raise what the oracle and
+    ``link_graph`` raise."""
     even = ell % 2 == 0
     if even:
         H = graph(0)
         try:
-            base, exact = chi(H), True
+            base, exact = solve_chi(H), True
         except OracleTooLarge:
             base, exact = greedy_coloring(H.adjacency())[0], False
     else:
@@ -401,13 +401,7 @@ def _chromatic_bounds(G, ell, cap, graph, chi):
             base, exact = exact_edge_chromatic(G, cap)[0], True
         except OracleTooLarge:
             base, exact = greedy_coloring(graph(1).adjacency())[0], False
-    return ChromaticBounds(
-        ell,
-        base if even else None,
-        None if even else base,
-        exact and even,
-        exact and not even,
-        _decay_bound(base, ell // 2),
-        G.max_degree() + 1 if ell != 1 else None,
-        None,
-    )
+    chi, chi_prime = (base, None) if even else (None, base)
+    delta_bound = G.max_degree() + 1 if ell != 1 else None
+    return ChromaticBounds(ell, chi, chi_prime, exact and even, exact and not even,
+                           _decay_bound(base, ell // 2), delta_bound, None)
