@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .construction import LabeledGraph, index_adjacency, link_graph
+from .construction import LabeledGraph, _windows_graph, index_adjacency, link_graph
 from .errors import (
     InvalidParameter,
     OracleTooLarge,
@@ -15,6 +15,7 @@ from .errors import (
     PreconditionViolated,
     WitnessInvalid,
 )
+from .links import _kernel, _link_adjacency, _link_cap, _link_ids, _middle_ids, _windows
 
 DEFAULT_CHROMATIC_CAP = 64
 
@@ -259,15 +260,20 @@ def lift_coloring(G, ell, lower, coloring, upper=None, limit=None):
     """
     if ell < 2:
         raise InvalidParameter(f"lift needs ell >= 2, got {ell}")
-    if not is_proper(lower, coloring):
-        raise PreconditionViolated("lower colouring is not proper")
     if upper is None:
         upper = link_graph(G, ell, limit)
-    assign = {}
-    for i, link in enumerate(upper.vertices):
-        key = link.middle_segment(ell - 2)
-        assign[i] = coloring.assignment[lower.index[key]]
-    lifted = Coloring(assign, coloring.t)
+    middle = (lower.index[link.middle_segment(ell - 2)] for link in upper.vertices)
+    return _lift(lower, coloring, upper, middle)
+
+
+def _lift(lower, coloring, upper, middle):
+    """Give vertex ``i`` of ``upper`` the colour of vertex ``middle[i]`` of
+    ``lower`` under ``coloring``, which must be proper, then recolour with
+    ``r = 2``.  ``lower`` and ``upper`` are link graphs or their neighbour
+    sets; ``middle`` is read only once ``coloring`` is found proper."""
+    if not is_proper(lower, coloring):
+        raise PreconditionViolated("lower colouring is not proper")
+    lifted = Coloring(dict(enumerate(map(coloring.assignment.__getitem__, middle))), coloring.t)
     if not is_proper(upper, lifted):
         raise PreconditionViolated("lifted colouring is not proper")
     return reduce_coloring(upper, lifted, 2)
@@ -293,13 +299,29 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     Base cases: length 0 uses the exact chromatic oracle on the graph itself,
     length 1 transports an optimal edge colouring; graphs beyond the oracle
     cap fall back to greedy and are flagged via ``exact_base``.
+
+    Every link graph of the recursion is read off one kernel build, which
+    checks ``limit`` at each length in increasing order, as building the link
+    graphs one by one would.  Only the base and the returned graph are built
+    with their links; a length in between is only neighbour sets over link
+    indices, and the middle segment of a link is the suffix of its parent.
     """
     if ell < 0:
         raise InvalidParameter(f"ell must be >= 0, got {ell}")
-    rec = _base_coloring(G, link_graph(G, ell % 2, limit), cap)
-    for length in range(ell % 2 + 2, ell + 1, 2):
-        rec = _lifted(G, rec, link_graph(G, length, limit))
-    return rec
+    base = ell % 2
+    # with ell = base no level at or above the base is pruned
+    levels = _kernel(G, base, {L: _link_cap(L, limit) for L in range(base, ell + 2)})
+    rec = _base_coloring(G, _windows_graph(G, base, _windows(G, levels, base)), cap)
+    graph, col, below = rec.graph, rec.coloring, _link_ids(levels[base])
+    for length in range(base + 2, ell + 1, 2):
+        middle = _middle_ids(levels, length, below)
+        if length < ell:
+            below, upper = _link_adjacency(levels, length)
+        else:
+            upper = _windows_graph(G, ell, _windows(G, levels, ell))
+        col = _lift(graph, col, upper, middle) if middle else Coloring({}, 0)
+        graph = upper
+    return RecursiveColoring(ell, graph, col, rec.exact_base, rec.base_kind, rec.base_value)
 
 
 def _base_coloring(G, H, cap):

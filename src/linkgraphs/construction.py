@@ -47,6 +47,7 @@ class LabeledGraph:
     source: Multigraph | None = None
     index: dict = field(default_factory=dict, repr=False, compare=False)
     _adj: list | None = field(default=None, init=False, repr=False, compare=False)
+    _comps: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.index:
@@ -93,18 +94,25 @@ class LabeledGraph:
         return groups
 
     def is_connected(self):
-        return self.n <= 1 or len(reachable(self.adjacency(), 0)) == self.n
+        return len(self.components()) <= 1
 
     def components(self):
-        adj = self.adjacency()
-        seen = set()
-        comps = []
-        for s in range(self.n):
-            if s not in seen:
-                comp = reachable(adj, s)
-                seen |= comp
-                comps.append(sorted(comp))
-        return comps
+        """Sorted index lists of the connected components, by least index.
+
+        Built on the first call and shared by every later one, so callers
+        must not mutate it.
+        """
+        if self._comps is None:
+            adj = self.adjacency()
+            seen = set()
+            comps = []
+            for s in range(self.n):
+                if s not in seen:
+                    comp = reachable(adj, s)
+                    seen |= comp
+                    comps.append(sorted(comp))
+            self._comps = comps
+        return self._comps
 
     def simplify(self):
         """Underlying simple graph, keeping the least label per endpoint pair."""
@@ -278,7 +286,12 @@ class PartitionCheck:
 
 def link_graph(G, ell, limit=None):
     """The graph on ``ell``-links whose edges are the one-longer links."""
-    verts, labels, (tails, heads) = link_windows(G, ell, limit)
+    return _windows_graph(G, ell, link_windows(G, ell, limit))
+
+
+def _windows_graph(G, ell, windows):
+    """The ``ell``-link graph of ``G`` built from its ``link_windows``."""
+    verts, labels, (tails, heads) = windows
     edges = sorted((i, j, q) if i < j else (j, i, q) for i, j, q in zip(tails, heads, labels))
     return LabeledGraph(ell, tuple(verts), tuple(edges), G)
 
@@ -602,18 +615,26 @@ def quotient_embedding_check(G, ell, H=None, lower=None, limit=None):
 
 
 def _quotient_embeds(H, part, lower):
-    """``quotient_embedding_check`` on the natural partition ``part`` of ``H``."""
+    """``quotient_embedding_check`` on the natural partition ``part`` of ``H``.
+
+    A vertex part is numbered by the index of its key in ``lower`` and an
+    edge part is looked up by the unit tuple of its key, so the checks hash
+    integers and tuples, not links."""
     # keys must be vertices / edge labels of the lower graph
-    for key in part.vertex_parts:
-        if key not in lower.index:
-            return False
-    lower_labels = {lab: (i, j) for i, j, lab in lower.edges}
-    covered = {}
+    covered = [None] * H.n
+    image = set()
     for key, members in part.vertex_parts.items():
+        x = lower.index.get(key)
+        if x is None:
+            return False
+        image.add(x)
         for i in members:
-            covered[i] = key
+            covered[i] = x
+    lower_labels = {lab.units: (i, j) for i, j, lab in lower.edges}
+    mu = {}
     for key, members in part.edge_parts.items():
-        if key not in lower_labels:
+        ends = lower_labels.get(key.units)
+        if ends is None:
             return False
         # incident vertex parts must map to the windows of the key
         parts = set()
@@ -621,17 +642,12 @@ def _quotient_embeds(H, part, lower):
             i, j, _ = H.edges[k]
             parts.add(covered[i])
             parts.add(covered[j])
-        if parts != {lower.vertices[x] for x in lower_labels[key]}:
+        if parts != set(ends):
             return False
+        i, j, _ = H.edges[next(iter(members))]
+        pair = tuple(sorted((covered[i], covered[j])))
+        mu[pair] = mu.get(pair, 0) + 1
     # induced-subgraph correspondence, edge part counts against all lower edges
-    key_idx = {key: lower.index[key] for key in part.vertex_parts}
-    mu = {}
-    for key, members in part.edge_parts.items():
-        k0 = next(iter(members))
-        i, j, _ = H.edges[k0]
-        a, b = sorted((key_idx[covered[i]], key_idx[covered[j]]))
-        mu[(a, b)] = mu.get((a, b), 0) + 1
-    image = set(key_idx.values())
     lower_counts = {}
     for i, j, _ in lower.edges:
         if i in image and j in image:
@@ -644,7 +660,9 @@ def link_graph_connected(G, ell, limit=None):
     """Connectivity of the link graph via the hub criterion.
 
     The criterion: the hub subgraph is connected and every link can be shunted
-    to a link lying inside the hub.  When the hub hosts no link at all the
+    to a link lying inside the hub.  A hub holding every edge of ``G`` (at
+    ``ell = 0``, every vertex) holds every link, so only a connected hub that
+    misses some needs the shunt search.  When the hub hosts no link at all the
     criterion is silent and we fall back to direct breadth-first search.
     """
     n_links = link_count(G, ell, limit)
@@ -653,6 +671,8 @@ def link_graph_connected(G, ell, limit=None):
     hub = hub_subgraph(G, ell, limit)
     if not hub.is_connected():
         return False
+    if (hub.m == G.m) if ell else (hub.n == G.n):
+        return True
     reached = shunt_reach(G, ell, hub)
     if not reached:
         # degenerate: hub too small to host a link of this length

@@ -256,9 +256,10 @@ def _arc_levels(G, fwd, ell, top):
     ``ell + 1`` is kept.  Each level is closed under prefix, suffix and reverse,
     and both ``suffix(p.d) = suffix(p).d`` and
     ``rev(a.d) = rev(suffix(a.d)).twin(first(a))`` are children of arcs one
-    level down, found by binary search among those children.  Only the last
-    two levels keep more than ``parent`` and ``last``.  ``fwd`` is the reach
-    table of ``_walks(G, ell)`` or of a longer count.
+    level down, found by binary search among those children.  Every level
+    keeps ``parent``, ``last``, ``suffix`` and ``rev``; only the last two keep
+    ``kids`` and ``back``.  ``fwd`` is the reach table of ``_walks(G, ell)``
+    or of a longer count.
     """
     levels = [_Level((), (), (), range(G.n), (), ())]
     if top == 0:
@@ -296,7 +297,7 @@ def _arc_levels(G, fwd, ell, top):
         prev.pack()
         if L > 2:
             old = levels[L - 2]
-            old.suffix = old.rev = old.kids = old.back = None
+            old.kids = old.back = None
     levels[top].pack()
     return levels
 
@@ -388,6 +389,12 @@ def link_windows(G, ell, limit=None):
     windows among the ``ell``-links (the links of its kernel parent and suffix),
     as two tables."""
     levels = _kernel(G, ell, {ell: _link_cap(ell, limit), ell + 1: _link_cap(ell + 1, limit)})
+    return _windows(G, levels, ell)
+
+
+def _windows(G, levels, ell):
+    """``link_windows`` read off kernel levels that hold every ``ell``- and
+    ``(ell + 1)``-arc."""
     link_of = _link_ids(levels[ell])
     top = levels[ell + 1]
     canon = _canonical(top)
@@ -409,6 +416,29 @@ def arc_windows(G, ell, limit=None):
     return list(map(Arc, units[ell])), list(map(Arc, units[ell + 1])), windows
 
 
+def _link_adjacency(levels, ell):
+    """The link index of every arc at level ``ell`` (``_link_ids``), and the
+    neighbour sets of the ``ell``-link graph over those indices: each
+    ``(ell + 1)``-arc joins the link of its parent to the link of its suffix,
+    and its reverse arc adds the other direction."""
+    link_of = _link_ids(levels[ell])
+    adj = [set() for _ in range(len(link_of) if ell == 0 else len(link_of) // 2)]
+    top = levels[ell + 1]
+    for a, b in zip(map(link_of.__getitem__, top.parent), map(link_of.__getitem__, top.suffix)):
+        adj[a].add(b)
+    return link_of, adj
+
+
+def _middle_ids(levels, ell, below):
+    """Per ``ell``-link, in canonical order, the link index of its middle
+    segment of length ``ell - 2``, where ``below`` is
+    ``_link_ids(levels[ell - 2])``: an arc without its first and last dart is
+    the suffix of its parent."""
+    lv = levels[ell]
+    inner = map(levels[ell - 1].suffix.__getitem__, compress(lv.parent, _canonical(lv)))
+    return list(map(below.__getitem__, inner))
+
+
 def shunt_reach(G, ell, hub):
     """How many ``ell``-links of ``G`` shunt to a link lying inside the
     subgraph ``hub``; 0 when no ``ell``-link lies inside it.
@@ -424,11 +454,7 @@ def shunt_reach(G, ell, hub):
         inside = _all(G.n)
         for lv in levels[1 : ell + 1]:
             inside = bytearray(inside[p] & in_hub[d] for p, d in zip(lv.parent, lv.last))
-    link_of = _link_ids(levels[ell])
-    adj = [[] for _ in range(len(link_of) if ell == 0 else len(link_of) // 2)]
-    top = levels[ell + 1]
-    for p, s in zip(top.parent, top.suffix):
-        adj[link_of[p]].append(link_of[s])
+    link_of, adj = _link_adjacency(levels, ell)
     seen = {link_of[k] for k in compress(range(len(inside)), inside)}
     stack = list(seen)
     while stack:

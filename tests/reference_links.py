@@ -1,9 +1,10 @@
 """Reference builders by depth-first search over unit tuples.
 
 These are the original string-tuple implementations of arc and link
-enumeration, the link graph, the arc digraph, the hub criterion, the path
-graph, the natural partition, the links of each hub component and the middle
-segments of Lemma 3.5, with links canonicalised through ``Arc``.
+enumeration, the link graph, the arc digraph, the hub criterion and its shunt
+search, the path graph, the natural partition and the embedding of its
+quotient, the links of each hub component and the middle segments of
+Lemma 3.5, with links canonicalised through ``Arc``.
 The package builds the same objects from its integer arc kernel or from a
 link graph it already holds; the tests check that both agree.
 """
@@ -129,9 +130,16 @@ def link_graph_connected(G, ell, limit=None):
     hub = hub_subgraph(G, ell, limit)
     if not hub.is_connected():
         return False
-    hub_links = set(enumerate_links(hub, ell, limit))
-    if not hub_links:
+    reached = shunt_reach(G, ell, hub)
+    if not reached:
         return link_graph(G, ell, limit).is_connected()
+    return reached == len(all_links)
+
+
+def shunt_reach(G, ell, hub):
+    """How many ``ell``-links of ``G`` reach, by one-step shunts, a link of
+    the subgraph ``hub``, enumerated on ``hub`` itself."""
+    hub_links = set(enumerate_links(hub, ell))
     seen = set(hub_links)
     queue = deque(sorted(hub_links))
     while queue:
@@ -140,7 +148,7 @@ def link_graph_connected(G, ell, limit=None):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return len(seen) == len(all_links)
+    return len(seen)
 
 
 def path_graph(G, ell, limit=None):
@@ -189,3 +197,39 @@ def middle_segment_sets(G, ell, limit=None):
     base = 2 * (ell // 2)
     return [{middle_segment(link, s) for link in enumerate_links(G, base + s, limit)}
             for s in (0, 1, 2)]
+
+
+def quotient_embeds(H, part, lower):
+    """The quotient of ``H`` by ``part`` against the link graph ``lower`` two
+    shorter, with every part and vertex keyed by its link."""
+    for key in part.vertex_parts:
+        if key not in lower.index:
+            return False
+    lower_labels = {lab: (i, j) for i, j, lab in lower.edges}
+    covered = {}
+    for key, members in part.vertex_parts.items():
+        for i in members:
+            covered[i] = key
+    for key, members in part.edge_parts.items():
+        if key not in lower_labels:
+            return False
+        parts = set()
+        for k in members:
+            i, j, _ = H.edges[k]
+            parts.add(covered[i])
+            parts.add(covered[j])
+        if parts != {lower.vertices[x] for x in lower_labels[key]}:
+            return False
+    key_idx = {key: lower.index[key] for key in part.vertex_parts}
+    mu = {}
+    for key, members in part.edge_parts.items():
+        i, j, _ = H.edges[next(iter(members))]
+        a, b = sorted((key_idx[covered[i]], key_idx[covered[j]]))
+        mu[(a, b)] = mu.get((a, b), 0) + 1
+    image = set(key_idx.values())
+    lower_counts = {}
+    for i, j, _ in lower.edges:
+        if i in image and j in image:
+            pair = (i, j) if i < j else (j, i)
+            lower_counts[pair] = lower_counts.get(pair, 0) + 1
+    return mu == lower_counts

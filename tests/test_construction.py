@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from strategies import multigraphs
 
-from linkgraphs import canon
+from linkgraphs import canon, construction
 from linkgraphs.construction import (
     _is_complete_bipartite,
     arc_digraph,
@@ -24,7 +24,7 @@ from linkgraphs.construction import (
     verify_almost_standard,
 )
 from linkgraphs.errors import NotALink, PartitionMismatch, WindowTooShort
-from linkgraphs.links import Link, enumerate_links, is_path
+from linkgraphs.links import Link, enumerate_links, hub_subgraph, is_path
 from linkgraphs.multigraph import (
     Multigraph,
     complete,
@@ -34,6 +34,7 @@ from linkgraphs.multigraph import (
     parallel_bridge,
     path,
     petersen,
+    wheel,
 )
 
 
@@ -305,6 +306,51 @@ class TestConnectivity:
         # a single long link, or a hub too small to host one
         assert link_graph_connected(path(3), 3)
         assert link_graph_connected(path(4), 3)
+
+    def test_components_are_searched_once_per_graph(self, star3, monkeypatch):
+        H = link_graph(star3, 2)
+        starts = []
+        real = construction.reachable
+
+        def counting(adj, start, allowed=None):
+            starts.append(start)
+            return real(adj, start, allowed)
+
+        monkeypatch.setattr(construction, "reachable", counting)
+        comps = H.components()
+        assert not H.is_connected() and H.components() is comps
+        assert sorted(i for comp in comps for i in comp) == list(range(H.n))
+        assert starts == [comp[0] for comp in comps]
+
+    # a triangle with a pendant path of two edges
+    LOLLIPOP = Multigraph([], [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a"),
+                               ("e4", "a", "d"), ("e5", "d", "e")])
+    HUB_HOLDS_EVERY_EDGE = [(petersen(), 4), (complete(4), 3), (wheel(5), 2), (cycle(5), 6),
+                            (dipole(3), 1), (LOLLIPOP, 0), (LOLLIPOP, 1)]
+    HUB_MISSES_AN_EDGE = [(LOLLIPOP, 2), (LOLLIPOP, 3), (LOLLIPOP, 4), (path(5), 2),
+                          (parallel_bridge(), 3), (Multigraph([], [("e1", "c", "a"),
+                          ("e2", "c", "b"), ("e3", "c", "d")]), 2)]
+
+    def test_shunt_search_runs_only_when_the_hub_misses_an_edge(self, monkeypatch):
+        searched = []
+        real = construction.shunt_reach
+
+        def counting(G, ell, hub):
+            searched.append((G, ell))
+            return real(G, ell, hub)
+
+        monkeypatch.setattr(construction, "shunt_reach", counting)
+        answers = set()
+        for G, ell in self.HUB_HOLDS_EVERY_EDGE + self.HUB_MISSES_AN_EDGE:
+            hub = hub_subgraph(G, ell)
+            assert hub.is_connected() and len(enumerate_links(G, ell)) > 1
+            misses = (G, ell) in self.HUB_MISSES_AN_EDGE
+            assert (hub.m < G.m) == misses
+            bfs = link_graph(G, ell).is_connected()
+            assert link_graph_connected(G, ell) == bfs
+            assert searched.count((G, ell)) == misses
+            answers.add((misses, bfs))
+        assert answers == {(False, True), (True, True), (True, False)}
 
     @given(multigraphs(max_n=5, max_m=7), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
-"""The integer arc kernel, and what is derived from a link graph, against the
-depth-first reference builders."""
+"""The integer arc kernel, what is derived from a link graph, and the
+recursive colouring read off one kernel build, against the reference
+builders."""
 
 from __future__ import annotations
 
@@ -7,17 +8,22 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_coloring
 import reference_links as ref
-from linkgraphs import harness
+from linkgraphs import coloring, construction, harness, links
+from linkgraphs.coloring import DEFAULT_CHROMATIC_CAP, recursive_chromatic_bound
 from linkgraphs.construction import (
+    AlmostStandardPartition,
+    _quotient_embeds,
     arc_digraph,
     link_graph,
     link_graph_connected,
     natural_partition,
     path_graph,
 )
-from linkgraphs.errors import LimitExceeded
+from linkgraphs.errors import LimitExceeded, LinkGraphError
 from linkgraphs.harness import Caps, CorpusInstance, _Cache, _hub_parts
 from linkgraphs.links import (
     Link,
@@ -27,6 +33,7 @@ from linkgraphs.links import (
     has_arc,
     hub_subgraph,
     middle_units,
+    shunt_reach,
 )
 from linkgraphs.multigraph import Multigraph, complete, parallel_bridge, path, petersen, wheel
 
@@ -36,10 +43,10 @@ from strategies import multigraphs
 ARC_BUDGET = 3000
 
 
-def _lengths(G, top=5):
+def _lengths(G, top=5, budget=ARC_BUDGET):
     """Lengths 0..top whose one-longer arcs fit the budget."""
     totals = _walks(G, top + 1)[0]
-    return [ell for ell in range(top + 1) if totals[ell + 1] <= ARC_BUDGET]
+    return [ell for ell in range(top + 1) if totals[ell + 1] <= budget]
 
 
 def _raised(fn, *args):
@@ -158,6 +165,83 @@ def test_limits_at_the_boundary(G):
         if enough:
             assert _raised(link_graph, G, ell, enough - 1) == _raised(
                 ref.link_graph, G, ell, enough - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_n=7, max_m=12), st.data())
+def test_shunt_reach_matches_reference_on_any_hub(G, data):
+    edges = data.draw(st.sets(st.sampled_from(sorted(G.edge_ids)))) if G.m else set()
+    verts = data.draw(st.sets(st.sampled_from(G.vertices)))
+    for hub in (G.edge_subgraph(edges), G.induced_subgraph(verts)):
+        for ell in _lengths(G, 4):
+            assert shunt_reach(G, ell, hub) == ref.shunt_reach(G, ell, hub)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_n=6, max_m=9))
+def test_quotient_embedding_matches_reference(G):
+    # G without its last edge gives a lower graph that may miss keys or edges
+    G2 = Multigraph(G.vertices, list(G.edges())[:-1])
+    for ell in _lengths(G, 5):
+        if ell < 2:
+            continue
+        H = link_graph(G, ell)
+        part = natural_partition(H)
+        keys = list(part.vertex_parts)
+        # the vertex parts under each other's keys
+        rotated = AlmostStandardPartition(
+            ell, dict(zip(keys[1:] + keys[:1], part.vertex_parts.values())), part.edge_parts)
+        for lower in (link_graph(G, ell - 2), link_graph(G2, ell - 2), link_graph(G, ell - 1)):
+            for p in (part, rotated):
+                assert _quotient_embeds(H, p, lower) == ref.quotient_embeds(H, p, lower)
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except LinkGraphError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=50, deadline=None)
+@given(multigraphs(max_n=6, max_m=9), st.sampled_from([DEFAULT_CHROMATIC_CAP, 3]))
+def test_recursive_colouring_matches_the_per_length_reference(G, cap):
+    totals = _walks(G, 7)[0]
+    counts = totals[:1] + [t // 2 for t in totals[1:]]
+    for ell in _lengths(G, 6, 1500):
+        # no limit, and a limit at and one below each link count the recursion checks
+        limits = {c - d for c in counts[ell % 2 : ell + 2] for d in (0, 1) if c >= d}
+        for limit in [None, *sorted(limits)]:
+            got = _outcome(recursive_chromatic_bound, G, ell, cap, limit)
+            want = _outcome(reference_coloring.recursive_chromatic_bound, G, ell, cap, limit)
+            if isinstance(want, tuple):
+                assert got == want
+                continue
+            H, R = got.graph, want.graph
+            assert (H.ell, H.vertices, H.edges, H.index) == (R.ell, R.vertices, R.edges, R.index)
+            assert (got.ell, got.coloring, got.exact_base, got.base_kind, got.base_value) == (
+                want.ell, want.coloring, want.exact_base, want.base_kind, want.base_value)
+
+
+@pytest.mark.parametrize("G, ell", [(petersen(), 6), (complete(4), 5), (wheel(5), 4),
+                                    (path(5), 7), (parallel_bridge(), 0)])
+def test_recursive_colouring_builds_the_kernel_once(G, ell, monkeypatch):
+    want = reference_coloring.recursive_chromatic_bound(G, ell)
+    builds = []
+    real = links._arc_levels
+
+    def counting(*args):
+        builds.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(links, "_arc_levels", counting)
+    for module in (coloring, construction):
+        monkeypatch.setattr(module, "link_graph", None)
+    monkeypatch.setattr(Link, "middle_segment", None)
+    got = recursive_chromatic_bound(G, ell)
+    assert builds == [(ell % 2, ell + 1)]
+    assert got.graph.same_labeled_graph(want.graph) and got.coloring == want.coloring
 
 
 def test_star_costs_its_output():
