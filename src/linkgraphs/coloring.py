@@ -216,7 +216,6 @@ def reduce_coloring(H, coloring, r):
         raise InvalidParameter(f"r must be >= 0, got {r}")
     if not is_proper(adj, coloring):
         raise PreconditionViolated("input colouring is not proper")
-    t = coloring.t
     assign = coloring.assignment
     for v in range(n):
         foreign = {assign[w] for w in adj[v]}
@@ -224,12 +223,20 @@ def reduce_coloring(H, coloring, r):
             raise PreconditionViolated(
                 f"vertex {v} sees {len(foreign)} foreign colours > r={r}"
             )
+    return _recolour(adj, coloring, r)
+
+
+def _recolour(adj, coloring, r):
+    """``reduce_coloring`` on the neighbour sets ``adj`` once its
+    preconditions are checked; the output is still checked."""
+    t = coloring.t
+    assign = coloring.assignment
     if t <= r + 1:
         return Coloring(dict(assign), t)
 
     col = dict(assign)
     classes = {}
-    for v in range(n):
+    for v in range(len(adj)):
         classes.setdefault(assign[v], []).append(v)
     for j in range(1, t + 1):
         cls = t - j + 1
@@ -262,21 +269,32 @@ def lift_coloring(G, ell, lower, coloring, upper=None, limit=None):
         raise InvalidParameter(f"lift needs ell >= 2, got {ell}")
     if upper is None:
         upper = link_graph(G, ell, limit)
-    middle = (lower.index[link.middle_segment(ell - 2)] for link in upper.vertices)
-    return _lift(lower, coloring, upper, middle)
-
-
-def _lift(lower, coloring, upper, middle):
-    """Give vertex ``i`` of ``upper`` the colour of vertex ``middle[i]`` of
-    ``lower`` under ``coloring``, which must be proper, then recolour with
-    ``r = 2``.  ``lower`` and ``upper`` are link graphs or their neighbour
-    sets; ``middle`` is read only once ``coloring`` is found proper."""
     if not is_proper(lower, coloring):
         raise PreconditionViolated("lower colouring is not proper")
-    lifted = Coloring(dict(enumerate(map(coloring.assignment.__getitem__, middle))), coloring.t)
+    middle = (lower.index[link.middle_segment(ell - 2)] for link in upper.vertices)
+    lifted = _transfer(coloring, middle)
     if not is_proper(upper, lifted):
         raise PreconditionViolated("lifted colouring is not proper")
     return reduce_coloring(upper, lifted, 2)
+
+
+def _transfer(coloring, middle):
+    """Give vertex ``i`` the colour of vertex ``middle[i]`` under ``coloring``."""
+    return Coloring(dict(enumerate(map(coloring.assignment.__getitem__, middle))), coloring.t)
+
+
+def _check_lifted(adj, assign):
+    """``reduce_coloring``'s preconditions for ``r = 2`` in one scan of the
+    neighbour sets ``adj``: the lifted colouring ``assign`` is total and
+    proper, and no vertex sees more than two foreign colours."""
+    if len(assign) != len(adj):
+        raise PartialColoring(f"assignment covers {len(assign)} of {len(adj)} vertices")
+    for v, nbrs in enumerate(adj):
+        foreign = set(map(assign.__getitem__, nbrs))
+        if assign[v] in foreign:
+            raise PreconditionViolated("lifted colouring is not proper")
+        if len(foreign) > 2:
+            raise PreconditionViolated(f"vertex {v} sees {len(foreign)} foreign colours > r=2")
 
 
 @dataclass
@@ -305,6 +323,11 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     graphs one by one would.  Only the base and the returned graph are built
     with their links; a length in between is only neighbour sets over link
     indices, and the middle segment of a link is the suffix of its parent.
+
+    Each lifted colouring is checked in one scan of its graph, for properness
+    and for the recolouring's bound of two foreign colours (``_check_lifted``).
+    The base colouring is checked at the first lift; every later lower
+    colouring is the output of the lift before, which checked it.
     """
     if ell < 0:
         raise InvalidParameter(f"ell must be >= 0, got {ell}")
@@ -319,7 +342,16 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
             below, upper = _link_adjacency(levels, length)
         else:
             upper = _windows_graph(G, ell, _windows(G, levels, ell))
-        col = _lift(graph, col, upper, middle) if middle else Coloring({}, 0)
+        if not middle:
+            col = Coloring({}, 0)
+        else:
+            # a later lower colouring is the output of the lift before, checked there
+            if length == base + 2 and not is_proper(graph, col):
+                raise PreconditionViolated("lower colouring is not proper")
+            lifted = _transfer(col, middle)
+            adj = index_adjacency(upper)
+            _check_lifted(adj, lifted.assignment)
+            col = _recolour(adj, lifted, 2)
         graph = upper
     return RecursiveColoring(ell, graph, col, rec.exact_base, rec.base_kind, rec.base_value)
 

@@ -12,8 +12,8 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import ge, le
+from itertools import accumulate, chain, compress, repeat
+from operator import add, ge, le
 
 from .errors import (
     BacktrackEdge,
@@ -229,13 +229,15 @@ class _Level:
     and ``suffix[k]`` are its arc minus the last and minus the first dart, at
     level ``L - 1``; ``rev[k]`` is its reverse and ``back[k]`` the twin of its
     first dart.  The arcs of level ``L`` whose parent is ``p`` are
-    ``kids[p]:kids[p + 1]``."""
+    ``kids[p]:kids[p + 1]``.  A level built by ``_full_level`` also has
+    ``rank[k]``, the rank of ``back[k]`` among the children of the arc that
+    ``rev[k]`` extends; other levels have ``rank`` ``None``."""
 
-    __slots__ = ("parent", "last", "suffix", "rev", "kids", "back")
+    __slots__ = ("parent", "last", "suffix", "rev", "kids", "back", "rank")
 
-    def __init__(self, parent, last, suffix, rev, kids, back):
+    def __init__(self, parent, last, suffix, rev, kids, back, rank=None):
         self.parent, self.last, self.suffix, self.rev = parent, last, suffix, rev
-        self.kids, self.back = kids, back
+        self.kids, self.back, self.rank = kids, back, rank
 
     def pack(self):
         """Store the tables of a large level as ``array('i')`` (4 bytes an entry,
@@ -256,16 +258,24 @@ def _arc_levels(G, fwd, ell, top):
     ``ell + 1`` is kept.  Each level is closed under prefix, suffix and reverse,
     and both ``suffix(p.d) = suffix(p).d`` and
     ``rev(a.d) = rev(suffix(a.d)).twin(first(a))`` are children of arcs one
-    level down, found by binary search among those children.  Every level
-    keeps ``parent``, ``last``, ``suffix`` and ``rev``; only the last two keep
-    ``kids`` and ``back``.  ``fwd`` is the reach table of ``_walks(G, ell)``
-    or of a longer count.
+    level down.
+
+    A level is full when it keeps every child of every parent.  A full level
+    at 3 or above whose parent level holds at least ``_PACK_FROM`` arcs is
+    built a block of children per parent by ``_full_level``, and there the
+    suffix and the reverse of each arc are found by arithmetic on the
+    offsets one level down.  Every other level is built arc by arc by
+    ``_pruned_level``, which finds them by binary search among the children.
+    In a graph of minimum degree 2 every level is full.  Every level keeps
+    ``parent``, ``last``, ``suffix`` and ``rev``; only the last two keep
+    ``kids``, ``back`` and ``rank``.  ``fwd`` is the reach table of
+    ``_walks(G, ell)`` or of a longer count.
     """
     levels = [_Level((), (), (), range(G.n), (), ())]
     if top == 0:
         return levels
     D = G.darts()
-    start, head, twin = D.start, D.head, D.twin
+    head, twin = D.head, D.twin
     last = [d for d in range(len(head)) if fwd[d] + fwd[twin[d]] >= ell - 1]
     where = dict(zip(last, range(len(last))))
     parent = [D.tail[d] for d in last]
@@ -274,32 +284,90 @@ def _arc_levels(G, fwd, ell, top):
     levels.append(level1)
     for L in range(2, top + 1):
         prev = levels[L - 1]
-        plast, pback, psuffix, pkids = prev.last, prev.back, prev.suffix, prev.kids
-        parent, last, back, suffix, kids = [], [], [], [], [0]
-        for p, x in enumerate(plast):
-            b, t, h = pback[p], twin[x], head[x]
-            need = ell - L - fwd[b]
-            # the children of suffix(p) one level down hold each suffix(p).d
-            s = psuffix[p]
-            lo, hi = pkids[s], pkids[s + 1]
-            for d in range(start[h], start[h + 1]):
-                if d != t and fwd[d] >= need:
-                    lo = bisect_left(plast, d, lo, hi)
-                    parent.append(p)
-                    last.append(d)
-                    back.append(b)
-                    suffix.append(lo)
-            kids.append(len(last))
-        prev_rev = prev.rev
-        rev = [bisect_left(last, b, kids[q], kids[q + 1])
-               for b, q in zip(back, map(prev_rev.__getitem__, suffix))]
-        levels.append(_Level(parent, last, suffix, rev, kids, back))
+        if L > 2 and len(prev.last) >= _PACK_FROM and _keeps_all(G, prev, fwd, ell - L):
+            levels.append(_full_level(G, levels))
+        else:
+            levels.append(_pruned_level(D, prev, fwd, ell - L))
         prev.pack()
         if L > 2:
             old = levels[L - 2]
-            old.kids = old.back = None
+            old.kids = old.back = old.rank = None
     levels[top].pack()
     return levels
+
+
+def _keeps_all(G, prev, fwd, short):
+    """True when the level after ``prev`` keeps every child: every successor
+    ``d`` of every ``last[p]`` has ``fwd[d] >= short - fwd[back[p]]``."""
+    if short <= 0:
+        return True
+    succ = G.successors()
+    low = {x: min(map(fwd.__getitem__, succ[x]), default=short) for x in set(prev.last)}
+    lows = map(low.__getitem__, prev.last)
+    return min(map(add, lows, map(fwd.__getitem__, prev.back)), default=short) >= short
+
+
+def _full_level(G, levels):
+    """The level after ``levels[-1]``, at level 3 or above, when it keeps
+    every child: whole blocks of children per parent, and no binary search.
+
+    The children of ``p`` are the successors of ``last[p]`` in dart order.
+    The children of ``suffix(p)`` one level down are all those successors too,
+    since the level is closed under suffix, so child ``j`` of ``p`` has suffix
+    ``kids[suffix[p]] + j``.  The reverse of a child ``k`` of ``p`` is child
+    ``b = back[p]`` of ``q = rev[suffix[k]]``.  With ``y = last[q]``, ``b``
+    leaves the head of ``y``, so its rank among the children of ``q`` is
+    ``b - start[head[y]] - (twin[y] < b)``.  ``twin[y]`` is the second dart of
+    ``k``, so the rank depends only on the first two darts, and each arc takes
+    its parent's ``rank``.
+    """
+    D, prev = G.darts(), levels[-1]
+    blocks = list(map(G.successors().__getitem__, prev.last))
+    sizes = list(map(len, blocks))
+    kids = list(accumulate(sizes, initial=0))
+    last = list(chain.from_iterable(blocks))
+    parent = list(chain.from_iterable(map(repeat, range(len(sizes)), sizes)))
+    back = list(map(prev.back.__getitem__, parent))
+    pkids = prev.kids
+    shift = [pkids[s] - k for s, k in zip(prev.suffix, kids)]
+    suffix = [k + shift[p] for k, p in enumerate(parent)]
+    rank = prev.rank
+    if rank is None:
+        # the first dart of rev(p), the last of its parent, is twin(second dart of p)
+        start, tail, twin, below = D.start, D.tail, D.twin, levels[-2].last
+        firsts = map(below.__getitem__, map(prev.parent.__getitem__, prev.rev))
+        rank = [b - start[tail[b]] - (twin[y] < b) for b, y in zip(prev.back, firsts)]
+    rank = list(map(rank.__getitem__, parent))
+    turned = list(map(kids.__getitem__, prev.rev))  # kids[rev[s]] per arc s one level down
+    rev = [turned[s] + r for s, r in zip(suffix, rank)]
+    return _Level(parent, last, suffix, rev, kids, back, rank)
+
+
+def _pruned_level(D, prev, fwd, short):
+    """The level after ``prev`` arc by arc: child ``p.d`` is kept when
+    ``fwd[d] >= short - fwd[back[p]]``, and its suffix and reverse are found
+    by binary search among the children of arcs one level down."""
+    start, head, twin = D.start, D.head, D.twin
+    plast, pback, psuffix, pkids = prev.last, prev.back, prev.suffix, prev.kids
+    parent, last, back, suffix, kids = [], [], [], [], [0]
+    for p, x in enumerate(plast):
+        b, t, h = pback[p], twin[x], head[x]
+        need = short - fwd[b]
+        # the children of suffix(p) one level down hold each suffix(p).d
+        s = psuffix[p]
+        lo, hi = pkids[s], pkids[s + 1]
+        for d in range(start[h], start[h + 1]):
+            if d != t and fwd[d] >= need:
+                lo = bisect_left(plast, d, lo, hi)
+                parent.append(p)
+                last.append(d)
+                back.append(b)
+                suffix.append(lo)
+        kids.append(len(last))
+    prev_rev = prev.rev
+    rev = [bisect_left(last, b, kids[q], kids[q + 1])
+           for b, q in zip(back, map(prev_rev.__getitem__, suffix))]
+    return _Level(parent, last, suffix, rev, kids, back)
 
 
 def _canonical(level):

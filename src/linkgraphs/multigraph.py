@@ -30,10 +30,17 @@ order is the lexicographic order of ``(tail, edge, head)``.  ``twin[d]`` is
 """
 
 
+def _successor_table(D):
+    """:meth:`Multigraph.successors` of the darts ``D``."""
+    outs = [tuple(range(lo, hi)) for lo, hi in zip(D.start, D.start[1:])]
+    return tuple(outs[h][: t - D.start[h]] + outs[h][t - D.start[h] + 1 :]
+                 for h, t in zip(D.head, D.twin))
+
+
 class Multigraph:
     """Finite undirected multigraph without loops; parallel edges allowed."""
 
-    __slots__ = ("_vertices", "_endpoints", "_adj", "_vset", "_darts")
+    __slots__ = ("_vertices", "_endpoints", "_adj", "_vset", "_darts", "_succ")
 
     def __init__(self, vertices=(), edges=()):
         """Build from vertex names and an iterable of ``(edge_id, u, v)``."""
@@ -56,7 +63,7 @@ class Multigraph:
             adj[u].append((eid, v))
             adj[v].append((eid, u))
         self._adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
-        self._darts = None
+        self._darts = self._succ = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -121,6 +128,15 @@ class Multigraph:
             self._darts = Darts(tuple(start), tuple(tail), tuple(head), tuple(twin),
                                 tuple(steps))
         return self._darts
+
+    def successors(self):
+        """Per dart of :meth:`darts`, the tuple of darts that may follow it:
+        those leaving its head, but its twin.  Built on first use and then
+        kept; it holds one entry per 2-arc, so only the kernel's block path
+        asks for it."""
+        if self._succ is None:
+            self._succ = _successor_table(self.darts())
+        return self._succ
 
     def neighbors(self, v):
         return sorted({w for _, w in self.incident(v)})

@@ -7,10 +7,16 @@ quotient, the links of each hub component and the middle segments of
 Lemma 3.5, with links canonicalised through ``Arc``.
 The package builds the same objects from its integer arc kernel or from a
 link graph it already holds; the tests check that both agree.
+
+``arc_levels`` is the integer arc kernel as it was when every level was built
+arc by arc, with each suffix and reverse found by binary search; the kernel
+now builds a full level a block of children per parent, and the tests check
+that its tables are the same.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 
 from linkgraphs.construction import (
@@ -24,6 +30,7 @@ from linkgraphs.links import (
     DEFAULT_LIMIT,
     Arc,
     Link,
+    _Level,
     hub_subgraph,
     is_cycle,
     is_path,
@@ -233,3 +240,59 @@ def quotient_embeds(H, part, lower):
             pair = (i, j) if i < j else (j, i)
             lower_counts[pair] = lower_counts.get(pair, 0) + 1
     return mu == lower_counts
+
+
+def arc_levels(G, fwd, ell, top):
+    """Levels ``0..top`` of the arcs of ``G`` that lie inside some ``ell``-arc;
+    level 0 holds the vertices.
+
+    A partial arc from dart ``a`` to dart ``b`` at level ``L`` is kept when
+    ``fwd[twin[a]] + fwd[b] >= ell - L``, so levels up to ``ell`` hold at most
+    ``ell + 1`` times the ``ell``-arcs, and every arc at levels ``ell`` and
+    ``ell + 1`` is kept.  Each level is closed under prefix, suffix and reverse,
+    and both ``suffix(p.d) = suffix(p).d`` and
+    ``rev(a.d) = rev(suffix(a.d)).twin(first(a))`` are children of arcs one
+    level down, found by binary search among those children.  Every level
+    keeps ``parent``, ``last``, ``suffix`` and ``rev``; only the last two keep
+    ``kids`` and ``back``.  ``fwd`` is the reach table of ``_walks(G, ell)``
+    or of a longer count.
+    """
+    levels = [_Level((), (), (), range(G.n), (), ())]
+    if top == 0:
+        return levels
+    D = G.darts()
+    start, head, twin = D.start, D.head, D.twin
+    last = [d for d in range(len(head)) if fwd[d] + fwd[twin[d]] >= ell - 1]
+    where = dict(zip(last, range(len(last))))
+    parent = [D.tail[d] for d in last]
+    level1 = _Level(parent, last, [head[d] for d in last], [where[twin[d]] for d in last],
+                    [bisect_left(parent, v) for v in range(G.n + 1)], [twin[d] for d in last])
+    levels.append(level1)
+    for L in range(2, top + 1):
+        prev = levels[L - 1]
+        plast, pback, psuffix, pkids = prev.last, prev.back, prev.suffix, prev.kids
+        parent, last, back, suffix, kids = [], [], [], [], [0]
+        for p, x in enumerate(plast):
+            b, t, h = pback[p], twin[x], head[x]
+            need = ell - L - fwd[b]
+            # the children of suffix(p) one level down hold each suffix(p).d
+            s = psuffix[p]
+            lo, hi = pkids[s], pkids[s + 1]
+            for d in range(start[h], start[h + 1]):
+                if d != t and fwd[d] >= need:
+                    lo = bisect_left(plast, d, lo, hi)
+                    parent.append(p)
+                    last.append(d)
+                    back.append(b)
+                    suffix.append(lo)
+            kids.append(len(last))
+        prev_rev = prev.rev
+        rev = [bisect_left(last, b, kids[q], kids[q + 1])
+               for b, q in zip(back, map(prev_rev.__getitem__, suffix))]
+        levels.append(_Level(parent, last, suffix, rev, kids, back))
+        prev.pack()
+        if L > 2:
+            old = levels[L - 2]
+            old.kids = old.back = None
+    levels[top].pack()
+    return levels

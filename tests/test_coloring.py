@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import run_optimized
 from strategies import multigraphs
 
+from linkgraphs import coloring
 from linkgraphs.coloring import (
     Coloring,
     chromatic_upper_bounds,
@@ -188,6 +189,51 @@ class TestLifting:
                 rec = recursive_chromatic_bound(G, ell)
                 if rec.graph.n:
                     assert is_proper(rec.graph, rec.coloring)
+
+    @pytest.mark.parametrize("G, ell, want", [
+        # base chi 3: no lift recolours, so each lifted graph is scanned once
+        (petersen(), 6, [("proper", 10), ("lifted", 30), ("lifted", 120), ("lifted", 480)]),
+        # base chi' 5: both lifts recolour (5 to 4 to 3 colours), and their outputs
+        # are checked; the base graph is checked once as a base and once as lower
+        (complete(5), 5, [("proper", 10), ("proper", 10), ("lifted", 90), ("proper", 90),
+                          ("lifted", 810), ("proper", 810)]),
+    ])
+    def test_recursion_scans_each_lifted_graph_once(self, G, ell, want, monkeypatch):
+        scans = []
+        real_proper, real_lifted = coloring.is_proper, coloring._check_lifted
+
+        def proper(H, col):
+            scans.append(("proper", len(col.assignment)))
+            return real_proper(H, col)
+
+        def lifted(adj, assign):
+            scans.append(("lifted", len(assign)))
+            return real_lifted(adj, assign)
+
+        monkeypatch.setattr(coloring, "is_proper", proper)
+        monkeypatch.setattr(coloring, "_check_lifted", lifted)
+        rec = recursive_chromatic_bound(G, ell)
+        assert scans == want
+        assert real_proper(rec.graph, rec.coloring)
+
+    def test_lifted_check_is_the_reduction_precondition(self):
+        star = [{1, 2, 3}, {0}, {0}, {0}]
+        seen3 = {0: 1, 1: 2, 2: 3, 3: 4}
+        with pytest.raises(PreconditionViolated, match="vertex 0 sees 3 foreign colours > r=2"):
+            reduce_coloring(star, Coloring(seen3, 4), 2)
+        with pytest.raises(PreconditionViolated, match="vertex 0 sees 3 foreign colours > r=2"):
+            coloring._check_lifted(star, seen3)
+        with pytest.raises(PreconditionViolated, match="lifted colouring is not proper"):
+            coloring._check_lifted(star, {0: 1, 1: 2, 2: 1, 3: 2})
+        with pytest.raises(PartialColoring):
+            coloring._check_lifted(star, {0: 1, 1: 2, 2: 2})
+        coloring._check_lifted(star, {0: 1, 1: 2, 2: 3, 3: 2})
+
+    def test_recursion_rejects_an_improper_base_colouring(self, monkeypatch):
+        monkeypatch.setattr(coloring, "exact_chromatic",
+                            lambda H, cap=None: (1, Coloring({i: 1 for i in range(H.n)}, 1)))
+        with pytest.raises(PreconditionViolated, match="lower colouring is not proper"):
+            recursive_chromatic_bound(petersen(), 2)
 
 
 class TestBounds:

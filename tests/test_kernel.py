@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import reference_coloring
 import reference_links as ref
-from linkgraphs import coloring, construction, harness, links
+from linkgraphs import coloring, construction, harness, links, multigraph
 from linkgraphs.coloring import DEFAULT_CHROMATIC_CAP, recursive_chromatic_bound
 from linkgraphs.construction import (
     AlmostStandardPartition,
@@ -35,7 +35,15 @@ from linkgraphs.links import (
     middle_units,
     shunt_reach,
 )
-from linkgraphs.multigraph import Multigraph, complete, parallel_bridge, path, petersen, wheel
+from linkgraphs.multigraph import (
+    Multigraph,
+    complete,
+    dipole,
+    parallel_bridge,
+    path,
+    petersen,
+    wheel,
+)
 
 from strategies import multigraphs
 
@@ -70,6 +78,89 @@ def test_kernel_matches_depth_first_reference(G):
         assert link_graph_connected(G, ell) == ref.link_graph_connected(G, ell)
         assert middle_units(G, ell) == {l.middle_unit() for l in ref.enumerate_links(G, ell)}
         assert has_arc(G, ell) == bool(ref.enumerate_arcs(G, ell))
+
+
+def _tables(levels):
+    """The six tables of each kernel level as lists, ``None`` where freed."""
+    return [[None if table is None else list(table)
+             for table in (lv.parent, lv.last, lv.suffix, lv.rev, lv.kids, lv.back)]
+            for lv in levels]
+
+
+def _levels_agree(G, ell, block_from, budget=4000):
+    """``_arc_levels`` and the arc-by-arc reference give the same tables at
+    every level, up to ``ell`` and ``ell + 1``, with the reach table of the
+    count up to the top and of one longer, as ``shunt_reach`` takes it.
+    Levels from ``block_from`` parents on may take the block path."""
+    for top in (ell, ell + 1):
+        for count in (top, top + 1):
+            totals, fwd = _walks(G, count)
+            if sum(totals[: top + 1]) > budget:
+                continue
+            with mock.patch.object(links, "_PACK_FROM", block_from):
+                got = _tables(links._arc_levels(G, fwd, ell, top))
+                want = _tables(ref.arc_levels(G, fwd, ell, top))
+            assert got == want, (ell, top, count)
+
+
+@settings(max_examples=80, deadline=None)
+@given(multigraphs(max_n=7, max_m=12))
+def test_kernel_levels_match_the_arc_by_arc_reference(G):
+    # with the threshold at 0 every full level of a small graph takes the block path
+    for ell in range(8):
+        for block_from in (0, links._PACK_FROM):
+            _levels_agree(G, ell, block_from)
+
+
+def _with_pendant(G, length):
+    """``G`` with a path of ``length`` new edges hung from its first vertex."""
+    ends = [G.vertices[0]] + [f"t{i}" for i in range(length)]
+    tail = [(f"p{i}", ends[i], ends[i + 1]) for i in range(length)]
+    return Multigraph(G.vertices, list(G.edges()) + tail)
+
+
+TREE_AND_DIGON = Multigraph([], [("a", 0, 1), ("b", 0, 1), ("c", 0, 2), ("d", 2, 3),
+                                 ("e", 2, 4), ("f", 2, 5), ("g", 3, 6)])
+TRIANGLE_AND_ISOLATED = Multigraph(["x", "y", "z"], [("a", "u", "v"), ("b", "v", "w"),
+                                                     ("c", "w", "u"), ("d", "w", "t")])
+
+
+@pytest.mark.parametrize("G, ell, block_from", [
+    (TREE_AND_DIGON, 7, 0),  # a tree plus one digon
+    (_with_pendant(dipole(3), 2), 7, 0),  # parallel edges and a pendant path
+    (TRIANGLE_AND_ISOLATED, 9, 0),  # isolated vertices and a pendant edge
+    (_with_pendant(petersen(), 3), 7, links._PACK_FROM),
+    (_with_pendant(dipole(3), 2), 8, links._PACK_FROM),
+])
+def test_kernel_levels_mixing_full_and_pruned_match_the_reference(G, ell, block_from,
+                                                                 monkeypatch):
+    taken = []
+    for name in ("_full_level", "_pruned_level"):
+        real = getattr(links, name)
+        monkeypatch.setattr(links, name, lambda *a, real=real, name=name: (
+            taken.append(name), real(*a))[1])
+    _levels_agree(G, ell, block_from, budget=20000)
+    # level 2 always goes arc by arc; above it, both paths ran
+    assert {"_full_level", "_pruned_level"} <= set(taken[1:])
+
+
+def test_successor_table_is_built_once_per_graph(monkeypatch):
+    builds = []
+    real = multigraph._successor_table
+    monkeypatch.setattr(multigraph, "_successor_table", lambda D: (builds.append(D), real(D))[1])
+    small = complete(4)
+    link_graph(small, 3)
+    assert not builds  # no level of a small graph reaches the block path
+    G = petersen()
+    for ell in (7, 8):
+        link_graph(G, ell)
+        shunt_reach(G, ell, G)
+    recursive_chromatic_bound(G, 8)
+    assert len(builds) == 1
+    D, succ = G.darts(), G.successors()
+    assert succ is G.successors()
+    for d, h in enumerate(D.head):
+        assert succ[d] == tuple(x for x in range(D.start[h], D.start[h + 1]) if x != D.twin[d])
 
 
 def _cached_links(G, ell, limit, built):
