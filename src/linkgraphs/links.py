@@ -221,7 +221,9 @@ def _link_cap(ell, limit):
     return cap if ell == 0 else 2 * cap
 
 
-_PACK_FROM = 1024  # arcs in a level from which its tables are packed
+# arcs in a level from which its tables are packed, and from which the next
+# level, when full, is built a block at a time
+_PACK_FROM = 1024
 
 
 class _Level:

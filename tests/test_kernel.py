@@ -134,20 +134,33 @@ TRIANGLE_AND_ISOLATED = Multigraph(["x", "y", "z"], [("a", "u", "v"), ("b", "v",
 ])
 def test_kernel_levels_mixing_full_and_pruned_match_the_reference(G, ell, block_from,
                                                                  monkeypatch):
-    taken = []
-    for name in ("_full_level", "_pruned_level"):
-        real = getattr(links, name)
-        monkeypatch.setattr(links, name, lambda *a, real=real, name=name: (
-            taken.append(name), real(*a))[1])
+    taken = set()  # (builder, level built)
+    real_full, real_pruned = links._full_level, links._pruned_level
+
+    def full(G, levels):
+        taken.add(("full", len(levels)))
+        return real_full(G, levels)
+
+    def pruned(D, prev, fwd, short):
+        taken.add(("pruned", ell - short))
+        return real_pruned(D, prev, fwd, short)
+
+    monkeypatch.setattr(links, "_full_level", full)
+    monkeypatch.setattr(links, "_pruned_level", pruned)
     _levels_agree(G, ell, block_from, budget=20000)
-    # level 2 always goes arc by arc; above it, both paths ran
-    assert {"_full_level", "_pruned_level"} <= set(taken[1:])
+    # level 2 always goes arc by arc; above it, both builders ran
+    assert {kind for kind, level in taken if level >= 3} == {"full", "pruned"}
 
 
 def test_successor_table_is_built_once_per_graph(monkeypatch):
     builds = []
     real = multigraph._successor_table
-    monkeypatch.setattr(multigraph, "_successor_table", lambda D: (builds.append(D), real(D))[1])
+
+    def counting(D):
+        builds.append(D)
+        return real(D)
+
+    monkeypatch.setattr(multigraph, "_successor_table", counting)
     small = complete(4)
     link_graph(small, 3)
     assert not builds  # no level of a small graph reaches the block path
