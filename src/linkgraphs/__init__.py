@@ -68,6 +68,7 @@ from .minors import (
     verify_minor,
 )
 from .harness import Caps, default_corpus, negative_controls, verify_suite
+from . import canon  # no module of the package uses it; it stays a public submodule
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

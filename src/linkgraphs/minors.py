@@ -7,7 +7,6 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
-from .canon import canonical_key
 from .construction import LabeledGraph, index_adjacency, link_graph, reachable
 from .errors import (
     BranchSetLacksLink,
@@ -153,12 +152,18 @@ def _complete_edges(t):
 # -- exact oracles ------------------------------------------------------------
 
 
-def _max_clique_vertices(n, pairs):
-    """One maximum clique, deterministic, for n small."""
-    adj = [set() for _ in range(n)]
+def _rows(n, pairs):
+    """Neighbour bitmasks of the simple graph on ``0..n-1`` with edges ``pairs``."""
+    rows = [0] * n
     for i, j in pairs:
-        adj[i].add(j)
-        adj[j].add(i)
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def _max_clique_vertices(rows):
+    """One maximum clique of the graph with neighbour bitmasks ``rows``,
+    deterministic, for few vertices."""
     best = []
 
     def expand(clique, cands):
@@ -170,32 +175,14 @@ def _max_clique_vertices(n, pairs):
                 best = list(clique)
             return
         for v in list(cands):
-            expand(clique + [v], sorted(c for c in cands if c in adj[v] and c > v))
+            row = rows[v]
+            expand(clique + [v], [c for c in cands if c > v and row >> c & 1])
             cands.remove(v)
             if len(clique) + len(cands) <= len(best):
                 return
 
-    expand([], list(range(n)))
+    expand([], list(range(len(rows))))
     return best
-
-
-def _contract_pair(n, pairs, i, j):
-    """Contract j into i; relabel to 0..n-2 keeping order."""
-    relabel = {}
-    k = 0
-    for v in range(n):
-        if v == j:
-            continue
-        relabel[v] = k
-        k += 1
-    relabel[j] = relabel[i]
-    out = set()
-    for a, b in pairs:
-        x, y = relabel[a], relabel[b]
-        if x == y:
-            continue
-        out.add((x, y) if x < y else (y, x))
-    return n - 1, frozenset(out)
 
 
 def _merge(rows, i, j):
@@ -258,12 +245,9 @@ def hadwiger_number(G, cap=DEFAULT_HADWIGER_CAP):
     failed = set()
     for comp in simp.components():
         _, edges = simp.induced_subgraph(comp).simple_index_graph()
-        rows = [0] * len(comp)
-        for i, j in edges:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        t = max(best, len(_max_clique_vertices(len(comp), edges))) + 1
-        while _contracts_to(tuple(rows), len(edges), t, failed):
+        rows = _rows(len(comp), edges)
+        t = max(best, len(_max_clique_vertices(rows))) + 1
+        while _contracts_to(rows, len(edges), t, failed):
             t += 1
         best = t - 1
     return best
@@ -279,33 +263,51 @@ def hadwiger_model(G, cap=DEFAULT_HADWIGER_CAP):
 
 
 def _model_of_order(G, eta):
-    """Branch sets of a K_eta model in G, where eta is G's Hadwiger number."""
-    verts, pairs = G.underlying_simple().simple_index_graph()
+    """Branch sets of a K_eta model in G, where eta is G's Hadwiger number.
+
+    A depth-first search over contractions on neighbour bitmasks: the edges
+    i < j are tried in ascending order, j is merged into i (``_merge``), and
+    the first graph met with a clique of order eta gives the model, each
+    branch set the vertices merged into one clique vertex.  Failures are
+    memoised under the raw tuple of bitmasks.  A model of a connected graph
+    grows to cover every vertex, so a connected graph with fewer than
+    ``eta(eta-1)/2 - eta + n`` edges has none (as in ``_contracts_to``);
+    contraction keeps a graph connected, and a disconnected input is searched
+    without this prune.  Pruned and memoised graphs hold no model, so the
+    search meets the same first model as one that expands every contraction.
+    """
+    simp = G.underlying_simple()
+    verts, pairs = simp.simple_index_graph()
+    spare = eta * (eta - 1) // 2 - eta  # a covering model on n vertices needs spare + n edges
+    prune = simp.is_connected()
     failed = set()
 
-    def dfs(n, edges, labels):
-        clique = _max_clique_vertices(n, edges)
+    def dfs(rows, m, labels):
+        n = len(rows)
+        if rows in failed:
+            return None
+        clique = _max_clique_vertices(rows)
         if len(clique) >= eta:
             return [labels[v] for v in clique[:eta]]
         if n <= eta:
             return None
-        key = canonical_key(n, {e: 1 for e in edges})
-        if key in failed:
-            return None
-        for i, j in sorted(edges):
-            nn, ne = _contract_pair(n, edges, i, j)
-            nl = []
-            for v in range(n):
-                if v == j:
+        for i, row in enumerate(rows):
+            for j in range(i + 1, n):
+                if not row >> j & 1:
                     continue
-                nl.append(labels[v] | labels[j] if v == i else labels[v])
-            res = dfs(nn, ne, nl)
-            if res is not None:
-                return res
-        failed.add(key)
+                # contracting ij loses ij and one edge per common neighbour
+                left = m - 1 - (row & rows[j]).bit_count()
+                if prune and spare + n - 1 > left:
+                    continue
+                merged = labels[:j] + labels[j + 1:]
+                merged[i] = labels[i] | labels[j]
+                res = dfs(_merge(rows, i, j), left, merged)
+                if res is not None:
+                    return res
+        failed.add(rows)
         return None
 
-    model = dfs(len(verts), frozenset(pairs), [frozenset({v}) for v in verts])
+    model = dfs(_rows(len(verts), pairs), len(pairs), [frozenset({v}) for v in verts])
     if model is None:
         raise WitnessInvalid(f"no K_{eta} model found; the search disagrees with the oracle")
     return model
@@ -848,7 +850,21 @@ def _eta_route(G, ell, H, eta_cap, limit):
         return None
 
 
-def _candidate_route(G, ell, H, limit, max_candidates=200, tries=12):
+def _candidate_route(G, ell, H, limit, best, max_candidates=200, tries=12):
+    """The largest cut witness that beats ``K_best``, the largest witness found
+    before this route, as ``(witness, None)``; ``(None, note)`` when none does.
+
+    The candidate sets are tried by decreasing cut size t.
+    ``complete_minor_with_cycle`` gives exactly K_{t+1}, and
+    ``complete_minor_from_cut`` gives K_t (K_2 when t = 2).  The caller keeps
+    the first of equal witnesses, so a later one counts only when it is
+    strictly larger than every witness before it: ``best`` rises with each
+    witness found, the cut construction is not tried when t <= best, and the
+    search stops at the first candidate with t + 1 <= best, because every
+    later candidate has a cut no larger.  So each witness found beats the
+    one before, the last is the one the unbounded search would have kept,
+    and a witness that could not be chosen is never built.
+    """
     comps = G.components()
     candidates = []
     seen = set()
@@ -885,20 +901,26 @@ def _candidate_route(G, ell, H, limit, max_candidates=200, tries=12):
         t = sum(1 for _, u, v in sub.edges() if (u in ball) != (v in ball))
         scored.append((-t, sorted(ball), sub, ball))
     scored.sort(key=lambda s: (s[0], s[1]))
-    best = None
-    for _, _, sub, ball in scored[:tries]:
+    found, stopped = None, False
+    for neg_t, _, sub, ball in scored[:tries]:
+        t = -neg_t
+        if t + 1 <= best:
+            stopped = True
+            break
         inst = CutInstance(sub, ball)
-        for builder in (complete_minor_with_cycle, complete_minor_from_cut):
+        builders = (complete_minor_with_cycle, complete_minor_from_cut)
+        for builder in builders if t > best else builders[:1]:
             try:
                 w = builder(sub, ell, inst, H=H, limit=limit)
             except WitnessInvalid:
                 raise
             except LinkGraphError:
                 continue
-            if best is None or w.target_size > best.target_size:
-                best = w
+            found, best = w, w.target_size
             break
-    return best
+    if found is not None:
+        return found, None
+    return None, f"none can beat K_{best}" if stopped else "no witness"
 
 
 @dataclass
@@ -914,7 +936,10 @@ def hadwiger_lower_bound(G, ell, H=None, eta_cap=DEFAULT_HADWIGER_CAP, limit=Non
 
     Tries the degeneracy route (bipartite clique inside one edge part), the
     model route through the hub or a deficient branch set, and cut candidates;
-    never returns a bound without a verified witness.
+    never returns a bound without a verified witness.  The first of the
+    largest witnesses wins, the K_2 of an edge when no route beats it.  The
+    cut candidates come last and build only witnesses larger than the best
+    before them (``_candidate_route``).
     """
     if ell < 1:
         raise PreconditionViolated(f"needs ell >= 1, got {ell}")
@@ -927,7 +952,6 @@ def hadwiger_lower_bound(G, ell, H=None, eta_cap=DEFAULT_HADWIGER_CAP, limit=Non
     for name, fn in (
         ("degeneracy", lambda: _degeneracy_route(G, ell, H)),
         ("model", lambda: _eta_route(G, ell, H, eta_cap, limit)),
-        ("cut-candidates", lambda: _candidate_route(G, ell, H, limit)),
     ):
         try:
             w = fn()
@@ -939,4 +963,9 @@ def hadwiger_lower_bound(G, ell, H=None, eta_cap=DEFAULT_HADWIGER_CAP, limit=Non
         else:
             notes.append(f"{name}: no witness")
     best = max(witnesses, key=lambda w: w.target_size)
+    w, note = _candidate_route(G, ell, H, limit, best.target_size)
+    if w is None:
+        notes.append(f"cut-candidates: {note}")
+    else:
+        best = _checked(H, w, "cut-candidates witness")
     return LowerBoundResult(best.target_size, best, best.route, notes)

@@ -1,20 +1,23 @@
-"""The Hadwiger decision search against the contraction-recursion reference."""
+"""The Hadwiger decision search, the model search and the clique-minor lower
+bound against the reference searches of ``reference_minors``."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reference_minors as ref
 from linkgraphs.construction import link_graph
-from linkgraphs.errors import OracleTooLarge
-from linkgraphs.minors import hadwiger_number
+from linkgraphs.errors import NoEdge, OracleTooLarge
+from linkgraphs.minors import _model_of_order, hadwiger_lower_bound, hadwiger_number
 from linkgraphs.multigraph import (
     Multigraph,
     complete,
     complete_bipartite,
     cycle,
     dipole,
+    path,
     petersen,
     wheel,
 )
@@ -24,6 +27,7 @@ from strategies import multigraphs
 
 TWO_TRIANGLES = make_multigraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 K4_AND_PATH = make_multigraph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (5, 6)])
+TWO_DIGONS = make_multigraph(3, [(0, 1), (0, 1), (1, 2), (1, 2)])
 
 
 def _isolated(G):
@@ -69,3 +73,36 @@ def test_cap_is_checked_on_the_simple_graph():
     with pytest.raises(OracleTooLarge):
         hadwiger_number(cycle(13))
     assert hadwiger_number(dipole(5), cap=2) == 2
+
+
+# The pruned bitmask search must meet the same first model as the reference,
+# which expands every contraction; the prune is sound only on connected
+# graphs, and K4_AND_PATH has too few edges for a covering K_4 model.
+@settings(max_examples=150, deadline=None)
+@given(multigraphs(max_n=9, max_m=18).filter(lambda G: _isolated(G) <= 6))
+@example(TWO_TRIANGLES)
+@example(K4_AND_PATH)
+@example(wheel(6))
+@example(link_graph(complete(4), 1).to_multigraph())
+def test_model_search_matches_reference(G):
+    eta = hadwiger_number(G, cap=None)
+    assert _model_of_order(G, eta) == ref._model_of_order(G, eta)
+
+
+# Two digons at a vertex: a cut candidate whose size equals the best witness
+# before it (K_2) still wins with the K_3 of its cycle construction.
+@settings(max_examples=100, deadline=None)
+@given(multigraphs(), st.integers(1, 3))
+@example(TWO_DIGONS, 1)
+@example(TWO_DIGONS, 3)
+@example(path(4), 2)
+@example(petersen(), 3)
+def test_lower_bound_matches_reference(G, ell):
+    H = link_graph(G, ell)
+    if H.m == 0:
+        with pytest.raises(NoEdge):
+            hadwiger_lower_bound(G, ell, H=H)
+        return
+    got, want = hadwiger_lower_bound(G, ell, H=H), ref.hadwiger_lower_bound(G, ell, H=H)
+    assert (got.bound, got.route) == (want.bound, want.route)
+    assert got.witness.to_json() == want.witness.to_json()

@@ -248,6 +248,28 @@ class TestLowerBound:
                 floor = max(hadwiger_number(G), G.degeneracy())
                 assert res.bound >= floor, (G, ell, res.bound, floor)
 
+    def test_cut_candidates_stop_before_building_a_witness_that_cannot_win(self, monkeypatch):
+        built = []
+        for name in ("complete_minor_with_cycle", "complete_minor_from_cut"):
+            real = getattr(minors, name)
+
+            def counting(*args, real=real, **kwargs):
+                built.append(real.__name__)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(minors, name, counting)
+        # every vertex cut of the Petersen graph at ell = 1 has size 3, so the
+        # K_5 of the hub lift leaves the candidates nothing to win with
+        res = hadwiger_lower_bound(petersen(), 1)
+        assert (res.bound, res.route) == (5, "hub-lift")
+        assert res.notes == ["cut-candidates: none can beat K_5"]
+        assert built == []
+
+    def test_cut_candidates_note_a_search_that_builds_nothing(self):
+        res = hadwiger_lower_bound(dipole(3), 1)
+        assert (res.bound, res.route) == (3, "degeneracy")
+        assert res.notes == ["cut-candidates: no witness"]
+
     def test_witness_json_schema(self):
         res = hadwiger_lower_bound(wheel(5), 1)
         data = json.loads(res.witness.to_json())
