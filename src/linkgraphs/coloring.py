@@ -297,6 +297,15 @@ def _check_lifted(adj, assign):
             raise PreconditionViolated(f"vertex {v} sees {len(foreign)} foreign colours > r=2")
 
 
+def _lift_once(coloring, middle, adj):
+    """Lift ``coloring`` through ``middle`` onto the graph with neighbour sets
+    ``adj``, check the lifted colouring in one scan (``_check_lifted``) and
+    recolour it with ``r = 2``; the output is checked by ``_recolour``."""
+    lifted = _transfer(coloring, middle)
+    _check_lifted(adj, lifted.assignment)
+    return _recolour(adj, lifted, 2)
+
+
 @dataclass
 class RecursiveColoring:
     ell: int
@@ -348,10 +357,7 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
             # a later lower colouring is the output of the lift before, checked there
             if length == base + 2 and not is_proper(graph, col):
                 raise PreconditionViolated("lower colouring is not proper")
-            lifted = _transfer(col, middle)
-            adj = index_adjacency(upper)
-            _check_lifted(adj, lifted.assignment)
-            col = _recolour(adj, lifted, 2)
+            col = _lift_once(col, middle, index_adjacency(upper))
         graph = upper
     return RecursiveColoring(ell, graph, col, rec.exact_base, rec.base_kind, rec.base_value)
 
@@ -383,10 +389,17 @@ def _base_coloring(G, H, cap):
 
 
 def _lifted(G, below, H):
-    """The recursive colouring of the link graph ``H``, lifted from ``below``,
-    the recursive colouring two levels down."""
-    col = Coloring({}, 0) if H.n == 0 else lift_coloring(
-        G, H.ell, below.graph, below.coloring, upper=H)
+    """The recursive colouring of the link graph ``H`` of ``G``, lifted from
+    ``below``, the recursive colouring two levels down, with the checks of
+    ``recursive_chromatic_bound``: the base colouring is checked when it is
+    lifted, and a colouring lifted before was checked by that lift."""
+    if H.n == 0:
+        col = Coloring({}, 0)
+    else:
+        if below.ell < 2 and not is_proper(below.graph, below.coloring):
+            raise PreconditionViolated("lower colouring is not proper")
+        middle = (below.graph.index[link.middle_segment(H.ell - 2)] for link in H.vertices)
+        col = _lift_once(below.coloring, middle, H.adjacency())
     return RecursiveColoring(H.ell, H, col, below.exact_base, below.base_kind,
                              below.base_value)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import run_optimized
 from strategies import multigraphs
 
-from linkgraphs import coloring
+from linkgraphs import coloring, harness
 from linkgraphs.coloring import (
     Coloring,
     chromatic_upper_bounds,
@@ -24,7 +24,7 @@ from linkgraphs.errors import (
     PartialColoring,
     PreconditionViolated,
 )
-from linkgraphs.harness import random_recolour_instance, recolouring_battery
+from linkgraphs.harness import Caps, CorpusInstance, random_recolour_instance, recolouring_battery
 from linkgraphs.multigraph import (
     complete,
     complete_bipartite,
@@ -155,6 +155,35 @@ class TestRecolouring:
                 assert len({col.assignment[w] for w in adj[v]}) <= r
 
 
+LIFT_SCANS = [
+    # base chi 3: no lift recolours, so each lifted graph is scanned once
+    (petersen(), 6, [("proper", 10), ("lifted", 30), ("lifted", 120), ("lifted", 480)]),
+    # base chi' 5: both lifts recolour (5 to 4 to 3 colours), and their outputs
+    # are checked; the base graph is checked once as a base and once as lower
+    (complete(5), 5, [("proper", 10), ("proper", 10), ("lifted", 90), ("proper", 90),
+                      ("lifted", 810), ("proper", 810)]),
+]
+
+
+def _record_scans(monkeypatch):
+    """The list that every later ``is_proper`` and ``_check_lifted`` call of
+    ``coloring`` appends its kind and colouring size to."""
+    scans = []
+    real_proper, real_lifted = coloring.is_proper, coloring._check_lifted
+
+    def proper(H, col):
+        scans.append(("proper", len(col.assignment)))
+        return real_proper(H, col)
+
+    def lifted(adj, assign):
+        scans.append(("lifted", len(assign)))
+        return real_lifted(adj, assign)
+
+    monkeypatch.setattr(coloring, "is_proper", proper)
+    monkeypatch.setattr(coloring, "_check_lifted", lifted)
+    return scans
+
+
 class TestLifting:
     def test_bipartite_lift_stays_two(self):
         G = complete_bipartite(2, 3)
@@ -190,31 +219,19 @@ class TestLifting:
                 if rec.graph.n:
                     assert is_proper(rec.graph, rec.coloring)
 
-    @pytest.mark.parametrize("G, ell, want", [
-        # base chi 3: no lift recolours, so each lifted graph is scanned once
-        (petersen(), 6, [("proper", 10), ("lifted", 30), ("lifted", 120), ("lifted", 480)]),
-        # base chi' 5: both lifts recolour (5 to 4 to 3 colours), and their outputs
-        # are checked; the base graph is checked once as a base and once as lower
-        (complete(5), 5, [("proper", 10), ("proper", 10), ("lifted", 90), ("proper", 90),
-                          ("lifted", 810), ("proper", 810)]),
-    ])
+    @pytest.mark.parametrize("G, ell, want", LIFT_SCANS)
     def test_recursion_scans_each_lifted_graph_once(self, G, ell, want, monkeypatch):
-        scans = []
-        real_proper, real_lifted = coloring.is_proper, coloring._check_lifted
-
-        def proper(H, col):
-            scans.append(("proper", len(col.assignment)))
-            return real_proper(H, col)
-
-        def lifted(adj, assign):
-            scans.append(("lifted", len(assign)))
-            return real_lifted(adj, assign)
-
-        monkeypatch.setattr(coloring, "is_proper", proper)
-        monkeypatch.setattr(coloring, "_check_lifted", lifted)
+        scans = _record_scans(monkeypatch)
         rec = recursive_chromatic_bound(G, ell)
         assert scans == want
-        assert real_proper(rec.graph, rec.coloring)
+        assert is_proper(rec.graph, rec.coloring)
+
+    @pytest.mark.parametrize("G, ell, want", LIFT_SCANS)
+    def test_harness_recursion_scans_as_the_kernel_recursion(self, G, ell, want, monkeypatch):
+        scans = _record_scans(monkeypatch)
+        rec = harness._Cache(Caps()).recursive(CorpusInstance("g", G), ell)
+        assert scans == want
+        assert rec.coloring == recursive_chromatic_bound(G, ell).coloring
 
     def test_lifted_check_is_the_reduction_precondition(self):
         star = [{1, 2, 3}, {0}, {0}, {0}]
@@ -234,6 +251,8 @@ class TestLifting:
                             lambda H, cap=None: (1, Coloring({i: 1 for i in range(H.n)}, 1)))
         with pytest.raises(PreconditionViolated, match="lower colouring is not proper"):
             recursive_chromatic_bound(petersen(), 2)
+        with pytest.raises(PreconditionViolated, match="lower colouring is not proper"):
+            harness._Cache(Caps()).recursive(CorpusInstance("g", petersen()), 2)
 
 
 class TestBounds:
@@ -273,7 +292,7 @@ class TestBounds:
 
 BAD_RESULT_SCRIPT = """
 import sys
-from linkgraphs import coloring
+from linkgraphs import coloring, harness
 from linkgraphs.coloring import Coloring, EdgeColoring
 from linkgraphs.errors import WitnessInvalid
 from linkgraphs.multigraph import complete, path
