@@ -292,7 +292,7 @@ class TestBounds:
 
 BAD_RESULT_SCRIPT = """
 import sys
-from linkgraphs import coloring, harness
+from linkgraphs import coloring
 from linkgraphs.coloring import Coloring, EdgeColoring
 from linkgraphs.errors import WitnessInvalid
 from linkgraphs.multigraph import complete, path

@@ -258,8 +258,8 @@ class TestLowerBound:
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(minors, name, counting)
-        # every vertex cut of the Petersen graph at ell = 1 has size 3, so the
-        # K_5 of the hub lift leaves the candidates nothing to win with
+        # at ell = 1 every candidate is one vertex with a cut of 3 edges, so
+        # after the K_5 of the hub lift no candidate can win
         res = hadwiger_lower_bound(petersen(), 1)
         assert (res.bound, res.route) == (5, "hub-lift")
         assert res.notes == ["cut-candidates: none can beat K_5"]
