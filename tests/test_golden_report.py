@@ -2,9 +2,11 @@
 
 The first covers the structural claims that read the hub, the middle
 segments, the natural partition and the path graph; the second the clique
-minor claims, whose records carry each witness's order and route.  A change
-to how those claims are computed must leave every record of these runs
-byte-identical once the timings are stripped.
+minor claims, whose records carry each witness's order and route; the third
+the rest of the structural body: the counting and multiplicity
+observations, the hub corollaries, the colouring corollaries and the digraph
+isomorphism.  A change to how those claims are computed must leave every
+record of these runs byte-identical once the timings are stripped.
 """
 
 from __future__ import annotations
@@ -33,3 +35,10 @@ def test_minor_report_body_is_pinned():
     counts, digest = _body(["Thm2", "Thm3"])
     assert counts == {"fail": 0, "pass": 426, "skip": 98}
     assert digest == "37ccc5068109652871214312a587f4d28f363aff9c30acf58828f4c0a6af9af8"
+
+
+def test_remaining_structural_report_body_is_pinned():
+    counts, digest = _body(["Obs3", "Cor3.6", "Lem3.7", "Cor3.8", "ArcChrom", "Cor1.2",
+                            "Cor4.4", "DigraphIso"])
+    assert counts == {"fail": 0, "pass": 1479, "skip": 282}
+    assert digest == "63b88ee7ba0fe2a54806b8726d6e4bdd3d4e7138b16a713993ff7e2851c5fcff"
