@@ -343,7 +343,8 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     base = ell % 2
     # with ell = base no level at or above the base is pruned
     levels = _kernel(G, base, {L: _link_cap(L, limit) for L in range(base, ell + 2)})
-    rec = _base_coloring(G, _windows_graph(G, base, _windows(G, levels, base)), cap)
+    rec = _base_coloring(G, _windows_graph(G, base, _windows(G, levels, base)), cap,
+                         lambda: exact_edge_chromatic(G, cap))
     graph, col, below = rec.graph, rec.coloring, _link_ids(levels[base])
     for length in range(base + 2, ell + 1, 2):
         middle = _middle_ids(levels, length, below)
@@ -362,8 +363,10 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     return RecursiveColoring(ell, graph, col, rec.exact_base, rec.base_kind, rec.base_value)
 
 
-def _base_coloring(G, H, cap):
-    """The recursive colouring of the link graph ``H`` of ``G`` at length 0 or 1."""
+def _base_coloring(G, H, cap, solve_edge):
+    """The recursive colouring of the link graph ``H`` of ``G`` at length 0 or
+    1; ``solve_edge()`` gives ``exact_edge_chromatic`` of ``G``, or raises
+    what it raises."""
     if H.ell == 0:
         try:
             chi, col = exact_chromatic(H, cap)
@@ -374,7 +377,7 @@ def _base_coloring(G, H, cap):
             exact = False
         return RecursiveColoring(0, H, col, exact, "chromatic", chi)
     try:
-        chi_p, ecol = exact_edge_chromatic(G, cap)
+        chi_p, ecol = solve_edge()
         exact = True
         assign = {i: ecol.assignment[link.units[1]] for i, link in enumerate(H.vertices)}
         col = Coloring(assign, chi_p)
@@ -388,17 +391,18 @@ def _base_coloring(G, H, cap):
     return RecursiveColoring(1, H, col, exact, "edge-chromatic", chi_p)
 
 
-def _lifted(G, below, H):
+def _lifted(G, below, H, middle):
     """The recursive colouring of the link graph ``H`` of ``G``, lifted from
     ``below``, the recursive colouring two levels down, with the checks of
     ``recursive_chromatic_bound``: the base colouring is checked when it is
-    lifted, and a colouring lifted before was checked by that lift."""
+    lifted, and a colouring lifted before was checked by that lift.
+    ``middle[i]`` is the index in ``below.graph`` of the middle segment of
+    vertex ``i`` of ``H`` (``_middle_ids``)."""
     if H.n == 0:
         col = Coloring({}, 0)
     else:
         if below.ell < 2 and not is_proper(below.graph, below.coloring):
             raise PreconditionViolated("lower colouring is not proper")
-        middle = (below.graph.index[link.middle_segment(H.ell - 2)] for link in H.vertices)
         col = _lift_once(below.coloring, middle, H.adjacency())
     return RecursiveColoring(H.ell, H, col, below.exact_base, below.base_kind,
                              below.base_value)
@@ -441,8 +445,9 @@ def _decay_bound(base, steps):
 
 def chromatic_upper_bounds(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     """Evaluate every applicable closed-form bound for reporting."""
-    bounds = _chromatic_bounds(G, ell, cap, lambda length: link_graph(G, length, limit),
-                               lambda H: exact_chromatic(H, cap)[0])
+    bounds = _chromatic_bounds(G, ell, lambda length: link_graph(G, length, limit),
+                               lambda H: exact_chromatic(H, cap)[0],
+                               lambda: exact_edge_chromatic(G, cap)[0])
     if ell >= 2:
         try:
             bounds.two_back_bound, _ = exact_chromatic(link_graph(G, ell - 2, limit), cap)
@@ -451,10 +456,11 @@ def chromatic_upper_bounds(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     return bounds
 
 
-def _chromatic_bounds(G, ell, cap, graph, solve_chi):
+def _chromatic_bounds(G, ell, graph, solve_chi, solve_chi_prime):
     """``chromatic_upper_bounds`` without the two-back bound.  ``graph(length)``
-    gives the link graph at length 0 or 1, and ``solve_chi(H)`` the exact
-    chromatic number of the one at 0; both raise what the oracle and
+    gives the link graph at length 0 or 1, ``solve_chi(H)`` the exact
+    chromatic number of the one at 0, and ``solve_chi_prime()`` the exact
+    edge-chromatic number of ``G``; they raise what the oracles and
     ``link_graph`` raise."""
     even = ell % 2 == 0
     if even:
@@ -465,7 +471,7 @@ def _chromatic_bounds(G, ell, cap, graph, solve_chi):
             base, exact = greedy_coloring(H.adjacency())[0], False
     else:
         try:
-            base, exact = exact_edge_chromatic(G, cap)[0], True
+            base, exact = solve_chi_prime(), True
         except OracleTooLarge:
             base, exact = greedy_coloring(graph(1).adjacency())[0], False
     chi, chi_prime = (base, None) if even else (None, base)

@@ -4,7 +4,10 @@ partition machinery with its quotient."""
 from __future__ import annotations
 
 import json
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import attrgetter
 
 from .errors import (
@@ -14,8 +17,14 @@ from .errors import (
     WindowTooShort,
 )
 from .links import (
-    Arc,
     Link,
+    _arc_cap,
+    _arc_units,
+    _canonical,
+    _kernel,
+    _link_ids,
+    _middle_ids,
+    _window_ids,
     arc_windows,
     enumerate_arcs,
     hub_subgraph,
@@ -362,7 +371,12 @@ def arc_digraph(G, ell, limit=None):
     """
     if ell < 1:
         raise InvalidParameter(f"arc digraph needs ell >= 1, got {ell}")
-    verts, labels, windows = arc_windows(G, ell, limit)
+    return _windows_digraph(G, ell, arc_windows(G, ell, limit))
+
+
+def _windows_digraph(G, ell, windows):
+    """The ``ell``-arc digraph of ``G`` built from its ``arc_windows``."""
+    verts, labels, windows = windows
     arcs = tuple((t, h, q) for (t, h), q in zip(windows, labels))
     return LabeledDigraph(ell, tuple(verts), arcs, G)
 
@@ -405,12 +419,14 @@ def iterated_line_digraph(G, ell, limit=None):
 
 
 def _flatten_chain(chain):
+    """The unit tuple of the walk a chain of 1-arcs spells, or ``None`` when
+    one 1-arc does not start where the one before it ends."""
     units = chain[0].units
     for nxt in chain[1:]:
         if nxt.tail_vertex != units[-1]:
             return None
         units = units + nxt.units[1:]
-    return Arc(units)
+    return units
 
 
 def digraph_natural_iso_check(G, ell, limit=None):
@@ -420,34 +436,45 @@ def digraph_natural_iso_check(G, ell, limit=None):
     check confirms the flattening is a bijection onto the arc-digraph vertices
     and that labelled arcs correspond one to one.
     """
-    A = arc_digraph(G, ell, limit)
-    C = iterated_line_digraph(G, ell, limit)
-    if len(C.vertices) != A.n:
+    if ell < 1:
+        raise InvalidParameter(f"arc digraph needs ell >= 1, got {ell}")
+    cap = _arc_cap(limit)
+    levels = _kernel(G, ell, {ell: cap, ell + 1: cap})
+    return _chains_match(G, levels, ell, iterated_line_digraph(G, ell, limit))
+
+
+def _chains_match(G, levels, ell, C):
+    """``digraph_natural_iso_check`` of the chain digraph ``C`` against the
+    arc digraph read off kernel levels that hold every ``ell``- and
+    ``(ell + 1)``-arc: an ``ell``-arc is a vertex, and each
+    ``(ell + 1)``-arc joins its parent to its suffix and is the label.
+
+    Flattened chains are matched to arc ids through their unit tuples, chain
+    arcs to (parent, suffix) id pairs, and labels are compared as tuples.
+    """
+    units = _arc_units(G, levels, ell)
+    verts, labels = units[ell], units[ell + 1]
+    if len(C.vertices) != len(verts):
         return False
-    flat = []
-    for chain in C.vertices:
-        arc = _flatten_chain(chain)
-        if arc is None or arc.length != ell:
-            return False
-        flat.append(arc)
-    if sorted(flat) != sorted(A.vertices):
+    id_of = dict(zip(verts, range(len(verts))))
+    flat = list(map(_flatten_chain, C.vertices))
+    # a chain that is no ell-arc has no id; distinct ids make the flattening a bijection
+    ids = list(map(id_of.get, flat))
+    if None in ids or len(set(ids)) != len(ids):
         return False
-    if len(set(flat)) != len(flat):
-        return False
-    a_arcs = {(A.vertices[t], A.vertices[h]): lab for t, h, lab in A.arcs}
-    if len(a_arcs) != len(A.arcs):  # at most one arc per ordered pair
-        return False
-    if len(C.arcs) != len(A.arcs):
+    top = levels[ell + 1]
+    arc_of = dict(zip(zip(top.parent, top.suffix), range(len(labels))))
+    # at most one arc per ordered pair, and as many arcs as the chain digraph
+    if len(arc_of) != len(labels) or len(C.arcs) != len(labels):
         return False
     seen = set()
     for t, h in C.arcs:
-        key = (flat[t], flat[h])
-        if key not in a_arcs or key in seen:
+        k = arc_of.get((ids[t], ids[h]))
+        if k is None or k in seen:
             return False
-        seen.add(key)
+        seen.add(k)
         # the label is the flattening of the chain pair
-        merged = Arc(flat[t].units + flat[h].units[-2:])
-        if merged != a_arcs[key]:
+        if flat[t] + flat[h][-2:] != labels[k]:
             return False
     return True
 
@@ -476,87 +503,94 @@ def _parts_by_middle(units):
 def verify_almost_standard(H, partition):
     """Check conditions (a)-(e) independently; raises only on non-partitions.
 
-    Part keys are numbered in sorted key order, and the checks work on those
-    numbers."""
-    failures = []
-    vkeys = sorted(partition.vertex_parts, key=_units)
-    ekeys = sorted(partition.edge_parts, key=_units)
-    vrank = {key: x for x, key in enumerate(vkeys)}
-    erank = {key: x for x, key in enumerate(ekeys)}
-    vparts = [(vrank[key], members) for key, members in partition.vertex_parts.items()]
-    eparts = [(erank[key], members) for key, members in partition.edge_parts.items()]
-
-    covered = [None] * H.n
-    for key, members in vparts:
+    The parts are numbered in the partition's order and checked by
+    ``_almost_standard``; the failure texts name them by their keys."""
+    vpart = [None] * H.n
+    for x, members in enumerate(partition.vertex_parts.values()):
         for i in members:
-            if i is None or not (0 <= i < H.n) or covered[i] is not None:
+            if i is None or not (0 <= i < H.n) or vpart[i] is not None:
                 raise PartitionMismatch(f"vertex {i} not properly partitioned")
-            covered[i] = key
-    if any(c is None for c in covered):
+            vpart[i] = x
+    if None in vpart:
         raise PartitionMismatch("vertex parts do not cover the graph")
-    ecovered = [None] * H.m
-    for key, members in eparts:
+    eparts = [list(members) for members in partition.edge_parts.values()]
+    covered = [False] * H.m
+    for members in eparts:
         for k in members:
-            if not (0 <= k < H.m) or ecovered[k] is not None:
+            if not (0 <= k < H.m) or covered[k]:
                 raise PartitionMismatch(f"edge {k} not properly partitioned")
-            ecovered[k] = key
-    if any(c is None for c in ecovered):
+            covered[k] = True
+    if not all(covered):
         raise PartitionMismatch("edge parts do not cover the graph")
+    vkeys, ekeys = list(partition.vertex_parts), list(partition.edge_parts)
+    return _almost_standard(_edge_ends(H), vpart, eparts,
+                            vkeys.__getitem__, ekeys.__getitem__, H.vertices.__getitem__)
+
+
+def _edge_ends(H):
+    """The two tables of edge ends ``i < j`` of ``H``, by edge index."""
+    return [i for i, _, _ in H.edges], [j for _, j, _ in H.edges]
+
+
+def _almost_standard(ends, vpart, eparts, vkey, ekey, vertex):
+    """Conditions (a)-(e) of an almost-standard partition, on integers.
+
+    ``ends`` is two tables: ``ends[0][k] < ends[1][k]`` are the ends of edge
+    ``k``.  ``vpart[i]`` is the number of the vertex part of vertex ``i``,
+    and ``eparts`` lists the edge indices of each edge part, numbered and
+    checked in list order.  ``vkey``, ``ekey`` and ``vertex`` give what the
+    failure texts name for a vertex part, an edge part and a vertex; they
+    are called only on a failure."""
+    failures = []
+    lo, hi = ends
 
     # (a) every vertex part is an independent set
     a_ok = True
-    for i, j, _ in H.edges:
-        if covered[i] == covered[j]:
+    for i, j in zip(lo, hi):
+        if vpart[i] == vpart[j]:
             a_ok = False
-            failures.append(("a", f"edge inside part {vkeys[covered[i]]}"))
+            failures.append(("a", f"edge inside part {vkey(vpart[i])}"))
             break
 
     # (b) every edge part touches exactly two vertex parts
     b_ok = True
-    for key, members in eparts:
-        parts = set()
-        for k in members:
-            i, j, _ = H.edges[k]
-            parts.add(covered[i])
-            parts.add(covered[j])
-        if len(parts) != 2:
+    for y, members in enumerate(eparts):
+        touched = {vpart[lo[k]] for k in members} | {vpart[hi[k]] for k in members}
+        if len(touched) != 2:
             b_ok = False
-            failures.append(("b", f"edge part {ekeys[key]} touches {len(parts)} parts"))
+            failures.append(("b", f"edge part {ekey(y)} touches {len(touched)} parts"))
 
     # (c) every edge part is the edge set of a complete bipartite subgraph
     c_ok = True
-    for key, members in eparts:
-        if not _is_complete_bipartite([H.edges[k][:2] for k in members]):
+    for y, members in enumerate(eparts):
+        if not _is_complete_bipartite([(lo[k], hi[k]) for k in members]):
             c_ok = False
-            failures.append(("c", f"edge part {ekeys[key]} is not complete bipartite"))
+            failures.append(("c", f"edge part {ekey(y)} is not complete bipartite"))
 
     # (d) every vertex meets at most two edge parts
     d_ok = True
-    vertex_eparts = {}
-    for key, members in eparts:
+    vertex_eparts = defaultdict(set)
+    for y, members in enumerate(eparts):
         for k in members:
-            i, j, _ = H.edges[k]
-            vertex_eparts.setdefault(i, set()).add(key)
-            vertex_eparts.setdefault(j, set()).add(key)
+            vertex_eparts[lo[k]].add(y)
+            vertex_eparts[hi[k]].add(y)
     for v, keys in vertex_eparts.items():
         if len(keys) > 2:
             d_ok = False
-            failures.append(("d", f"vertex {H.vertices[v]} meets {len(keys)} edge parts"))
+            failures.append(("d", f"vertex {vertex(v)} meets {len(keys)} edge parts"))
             break
 
     # (e) a vertex part holds at most one vertex meeting any two edge parts
     e_ok = True
-    seen = {}
+    seen = set()
     for v, keys in vertex_eparts.items():
-        ks = sorted(keys)
-        for x in range(len(ks)):
-            for y in range(x + 1, len(ks)):
-                tag = (covered[v], ks[x], ks[y])
-                if tag in seen:
-                    e_ok = False
-                    failures.append(("e", f"two vertices of {vkeys[tag[0]]} meet both parts"))
-                else:
-                    seen[tag] = v
+        for pair in combinations(sorted(keys), 2):
+            tag = (vpart[v], *pair)
+            if tag in seen:
+                e_ok = False
+                failures.append(("e", f"two vertices of {vkey(vpart[v])} meet both parts"))
+            else:
+                seen.add(tag)
     return PartitionCheck(a_ok, b_ok, c_ok, d_ok, e_ok, failures)
 
 
@@ -615,12 +649,10 @@ def quotient_embedding_check(G, ell, H=None, lower=None, limit=None):
 
 
 def _quotient_embeds(H, part, lower):
-    """``quotient_embedding_check`` on the natural partition ``part`` of ``H``.
-
-    A vertex part is numbered by the index of its key in ``lower`` and an
-    edge part is looked up by the unit tuple of its key, so the checks hash
-    integers and tuples, not links."""
-    # keys must be vertices / edge labels of the lower graph
+    """``quotient_embedding_check`` on a partition ``part`` of ``H`` keyed by
+    links: a vertex part is numbered by the index of its key in ``lower``,
+    and an edge part is looked up by the unit tuple of its key among the
+    labels of ``lower``; ``_embeds`` checks the numbers."""
     covered = [None] * H.n
     image = set()
     for key, members in part.vertex_parts.items():
@@ -630,30 +662,76 @@ def _quotient_embeds(H, part, lower):
         image.add(x)
         for i in members:
             covered[i] = x
-    lower_labels = {lab.units: (i, j) for i, j, lab in lower.edges}
+    lower_ends = {lab.units: (i, j) for i, j, lab in lower.edges}
+    return _embeds(_edge_ends(H), covered, image,
+                   [(list(members), lower_ends.get(key.units))
+                    for key, members in part.edge_parts.items()],
+                   [edge[:2] for edge in lower.edges])
+
+
+def _embeds(ends, covered, image, eparts, lower_pairs):
+    """Whether the quotient of a graph with the edge end tables ``ends`` (as
+    in ``_almost_standard``) maps onto the subgraph induced by ``image`` in a
+    lower graph with edge end pairs ``lower_pairs``.  Vertex ``i`` maps to
+    lower vertex ``covered[i]``, and ``eparts`` pairs the edge indices of
+    each edge part with the ends of the lower edge it maps to, ``None`` when
+    there is none."""
+    lo, hi = ends
     mu = {}
-    for key, members in part.edge_parts.items():
-        ends = lower_labels.get(key.units)
-        if ends is None:
+    for members, lower_ends in eparts:
+        if lower_ends is None:
             return False
         # incident vertex parts must map to the windows of the key
-        parts = set()
-        for k in members:
-            i, j, _ = H.edges[k]
-            parts.add(covered[i])
-            parts.add(covered[j])
-        if parts != set(ends):
+        touched = {covered[lo[k]] for k in members} | {covered[hi[k]] for k in members}
+        if touched != set(lower_ends):
             return False
-        i, j, _ = H.edges[next(iter(members))]
-        pair = tuple(sorted((covered[i], covered[j])))
+        i, j = lo[members[0]], hi[members[0]]
+        pair = (covered[i], covered[j]) if covered[i] <= covered[j] else (covered[j], covered[i])
         mu[pair] = mu.get(pair, 0) + 1
     # induced-subgraph correspondence, edge part counts against all lower edges
     lower_counts = {}
-    for i, j, _ in lower.edges:
+    for i, j in lower_pairs:
         if i in image and j in image:
             pair = (i, j) if i < j else (j, i)
             lower_counts[pair] = lower_counts.get(pair, 0) + 1
     return mu == lower_counts
+
+
+def _natural_parts(levels, ell):
+    """The natural partition of the ``ell``-link graph on kernel ids, for
+    ``ell >= 2``, read off levels that hold every arc of lengths ``ell - 2``
+    to ``ell + 1``.
+
+    Per ``ell``-link in canonical order, the vertex part is its middle
+    ``(ell - 2)``-link, whose id is its vertex index in the link graph two
+    shorter; per ``(ell + 1)``-link in canonical order, the edge part is its
+    middle ``(ell - 1)``-link, whose id is its label index there, in
+    canonical order.  An arc without its first and last dart is the suffix of
+    its parent (``_middle_ids``)."""
+    return (_middle_ids(levels, ell, _link_ids(levels[ell - 2])),
+            _middle_ids(levels, ell + 1, _link_ids(levels[ell - 1])))
+
+
+def _natural_check(levels, ell, vkey, ekey, vertex):
+    """Lemma 4.1 on kernel ids: ``verify_almost_standard`` of the natural
+    partition of the ``ell``-link graph (``_natural_parts``), and whether its
+    quotient embeds in the link graph two shorter.
+
+    The edges are taken in canonical label order and the edge parts in order
+    of their first label; ``vkey``, ``ekey`` and ``vertex`` name a vertex
+    part, an edge part and a vertex by their ids in the failure texts."""
+    vpart, epart = _natural_parts(levels, ell)
+    tails, heads = _window_ids(levels, ell, _canonical(levels[ell + 1]))
+    ends = array("i", map(min, tails, heads)), array("i", map(max, tails, heads))
+    groups = defaultdict(list)
+    for x, y in enumerate(epart):
+        groups[y].append(x)
+    keys, eparts = list(groups), list(groups.values())
+    check = _almost_standard(ends, vpart, eparts, vkey, lambda z: ekey(keys[z]), vertex)
+    lower = list(zip(*_window_ids(levels, ell - 2, _canonical(levels[ell - 1]))))
+    embeds = _embeds(ends, vpart, set(vpart), list(zip(eparts, map(lower.__getitem__, keys))),
+                     lower)
+    return check, embeds
 
 
 def link_graph_connected(G, ell, limit=None):

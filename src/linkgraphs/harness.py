@@ -8,7 +8,6 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from . import multigraph as mg
 from .coloring import (
@@ -22,10 +21,12 @@ from .coloring import (
     reduce_coloring,
 )
 from .construction import (
+    _chains_match,
+    _natural_check,
     _path_graph_of,
-    _quotient_embeds,
-    digraph_natural_iso_check,
-    arc_digraph,
+    _windows_digraph,
+    _windows_graph,
+    iterated_line_digraph,
     link_graph,
     link_graph_connected,
     natural_partition,
@@ -33,7 +34,21 @@ from .construction import (
     verify_almost_standard,
 )
 from .errors import LimitExceeded, OracleTooLarge, WitnessInvalid
-from .links import Arc, Link, enumerate_links, hub_subgraph
+from .links import (
+    Link,
+    _arc_cap,
+    _arc_levels,
+    _arc_windows,
+    _check_limit,
+    _kernel,
+    _link_cap,
+    _link_ids,
+    _middle_ids,
+    _walks,
+    _windows,
+    enumerate_links,
+    hub_subgraph,
+)
 from .minors import hadwiger_lower_bound, hadwiger_number, verify_minor
 from .multigraph import Multigraph
 
@@ -162,45 +177,98 @@ class _Cache:
     Everything is keyed by ``(instance name, ell)``, and each link graph is
     built at most once.  An oracle call that raises is not stored, so asking
     again raises again.
+
+    The instance being checked has one arc kernel, built on first use and
+    dropped by ``release``.  It holds every arc of the lengths ``span[0]``
+    and up (no level from there on is pruned); its top is the longest
+    length, at most ``span[1]``, whose arc count and those of every shorter
+    length from ``span[0]`` fit the suite link budget.  Link graphs and the
+    other kernel reads take their levels from it; a read outside it builds
+    its own kernel, as before.
     """
 
-    def __init__(self, caps):
+    def __init__(self, caps, span=(0, 0)):
         self.caps = caps
+        self.span = span
         self._links = {}
         self._graphs = {}
         self._answers = {}
+        self._current = None  # (instance name, arc counts, levels)
+
+    def kernel(self, inst, limits):
+        """What ``links._kernel`` gives for the ``{length: cap}`` ``limits``:
+        levels that hold every arc of those lengths, after checking each cap
+        on the arc counts in increasing length.  It raises what ``_kernel``
+        raises."""
+        if self._current is None or self._current[0] != inst.name:
+            self._current = (inst.name, *self._build(inst.graph))
+        _, totals, levels = self._current
+        if not self.span[0] <= min(limits) <= max(limits) < len(levels):
+            return _kernel(inst.graph, min(limits), limits)
+        for length in sorted(limits):
+            _check_limit(totals[length], limits[length])
+        return levels
+
+    def _build(self, G):
+        """The arc counts up to ``span[1]``, and the levels up to the longest
+        length that fits the suite link budget with every shorter one from
+        ``span[0]``, pruned below ``span[0]``."""
+        low, top = self.span
+        if top < 1:
+            return (), ()
+        totals, fwd = _walks(G, top)
+        fit = low - 1
+        while fit < top and totals[fit + 1] <= _link_cap(fit + 1, self.caps.suite_links):
+            fit += 1
+        if fit < low:
+            return totals, ()
+        # no read extends a level, so the tables for that go
+        levels = _arc_levels(G, fwd, low, fit)
+        for level in levels:
+            level.kids = level.back = level.rank = None
+        return totals, levels
+
+    def release(self):
+        """Drop the kernel of the instance checked last."""
+        self._current = None
+
+    def link_levels(self, inst, lo, hi):
+        """Levels that hold every arc of lengths ``lo`` to ``hi``, checked
+        against the suite link budget as link enumeration checks it."""
+        budget = self.caps.suite_links
+        return self.kernel(inst, {L: _link_cap(L, budget) for L in range(lo, hi + 1)})
 
     def links(self, inst, ell):
         """The ``ell``-links, or ``None`` beyond the suite link budget.
 
         A link graph already built holds them: the vertices of the one at
-        ``ell``, or the edge labels of the one at ``ell - 1``.  Both were
-        checked against the budget ``enumerate_links`` applies at ``ell``.
+        ``ell``, or the edge labels of the one at ``ell - 1``, which ``graph``
+        stores in canonical order.  Both were checked against the budget
+        ``enumerate_links`` applies at ``ell``.
         """
         key = (inst.name, ell)
         if key not in self._links:
-            H = self._graphs.get(key)
-            below = self._graphs.get((inst.name, ell - 1))
-            if H is not None:
-                self._links[key] = list(H.vertices)
-            elif below is not None:
-                self._links[key] = sorted((lab for _, _, lab in below.edges),
-                                          key=attrgetter("units"))
-            else:
-                try:
-                    self._links[key] = enumerate_links(inst.graph, ell, self.caps.suite_links)
-                except LimitExceeded:
-                    self._links[key] = None
+            try:
+                self._links[key] = enumerate_links(inst.graph, ell, self.caps.suite_links)
+            except LimitExceeded:
+                self._links[key] = None
         return self._links[key]
 
     def graph(self, inst, ell):
+        """The link graph, or ``None`` beyond the suite link budget.  Like
+        ``link_graph`` it checks the ``ell``- and ``(ell + 1)``-links against
+        the budget."""
         key = (inst.name, ell)
         if key not in self._graphs:
-            # link_graph checks the ell- and (ell + 1)-links against the budget
             try:
-                self._graphs[key] = link_graph(inst.graph, ell, self.caps.suite_links)
+                levels = self.link_levels(inst, ell, ell + 1)
             except LimitExceeded:
                 self._graphs[key] = None
+            else:
+                windows = _windows(inst.graph, levels, ell)
+                self._graphs[key] = _windows_graph(inst.graph, ell, windows)
+                for length, links in ((ell, windows[0]), (ell + 1, windows[1])):
+                    self._links.setdefault((inst.name, length), links)
         return self._graphs[key]
 
     def built(self, inst, ell):
@@ -239,6 +307,18 @@ class _Cache:
 
         return self._answer("eta", inst, ell, solve)
 
+    def base_chi(self, inst):
+        """``exact_chromatic`` of the underlying simple graph of the base graph."""
+        return self._answer(
+            "base_chi", inst, None,
+            lambda: exact_chromatic(inst.graph.underlying_simple(), self.caps.chromatic_cap))
+
+    def edge_chi(self, inst):
+        """``exact_edge_chromatic`` of the base graph."""
+        return self._answer(
+            "edge_chi", inst, None,
+            lambda: exact_edge_chromatic(inst.graph, self.caps.chromatic_cap))
+
     def chi(self, inst, ell):
         """``exact_chromatic`` of the link graph: ``(chi, colouring)``.  A
         colouring that is not proper raises ``WitnessInvalid``."""
@@ -254,15 +334,18 @@ class _Cache:
 
     def recursive(self, inst, ell):
         """``recursive_chromatic_bound`` of the link graph, lifted from the
-        memo two levels down.  Beyond the suite link budget it raises what
-        ``link_graph`` raises."""
+        memo two levels down through the middle segments on kernel ids.
+        Beyond the suite link budget it raises what ``link_graph`` raises."""
 
         def solve():
             below = self.recursive(inst, ell - 2) if ell >= 2 else None
             H = self.built(inst, ell)
             if below is None:
-                return _base_coloring(inst.graph, H, self.caps.chromatic_cap)
-            return _lifted(inst.graph, below, H)
+                return _base_coloring(inst.graph, H, self.caps.chromatic_cap,
+                                      lambda: self.edge_chi(inst))
+            levels = self.link_levels(inst, ell - 2, ell)
+            middle = _middle_ids(levels, ell, _link_ids(levels[ell - 2]))
+            return _lifted(inst.graph, below, H, middle)
 
         return self._answer("recursive", inst, ell, solve)
 
@@ -410,15 +493,35 @@ def _check_looplessness(inst, caps, cache, records):
         _timed(records, "Obs3.3", inst.name, ell, fn)
 
 
-def _alternating_arc(v, e, w, f, length):
-    """Walk of the given length around a parallel pair, starting at ``v`` by ``e``."""
+def _alternating_link(v, e, w, f, length):
+    """The link of the walk of the given length around a parallel pair,
+    starting at ``v`` by ``e``, as a canonical unit tuple."""
     units = [v]
     verts = (v, w)
     edges = (e, f)
     for k in range(length):
         units.append(edges[k % 2])
         units.append(verts[(k + 1) % 2])
-    return Arc(tuple(units))
+    units = tuple(units)
+    return min(units, units[::-1])
+
+
+def _parallel_patterns(parallel_pairs, ell):
+    """The doubled edges the parallel pairs make at ``ell``: a map from the
+    two ``ell``-links of the walks alternating around a pair to each set of
+    the two ``(ell + 1)``-links that join them, as canonical unit tuples.
+
+    A pair ``(u, v, e, f)`` has four orientations, but starting at ``v`` by
+    ``f`` spells the links of starting at ``u`` by ``e``, so two remain."""
+    table = {}
+    for u, v, e, f in parallel_pairs:
+        for x, y in ((u, v), (v, u)):
+            windows = frozenset((_alternating_link(x, e, y, f, ell),
+                                 _alternating_link(y, f, x, e, ell)))
+            labels = frozenset((_alternating_link(x, e, y, f, ell + 1),
+                                _alternating_link(y, f, x, e, ell + 1)))
+            table.setdefault(windows, set()).add(labels)
+    return table
 
 
 def _check_multiplicity(inst, caps, cache, records):
@@ -442,30 +545,17 @@ def _check_multiplicity(inst, caps, cache, records):
                 return "skip", "beyond the suite link budget"
             groups = H.edge_groups()
             doubled = {pair: labs for pair, labs in groups.items() if len(labs) > 1}
+            patterns = _parallel_patterns(parallel_pairs, ell)
             for pair, labs in doubled.items():
                 if len(labs) > 2:
                     return "fail", f"multiplicity {len(labs)} at {pair}"
-                ok = False
-                for u, v, e, f in parallel_pairs:
-                    for (vv, ww), (ee, ff) in (((u, v), (e, f)), ((v, u), (e, f)),
-                                               ((u, v), (f, e)), ((v, u), (f, e))):
-                        l0 = Link.from_arc(_alternating_arc(vv, ee, ww, ff, ell))
-                        l1 = Link.from_arc(_alternating_arc(ww, ff, vv, ee, ell))
-                        q0 = Link.from_arc(_alternating_arc(vv, ee, ww, ff, ell + 1))
-                        q1 = Link.from_arc(_alternating_arc(ww, ff, vv, ee, ell + 1))
-                        want = {H.vertices[pair[0]], H.vertices[pair[1]]}
-                        if {l0, l1} == want and {q0, q1} == set(labs):
-                            ok = True
-                            break
-                    if ok:
-                        break
-                if not ok:
+                windows = frozenset((H.vertices[pair[0]].units, H.vertices[pair[1]].units))
+                if frozenset(lab.units for lab in labs) not in patterns.get(windows, ()):
                     return "fail", f"doubled edge at {pair} without a parallel-pair pattern"
             # converse: every parallel pair produces its doubled edge
             for u, v, e, f in parallel_pairs:
-                l0 = Link.from_arc(_alternating_arc(u, e, v, f, ell))
-                l1 = Link.from_arc(_alternating_arc(v, f, u, e, ell))
-                i, j = H.index[l0], H.index[l1]
+                i = H.index[Link(_alternating_link(u, e, v, f, ell))]
+                j = H.index[Link(_alternating_link(v, f, u, e, ell))]
                 if len(groups.get((i, j) if i < j else (j, i), ())) != 2:
                     return "fail", f"parallel pair {e},{f} not doubled at length {ell}"
             return "pass", f"{len(doubled)} doubled pairs, all patterned"
@@ -577,11 +667,13 @@ def _check_partition(inst, caps, cache, records):
             lower = cache.graph(inst, ell - 2)
             if H is None or lower is None:
                 return "skip", "beyond the suite link budget"
-            part = natural_partition(H)
-            check = verify_almost_standard(H, part)
+            # the parts by kernel ids: a vertex of lower, a label index one shorter
+            check, embeds = _natural_check(
+                cache.link_levels(inst, ell - 2, ell + 1), ell, lower.vertices.__getitem__,
+                lambda y: cache.links(inst, ell - 1)[y], H.vertices.__getitem__)
             if not check.all_ok():
                 return "fail", f"conditions failed: {check.failures}"
-            if H.n and not _quotient_embeds(H, part, lower):
+            if H.n and not embeds:
                 return "fail", "quotient does not embed two levels down"
             return "pass", "conditions (a)-(e) and embedding hold"
 
@@ -665,9 +757,9 @@ def _check_chromatic(inst, caps, cache, records):
             if chi is None:
                 return "skip", "link graph beyond the chromatic oracle"
             # chromatic_upper_bounds from the memo, less the two-back bound no check reads
-            bounds = _chromatic_bounds(G, ell, caps.chromatic_cap,
-                                       lambda length: cache.built(inst, length),
-                                       lambda _: cache.chi(inst, 0)[0])
+            bounds = _chromatic_bounds(G, ell, lambda length: cache.built(inst, length),
+                                       lambda _: cache.chi(inst, 0)[0],
+                                       lambda: cache.edge_chi(inst)[0])
             if ell % 2 == 0 and bounds.exact_chi and chi > bounds.parity_bound:
                 return "fail", f"chi {chi} > parity bound {bounds.parity_bound}"
             if ell % 2 == 1 and bounds.exact_chi_prime and chi > bounds.parity_bound:
@@ -722,7 +814,9 @@ def _check_chromatic(inst, caps, cache, records):
             links = cache.links(inst, ell)
             if links is None or 2 * len(links) > caps.chromatic_cap:
                 return "skip", "arc digraph beyond oracle"
-            A = arc_digraph(G, ell, caps.suite_links)
+            cap = _arc_cap(caps.suite_links)
+            levels = cache.kernel(inst, {ell: cap, ell + 1: cap})
+            A = _windows_digraph(G, ell, _arc_windows(G, levels, ell))
             adj = [set() for _ in range(A.n)]
             for i, j in A.underlying_pairs():
                 adj[i].add(j)
@@ -737,10 +831,10 @@ def _check_chromatic(inst, caps, cache, records):
         def fn_cor12(ell=ell):
             try:
                 if ell % 2 == 0:
-                    base, _ = exact_chromatic(G.underlying_simple(), caps.chromatic_cap)
+                    base, _ = cache.base_chi(inst)
                     qualifies = base <= 3 or ell > 2 * math.log(base - 3, 1.5)
                 else:
-                    base, _ = exact_edge_chromatic(G, caps.chromatic_cap)
+                    base, _ = cache.edge_chi(inst)
                     qualifies = base <= 3 or ell > 2 * math.log(base - 3, 1.5) + 1
             except OracleTooLarge:
                 return "skip", "base oracle too large"
@@ -892,14 +986,21 @@ def _check_path_graphs(inst, caps, cache, records):
         _timed(records, "PathGirth", inst.name, ell, fn)
 
 
+# the lengths DigraphIso is checked at
+_ISO_ELLS = (1, 2, 3)
+
+
 def _check_digraph_iso(inst, caps, cache, records):
     G = inst.graph
-    for ell in (1, 2, 3):
+    for ell in _ISO_ELLS:
         def fn(ell=ell):
             links = cache.links(inst, ell)
             if links is None or len(links) > 2000:
                 return "skip", "beyond the iso-check budget"
-            if digraph_natural_iso_check(G, ell, caps.suite_links):
+            # digraph_natural_iso_check on the instance kernel
+            cap = _arc_cap(caps.suite_links)
+            levels = cache.kernel(inst, {ell: cap, ell + 1: cap})
+            if _chains_match(G, levels, ell, iterated_line_digraph(G, ell, caps.suite_links)):
                 return "pass", "chain digraph isomorphic to the arc digraph"
             return "fail", "natural bijection is not an isomorphism"
 
@@ -927,6 +1028,27 @@ _GROUPS = {
 }
 
 
+def _kernel_span(caps, wanted):
+    """The shortest and the longest arc length the selected claims read off
+    the instance kernel.  Thm2 and Thm3.x read the link graphs of their
+    lengths, DigraphIso the arcs of its lengths and one past, and the other
+    claims may read every link graph from length 0 (the recursive colouring
+    and the chromatic bounds) to their longest length."""
+    minor = {claim for claim in wanted if claim == "Thm2" or claim.startswith("Thm3")}
+    lengths = []
+    if "Thm2" in wanted:
+        lengths += caps.minor_ells
+    if minor - {"Thm2"}:
+        lengths += caps.ell_range
+    if "DigraphIso" in wanted:
+        lengths += _ISO_ELLS
+    if wanted - minor - {"Lem4.2", "DigraphIso"}:
+        lengths += [0, *caps.ell_range]
+    if not lengths:
+        return 0, 0
+    return min(lengths), max(lengths) + 1
+
+
 def verify_suite(corpus=None, claims=None, caps=None, seeds=DEFAULT_SEEDS):
     """Run the selected claim suites over the corpus and assemble a report."""
     caps = caps or Caps()
@@ -937,7 +1059,7 @@ def verify_suite(corpus=None, claims=None, caps=None, seeds=DEFAULT_SEEDS):
         for c in claims:
             wanted.update(k for k in ALL_CLAIMS if k == c or k.startswith(c))
     report = Report(seeds)
-    cache = _Cache(caps)
+    cache = _Cache(caps, _kernel_span(caps, wanted))
     if "Lem4.2" in wanted:
         _check_recolouring(caps, report.records)
     for inst in corpus:
@@ -946,6 +1068,7 @@ def verify_suite(corpus=None, claims=None, caps=None, seeds=DEFAULT_SEEDS):
             if not (set(group) & wanted):
                 continue
             checker(inst, caps, cache, report.records)
+        cache.release()
     report.records = [r for r in report.records if r.claim in wanted]
     return report
 

@@ -427,9 +427,14 @@ def _kernel(G, ell, caps):
     return _arc_levels(G, fwd, ell, top)
 
 
+def _arc_cap(limit):
+    """``enumerate_arcs``' limit as a cap on arcs."""
+    return 2 * DEFAULT_LIMIT if limit is None else limit
+
+
 def enumerate_arcs(G, ell, limit=None):
     """All ``ell``-arcs in lexicographic unit order."""
-    levels = _kernel(G, ell, {ell: 2 * DEFAULT_LIMIT if limit is None else limit})
+    levels = _kernel(G, ell, {ell: _arc_cap(limit)})
     if ell == 0:
         return [Arc((v,)) for v in G.vertices]
     want = _all(len(levels[ell].last))
@@ -465,25 +470,43 @@ def link_windows(G, ell, limit=None):
 def _windows(G, levels, ell):
     """``link_windows`` read off kernel levels that hold every ``ell``- and
     ``(ell + 1)``-arc."""
+    canon = {L: _canonical(levels[L]) for L in (ell, ell + 1)}
+    units = _unit_tuples(G, levels, canon)
+    ends = _window_ids(levels, ell, canon[ell + 1])
+    return list(map(Link, units[ell])), list(map(Link, units[ell + 1])), ends
+
+
+def _window_ids(levels, ell, canon):
+    """The two tables of ``link_windows`` read off kernel levels that hold
+    every ``ell``- and ``(ell + 1)``-arc, where ``canon`` is
+    ``_canonical(levels[ell + 1])``: per ``(ell + 1)``-link in canonical
+    order, the link indices of its kernel parent and suffix."""
     link_of = _link_ids(levels[ell])
     top = levels[ell + 1]
-    canon = _canonical(top)
-    ends = [array("i", map(link_of.__getitem__, compress(table, canon)))
+    return [array("i", map(link_of.__getitem__, compress(table, canon)))
             for table in (top.parent, top.suffix)]
-    units = _unit_tuples(G, levels, {ell: _canonical(levels[ell]), ell + 1: canon})
-    return list(map(Link, units[ell])), list(map(Link, units[ell + 1])), ends
 
 
 def arc_windows(G, ell, limit=None):
     """What the arc digraph is built from: the ``ell``-arcs, the
     ``(ell + 1)``-arcs, and per ``(ell + 1)``-arc the indices of its tail and
     head windows among the ``ell``-arcs."""
-    cap = 2 * DEFAULT_LIMIT if limit is None else limit
-    levels = _kernel(G, ell, {ell: cap, ell + 1: cap})
+    cap = _arc_cap(limit)
+    return _arc_windows(G, _kernel(G, ell, {ell: cap, ell + 1: cap}), ell)
+
+
+def _arc_windows(G, levels, ell):
+    """``arc_windows`` read off kernel levels that hold every ``ell``- and
+    ``(ell + 1)``-arc."""
     top = levels[ell + 1]
-    units = _unit_tuples(G, levels, {L: _all(len(levels[L].last)) for L in (ell, ell + 1)})
+    units = _arc_units(G, levels, ell)
     windows = list(zip(top.parent, top.suffix))
     return list(map(Arc, units[ell])), list(map(Arc, units[ell + 1])), windows
+
+
+def _arc_units(G, levels, ell):
+    """The unit tuples of every ``ell``- and ``(ell + 1)``-arc, by level."""
+    return _unit_tuples(G, levels, {L: _all(len(levels[L].last)) for L in (ell, ell + 1)})
 
 
 def _link_adjacency(levels, ell):

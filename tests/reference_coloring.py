@@ -15,6 +15,7 @@ from linkgraphs.coloring import (
     Coloring,
     RecursiveColoring,
     _base_coloring,
+    exact_edge_chromatic,
     lift_coloring,
 )
 from linkgraphs.construction import link_graph
@@ -25,7 +26,8 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     """Colour the base link graph, then lift two lengths at a time."""
     if ell < 0:
         raise InvalidParameter(f"ell must be >= 0, got {ell}")
-    rec = _base_coloring(G, link_graph(G, ell % 2, limit), cap)
+    rec = _base_coloring(G, link_graph(G, ell % 2, limit), cap,
+                         lambda: exact_edge_chromatic(G, cap))
     for length in range(ell % 2 + 2, ell + 1, 2):
         H = link_graph(G, length, limit)
         col = Coloring({}, 0) if H.n == 0 else lift_coloring(

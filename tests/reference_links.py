@@ -12,20 +12,29 @@ link graph it already holds; the tests check that both agree.
 arc by arc, with each suffix and reverse found by binary search; the kernel
 now builds a full level a block of children per parent, and the tests check
 that its tables are the same.
+
+``verify_almost_standard`` checks conditions (a)-(e) with the parts numbered
+by their ``Link`` keys in sorted order, and ``natural_iso`` matches the chain
+digraph to the arc digraph through sorted and hashed ``Arc`` objects.  The
+package checks both on integers, for the natural partition and the arc
+digraph on kernel ids.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from operator import attrgetter
 
 from linkgraphs.construction import (
     AlmostStandardPartition,
     LabeledDigraph,
     LabeledGraph,
+    PartitionCheck,
+    _is_complete_bipartite,
     partial_link_graph,
 )
-from linkgraphs.errors import InvalidParameter, LimitExceeded
+from linkgraphs.errors import InvalidParameter, LimitExceeded, PartitionMismatch
 from linkgraphs.links import (
     DEFAULT_LIMIT,
     Arc,
@@ -180,6 +189,138 @@ def natural_partition(H):
         {k: frozenset(v) for k, v in vparts.items()},
         {k: frozenset(v) for k, v in eparts.items()},
     )
+
+
+def verify_almost_standard(H, partition):
+    """Check conditions (a)-(e) independently; raises only on non-partitions.
+
+    Part keys are numbered in sorted key order, and the checks work on those
+    numbers."""
+    failures = []
+    vkeys = sorted(partition.vertex_parts, key=attrgetter("units"))
+    ekeys = sorted(partition.edge_parts, key=attrgetter("units"))
+    vrank = {key: x for x, key in enumerate(vkeys)}
+    erank = {key: x for x, key in enumerate(ekeys)}
+    vparts = [(vrank[key], members) for key, members in partition.vertex_parts.items()]
+    eparts = [(erank[key], members) for key, members in partition.edge_parts.items()]
+
+    covered = [None] * H.n
+    for key, members in vparts:
+        for i in members:
+            if i is None or not (0 <= i < H.n) or covered[i] is not None:
+                raise PartitionMismatch(f"vertex {i} not properly partitioned")
+            covered[i] = key
+    if any(c is None for c in covered):
+        raise PartitionMismatch("vertex parts do not cover the graph")
+    ecovered = [None] * H.m
+    for key, members in eparts:
+        for k in members:
+            if not (0 <= k < H.m) or ecovered[k] is not None:
+                raise PartitionMismatch(f"edge {k} not properly partitioned")
+            ecovered[k] = key
+    if any(c is None for c in ecovered):
+        raise PartitionMismatch("edge parts do not cover the graph")
+
+    # (a) every vertex part is an independent set
+    a_ok = True
+    for i, j, _ in H.edges:
+        if covered[i] == covered[j]:
+            a_ok = False
+            failures.append(("a", f"edge inside part {vkeys[covered[i]]}"))
+            break
+
+    # (b) every edge part touches exactly two vertex parts
+    b_ok = True
+    for key, members in eparts:
+        parts = set()
+        for k in members:
+            i, j, _ = H.edges[k]
+            parts.add(covered[i])
+            parts.add(covered[j])
+        if len(parts) != 2:
+            b_ok = False
+            failures.append(("b", f"edge part {ekeys[key]} touches {len(parts)} parts"))
+
+    # (c) every edge part is the edge set of a complete bipartite subgraph
+    c_ok = True
+    for key, members in eparts:
+        if not _is_complete_bipartite([H.edges[k][:2] for k in members]):
+            c_ok = False
+            failures.append(("c", f"edge part {ekeys[key]} is not complete bipartite"))
+
+    # (d) every vertex meets at most two edge parts
+    d_ok = True
+    vertex_eparts = {}
+    for key, members in eparts:
+        for k in members:
+            i, j, _ = H.edges[k]
+            vertex_eparts.setdefault(i, set()).add(key)
+            vertex_eparts.setdefault(j, set()).add(key)
+    for v, keys in vertex_eparts.items():
+        if len(keys) > 2:
+            d_ok = False
+            failures.append(("d", f"vertex {H.vertices[v]} meets {len(keys)} edge parts"))
+            break
+
+    # (e) a vertex part holds at most one vertex meeting any two edge parts
+    e_ok = True
+    seen = {}
+    for v, keys in vertex_eparts.items():
+        ks = sorted(keys)
+        for x in range(len(ks)):
+            for y in range(x + 1, len(ks)):
+                tag = (covered[v], ks[x], ks[y])
+                if tag in seen:
+                    e_ok = False
+                    failures.append(("e", f"two vertices of {vkeys[tag[0]]} meet both parts"))
+                else:
+                    seen[tag] = v
+    return PartitionCheck(a_ok, b_ok, c_ok, d_ok, e_ok, failures)
+
+
+def _flatten_chain(chain):
+    """The arc a chain of 1-arcs spells, or ``None`` when it breaks."""
+    units = chain[0].units
+    for nxt in chain[1:]:
+        if nxt.tail_vertex != units[-1]:
+            return None
+        units = units + nxt.units[1:]
+    return Arc(units)
+
+
+def natural_iso(A, C):
+    """Whether flattening the chains of the chain digraph ``C`` of length
+    ``ell`` is an isomorphism onto the ``ell``-arc digraph ``A``: a bijection
+    onto its vertices under which the labelled arcs correspond one to one."""
+    ell = A.ell
+    if len(C.vertices) != A.n:
+        return False
+    flat = []
+    for chain in C.vertices:
+        arc = _flatten_chain(chain)
+        if arc is None or arc.length != ell:
+            return False
+        flat.append(arc)
+    if sorted(flat) != sorted(A.vertices):
+        return False
+    if len(set(flat)) != len(flat):
+        return False
+    a_arcs = {(A.vertices[t], A.vertices[h]): lab for t, h, lab in A.arcs}
+    if len(a_arcs) != len(A.arcs):  # at most one arc per ordered pair
+        return False
+    if len(C.arcs) != len(A.arcs):
+        return False
+    seen = set()
+    for t, h in C.arcs:
+        key = (flat[t], flat[h])
+        if key not in a_arcs or key in seen:
+            return False
+        seen.add(key)
+        # the label is the flattening of the chain pair
+        merged = Arc(flat[t].units + flat[h].units[-2:])
+        if merged != a_arcs[key]:
+            return False
+    return True
 
 
 def hub_component_links(G, ell, limit=None):

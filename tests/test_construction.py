@@ -10,6 +10,7 @@ from strategies import multigraphs
 
 from linkgraphs import canon, construction
 from linkgraphs.construction import (
+    ChainDigraph,
     _is_complete_bipartite,
     arc_digraph,
     digraph_natural_iso_check,
@@ -172,6 +173,19 @@ class TestArcDigraphs:
         assert digraph_natural_iso_check(petersen(), 2)
         assert digraph_natural_iso_check(cycle(3), 1)
         assert digraph_natural_iso_check(complete(4), 3)
+
+    @pytest.mark.parametrize("corrupt", ["dropped arc", "swapped chains"])
+    def test_natural_iso_rejects_a_corrupted_chain_digraph(self, corrupt, monkeypatch):
+        G = dipole(3)
+        C = iterated_line_digraph(G, 2)
+        if corrupt == "dropped arc":
+            bad = ChainDigraph(C.depth, C.vertices, C.arcs[1:])
+        else:
+            chains = list(C.vertices)
+            chains[0], chains[1] = chains[1], chains[0]
+            bad = ChainDigraph(C.depth, tuple(chains), C.arcs)
+        monkeypatch.setattr(construction, "iterated_line_digraph", lambda G, ell, limit: bad)
+        assert not digraph_natural_iso_check(G, 2)
 
 
 class TestPartitions:

@@ -172,23 +172,47 @@ class TestBuildOnce:
 
             monkeypatch.setattr(harness, name, wrapper)
 
-        counting("link_graph", lambda ell, limit: ell)
-        counting("_base_coloring", lambda H, cap: H.ell)
-        counting("_lifted", lambda below, H: H.ell)
+        # every link graph is read off the one kernel of its instance
+        counting("_arc_levels", lambda fwd, ell, top: top)
+        counting("_windows_graph", lambda ell, windows: ell)
+        counting("_base_coloring", lambda H, cap, solve_edge: H.ell)
+        counting("_lifted", lambda below, H, middle: H.ell)
         counting("hub_subgraph", lambda ell, limit: ell)
         # the chromatic bounds of Thm1.1/1.2 read the link graphs of the run
         monkeypatch.setattr(coloring, "link_graph", None)
+        monkeypatch.setattr(harness, "link_graph", None)
         report = verify_suite(corpus=small_corpus(), claims=self.CLAIMS, caps=self.CAPS)
         assert report.passed()
-        built = {(G, ell) for name, G, ell in calls if name == "link_graph"}
+        built = {(G, ell) for name, G, ell in calls if name == "_windows_graph"}
         assert len(built) == 2 * len(self.CAPS.ell_range)
         hubs = {(G, ell) for name, G, ell in calls if name == "hub_subgraph"}
         assert hubs == built
+        kernels = [(G, top) for name, G, top in calls if name == "_arc_levels"]
+        assert sorted(kernels) == sorted((inst.graph.serialize(), max(self.CAPS.ell_range) + 1)
+                                         for inst in small_corpus())
         assert {name for name, _, _ in calls} == {
-            "link_graph", "_base_coloring", "_lifted", "hub_subgraph"}
+            "_arc_levels", "_windows_graph", "_base_coloring", "_lifted", "hub_subgraph"}
         assert max(calls.values()) == 1, [k for k, c in calls.items() if c > 1]
         # Cor4.4 lifts to the top length on both instances
         assert ("_lifted", complete(4).serialize(), 5) in calls
+
+    @pytest.mark.parametrize("claims, caps, want", [
+        (["Thm2"], Caps(), (1, 4)),
+        (["Thm2", "Thm3"], Caps(ell_range=(3,), minor_ells=(3,)), (3, 4)),
+        (["DigraphIso"], Caps(), (1, 4)),
+        (["Lem4.1"], Caps(ell_range=(2, 3)), (0, 4)),
+    ])
+    def test_a_run_builds_only_the_levels_it_reads(self, claims, caps, want, monkeypatch):
+        builds = []
+        real = harness._arc_levels
+
+        def counting(G, fwd, ell, top):
+            builds.append((ell, top))
+            return real(G, fwd, ell, top)
+
+        monkeypatch.setattr(harness, "_arc_levels", counting)
+        assert verify_suite(corpus=small_corpus()[:1], claims=claims, caps=caps).passed()
+        assert builds == [want]
 
     def test_middle_segments_are_collected_once_per_length(self, monkeypatch):
         real = harness._middle_segments

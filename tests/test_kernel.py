@@ -16,12 +16,16 @@ from linkgraphs import coloring, construction, harness, links, multigraph
 from linkgraphs.coloring import DEFAULT_CHROMATIC_CAP, recursive_chromatic_bound
 from linkgraphs.construction import (
     AlmostStandardPartition,
+    ChainDigraph,
     _quotient_embeds,
     arc_digraph,
+    digraph_natural_iso_check,
+    iterated_line_digraph,
     link_graph,
     link_graph_connected,
     natural_partition,
     path_graph,
+    verify_almost_standard,
 )
 from linkgraphs.errors import LimitExceeded, LinkGraphError
 from linkgraphs.harness import Caps, CorpusInstance, _Cache, _hub_parts
@@ -281,23 +285,116 @@ def test_shunt_reach_matches_reference_on_any_hub(G, data):
             assert shunt_reach(G, ell, hub) == ref.shunt_reach(G, ell, hub)
 
 
+def _corruptions(part, n, m, data):
+    """The natural partition ``part`` of a link graph with ``n`` vertices and
+    ``m`` edges, its parts under each other's keys, two vertex parts and two
+    edge parts merged, and one vertex and one edge moved to a drawn part."""
+    vparts, eparts = dict(part.vertex_parts), dict(part.edge_parts)
+    vkeys, ekeys = list(vparts), list(eparts)
+    out = [part, AlmostStandardPartition(
+        part.ell, dict(zip(vkeys[1:] + vkeys[:1], vparts.values())),
+        dict(zip(ekeys[1:] + ekeys[:1], eparts.values())))]
+    for parts, keys, size, vertex_side in ((vparts, vkeys, n, True), (eparts, ekeys, m, False)):
+        if len(keys) > 1:
+            a, b = data.draw(st.lists(st.sampled_from(keys), min_size=2, max_size=2, unique=True))
+            merged = dict(parts)
+            merged[a] = merged[a] | merged.pop(b)
+            out.append(_with(part, merged, vertex_side))
+        if size:
+            member = data.draw(st.integers(0, size - 1))
+            target = data.draw(st.sampled_from(keys))
+            moved = {key: members - {member} for key, members in parts.items()}
+            moved[target] |= {member}
+            out.append(_with(part, moved, vertex_side))
+    return out
+
+
+def _with(part, parts, vertex_side):
+    """``part`` with its vertex parts, or its edge parts, replaced."""
+    if vertex_side:
+        return AlmostStandardPartition(part.ell, parts, part.edge_parts)
+    return AlmostStandardPartition(part.ell, part.vertex_parts, parts)
+
+
 @settings(max_examples=60, deadline=None)
-@given(multigraphs(max_n=6, max_m=9))
-def test_quotient_embedding_matches_reference(G):
+@given(multigraphs(max_n=6, max_m=9), st.data())
+def test_quotient_embedding_matches_reference(G, data):
     # G without its last edge gives a lower graph that may miss keys or edges
     G2 = Multigraph(G.vertices, list(G.edges())[:-1])
     for ell in _lengths(G, 5):
         if ell < 2:
             continue
         H = link_graph(G, ell)
-        part = natural_partition(H)
-        keys = list(part.vertex_parts)
-        # the vertex parts under each other's keys
-        rotated = AlmostStandardPartition(
-            ell, dict(zip(keys[1:] + keys[:1], part.vertex_parts.values())), part.edge_parts)
-        for lower in (link_graph(G, ell - 2), link_graph(G2, ell - 2), link_graph(G, ell - 1)):
-            for p in (part, rotated):
-                assert _quotient_embeds(H, p, lower) == ref.quotient_embeds(H, p, lower)
+        lowers = [link_graph(G, ell - 2), link_graph(G2, ell - 2), link_graph(G, ell - 1)]
+        for part in _corruptions(natural_partition(H), H.n, H.m, data):
+            for lower in lowers:
+                assert _quotient_embeds(H, part, lower) == ref.quotient_embeds(H, part, lower)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_n=6, max_m=9), st.data())
+def test_almost_standard_check_matches_reference(G, data):
+    for ell in _lengths(G, 5):
+        if ell < 2:
+            continue
+        H = link_graph(G, ell)
+        for part in _corruptions(natural_partition(H), H.n, H.m, data):
+            assert _outcome(verify_almost_standard, H, part) == _outcome(
+                ref.verify_almost_standard, H, part)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_n=6, max_m=9))
+def test_natural_partition_on_kernel_ids_matches_reference(G):
+    inst = CorpusInstance("g", G)
+    cache = _Cache(Caps(), (0, 6))
+    for ell in _lengths(G, 5):
+        if ell < 2:
+            continue
+        H, lower = link_graph(G, ell), link_graph(G, ell - 2)
+        want = ref.natural_partition(H)
+        middles = enumerate_links(G, ell - 1)
+        edge_of = {lab: k for k, (_, _, lab) in enumerate(H.edges)}
+        labels = enumerate_links(G, ell + 1)
+        # a kernel pruned below ell - 2, and the unpruned one of the instance
+        for levels in (links._kernel(G, ell - 2, {ell + 1: ARC_BUDGET}),
+                       cache.link_levels(inst, ell - 2, ell + 1)):
+            vpart, epart = construction._natural_parts(levels, ell)
+            vparts, eparts = {}, {}
+            for i, x in enumerate(vpart):
+                vparts.setdefault(lower.vertices[x], set()).add(i)
+            for q, y in zip(labels, epart):
+                eparts.setdefault(middles[y], set()).add(edge_of[q])
+            assert vparts == want.vertex_parts and eparts == want.edge_parts
+            check, embeds = construction._natural_check(
+                levels, ell, lower.vertices.__getitem__, middles.__getitem__,
+                H.vertices.__getitem__)
+            assert check == ref.verify_almost_standard(H, want)
+            assert embeds == ref.quotient_embeds(H, want, lower)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_n=6, max_m=9), st.data())
+def test_natural_iso_matches_reference(G, data):
+    for ell in _lengths(G, 3):
+        if ell < 1:
+            continue
+        A, C = ref.arc_digraph(G, ell), iterated_line_digraph(G, ell)
+        assert ref.natural_iso(A, C) and digraph_natural_iso_check(G, ell)
+        chains = [C]
+        if C.arcs:
+            k = data.draw(st.integers(0, len(C.arcs) - 1))
+            chains.append(ChainDigraph(C.depth, C.vertices, C.arcs[:k] + C.arcs[k + 1:]))
+        if len(C.vertices) > 1:
+            a, b = data.draw(st.lists(st.integers(0, len(C.vertices) - 1), min_size=2,
+                                      max_size=2, unique=True))
+            swapped = list(C.vertices)
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            chains.append(ChainDigraph(C.depth, tuple(swapped), C.arcs))
+        levels = links._kernel(G, ell, {ell + 1: ARC_BUDGET})
+        for chain_digraph in chains:
+            assert construction._chains_match(G, levels, ell, chain_digraph) == ref.natural_iso(
+                A, chain_digraph)
 
 
 def _outcome(fn, *args):
