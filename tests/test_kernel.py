@@ -275,6 +275,22 @@ def test_limits_at_the_boundary(G):
                 ref.link_graph, G, ell, enough - 1)
 
 
+@pytest.mark.parametrize("limit", [11, 40, 47, 48, 96])
+def test_instance_kernel_checks_each_cap_as_its_own_kernel_does(limit):
+    # complete(4) has 4, 12, 24, 48 and 96 arcs of lengths 0 to 4; the
+    # instance kernel holds the lengths within twice the limit (links), and
+    # the arc digraph caps arcs at the limit itself
+    G, inst = complete(4), CorpusInstance("complete(4)", complete(4))
+    cache = _Cache(Caps(suite_links=limit), (0, 4))
+    for ell in (1, 2, 3):
+        caps = {ell: limit, ell + 1: limit}
+        got, want = _outcome(cache.kernel, inst, caps), _outcome(links._kernel, G, ell, caps)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert links._arc_windows(G, got, ell) == links._arc_windows(G, want, ell)
+
+
 @settings(max_examples=60, deadline=None)
 @given(multigraphs(max_n=7, max_m=12), st.data())
 def test_shunt_reach_matches_reference_on_any_hub(G, data):
