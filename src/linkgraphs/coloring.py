@@ -15,7 +15,7 @@ from .errors import (
     PreconditionViolated,
     WitnessInvalid,
 )
-from .links import _kernel, _link_adjacency, _link_cap, _link_ids, _middle_ids, _windows
+from .links import _kernel, _link_cap, _link_ids, _middle_ids
 
 DEFAULT_CHROMATIC_CAP = 64
 
@@ -329,9 +329,9 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
 
     Every link graph of the recursion is read off one kernel build, which
     checks ``limit`` at each length in increasing order, as building the link
-    graphs one by one would.  Only the base and the returned graph are built
-    with their links; a length in between is only neighbour sets over link
-    indices, and the middle segment of a link is the suffix of its parent.
+    graphs one by one would.  The graphs hold kernel ids, and no ``Link`` is
+    made unless a caller reads one; the middle segment of a link is the
+    suffix of its parent.
 
     Each lifted colouring is checked in one scan of its graph, for properness
     and for the recolouring's bound of two foreign colours (``_check_lifted``).
@@ -343,22 +343,19 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     base = ell % 2
     # with ell = base no level at or above the base is pruned
     levels = _kernel(G, base, {L: _link_cap(L, limit) for L in range(base, ell + 2)})
-    rec = _base_coloring(G, _windows_graph(G, base, _windows(G, levels, base)), cap,
+    rec = _base_coloring(G, _windows_graph(G, base, levels), cap,
                          lambda: exact_edge_chromatic(G, cap))
-    graph, col, below = rec.graph, rec.coloring, _link_ids(levels[base])
+    graph, col = rec.graph, rec.coloring
     for length in range(base + 2, ell + 1, 2):
-        middle = _middle_ids(levels, length, below)
-        if length < ell:
-            below, upper = _link_adjacency(levels, length)
-        else:
-            upper = _windows_graph(G, ell, _windows(G, levels, ell))
+        middle = _middle_ids(levels, length, _link_ids(levels[length - 2]))
+        upper = _windows_graph(G, length, levels)
         if not middle:
             col = Coloring({}, 0)
         else:
             # a later lower colouring is the output of the lift before, checked there
             if length == base + 2 and not is_proper(graph, col):
                 raise PreconditionViolated("lower colouring is not proper")
-            col = _lift_once(col, middle, index_adjacency(upper))
+            col = _lift_once(col, middle, upper.adjacency())
         graph = upper
     return RecursiveColoring(ell, graph, col, rec.exact_base, rec.base_kind, rec.base_value)
 

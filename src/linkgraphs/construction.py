@@ -7,8 +7,8 @@ import json
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
-from operator import attrgetter
+from itertools import combinations, compress, repeat
+from operator import attrgetter, floordiv, itemgetter, mod
 
 from .errors import (
     InvalidParameter,
@@ -19,11 +19,16 @@ from .errors import (
 from .links import (
     Link,
     _arc_cap,
+    _all,
+    _arc_levels,
     _arc_units,
     _canonical,
     _kernel,
+    _link_cap,
     _link_ids,
     _middle_ids,
+    _unit_tuples,
+    _walks,
     _window_ids,
     arc_windows,
     enumerate_arcs,
@@ -32,49 +37,96 @@ from .links import (
     is_link_of,
     is_path,
     link_count,
-    link_windows,
-    shunt_reach,
 )
 from .multigraph import Multigraph
 
 # links and arcs order as their unit tuples, which sort and hash without a
 # Python-level comparison
 _units = attrgetter("units")
+_first, _second = itemgetter(0), itemgetter(1)
 
 
-@dataclass
 class LabeledGraph:
     """Graph whose vertices are links and whose edges carry one-longer links.
 
     Edges are stored as ``(i, j, label)`` with ``i < j``; labels are pairwise
     distinct and their two windows are exactly the endpoints.
+
+    The integer core is ``n`` and ``ends``, the two ``array('i')`` tables of
+    edge ends ``i`` and ``j`` in the order of ``edges``; ``m``, the degrees,
+    the adjacency, the components and the multiplicities read only the core.
+    A graph built from kernel levels (``_windows_graph``) holds kernel ids and
+    makes its ``vertices`` and ``edges`` on the first read of either, in one
+    ``_unit_tuples`` pass, and then drops the levels.  A graph built from
+    explicit vertices and edges fills ``ends`` from its edges on the first
+    read.  ``index`` is made on its first read.
     """
 
-    ell: int
-    vertices: tuple
-    edges: tuple
-    source: Multigraph | None = None
-    index: dict = field(default_factory=dict, repr=False, compare=False)
-    _adj: list | None = field(default=None, init=False, repr=False, compare=False)
-    _comps: list | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, ell, vertices, edges, source=None, index=None):
+        self.ell, self.source, self.n = ell, source, len(vertices)
+        self._vertices, self._edges, self._index = vertices, edges, index or None
+        self._ends = self._pending = self._adj = self._comps = None
 
-    def __post_init__(self):
-        if not self.index:
-            self.index = {link: i for i, link in enumerate(self.vertices)}
+    def _make_links(self):
+        """The ``Link``s of a graph built from kernel levels, in one pass:
+        ``_pending`` holds the levels, their masks of canonical arcs at the
+        two lengths and, per edge, the canonical index of its label.
+        ``_labels`` keeps the labels in canonical order."""
+        levels, canon, order = self._pending
+        units = _unit_tuples(self.source, levels, canon)
+        self._vertices = tuple(map(Link, units[self.ell]))
+        self._labels = list(map(Link, units[self.ell + 1]))
+        self._edges = tuple(zip(*self.ends, map(self._labels.__getitem__, order)))
+        self._pending = None
+
+    def _canonical_labels(self):
+        """The labels of a graph built from kernel levels, in canonical order."""
+        if self._pending:
+            self._make_links()
+        return self._labels
 
     @property
-    def n(self):
-        return len(self.vertices)
+    def vertices(self):
+        if self._pending:
+            self._make_links()
+        return self._vertices
+
+    @property
+    def edges(self):
+        if self._pending:
+            self._make_links()
+        return self._edges
+
+    @property
+    def index(self):
+        if self._index is None:
+            self._index = {link: i for i, link in enumerate(self.vertices)}
+        return self._index
+
+    @property
+    def ends(self):
+        if self._ends is None:
+            self._ends = array("i", map(_first, self._edges)), array("i", map(_second, self._edges))
+        return self._ends
+
+    def __eq__(self, other):
+        # ``index`` and the integer core follow from the vertices and edges
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.ell, self.vertices, self.edges, self.source)
+                == (other.ell, other.vertices, other.edges, other.source))
+
+    __hash__ = None
 
     @property
     def m(self):
-        return len(self.edges)
+        return len(self.ends[0])
 
     def degrees(self):
         deg = [0] * self.n
-        for a, b, _ in self.edges:
-            deg[a] += 1
-            deg[b] += 1
+        for table in self.ends:
+            for a in table:
+                deg[a] += 1
         return deg
 
     def adjacency(self):
@@ -85,7 +137,7 @@ class LabeledGraph:
         """
         if self._adj is None:
             adj = [set() for _ in range(self.n)]
-            for a, b, _ in self.edges:
+            for a, b in zip(*self.ends):
                 adj[a].add(b)
                 adj[b].add(a)
             self._adj = adj
@@ -93,7 +145,7 @@ class LabeledGraph:
 
     def multiplicity(self, i, j):
         pair = (i, j) if i < j else (j, i)
-        return sum(1 for a, b, _ in self.edges if (a, b) == pair)
+        return sum(1 for ab in zip(*self.ends) if ab == pair)
 
     def edge_groups(self):
         """Map endpoint pair -> list of labels."""
@@ -295,14 +347,29 @@ class PartitionCheck:
 
 def link_graph(G, ell, limit=None):
     """The graph on ``ell``-links whose edges are the one-longer links."""
-    return _windows_graph(G, ell, link_windows(G, ell, limit))
+    levels = _kernel(G, ell, {ell: _link_cap(ell, limit), ell + 1: _link_cap(ell + 1, limit)})
+    return _windows_graph(G, ell, levels)
 
 
-def _windows_graph(G, ell, windows):
-    """The ``ell``-link graph of ``G`` built from its ``link_windows``."""
-    verts, labels, (tails, heads) = windows
-    edges = sorted((i, j, q) if i < j else (j, i, q) for i, j, q in zip(tails, heads, labels))
-    return LabeledGraph(ell, tuple(verts), tuple(edges), G)
+def _windows_graph(G, ell, levels):
+    """The ``ell``-link graph of ``G`` on the kernel ids of ``levels``, which
+    hold every ``ell``- and ``(ell + 1)``-arc: each ``(ell + 1)``-link joins
+    the links of its kernel parent and suffix.
+
+    The edges are sorted by their ends with a stable sort over the labels in
+    canonical order.  Canonical label ids run in unit order, so this is the
+    order of the sorted ``(i, j, label)`` triples."""
+    canon = {L: _canonical(levels[L]) for L in (ell, ell + 1)}
+    tails, heads = _window_ids(levels, ell, canon[ell + 1])
+    n = canon[ell].count(1)
+    # an edge with ends i < j has the key i * n + j
+    key = [a * n + b if a < b else b * n + a for a, b in zip(tails, heads)]
+    order = array("i", sorted(range(len(key)), key=key.__getitem__))
+    key = list(map(key.__getitem__, order))
+    H = LabeledGraph(ell, (), (), G)
+    H.n, H._pending = n, (levels, canon, order)
+    H._ends = array("i", map(floordiv, key, repeat(n))), array("i", map(mod, key, repeat(n)))
+    return H
 
 
 def partial_link_graph(G, links, quals, limit=None):
@@ -523,13 +590,8 @@ def verify_almost_standard(H, partition):
     if not all(covered):
         raise PartitionMismatch("edge parts do not cover the graph")
     vkeys, ekeys = list(partition.vertex_parts), list(partition.edge_parts)
-    return _almost_standard(_edge_ends(H), vpart, eparts,
+    return _almost_standard(H.ends, vpart, eparts,
                             vkeys.__getitem__, ekeys.__getitem__, H.vertices.__getitem__)
-
-
-def _edge_ends(H):
-    """The two tables of edge ends ``i < j`` of ``H``, by edge index."""
-    return [i for i, _, _ in H.edges], [j for _, j, _ in H.edges]
 
 
 def _almost_standard(ends, vpart, eparts, vkey, ekey, vertex):
@@ -663,7 +725,7 @@ def _quotient_embeds(H, part, lower):
         for i in members:
             covered[i] = x
     lower_ends = {lab.units: (i, j) for i, j, lab in lower.edges}
-    return _embeds(_edge_ends(H), covered, image,
+    return _embeds(H.ends, covered, image,
                    [(list(members), lower_ends.get(key.units))
                     for key, members in part.edge_parts.items()],
                    [edge[:2] for edge in lower.edges])
@@ -756,3 +818,29 @@ def link_graph_connected(G, ell, limit=None):
         # degenerate: hub too small to host a link of this length
         return link_graph(G, ell, limit).is_connected()
     return reached == n_links
+
+
+def shunt_reach(G, ell, hub):
+    """How many ``ell``-links of ``G`` shunt to a link lying inside the
+    subgraph ``hub``; 0 when no ``ell``-link lies inside it.
+
+    A one-step shunt is a link-graph edge, so this is a search over kernel ids
+    from the links all of whose edges (at length 0, whose vertex) are in ``hub``.
+    """
+    levels = _arc_levels(G, _walks(G, ell + 1)[1], ell, ell + 1)
+    if ell == 0:
+        inside = bytearray(map(hub.has_vertex, G.vertices))
+    else:
+        in_hub = bytearray(hub.has_edge(eid) for eid, _ in G.darts().steps)
+        inside = _all(G.n)
+        for lv in levels[1 : ell + 1]:
+            inside = bytearray(inside[p] & in_hub[d] for p, d in zip(lv.parent, lv.last))
+    adj = _windows_graph(G, ell, levels).adjacency()
+    seen = set(compress(_link_ids(levels[ell]), inside))
+    stack = list(seen)
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen)

@@ -45,7 +45,6 @@ from .links import (
     _link_ids,
     _middle_ids,
     _walks,
-    _windows,
     enumerate_links,
     hub_subgraph,
 )
@@ -229,8 +228,10 @@ class _Cache:
         return totals, levels
 
     def release(self):
-        """Drop the kernel of the instance checked last."""
+        """Drop the kernel and the link graphs of the instance checked last;
+        a graph whose links were never read holds its kernel levels."""
         self._current = None
+        self._graphs.clear()
 
     def link_levels(self, inst, lo, hi):
         """Levels that hold every arc of lengths ``lo`` to ``hi``, checked
@@ -242,16 +243,23 @@ class _Cache:
         """The ``ell``-links, or ``None`` beyond the suite link budget.
 
         A link graph already built holds them: the vertices of the one at
-        ``ell``, or the edge labels of the one at ``ell - 1``, which ``graph``
-        stores in canonical order.  Both were checked against the budget
-        ``enumerate_links`` applies at ``ell``.
+        ``ell``, or the edge labels, in canonical order, of the one at
+        ``ell - 1``.  Both were checked against the budget
+        ``enumerate_links`` applies at ``ell``.  Reading them makes that
+        graph's links.
         """
         key = (inst.name, ell)
         if key not in self._links:
-            try:
-                self._links[key] = enumerate_links(inst.graph, ell, self.caps.suite_links)
-            except LimitExceeded:
-                self._links[key] = None
+            H, below = self._graphs.get(key), self._graphs.get((inst.name, ell - 1))
+            if H is not None:
+                self._links[key] = list(H.vertices)
+            elif below is not None:
+                self._links[key] = below._canonical_labels()
+            else:
+                try:
+                    self._links[key] = enumerate_links(inst.graph, ell, self.caps.suite_links)
+                except LimitExceeded:
+                    self._links[key] = None
         return self._links[key]
 
     def graph(self, inst, ell):
@@ -265,10 +273,7 @@ class _Cache:
             except LimitExceeded:
                 self._graphs[key] = None
             else:
-                windows = _windows(inst.graph, levels, ell)
-                self._graphs[key] = _windows_graph(inst.graph, ell, windows)
-                for length, links in ((ell, windows[0]), (ell + 1, windows[1])):
-                    self._links.setdefault((inst.name, length), links)
+                self._graphs[key] = _windows_graph(inst.graph, ell, levels)
         return self._graphs[key]
 
     def built(self, inst, ell):

@@ -458,27 +458,9 @@ def link_count(G, ell, limit=None):
     return totals[ell] if ell == 0 else totals[ell] // 2
 
 
-def link_windows(G, ell, limit=None):
-    """What the link graph is built from: the ``ell``-links, the
-    ``(ell + 1)``-links, and per ``(ell + 1)``-link the indices of its two
-    windows among the ``ell``-links (the links of its kernel parent and suffix),
-    as two tables."""
-    levels = _kernel(G, ell, {ell: _link_cap(ell, limit), ell + 1: _link_cap(ell + 1, limit)})
-    return _windows(G, levels, ell)
-
-
-def _windows(G, levels, ell):
-    """``link_windows`` read off kernel levels that hold every ``ell``- and
-    ``(ell + 1)``-arc."""
-    canon = {L: _canonical(levels[L]) for L in (ell, ell + 1)}
-    units = _unit_tuples(G, levels, canon)
-    ends = _window_ids(levels, ell, canon[ell + 1])
-    return list(map(Link, units[ell])), list(map(Link, units[ell + 1])), ends
-
-
 def _window_ids(levels, ell, canon):
-    """The two tables of ``link_windows`` read off kernel levels that hold
-    every ``ell``- and ``(ell + 1)``-arc, where ``canon`` is
+    """The windows of the ``(ell + 1)``-links as two tables, read off kernel
+    levels that hold every ``ell``- and ``(ell + 1)``-arc, where ``canon`` is
     ``_canonical(levels[ell + 1])``: per ``(ell + 1)``-link in canonical
     order, the link indices of its kernel parent and suffix."""
     link_of = _link_ids(levels[ell])
@@ -509,19 +491,6 @@ def _arc_units(G, levels, ell):
     return _unit_tuples(G, levels, {L: _all(len(levels[L].last)) for L in (ell, ell + 1)})
 
 
-def _link_adjacency(levels, ell):
-    """The link index of every arc at level ``ell`` (``_link_ids``), and the
-    neighbour sets of the ``ell``-link graph over those indices: each
-    ``(ell + 1)``-arc joins the link of its parent to the link of its suffix,
-    and its reverse arc adds the other direction."""
-    link_of = _link_ids(levels[ell])
-    adj = [set() for _ in range(len(link_of) if ell == 0 else len(link_of) // 2)]
-    top = levels[ell + 1]
-    for a, b in zip(map(link_of.__getitem__, top.parent), map(link_of.__getitem__, top.suffix)):
-        adj[a].add(b)
-    return link_of, adj
-
-
 def _middle_ids(levels, ell, below):
     """Per ``ell``-link, in canonical order, the link index of its middle
     segment of length ``ell - 2``, where ``below`` is
@@ -530,32 +499,6 @@ def _middle_ids(levels, ell, below):
     lv = levels[ell]
     inner = map(levels[ell - 1].suffix.__getitem__, compress(lv.parent, _canonical(lv)))
     return list(map(below.__getitem__, inner))
-
-
-def shunt_reach(G, ell, hub):
-    """How many ``ell``-links of ``G`` shunt to a link lying inside the
-    subgraph ``hub``; 0 when no ``ell``-link lies inside it.
-
-    A one-step shunt is a link-graph edge, so this is a search over kernel ids
-    from the links all of whose edges (at length 0, whose vertex) are in ``hub``.
-    """
-    levels = _arc_levels(G, _walks(G, ell + 1)[1], ell, ell + 1)
-    if ell == 0:
-        inside = bytearray(map(hub.has_vertex, G.vertices))
-    else:
-        in_hub = bytearray(hub.has_edge(eid) for eid, _ in G.darts().steps)
-        inside = _all(G.n)
-        for lv in levels[1 : ell + 1]:
-            inside = bytearray(inside[p] & in_hub[d] for p, d in zip(lv.parent, lv.last))
-    link_of, adj = _link_adjacency(levels, ell)
-    seen = {link_of[k] for k in compress(range(len(inside)), inside)}
-    stack = list(seen)
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen)
 
 
 def is_path(link):

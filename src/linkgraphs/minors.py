@@ -699,7 +699,7 @@ def lift_minor(G, ell, branch_sets, H=None, hub=None, limit=None):
 def _k2_witness(H):
     if H.m == 0:
         raise NoEdge("the link graph has no edge")
-    a, b, _ = H.edges[0]
+    a, b = H.ends[0][0], H.ends[1][0]
     return MinorWitness(2, _complete_edges(2), [frozenset({a}), frozenset({b})],
                         {(0, 1): (a, b)}, H, "edge")
 

@@ -4,6 +4,7 @@ builders."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import reference_coloring
 import reference_links as ref
 from linkgraphs import coloring, construction, harness, links, multigraph
-from linkgraphs.coloring import DEFAULT_CHROMATIC_CAP, recursive_chromatic_bound
+from linkgraphs.coloring import DEFAULT_CHROMATIC_CAP, is_proper, recursive_chromatic_bound
 from linkgraphs.construction import (
     AlmostStandardPartition,
     ChainDigraph,
@@ -25,10 +26,12 @@ from linkgraphs.construction import (
     link_graph_connected,
     natural_partition,
     path_graph,
+    shunt_reach,
     verify_almost_standard,
 )
 from linkgraphs.errors import LimitExceeded, LinkGraphError
-from linkgraphs.harness import Caps, CorpusInstance, _Cache, _hub_parts
+from linkgraphs.harness import Caps, CorpusInstance, _Cache, _hub_parts, verify_suite
+from linkgraphs.minors import hadwiger_lower_bound
 from linkgraphs.links import (
     Link,
     _walks,
@@ -37,7 +40,6 @@ from linkgraphs.links import (
     has_arc,
     hub_subgraph,
     middle_units,
-    shunt_reach,
 )
 from linkgraphs.multigraph import (
     Multigraph,
@@ -245,6 +247,61 @@ def test_kernel_matches_reference_at_larger_lengths(G, ell):
     assert enumerate_links(G, ell) == ref.enumerate_links(G, ell)
     H, R = link_graph(G, ell), ref.link_graph(G, ell)
     assert H.vertices == R.vertices and H.edges == R.edges
+
+
+@contextmanager
+def _counting_links():
+    """A list that gains one entry per ``Link`` made inside the block."""
+    made = []
+    real = Link.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        real(self, *args)
+
+    with mock.patch.object(Link, "__init__", counting):
+        yield made
+
+
+def _core(H):
+    """What a link graph answers from its integer core."""
+    pairs = list(zip(*H.ends))
+    return (H.n, H.m, pairs, H.degrees(), H.adjacency(), H.components(), H.is_connected(),
+            [H.multiplicity(i, j) for i, j in pairs[:5]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(multigraphs(max_n=7, max_m=12))
+def test_link_graph_core_matches_reference_before_its_links_are_made(G):
+    for ell in _lengths(G):
+        R = ref.link_graph(G, ell)
+        with _counting_links() as made:
+            H = link_graph(G, ell)
+            assert _core(H) == _core(R)
+            assert [(i, j) for i, j, _ in R.edges] == list(zip(*H.ends))
+        assert not made
+        assert (H.vertices, H.edges, H.index) == (R.vertices, R.edges, R.index)
+        assert _core(H) == _core(R)
+
+
+def test_integer_reads_make_no_links():
+    G = petersen()
+    with _counting_links() as made:
+        assert sum(link_graph(G, 6).degrees()) == 2 * 15 * 2**6
+        rec = recursive_chromatic_bound(G, 6)
+        assert rec.graph.n == 15 * 2**5 and is_proper(rec.graph, rec.coloring)
+        # the degeneracy route's arc cap stops it after the edge witness
+        with pytest.raises(LimitExceeded):
+            hadwiger_lower_bound(G, 10)
+        # Thm3.x reads only the size of a graph beyond the colouring cap
+        report = verify_suite(corpus=[CorpusInstance("petersen", G)], claims=["Thm3"],
+                              caps=Caps(ell_range=(4,), minor_ells=()))
+        assert {r.status for r in report.records} == {"skip"}
+    assert not made
+    # the links are made on the first read
+    with _counting_links() as made:
+        assert len(rec.graph.vertices) == rec.graph.n
+    assert len(made) == rec.graph.n + rec.graph.m
 
 
 def test_ids_sort_as_edge_ids_sort():
