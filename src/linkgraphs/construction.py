@@ -805,29 +805,42 @@ def link_graph_connected(G, ell, limit=None):
     misses some needs the shunt search.  When the hub hosts no link at all the
     criterion is silent and we fall back to direct breadth-first search.
     """
-    n_links = link_count(G, ell, limit)
+    return _hub_criterion(G, ell, link_count(G, ell, limit), hub_subgraph(G, ell, limit),
+                          lambda hub: shunt_reach(G, ell, hub), lambda: link_graph(G, ell, limit))
+
+
+def _hub_criterion(G, ell, n_links, hub, reach, whole):
+    """``link_graph_connected`` for the ``n_links`` ``ell``-links, with ``hub``
+    their hub subgraph: ``reach(hub)`` is ``shunt_reach(G, ell, hub)``, and
+    the fallback searches ``whole()``, the link graph as ``link_graph``
+    gives it."""
     if n_links <= 1:
         return True
-    hub = hub_subgraph(G, ell, limit)
     if not hub.is_connected():
         return False
     if (hub.m == G.m) if ell else (hub.n == G.n):
         return True
-    reached = shunt_reach(G, ell, hub)
+    reached = reach(hub)
     if not reached:
         # degenerate: hub too small to host a link of this length
-        return link_graph(G, ell, limit).is_connected()
+        return whole().is_connected()
     return reached == n_links
 
 
 def shunt_reach(G, ell, hub):
     """How many ``ell``-links of ``G`` shunt to a link lying inside the
-    subgraph ``hub``; 0 when no ``ell``-link lies inside it.
+    subgraph ``hub``; 0 when no ``ell``-link lies inside it."""
+    levels = _arc_levels(G, _walks(G, ell + 1)[1], ell, ell + 1)
+    return _shunt_search(G, ell, hub, levels, _windows_graph(G, ell, levels))
+
+
+def _shunt_search(G, ell, hub, levels, H):
+    """``shunt_reach`` on kernel levels that hold every ``ell``- and
+    ``(ell + 1)``-arc and the link graph ``H`` built on them.
 
     A one-step shunt is a link-graph edge, so this is a search over kernel ids
     from the links all of whose edges (at length 0, whose vertex) are in ``hub``.
     """
-    levels = _arc_levels(G, _walks(G, ell + 1)[1], ell, ell + 1)
     if ell == 0:
         inside = bytearray(map(hub.has_vertex, G.vertices))
     else:
@@ -835,7 +848,7 @@ def shunt_reach(G, ell, hub):
         inside = _all(G.n)
         for lv in levels[1 : ell + 1]:
             inside = bytearray(inside[p] & in_hub[d] for p, d in zip(lv.parent, lv.last))
-    adj = _windows_graph(G, ell, levels).adjacency()
+    adj = H.adjacency()
     seen = set(compress(_link_ids(levels[ell]), inside))
     stack = list(seen)
     while stack:

@@ -22,13 +22,14 @@ from .coloring import (
 )
 from .construction import (
     _chains_match,
+    _hub_criterion,
     _natural_check,
     _path_graph_of,
+    _shunt_search,
     _windows_digraph,
     _windows_graph,
     iterated_line_digraph,
     link_graph,
-    link_graph_connected,
     natural_partition,
     reachable,
     verify_almost_standard,
@@ -48,7 +49,7 @@ from .links import (
     enumerate_links,
     hub_subgraph,
 )
-from .minors import hadwiger_lower_bound, hadwiger_number, verify_minor
+from .minors import _lower_bound, hadwiger_number, verify_minor
 from .multigraph import Multigraph
 
 REPORT_VERSION = 1
@@ -177,13 +178,16 @@ class _Cache:
     built at most once.  An oracle call that raises is not stored, so asking
     again raises again.
 
-    The instance being checked has one arc kernel, built on first use and
-    dropped by ``release``.  It holds every arc of the lengths ``span[0]``
-    and up (no level from there on is pruned); its top is the longest
-    length, at most ``span[1]``, whose arc count and those of every shorter
-    length from ``span[0]`` fit the suite link budget.  Link graphs and the
-    other kernel reads take their levels from it; a read outside it builds
-    its own kernel, as before.
+    The instance being checked has one arc kernel, made in two stages and
+    dropped by ``release``.  Its arc counts and reach table (one ``_walks``
+    up to ``span[1]``) are made on first use; they decide every budget
+    check, and ``shape`` reads the size of a link graph off them.  Its
+    levels are built on the first ``kernel`` read that needs them.  They
+    hold every arc of the lengths ``span[0]`` and up (no level from there on
+    is pruned); their top is the longest length, at most ``span[1]``, whose
+    arc count and those of every shorter length from ``span[0]`` fit the
+    suite link budget.  Link graphs and the other kernel reads take their
+    levels from it; a read outside it builds its own kernel, as before.
     """
 
     def __init__(self, caps, span=(0, 0)):
@@ -192,40 +196,57 @@ class _Cache:
         self._links = {}
         self._graphs = {}
         self._answers = {}
-        self._current = None  # (instance name, arc counts, levels)
+        self._current = None  # see _counts
+
+    def _counts(self, inst):
+        """The instance's ``[name, totals, fwd, fit, levels]``: the arc counts
+        and reach table up to ``span[1]``, the top of the levels (below
+        ``span[0]`` when no length fits the suite link budget), and the
+        levels, ``None`` until built."""
+        if self._current is None or self._current[0] != inst.name:
+            low, top = self.span
+            totals, fwd = _walks(inst.graph, top) if top >= 1 else ((), ())
+            fit = low - 1
+            while fit < len(totals) - 1 and (
+                    totals[fit + 1] <= _link_cap(fit + 1, self.caps.suite_links)):
+                fit += 1
+            self._current = [inst.name, totals, fwd, fit, None]
+        return self._current
 
     def kernel(self, inst, limits):
         """What ``links._kernel`` gives for the ``{length: cap}`` ``limits``:
         levels that hold every arc of those lengths, after checking each cap
         on the arc counts in increasing length.  It raises what ``_kernel``
         raises."""
-        if self._current is None or self._current[0] != inst.name:
-            self._current = (inst.name, *self._build(inst.graph))
-        _, totals, levels = self._current
-        if not self.span[0] <= min(limits) <= max(limits) < len(levels):
+        current = self._counts(inst)
+        _, totals, fwd, fit, levels = current
+        if not self.span[0] <= min(limits) <= max(limits) <= fit:
             return _kernel(inst.graph, min(limits), limits)
         for length in sorted(limits):
             _check_limit(totals[length], limits[length])
+        if levels is None:
+            levels = current[4] = _arc_levels(inst.graph, fwd, self.span[0], fit)
+            # no read extends a level, so the tables for that go
+            for level in levels:
+                level.kids = level.back = level.rank = None
         return levels
 
-    def _build(self, G):
-        """The arc counts up to ``span[1]``, and the levels up to the longest
-        length that fits the suite link budget with every shorter one from
-        ``span[0]``, pruned below ``span[0]``."""
-        low, top = self.span
-        if top < 1:
-            return (), ()
-        totals, fwd = _walks(G, top)
-        fit = low - 1
-        while fit < top and totals[fit + 1] <= _link_cap(fit + 1, self.caps.suite_links):
-            fit += 1
-        if fit < low:
-            return totals, ()
-        # no read extends a level, so the tables for that go
-        levels = _arc_levels(G, fwd, low, fit)
-        for level in levels:
-            level.kids = level.back = level.rank = None
-        return totals, levels
+    def shape(self, inst, ell):
+        """``(n, m)`` of the link graph at ``ell``, read off the arc counts:
+        ``None`` exactly where ``graph`` is ``None``, by the checks of the
+        ``ell``- and ``(ell + 1)``-links against the suite link budget.  A
+        length past the instance's counts counts its own arcs, as
+        ``kernel`` builds its own kernel there."""
+        totals = self._counts(inst)[1]
+        if ell + 1 >= len(totals):
+            totals, _ = _walks(inst.graph, ell + 1)
+        try:
+            for length in (ell, ell + 1):
+                _check_limit(totals[length], _link_cap(length, self.caps.suite_links))
+        except LimitExceeded:
+            return None
+        # an arc of length >= 1 is never its own reverse, as G has no loop
+        return totals[ell] if ell == 0 else totals[ell] // 2, totals[ell + 1] // 2
 
     def release(self):
         """Drop the kernel and the link graphs of the instance checked last;
@@ -355,13 +376,18 @@ class _Cache:
         return self._answer("recursive", inst, ell, solve)
 
     def lower_bound(self, inst, ell):
-        """The verified clique-minor lower bound in the link graph."""
+        """The verified clique-minor lower bound in the link graph.  Its
+        model route reads the Hadwiger number of a connected base graph off
+        the memo of ``eta``."""
+        G, cap = inst.graph, self.caps.hadwiger_cap
+
+        def solve_eta(sub):
+            return self.eta(inst) if G.is_connected() else hadwiger_number(sub, cap)
+
         return self._answer(
             "lower_bound", inst, ell,
-            lambda: hadwiger_lower_bound(
-                inst.graph, ell, H=self.graph(inst, ell),
-                eta_cap=self.caps.hadwiger_cap, limit=self.caps.suite_links,
-            ),
+            lambda: _lower_bound(G, ell, self.graph(inst, ell), cap, self.caps.suite_links,
+                                 solve_eta),
         )
 
 
@@ -370,6 +396,15 @@ def _middle_segments(links, length, s):
     unit tuples."""
     lo, hi = length - s, length + s + 1
     return {min(u, u[::-1]) for u in (link.units[lo:hi] for link in links)}
+
+
+def _links_inside(links, sub, s):
+    """The links of the subgraph ``sub`` among ``links``, the ``s``-links of
+    its graph, in their order: those with every edge in ``sub``, or at
+    ``s = 0`` their vertex."""
+    if s == 0:
+        return [link for link in links if sub.has_vertex(link.units[0])]
+    return [link for link in links if all(map(sub.has_edge, link.units[1::2]))]
 
 
 def _hub_parts(H, hub):
@@ -584,7 +619,10 @@ def _check_hub(inst, caps, cache, records):
                 seen = cache.middles(inst, base + s, s)
                 if seen is None:
                     return "skip", "beyond the suite link budget"
-                for sl in enumerate_links(hub, s, caps.suite_links):
+                short = cache.links(inst, s)
+                short = (enumerate_links(hub, s, caps.suite_links) if short is None
+                         else _links_inside(short, hub, s))
+                for sl in short:
                     if sl.units not in seen:
                         return "fail", f"{sl} not a middle segment at length {base + s}"
             if not G.is_connected() or not links:
@@ -653,7 +691,11 @@ def _check_hub(inst, caps, cache, records):
             H = cache.graph(inst, ell)
             if H is None:
                 return "skip", "beyond the suite link budget"
-            hub_answer = link_graph_connected(G, ell, caps.suite_links)
+            # link_graph_connected on the run's hub, kernel and link graph
+            hub_answer = _hub_criterion(
+                G, ell, H.n, cache.hub(inst, ell),
+                lambda hub: _shunt_search(G, ell, hub, cache.link_levels(inst, ell, ell + 1), H),
+                lambda: H)
             bfs_answer = H.is_connected()
             if hub_answer != bfs_answer:
                 return "fail", f"hub criterion {hub_answer} vs BFS {bfs_answer}"
@@ -883,11 +925,12 @@ def _check_minors(inst, caps, cache, records):
 
     for ell in caps.minor_ells:
         def fn(ell=ell):
-            H = cache.graph(inst, ell)
-            if H is None:
+            shape = cache.shape(inst, ell)
+            if shape is None:
                 return "skip", "beyond the suite link budget"
-            if H.m == 0:
+            if shape[1] == 0:
                 return "skip", "link graph has no edge"
+            H = cache.graph(inst, ell)
             res = cache.lower_bound(inst, ell)
             check = verify_minor(H, res.witness)
             if not check.ok:
@@ -935,13 +978,15 @@ def _check_hadwiger_conjecture(inst, caps, cache, records):
         cases = _theorem3_cases(G, ell)
         for case in cases:
             def fn(case=case, ell=ell):
-                H = cache.graph(inst, ell)
-                if H is None:
+                # the skips read only the size, so they build no level and no graph
+                shape = cache.shape(inst, ell)
+                if shape is None:
                     return "skip", "beyond the suite link budget"
-                if H.n > caps.chromatic_cap:
+                n, m = shape
+                if n > caps.chromatic_cap:
                     return "skip", "link graph beyond an oracle cap"
                 chi, _ = cache.chi(inst, ell)
-                if H.n <= caps.hadwiger_cap:
+                if n <= caps.hadwiger_cap:
                     eta = cache.eta(inst, ell)
                     if eta < chi:
                         return "fail", f"eta {eta} < chi {chi}"
@@ -951,7 +996,7 @@ def _check_hadwiger_conjecture(inst, caps, cache, records):
                         f"link graph beyond the Hadwiger cap {caps.hadwiger_cap}; "
                         "no witness route at ell=0"
                     )
-                if H.m == 0:
+                if m == 0:
                     return "skip", "link graph has no edge"
                 res = cache.lower_bound(inst, ell)
                 if res.bound < chi:

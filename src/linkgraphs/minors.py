@@ -787,14 +787,14 @@ def _peel_degree_one(G):
         cur = cur.induced_subgraph(keep)
 
 
-def _eta_route(G, ell, H, eta_cap, limit):
+def _eta_route(G, ell, H, eta_cap, limit, solve_eta):
     comps = G.components()
     best = None
     for comp in comps:
         sub = G.induced_subgraph(comp)
         if sub.underlying_simple().n > eta_cap:
             continue
-        eta = hadwiger_number(sub, eta_cap)
+        eta = solve_eta(sub)
         if best is None or eta > best[0]:
             best = (eta, sub)
     if best is None:
@@ -941,6 +941,14 @@ def hadwiger_lower_bound(G, ell, H=None, eta_cap=DEFAULT_HADWIGER_CAP, limit=Non
     cut candidates come last and build only witnesses larger than the best
     before them (``_candidate_route``).
     """
+    return _lower_bound(G, ell, H, eta_cap, limit, lambda sub: hadwiger_number(sub, eta_cap))
+
+
+def _lower_bound(G, ell, H, eta_cap, limit, solve_eta):
+    """``hadwiger_lower_bound``, where ``solve_eta(sub)`` gives the Hadwiger
+    number of each component ``sub`` of ``G`` with at most ``eta_cap``
+    vertices that the model route reads; it raises what ``hadwiger_number``
+    raises."""
     if ell < 1:
         raise PreconditionViolated(f"needs ell >= 1, got {ell}")
     if H is None:
@@ -951,7 +959,7 @@ def hadwiger_lower_bound(G, ell, H=None, eta_cap=DEFAULT_HADWIGER_CAP, limit=Non
     witnesses = [_k2_witness(H)]
     for name, fn in (
         ("degeneracy", lambda: _degeneracy_route(G, ell, H)),
-        ("model", lambda: _eta_route(G, ell, H, eta_cap, limit)),
+        ("model", lambda: _eta_route(G, ell, H, eta_cap, limit, solve_eta)),
     ):
         try:
             w = fn()

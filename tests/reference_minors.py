@@ -185,7 +185,8 @@ def hadwiger_lower_bound(G, ell, H=None, eta_cap=DEFAULT_HADWIGER_CAP, limit=Non
     witnesses = [minors._k2_witness(H)]
     for name, fn in (
         ("degeneracy", lambda: minors._degeneracy_route(G, ell, H)),
-        ("model", lambda: minors._eta_route(G, ell, H, eta_cap, limit)),
+        ("model", lambda: minors._eta_route(G, ell, H, eta_cap, limit,
+                                            lambda sub: minors.hadwiger_number(sub, eta_cap))),
         ("cut-candidates", lambda: _candidate_route(G, ell, H, limit)),
     ):
         try:

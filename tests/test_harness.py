@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from linkgraphs import cli, coloring, harness
+from linkgraphs import cli, coloring, construction, harness, links, minors
 from linkgraphs.coloring import (
     Coloring,
     exact_chromatic,
@@ -14,7 +14,7 @@ from linkgraphs.coloring import (
     reduce_coloring,
 )
 from linkgraphs.cli import main
-from linkgraphs.construction import LabeledGraph, link_graph
+from linkgraphs.construction import LabeledGraph, link_graph, link_graph_connected
 from linkgraphs.errors import LimitExceeded
 from linkgraphs.harness import (
     ALL_CLAIMS,
@@ -32,6 +32,7 @@ from linkgraphs.multigraph import (
     cycle,
     dipole,
     path,
+    petersen,
 )
 
 
@@ -100,6 +101,17 @@ class TestTheorem3Skips:
         matching = Multigraph([], [(f"e{k}", f"a{k}", f"b{k}") for k in range(13)])
         assert self._thm3(matching, 1) == [("Thm3.5", "skip", "link graph has no edge")]
 
+    def test_a_skip_beyond_the_colouring_cap_builds_nothing(self, monkeypatch):
+        # Petersen has 120 links at length 4 and 240 at length 5
+        for module, name in ((harness, "_arc_levels"), (harness, "_windows_graph"),
+                             (links, "_arc_levels"), (construction, "_windows_graph")):
+            monkeypatch.setattr(module, name, None)
+        report = verify_suite(corpus=[CorpusInstance("petersen", petersen())], claims=["Thm3"],
+                              caps=Caps(ell_range=(4, 5)))
+        assert [(r.claim, r.ell, r.status, r.detail) for r in report.records] == [
+            (f"Thm3.{case}", ell, "skip", "link graph beyond an oracle cap")
+            for ell in (4, 5) for case in (1, 2, 3, 4, 5) if case != 2 or ell == 4]
+
 
 def _rows(report):
     records = json.loads(report.to_json())["records"]
@@ -137,12 +149,22 @@ class TestOracleMemo:
         # link graphs only: Cor1.2 and ArcChrom colour other graphs
         counting("exact_chromatic",
                  lambda H, cap: (H.ell, H.to_json()) if isinstance(H, LabeledGraph) else None)
-        counting("hadwiger_lower_bound", lambda G, ell, **kw: (G.serialize(), ell))
+        counting("_lower_bound", lambda G, ell, *args: (G.serialize(), ell))
         verify_suite(corpus=self.CORPUS, claims=self.CLAIMS, caps=self.CAPS)
-        assert {k[0] for k in calls} == {
-            "hadwiger_number", "exact_chromatic", "hadwiger_lower_bound"
-        }
+        assert {k[0] for k in calls} == {"hadwiger_number", "exact_chromatic", "_lower_bound"}
         assert max(calls.values()) == 1, [(k[0], c) for k, c in calls.items() if c > 1]
+
+    def test_the_model_route_reads_eta_of_the_base_graph_off_the_memo(self, monkeypatch):
+        calls = Counter()
+        for module in (harness, minors):
+            def counting(G, cap=minors.DEFAULT_HADWIGER_CAP, real=module.hadwiger_number):
+                calls[G.serialize()] += 1
+                return real(G, cap)
+
+            monkeypatch.setattr(module, "hadwiger_number", counting)
+        report = verify_suite(corpus=self.CORPUS, claims=["Thm2"], caps=self.CAPS)
+        assert {r.status for r in report.records} == {"pass"}
+        assert [calls[inst.graph.serialize()] for inst in self.CORPUS] == [1] * len(self.CORPUS)
 
     def test_records_do_not_depend_on_which_claim_filled_the_memo(self):
         combined = verify_suite(corpus=self.CORPUS, claims=self.CLAIMS, caps=self.CAPS)
@@ -152,6 +174,21 @@ class TestOracleMemo:
         key = lambda rec: (rec["claim"], rec["instance"], str(rec["ell"]))
         assert _rows(combined) == sorted(separate, key=key)
         assert {r["claim"][:4] for r in separate} == {"Thm1", "Thm2", "Thm3"}
+
+
+def test_cor38_gives_the_answer_of_link_graph_connected():
+    caps = Caps()
+    report = verify_suite(claims=["Cor3.8"], caps=caps)
+    got = {(r.instance, r.ell): (r.status, r.detail) for r in report.records}
+    assert len(got) == len(report.records) == len(default_corpus()) * len(caps.ell_range)
+    for inst in default_corpus():
+        for ell in caps.ell_range:
+            if got[inst.name, ell][0] == "skip":
+                with pytest.raises(LimitExceeded):
+                    link_graph(inst.graph, ell, caps.suite_links)
+                continue
+            answer = link_graph_connected(inst.graph, ell, caps.suite_links)
+            assert got[inst.name, ell] == ("pass", f"criterion = BFS = {answer}")
 
 
 class TestBuildOnce:

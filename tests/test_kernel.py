@@ -30,7 +30,14 @@ from linkgraphs.construction import (
     verify_almost_standard,
 )
 from linkgraphs.errors import LimitExceeded, LinkGraphError
-from linkgraphs.harness import Caps, CorpusInstance, _Cache, _hub_parts, verify_suite
+from linkgraphs.harness import (
+    Caps,
+    CorpusInstance,
+    _Cache,
+    _hub_parts,
+    _links_inside,
+    verify_suite,
+)
 from linkgraphs.minors import hadwiger_lower_bound
 from linkgraphs.links import (
     Link,
@@ -346,6 +353,36 @@ def test_instance_kernel_checks_each_cap_as_its_own_kernel_does(limit):
             assert got == want
         else:
             assert links._arc_windows(G, got, ell) == links._arc_windows(G, want, ell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_n=6, max_m=9))
+def test_shape_is_the_size_of_the_cached_link_graph(G):
+    # the instance kernel spans lengths 1 to 3; 0 and 3 and up read their own kernels
+    ells = _lengths(G, 5)
+    totals = _walks(G, 6)[0]
+    counts = {c for ell in ells for c in (totals[ell], totals[ell] // 2)}
+    budgets = {c - d for c in counts for d in (0, 1) if c - d >= 0}
+    for budget in [Caps().suite_links, *sorted(budgets)]:
+        inst = CorpusInstance("g", G)
+        cache = _Cache(Caps(suite_links=budget), (1, 3))
+        shapes = [cache.shape(inst, ell) for ell in ells]
+        for ell, shape in zip(ells, shapes):
+            H = cache.graph(inst, ell)
+            assert shape == (None if H is None else (H.n, H.m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_n=7, max_m=12), st.data())
+def test_hub_links_are_the_links_inside_the_hub(G, data):
+    edges = data.draw(st.sets(st.sampled_from(sorted(G.edge_ids)))) if G.m else set()
+    verts = data.draw(st.sets(st.sampled_from(G.vertices)))
+    hubs = [G.edge_subgraph(edges), G.induced_subgraph(verts)]
+    hubs += [hub_subgraph(G, ell) for ell in _lengths(G, 4)]
+    for s in (0, 1, 2):
+        links_of_G = enumerate_links(G, s)
+        for hub in hubs:
+            assert _links_inside(links_of_G, hub, s) == enumerate_links(hub, s)
 
 
 @settings(max_examples=60, deadline=None)
