@@ -67,31 +67,15 @@ def is_proper(H, coloring):
     return True
 
 
-def greedy_coloring(adj, order=None):
-    """Sequential colouring in the given (default: saturation) order."""
-    n = len(adj)
-    colors = {}
-    if order is None:
-        order = _dsatur_order(adj)
-    for v in order:
-        used = {colors[w] for w in adj[v] if w in colors}
-        c = 1
-        while c in used:
-            c += 1
-        colors[v] = c
-    k = max(colors.values(), default=0)
-    return k, colors
-
-
-def _dsatur_order(adj):
+def greedy_coloring(adj):
+    """First-fit colouring in saturation order (most distinct neighbour
+    colours, then degree, then least index): ``(colours used, colouring)``."""
     n = len(adj)
     sat = [set() for _ in range(n)]
     colors = {}
-    order = []
     uncolored = set(range(n))
     while uncolored:
         v = max(uncolored, key=lambda x: (len(sat[x]), len(adj[x]), -x))
-        order.append(v)
         used = {colors[w] for w in adj[v] if w in colors}
         c = 1
         while c in used:
@@ -100,7 +84,7 @@ def _dsatur_order(adj):
         uncolored.discard(v)
         for w in adj[v]:
             sat[w].add(c)
-    return order
+    return max(colors.values(), default=0), colors
 
 
 def _greedy_clique(adj):

@@ -70,20 +70,13 @@ class LabeledGraph:
     def _make_links(self):
         """The ``Link``s of a graph built from kernel levels, in one pass:
         ``_pending`` holds the levels, their masks of canonical arcs at the
-        two lengths and, per edge, the canonical index of its label.
-        ``_labels`` keeps the labels in canonical order."""
+        two lengths and, per edge, the canonical index of its label."""
         levels, canon, order = self._pending
         units = _unit_tuples(self.source, levels, canon)
         self._vertices = tuple(map(Link, units[self.ell]))
-        self._labels = list(map(Link, units[self.ell + 1]))
-        self._edges = tuple(zip(*self.ends, map(self._labels.__getitem__, order)))
+        labels = list(map(Link, units[self.ell + 1]))
+        self._edges = tuple(zip(*self.ends, map(labels.__getitem__, order)))
         self._pending = None
-
-    def _canonical_labels(self):
-        """The labels of a graph built from kernel levels, in canonical order."""
-        if self._pending:
-            self._make_links()
-        return self._labels
 
     @property
     def vertices(self):
@@ -169,7 +162,7 @@ class LabeledGraph:
             comps = []
             for s in range(self.n):
                 if s not in seen:
-                    comp = reachable(adj, s)
+                    comp = reachable(adj, (s,))
                     seen |= comp
                     comps.append(sorted(comp))
             self._comps = comps
@@ -257,11 +250,11 @@ def index_adjacency(host):
     return host
 
 
-def reachable(adj, start, allowed=None):
-    """Set of indices reachable from ``start`` over an index adjacency,
-    stepping only onto ``allowed`` indices when given."""
-    seen = {start}
-    stack = [start]
+def reachable(adj, starts, allowed=None):
+    """Set of indices reachable from the indices ``starts`` over an index
+    adjacency, stepping only onto ``allowed`` indices when given."""
+    seen = set(starts)
+    stack = list(seen)
     while stack:
         for y in adj[stack.pop()]:
             if y not in seen and (allowed is None or y in allowed):
@@ -848,12 +841,4 @@ def _shunt_search(G, ell, hub, levels, H):
         inside = _all(G.n)
         for lv in levels[1 : ell + 1]:
             inside = bytearray(inside[p] & in_hub[d] for p, d in zip(lv.parent, lv.last))
-    adj = H.adjacency()
-    seen = set(compress(_link_ids(levels[ell]), inside))
-    stack = list(seen)
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen)
+    return len(reachable(H.adjacency(), compress(_link_ids(levels[ell]), inside)))

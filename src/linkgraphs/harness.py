@@ -8,6 +8,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import multigraph as mg
 from .coloring import (
@@ -45,6 +46,7 @@ from .links import (
     _link_cap,
     _link_ids,
     _middle_ids,
+    _middle_tuples,
     _walks,
     enumerate_links,
     hub_subgraph,
@@ -181,7 +183,7 @@ class _Cache:
     The instance being checked has one arc kernel, made in two stages and
     dropped by ``release``.  Its arc counts and reach table (one ``_walks``
     up to ``span[1]``) are made on first use; they decide every budget
-    check, and ``shape`` reads the size of a link graph off them.  Its
+    check, and ``count`` reads the number of links of a length off them.  Its
     levels are built on the first ``kernel`` read that needs them.  They
     hold every arc of the lengths ``span[0]`` and up (no level from there on
     is pruned); their top is the longest length, at most ``span[1]``, whose
@@ -193,7 +195,6 @@ class _Cache:
     def __init__(self, caps, span=(0, 0)):
         self.caps = caps
         self.span = span
-        self._links = {}
         self._graphs = {}
         self._answers = {}
         self._current = None  # see _counts
@@ -231,22 +232,26 @@ class _Cache:
                 level.kids = level.back = level.rank = None
         return levels
 
-    def shape(self, inst, ell):
-        """``(n, m)`` of the link graph at ``ell``, read off the arc counts:
-        ``None`` exactly where ``graph`` is ``None``, by the checks of the
-        ``ell``- and ``(ell + 1)``-links against the suite link budget.  A
-        length past the instance's counts counts its own arcs, as
-        ``kernel`` builds its own kernel there."""
+    def count(self, inst, ell):
+        """The number of ``ell``-links, read off the arc counts; ``None``
+        exactly where ``enumerate_links`` raises at the suite link budget.  A
+        length past the instance's counts counts its own arcs, as ``kernel``
+        builds its own kernel there."""
         totals = self._counts(inst)[1]
-        if ell + 1 >= len(totals):
-            totals, _ = _walks(inst.graph, ell + 1)
+        if ell >= len(totals):
+            totals, _ = _walks(inst.graph, ell)
         try:
-            for length in (ell, ell + 1):
-                _check_limit(totals[length], _link_cap(length, self.caps.suite_links))
+            _check_limit(totals[ell], _link_cap(ell, self.caps.suite_links))
         except LimitExceeded:
             return None
         # an arc of length >= 1 is never its own reverse, as G has no loop
-        return totals[ell] if ell == 0 else totals[ell] // 2, totals[ell + 1] // 2
+        return totals[ell] if ell == 0 else totals[ell] // 2
+
+    def shape(self, inst, ell):
+        """``(n, m)`` of the link graph at ``ell``, read off the arc counts:
+        ``None`` exactly where ``graph`` is ``None``."""
+        n, m = self.count(inst, ell), self.count(inst, ell + 1)
+        return None if n is None or m is None else (n, m)
 
     def release(self):
         """Drop the kernel and the link graphs of the instance checked last;
@@ -259,29 +264,6 @@ class _Cache:
         against the suite link budget as link enumeration checks it."""
         budget = self.caps.suite_links
         return self.kernel(inst, {L: _link_cap(L, budget) for L in range(lo, hi + 1)})
-
-    def links(self, inst, ell):
-        """The ``ell``-links, or ``None`` beyond the suite link budget.
-
-        A link graph already built holds them: the vertices of the one at
-        ``ell``, or the edge labels, in canonical order, of the one at
-        ``ell - 1``.  Both were checked against the budget
-        ``enumerate_links`` applies at ``ell``.  Reading them makes that
-        graph's links.
-        """
-        key = (inst.name, ell)
-        if key not in self._links:
-            H, below = self._graphs.get(key), self._graphs.get((inst.name, ell - 1))
-            if H is not None:
-                self._links[key] = list(H.vertices)
-            elif below is not None:
-                self._links[key] = below._canonical_labels()
-            else:
-                try:
-                    self._links[key] = enumerate_links(inst.graph, ell, self.caps.suite_links)
-                except LimitExceeded:
-                    self._links[key] = None
-        return self._links[key]
 
     def graph(self, inst, ell):
         """The link graph, or ``None`` beyond the suite link budget.  Like
@@ -309,14 +291,30 @@ class _Cache:
             "hub", inst, ell, lambda: hub_subgraph(inst.graph, ell, self.caps.suite_links))
 
     def middles(self, inst, length, s):
-        """The middle segments of length ``s`` of the ``length``-links, as
-        canonical unit tuples; ``None`` beyond the suite link budget."""
+        """The middle segments of length ``s <= 2`` of the ``length``-links,
+        as canonical unit tuples read off kernel ids; ``None`` beyond the
+        suite link budget."""
 
         def solve():
-            links = self.links(inst, length)
-            return None if links is None else _middle_segments(links, length, s)
+            if self.count(inst, length) is None:
+                return None
+            return _middle_tuples(inst.graph, self.link_levels(inst, length, length), length, s)
 
         return self._answer("middles", inst, (length, s), solve)
+
+    def middle_comps(self, inst, ell):
+        """Per middle unit of the ``ell``-links, the set of the numbers of the
+        components of the link graph that hold a link with that middle unit."""
+
+        def solve():
+            H = self.graph(inst, ell)
+            comp_of = {i: k for k, comp in enumerate(H.components()) for i in comp}
+            by_mid = {}
+            for i, link in enumerate(H.vertices):
+                by_mid.setdefault(link.middle_unit(), set()).add(comp_of[i])
+            return by_mid
+
+        return self._answer("middle_comps", inst, ell, solve)
 
     def _answer(self, kind, inst, ell, solve):
         key = (kind, inst.name, ell)
@@ -391,20 +389,16 @@ class _Cache:
         )
 
 
-def _middle_segments(links, length, s):
-    """The middle segments of length ``s`` of ``length``-links, as canonical
-    unit tuples."""
-    lo, hi = length - s, length + s + 1
-    return {min(u, u[::-1]) for u in (link.units[lo:hi] for link in links)}
-
-
-def _links_inside(links, sub, s):
-    """The links of the subgraph ``sub`` among ``links``, the ``s``-links of
-    its graph, in their order: those with every edge in ``sub``, or at
-    ``s = 0`` their vertex."""
+def _hub_links(hub, s):
+    """The ``s``-links of the subgraph ``hub`` for ``s <= 2``, as canonical
+    unit tuples in order: its vertices, its edges, and its pairs of distinct
+    edges at a vertex."""
     if s == 0:
-        return [link for link in links if sub.has_vertex(link.units[0])]
-    return [link for link in links if all(map(sub.has_edge, link.units[1::2]))]
+        return [(v,) for v in hub.vertices]
+    if s == 1:
+        return sorted((u, e, v) if u < v else (v, e, u) for e, u, v in hub.edges())
+    return sorted(min((a, e, v, f, b), (b, f, v, e, a)) for v in hub.vertices
+                  for (e, a), (f, b) in combinations(hub.incident(v), 2))
 
 
 def _hub_parts(H, hub):
@@ -459,17 +453,18 @@ def _check_counting(inst, caps, cache, records):
     r = _is_regular(G)
     for ell in caps.ell_range:
         def fn(ell=ell):
+            # the edges of the level build against the dart-transfer count
             H = cache.graph(inst, ell)
-            nxt = cache.links(inst, ell + 1)
+            nxt = cache.count(inst, ell + 1)
             if H is None or nxt is None:
                 return "skip", "beyond the suite link budget"
-            if H.m != len(nxt):
-                return "fail", f"|E|={H.m} but {len(nxt)} longer links"
+            if H.m != nxt:
+                return "fail", f"|E|={H.m} but {nxt} longer links"
             detail = f"|E(L_{ell})|={H.m}"
             if r is not None and r >= 2:
                 expect = G.m * (r - 1) ** ell
-                if len(nxt) != expect:
-                    return "fail", f"count {len(nxt)} != m(r-1)^ell = {expect}"
+                if nxt != expect:
+                    return "fail", f"count {nxt} != m(r-1)^ell = {expect}"
                 if ell >= 1:
                     degs = set(H.degrees())
                     if degs and degs != {2 * (r - 1)}:
@@ -491,21 +486,21 @@ def _check_bipartite_counts(inst, caps, cache, records):
             continue
 
         def fn(ell=ell):
-            links = cache.links(inst, ell)
+            order = cache.count(inst, ell)
             H = cache.graph(inst, ell)
-            if links is None or H is None:
+            if order is None or H is None:
                 return "skip", "beyond the suite link budget"
             if ell % 2 == 1:
                 expect = n * m * ((n - 1) * (m - 1)) ** ((ell - 1) // 2)
-                if len(links) != expect:
-                    return "fail", f"order {len(links)} != {expect}"
+                if order != expect:
+                    return "fail", f"order {order} != {expect}"
                 degs = set(H.degrees())
                 if degs != {n + m - 2}:
                     return "fail", f"not {n + m - 2}-regular: {sorted(degs)}"
                 return "pass", f"order {expect}, ({n + m - 2})-regular"
             expect = (n * m * (n + m - 2) * ((n - 1) * (m - 1)) ** (ell // 2 - 1)) // 2
-            if len(links) != expect:
-                return "fail", f"order {len(links)} != {expect}"
+            if order != expect:
+                return "fail", f"order {order} != {expect}"
             avg = 2 * H.m / H.n
             want = 4 * (n - 1) * (m - 1) / (n + m - 2)
             if abs(avg - want) > 1e-9:
@@ -607,8 +602,8 @@ def _check_hub(inst, caps, cache, records):
     G = inst.graph
     for ell in caps.ell_range:
         def lem35(ell=ell):
-            links = cache.links(inst, ell)
-            if links is None:
+            count = cache.count(inst, ell)
+            if count is None:
                 return "skip", "beyond the suite link budget"
             hub = cache.hub(inst, ell)
             if G.is_connected() and not hub.is_connected():
@@ -619,25 +614,15 @@ def _check_hub(inst, caps, cache, records):
                 seen = cache.middles(inst, base + s, s)
                 if seen is None:
                     return "skip", "beyond the suite link budget"
-                short = cache.links(inst, s)
-                short = (enumerate_links(hub, s, caps.suite_links) if short is None
-                         else _links_inside(short, hub, s))
-                for sl in short:
-                    if sl.units not in seen:
-                        return "fail", f"{sl} not a middle segment at length {base + s}"
-            if not G.is_connected() or not links:
+                for short in _hub_links(hub, s):
+                    if short not in seen:
+                        return "fail", f"{Link(short)} not a middle segment at length {base + s}"
+            if not G.is_connected() or not count:
                 return "pass", "hub segments covered"
             # any two middle units are joined through some shunting component
-            H = cache.graph(inst, ell)
-            if H is None:
+            if cache.graph(inst, ell) is None:
                 return "skip", "beyond the suite link budget"
-            comp_of = {}
-            for k, comp in enumerate(H.components()):
-                for i in comp:
-                    comp_of[i] = k
-            unit_comps = {}
-            for i, l in enumerate(H.vertices):
-                unit_comps.setdefault(l.middle_unit(), set()).add(comp_of[i])
+            unit_comps = cache.middle_comps(inst, ell)
             units = sorted(unit_comps)
             for a in range(len(units)):
                 for b in range(a + 1, len(units)):
@@ -656,7 +641,7 @@ def _check_hub(inst, caps, cache, records):
                 if not inside:
                     continue
                 # the vertices of H run in link order: start from the least link
-                seen = reachable(adj, inside[0], allowed)
+                seen = reachable(adj, inside[:1], allowed)
                 for i in inside:
                     if i not in seen:
                         return "fail", f"{H.vertices[i]} unreachable within its hub component"
@@ -670,14 +655,7 @@ def _check_hub(inst, caps, cache, records):
             H = cache.graph(inst, ell)
             if H is None:
                 return "skip", "beyond the suite link budget"
-            comp_of = {}
-            for k, comp in enumerate(H.components()):
-                for i in comp:
-                    comp_of[i] = k
-            by_mid = {}
-            for i, l in enumerate(H.vertices):
-                by_mid.setdefault(l.middle_unit(), set()).add(comp_of[i])
-            same_middle_ok = all(len(s) == 1 for s in by_mid.values())
+            same_middle_ok = all(len(s) == 1 for s in cache.middle_comps(inst, ell).values())
             if same_middle_ok != H.is_connected():
                 return "fail", (
                     f"same-middle shuntability {same_middle_ok} vs "
@@ -717,7 +695,7 @@ def _check_partition(inst, caps, cache, records):
             # the parts by kernel ids: a vertex of lower, a label index one shorter
             check, embeds = _natural_check(
                 cache.link_levels(inst, ell - 2, ell + 1), ell, lower.vertices.__getitem__,
-                lambda y: cache.links(inst, ell - 1)[y], H.vertices.__getitem__)
+                lambda y: cache.graph(inst, ell - 1).vertices[y], H.vertices.__getitem__)
             if not check.all_ok():
                 return "fail", f"conditions failed: {check.failures}"
             if H.n and not embeds:
@@ -858,8 +836,8 @@ def _check_chromatic(inst, caps, cache, records):
             chi = None if ell < 1 else exact_chi(ell)
             if chi is None:
                 return "skip", "beyond oracle"
-            links = cache.links(inst, ell)
-            if links is None or 2 * len(links) > caps.chromatic_cap:
+            count = cache.count(inst, ell)
+            if count is None or 2 * count > caps.chromatic_cap:
                 return "skip", "arc digraph beyond oracle"
             cap = _arc_cap(caps.suite_links)
             levels = cache.kernel(inst, {ell: cap, ell + 1: cap})
@@ -887,7 +865,7 @@ def _check_chromatic(inst, caps, cache, records):
                 return "skip", "base oracle too large"
             if not qualifies:
                 return "skip", "below the three-colour threshold"
-            if cache.links(inst, ell) is None:
+            if cache.count(inst, ell) is None:
                 return "skip", "beyond the suite link budget"
             rec = cache.recursive(inst, ell)
             if rec.graph.n and rec.coloring.t > 3:
@@ -903,7 +881,7 @@ def _check_chromatic(inst, caps, cache, records):
             delta = G.max_degree()
             if delta < 3 or ell <= 2 * math.log(delta - 2, 1.5) + 3:
                 return "skip", "below the degree threshold"
-            if cache.links(inst, ell) is None:
+            if cache.count(inst, ell) is None:
                 return "skip", "beyond the suite link budget"
             rec = cache.recursive(inst, ell)
             if rec.graph.n and rec.coloring.t > 3:
@@ -1044,8 +1022,8 @@ def _check_digraph_iso(inst, caps, cache, records):
     G = inst.graph
     for ell in _ISO_ELLS:
         def fn(ell=ell):
-            links = cache.links(inst, ell)
-            if links is None or len(links) > 2000:
+            count = cache.count(inst, ell)
+            if count is None or count > 2000:
                 return "skip", "beyond the iso-check budget"
             # digraph_natural_iso_check on the instance kernel
             cap = _arc_cap(caps.suite_links)

@@ -491,14 +491,33 @@ def _arc_units(G, levels, ell):
     return _unit_tuples(G, levels, {L: _all(len(levels[L].last)) for L in (ell, ell + 1)})
 
 
+def _middle_arcs(levels, ell, h, arcs):
+    """The ids at level ``ell - 2 * h`` of the ``ell``-arcs ``arcs`` with
+    ``h`` darts stripped from each end: an arc without its first and last
+    dart is the suffix of its parent, ``h`` times over."""
+    for L in range(ell, ell - 2 * h, -2):
+        arcs = map(levels[L - 1].suffix.__getitem__, map(levels[L].parent.__getitem__, arcs))
+    return arcs
+
+
 def _middle_ids(levels, ell, below):
     """Per ``ell``-link, in canonical order, the link index of its middle
     segment of length ``ell - 2``, where ``below`` is
-    ``_link_ids(levels[ell - 2])``: an arc without its first and last dart is
-    the suffix of its parent."""
+    ``_link_ids(levels[ell - 2])``."""
     lv = levels[ell]
-    inner = map(levels[ell - 1].suffix.__getitem__, compress(lv.parent, _canonical(lv)))
-    return list(map(below.__getitem__, inner))
+    canon = compress(range(len(lv.rev)), _canonical(lv))
+    return list(map(below.__getitem__, _middle_arcs(levels, ell, 1, canon)))
+
+
+def _middle_tuples(G, levels, ell, s):
+    """The middle segments of length ``s`` of the ``ell``-links, as canonical
+    unit tuples, read off kernel levels that hold every ``ell``-arc; unit
+    tuples are made only at the levels up to ``s``."""
+    top, mask = levels[ell], bytearray(len(levels[s].rev))
+    canon = compress(range(len(top.rev)), _canonical(top))
+    for k in _middle_arcs(levels, ell, (ell - s) // 2, canon):
+        mask[k] = 1
+    return {min(u, u[::-1]) for u in _unit_tuples(G, levels, {s: mask})[s]}
 
 
 def is_path(link):

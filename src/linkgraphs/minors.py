@@ -4,7 +4,6 @@ cuts, cycles, degeneracy cores and the hub subgraph, plus exact oracles."""
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
 from .construction import LabeledGraph, index_adjacency, link_graph, reachable
@@ -106,7 +105,7 @@ def verify_minor(host, witness):
             if v in seen:
                 return VerifyResult(False, f"branch sets overlap at {v}")
             seen.add(v)
-        if reachable(adj, next(iter(bs)), bs) != set(bs):
+        if reachable(adj, [next(iter(bs))], bs) != set(bs):
             return VerifyResult(False, f"branch set {k} is not connected")
     all_branch = seen
     interiors = set()
@@ -639,7 +638,7 @@ def lift_minor(G, ell, branch_sets, H=None, hub=None, limit=None):
     for k, sub in enumerate(subs):
         members = {i for i, l in enumerate(H.vertices) if _middle_in(l, sub, ell)}
         inner_idx = {H.index[l] for l in inner_links[k]}
-        comp = reachable(adj, min(inner_idx), members)
+        comp = reachable(adj, [min(inner_idx)], members)
         if not inner_idx <= comp:
             raise WitnessInvalid("links of one branch set fell into two components")
         lifted.append(frozenset(comp))
@@ -873,20 +872,8 @@ def _candidate_route(G, ell, H, limit, best, max_candidates=200, tries=12):
         sub = G.induced_subgraph(comp)
         radius_cap = max(0, (ell + 1) // 2 - 1)
         for v in comp:
-            balls = [frozenset({v})]
-            if radius_cap >= 1:
-                dist = {v: 0}
-                queue = deque([v])
-                while queue:
-                    x = queue.popleft()
-                    if dist[x] >= radius_cap:
-                        continue
-                    for _, w in sub.incident(x):
-                        if w not in dist:
-                            dist[w] = dist[x] + 1
-                            queue.append(w)
-                for r in range(1, radius_cap + 1):
-                    balls.append(frozenset(x for x in dist if dist[x] <= r))
+            dist = sub._bfs_dist(v)
+            balls = [frozenset(x for x in dist if dist[x] <= r) for r in range(radius_cap + 1)]
             for ball in balls:
                 if ball in seen or len(ball) >= len(comp_set):
                     continue

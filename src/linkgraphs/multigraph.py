@@ -194,19 +194,10 @@ class Multigraph:
         seen = set()
         comps = []
         for start in self._vertices:
-            if start in seen:
-                continue
-            comp = []
-            queue = deque([start])
-            seen.add(start)
-            while queue:
-                v = queue.popleft()
-                comp.append(v)
-                for _, w in self._adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            comps.append(sorted(comp))
+            if start not in seen:
+                comp = self._bfs_dist(start)
+                seen.update(comp)
+                comps.append(sorted(comp))
         return comps
 
     def is_connected(self):

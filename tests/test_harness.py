@@ -252,15 +252,15 @@ class TestBuildOnce:
         assert builds == [want]
 
     def test_middle_segments_are_collected_once_per_length(self, monkeypatch):
-        real = harness._middle_segments
+        real = harness._middle_tuples
         for inst in small_corpus():
             calls = Counter()
 
-            def counting(links, length, s):
+            def counting(G, levels, length, s):
                 calls[(length, s)] += 1
-                return real(links, length, s)
+                return real(G, levels, length, s)
 
-            monkeypatch.setattr(harness, "_middle_segments", counting)
+            monkeypatch.setattr(harness, "_middle_tuples", counting)
             report = verify_suite(corpus=[inst], claims=["Lem3.5"], caps=self.CAPS)
             assert report.passed()
             # ell = 2h and 2h + 1 look up the same three sets

@@ -34,8 +34,8 @@ from linkgraphs.harness import (
     Caps,
     CorpusInstance,
     _Cache,
+    _hub_links,
     _hub_parts,
-    _links_inside,
     verify_suite,
 )
 from linkgraphs.minors import hadwiger_lower_bound
@@ -189,15 +189,14 @@ def test_successor_table_is_built_once_per_graph(monkeypatch):
         assert succ[d] == tuple(x for x in range(D.start[h], D.start[h + 1]) if x != D.twin[d])
 
 
-def _cached_links(G, ell, limit, built):
-    """``_Cache.links`` after the link graphs at the lengths ``built`` are
-    cached; once one of them exists, enumerating is an error."""
+def _cached_count(G, ell, limit, built, top):
+    """``_Cache.count`` at ``ell`` after the link graphs at the lengths
+    ``built`` are cached, in a run whose arc counts reach ``top``."""
     inst = CorpusInstance("g", G)
-    cache = _Cache(Caps(suite_links=limit))
-    if any([cache.graph(inst, length) is not None for length in built]):
-        with mock.patch.object(harness, "enumerate_links", side_effect=AssertionError):
-            return cache.links(inst, ell)
-    return cache.links(inst, ell)
+    cache = _Cache(Caps(suite_links=limit), (0, top))
+    for length in built:
+        cache.graph(inst, length)
+    return cache.count(inst, ell)
 
 
 @settings(max_examples=80, deadline=None)
@@ -220,12 +219,14 @@ def test_derived_paths_match_reference(G):
             assert part.edge_parts == want.edge_parts
         n_links = len(H.vertices)
         for limit in (n_links, max(n_links - 1, 0), len(labels)):
-            try:
-                want = ref.enumerate_links(G, ell, limit)
-            except LimitExceeded:
-                want = None
-            for built in ((), (ell,), (ell - 1,) if ell else ()):
-                assert _cached_links(G, ell, limit, built) == want
+            # ell + 1 is one length past the counts of the run
+            for length in (ell, ell + 1):
+                try:
+                    want = len(ref.enumerate_links(G, length, limit))
+                except LimitExceeded:
+                    want = None
+                for built in ((), (ell,), (ell - 1,) if ell else ()):
+                    assert _cached_count(G, length, limit, built, ell) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -311,6 +312,50 @@ def test_integer_reads_make_no_links():
     assert len(made) == rec.graph.n + rec.graph.m
 
 
+def test_counting_claims_make_no_links():
+    # Obs3.1 and Obs3.2 read the link graphs' integer cores and the arc counts
+    for claim in ("Obs3.1", "Obs3.2"):
+        with _counting_links() as made:
+            report = verify_suite(claims=[claim])
+        assert report.records and report.passed()
+        assert not made, claim
+
+
+def test_hub_claims_make_the_links_of_each_link_graph_once():
+    # Lem3.5 reads its middles off kernel ids; only Lem3.7's hub parts make links
+    corpus = [CorpusInstance("complete(4)", complete(4)), CorpusInstance("path(5)", path(5))]
+    sizes = [link_graph(inst.graph, ell) for inst in corpus for ell in Caps().ell_range]
+    with _counting_links() as made:
+        report = verify_suite(corpus=corpus, claims=["Lem3.5"])
+    assert report.passed()
+    assert len(made) == sum(H.n + H.m for H in sizes)
+
+
+@pytest.mark.parametrize("G", [wheel(5), path(5)])
+def test_counting_sees_an_edge_the_level_build_drops(G, monkeypatch):
+    # non-regular graphs, so only the count against the arc counts can fail
+    real_graph, real_canonical = construction._windows_graph, construction._canonical
+
+    def dropping(graph, ell, levels):
+        def canonical(level):
+            mask = real_canonical(level)
+            if level is levels[ell + 1] and 1 in mask:
+                mask[mask.index(1)] = 0
+            return mask
+
+        with mock.patch.object(construction, "_canonical", canonical):
+            return real_graph(graph, ell, levels)
+
+    monkeypatch.setattr(harness, "_windows_graph", dropping)
+    report = verify_suite(corpus=[CorpusInstance("g", G)], claims=["Obs3.1"])
+    # every length with an edge to drop fails
+    totals = _walks(G, 7)[0]
+    fails = {r.ell: r.detail for r in report.records if r.status == "fail"}
+    assert fails == {ell: f"|E|={totals[ell + 1] // 2 - 1} but {totals[ell + 1] // 2} longer links"
+                     for ell in Caps().ell_range if totals[ell + 1]}
+    assert len(fails) >= 4
+
+
 def test_ids_sort_as_edge_ids_sort():
     # e10 sorts before e2: dart order follows the string ids, not the numbers
     G = Multigraph([], [(f"e{k}", "a", "b") for k in range(1, 12)])
@@ -380,9 +425,8 @@ def test_hub_links_are_the_links_inside_the_hub(G, data):
     hubs = [G.edge_subgraph(edges), G.induced_subgraph(verts)]
     hubs += [hub_subgraph(G, ell) for ell in _lengths(G, 4)]
     for s in (0, 1, 2):
-        links_of_G = enumerate_links(G, s)
         for hub in hubs:
-            assert _links_inside(links_of_G, hub, s) == enumerate_links(hub, s)
+            assert list(map(Link, _hub_links(hub, s))) == enumerate_links(hub, s)
 
 
 @settings(max_examples=60, deadline=None)

@@ -370,7 +370,7 @@ class TestWitnessGate:
         assert calls == [10]
 
     def test_lift_raises_when_a_branch_set_splits(self, monkeypatch):
-        monkeypatch.setattr(minors, "reachable", lambda adj, start, allowed=None: {start})
+        monkeypatch.setattr(minors, "reachable", lambda adj, starts, allowed=None: set(starts))
         sets = [frozenset({f"t{t}a", f"t{t}b", f"t{t}c"}) for t in range(4)]
         with pytest.raises(WitnessInvalid, match="fell into two components"):
             lift_minor(triangle_grid(), 2, sets)
