@@ -15,7 +15,7 @@ from .errors import (
     PreconditionViolated,
     WitnessInvalid,
 )
-from .links import _kernel, _link_cap, _link_ids, _middle_ids
+from .links import _keep_for_links, _kernel, _link_cap, _middle_ids
 
 DEFAULT_CHROMATIC_CAP = 64
 
@@ -331,7 +331,7 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
                          lambda: exact_edge_chromatic(G, cap))
     graph, col = rec.graph, rec.coloring
     for length in range(base + 2, ell + 1, 2):
-        middle = _middle_ids(levels, length, _link_ids(levels[length - 2]))
+        middle = _middle_ids(levels, length)
         upper = _windows_graph(G, length, levels)
         if not middle:
             col = Coloring({}, 0)
@@ -341,13 +341,18 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
                 raise PreconditionViolated("lower colouring is not proper")
             col = _lift_once(col, middle, upper.adjacency())
         graph = upper
+    _keep_for_links(levels)
     return RecursiveColoring(ell, graph, col, rec.exact_base, rec.base_kind, rec.base_value)
 
 
 def _base_coloring(G, H, cap, solve_edge):
     """The recursive colouring of the link graph ``H`` of ``G`` at length 0 or
     1; ``solve_edge()`` gives ``exact_edge_chromatic`` of ``G``, or raises
-    what it raises."""
+    what it raises.
+
+    At length 1 the links are the canonical 1-arcs, which are the darts that
+    come before their twins, in dart order; each takes the colour of its
+    edge."""
     if H.ell == 0:
         try:
             chi, col = exact_chromatic(H, cap)
@@ -360,8 +365,9 @@ def _base_coloring(G, H, cap, solve_edge):
     try:
         chi_p, ecol = solve_edge()
         exact = True
-        assign = {i: ecol.assignment[link.units[1]] for i, link in enumerate(H.vertices)}
-        col = Coloring(assign, chi_p)
+        D = G.darts()
+        edges = (eid for d, ((eid, _), t) in enumerate(zip(D.steps, D.twin)) if d < t)
+        col = Coloring(dict(enumerate(map(ecol.assignment.__getitem__, edges))), chi_p)
     except OracleTooLarge:
         k, colors = greedy_coloring(H.adjacency())
         col = Coloring(colors, max(k, 1) if H.n else 0)

@@ -8,7 +8,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations, compress, repeat
-from operator import attrgetter, floordiv, itemgetter, mod
+from operator import and_, attrgetter, eq, floordiv, itemgetter, mod, or_
 
 from .errors import (
     InvalidParameter,
@@ -19,14 +19,16 @@ from .errors import (
 from .links import (
     Link,
     _arc_cap,
-    _all,
     _arc_levels,
     _arc_units,
     _canonical,
+    _inside,
+    _keep_for_links,
     _kernel,
     _link_cap,
     _link_ids,
     _middle_ids,
+    _paths,
     _unit_tuples,
     _walks,
     _window_ids,
@@ -69,12 +71,14 @@ class LabeledGraph:
 
     def _make_links(self):
         """The ``Link``s of a graph built from kernel levels, in one pass:
-        ``_pending`` holds the levels, their masks of canonical arcs at the
-        two lengths and, per edge, the canonical index of its label."""
-        levels, canon, order = self._pending
-        units = _unit_tuples(self.source, levels, canon)
-        self._vertices = tuple(map(Link, units[self.ell]))
-        labels = list(map(Link, units[self.ell + 1]))
+        ``_pending`` holds the levels and, per edge, the canonical index of
+        its label."""
+        levels, order = self._pending
+        ell = self.ell
+        units = _unit_tuples(self.source, levels,
+                             {L: _canonical(levels[L]) for L in (ell, ell + 1)})
+        self._vertices = tuple(map(Link, units[ell]))
+        labels = list(map(Link, units[ell + 1]))
         self._edges = tuple(zip(*self.ends, map(labels.__getitem__, order)))
         self._pending = None
 
@@ -341,7 +345,9 @@ class PartitionCheck:
 def link_graph(G, ell, limit=None):
     """The graph on ``ell``-links whose edges are the one-longer links."""
     levels = _kernel(G, ell, {ell: _link_cap(ell, limit), ell + 1: _link_cap(ell + 1, limit)})
-    return _windows_graph(G, ell, levels)
+    H = _windows_graph(G, ell, levels)
+    _keep_for_links(levels)
+    return H
 
 
 def _windows_graph(G, ell, levels):
@@ -352,15 +358,14 @@ def _windows_graph(G, ell, levels):
     The edges are sorted by their ends with a stable sort over the labels in
     canonical order.  Canonical label ids run in unit order, so this is the
     order of the sorted ``(i, j, label)`` triples."""
-    canon = {L: _canonical(levels[L]) for L in (ell, ell + 1)}
-    tails, heads = _window_ids(levels, ell, canon[ell + 1])
-    n = canon[ell].count(1)
+    tails, heads = _window_ids(levels, ell)
+    n = _canonical(levels[ell]).count(1)
     # an edge with ends i < j has the key i * n + j
     key = [a * n + b if a < b else b * n + a for a, b in zip(tails, heads)]
     order = array("i", sorted(range(len(key)), key=key.__getitem__))
     key = list(map(key.__getitem__, order))
     H = LabeledGraph(ell, (), (), G)
-    H.n, H._pending = n, (levels, canon, order)
+    H.n, H._pending = n, (levels, order)
     H._ends = array("i", map(floordiv, key, repeat(n))), array("i", map(mod, key, repeat(n)))
     return H
 
@@ -421,6 +426,26 @@ def _path_graph_of(H):
             edges.append((a, b, lab))
     edges.sort()
     return LabeledGraph(H.ell if verts else 0, tuple(verts), tuple(edges), H.source).simplify()
+
+
+def _path_parts(G, levels, ell):
+    """The path graph inside the ``ell``-link graph on kernel ids, read off
+    levels that hold every ``ell``- and ``(ell + 1)``-arc, as two masks: the
+    ``ell``-arcs that are paths, and the ``(ell + 1)``-arcs that are paths or
+    cycles.  Both hold for an arc exactly when they hold for its reverse, so
+    a link is a vertex or an edge label of the path graph when its arcs are
+    set in the masks.
+
+    An arc is a path when its parent and its suffix are paths and its first
+    vertex is not its last (``_paths``); an arc of length 2 or more is a
+    cycle when it is closed and its parent is a path."""
+    top, head = levels[ell + 1], G.darts().head
+    below, label = _paths(G, levels, ell), _paths(G, levels, ell + 1)
+    if ell and 0 in label:
+        firsts = map(head.__getitem__, map(top.last.__getitem__, top.rev))
+        closed = map(eq, firsts, map(head.__getitem__, top.last))
+        label = bytes(map(or_, label, map(and_, closed, map(below.__getitem__, top.parent))))
+    return below, label
 
 
 def arc_digraph(G, ell, limit=None):
@@ -763,8 +788,7 @@ def _natural_parts(levels, ell):
     middle ``(ell - 1)``-link, whose id is its label index there, in
     canonical order.  An arc without its first and last dart is the suffix of
     its parent (``_middle_ids``)."""
-    return (_middle_ids(levels, ell, _link_ids(levels[ell - 2])),
-            _middle_ids(levels, ell + 1, _link_ids(levels[ell - 1])))
+    return _middle_ids(levels, ell), _middle_ids(levels, ell + 1)
 
 
 def _natural_check(levels, ell, vkey, ekey, vertex):
@@ -776,14 +800,15 @@ def _natural_check(levels, ell, vkey, ekey, vertex):
     of their first label; ``vkey``, ``ekey`` and ``vertex`` name a vertex
     part, an edge part and a vertex by their ids in the failure texts."""
     vpart, epart = _natural_parts(levels, ell)
-    tails, heads = _window_ids(levels, ell, _canonical(levels[ell + 1]))
-    ends = array("i", map(min, tails, heads)), array("i", map(max, tails, heads))
+    tails, heads = _window_ids(levels, ell)
+    ends = (array("i", [a if a < b else b for a, b in zip(tails, heads)]),
+            array("i", [b if a < b else a for a, b in zip(tails, heads)]))
     groups = defaultdict(list)
     for x, y in enumerate(epart):
         groups[y].append(x)
     keys, eparts = list(groups), list(groups.values())
     check = _almost_standard(ends, vpart, eparts, vkey, lambda z: ekey(keys[z]), vertex)
-    lower = list(zip(*_window_ids(levels, ell - 2, _canonical(levels[ell - 1]))))
+    lower = list(zip(*_window_ids(levels, ell - 2)))
     embeds = _embeds(ends, vpart, set(vpart), list(zip(eparts, map(lower.__getitem__, keys))),
                      lower)
     return check, embeds
@@ -834,11 +859,5 @@ def _shunt_search(G, ell, hub, levels, H):
     A one-step shunt is a link-graph edge, so this is a search over kernel ids
     from the links all of whose edges (at length 0, whose vertex) are in ``hub``.
     """
-    if ell == 0:
-        inside = bytearray(map(hub.has_vertex, G.vertices))
-    else:
-        in_hub = bytearray(hub.has_edge(eid) for eid, _ in G.darts().steps)
-        inside = _all(G.n)
-        for lv in levels[1 : ell + 1]:
-            inside = bytearray(inside[p] & in_hub[d] for p, d in zip(lv.parent, lv.last))
+    inside = _inside(G, levels, ell, hub)
     return len(reachable(H.adjacency(), compress(_link_ids(levels[ell]), inside)))

@@ -7,8 +7,10 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, compress, count
+from operator import and_, eq
 
 from . import multigraph as mg
 from .coloring import (
@@ -25,7 +27,7 @@ from .construction import (
     _chains_match,
     _hub_criterion,
     _natural_check,
-    _path_graph_of,
+    _path_parts,
     _shunt_search,
     _windows_digraph,
     _windows_graph,
@@ -42,12 +44,18 @@ from .links import (
     _arc_levels,
     _arc_windows,
     _check_limit,
+    _canonical,
+    _inside,
     _kernel,
+    _link_at,
     _link_cap,
     _link_ids,
+    _link_middles,
     _middle_ids,
     _middle_tuples,
+    _units_at,
     _walks,
+    _window_ids,
     enumerate_links,
     hub_subgraph,
 )
@@ -254,10 +262,13 @@ class _Cache:
         return None if n is None or m is None else (n, m)
 
     def release(self):
-        """Drop the kernel and the link graphs of the instance checked last;
-        a graph whose links were never read holds its kernel levels."""
+        """Drop the kernel, the link graphs and the oracle answers of the
+        instance checked last; a graph whose links were never read holds its
+        kernel levels, and a recursive colouring or a minor witness holds its
+        link graph."""
         self._current = None
         self._graphs.clear()
+        self._answers.clear()
 
     def link_levels(self, inst, lo, hi):
         """Levels that hold every arc of lengths ``lo`` to ``hi``, checked
@@ -310,8 +321,9 @@ class _Cache:
             H = self.graph(inst, ell)
             comp_of = {i: k for k, comp in enumerate(H.components()) for i in comp}
             by_mid = {}
-            for i, link in enumerate(H.vertices):
-                by_mid.setdefault(link.middle_unit(), set()).add(comp_of[i])
+            units = _link_middles(inst.graph, self.link_levels(inst, ell, ell + 1), ell)
+            for i, unit in enumerate(units):
+                by_mid.setdefault(unit, set()).add(comp_of[i])
             return by_mid
 
         return self._answer("middle_comps", inst, ell, solve)
@@ -367,8 +379,7 @@ class _Cache:
             if below is None:
                 return _base_coloring(inst.graph, H, self.caps.chromatic_cap,
                                       lambda: self.edge_chi(inst))
-            levels = self.link_levels(inst, ell - 2, ell)
-            middle = _middle_ids(levels, ell, _link_ids(levels[ell - 2]))
+            middle = _middle_ids(self.link_levels(inst, ell - 2, ell), ell)
             return _lifted(inst.graph, below, H, middle)
 
         return self._answer("recursive", inst, ell, solve)
@@ -401,26 +412,25 @@ def _hub_links(hub, s):
                   for (e, a), (f, b) in combinations(hub.incident(v), 2))
 
 
-def _hub_parts(H, hub):
-    """Per connected component of ``hub``, a subgraph of the base graph of the
-    link graph ``H``: the indices of the links of ``H`` inside it (all their
-    edges, or at ``ell = 0`` their vertex, in it), and the set of indices of
-    the links whose middle unit is in it."""
+def _hub_parts(G, ell, levels, hub):
+    """Per connected component of ``hub``, a subgraph of ``G``: the indices of
+    the ``ell``-links inside it (all their edges, or at ``ell = 0`` their
+    vertex, in it), and the set of indices of the links whose middle unit is
+    in it.  A link's index is its vertex index in the link graph; the links
+    are read off kernel levels that hold every ``ell``-arc."""
     comps = hub.components()
     comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
-    edge_comp = {eid: comp_of[u] for eid, u, _ in hub.edges()}
+    mid_comp = comp_of if ell % 2 == 0 else {eid: comp_of[u] for eid, u, _ in hub.edges()}
     inside = [[] for _ in comps]
     middle = [set() for _ in inside]
-    ell = H.ell
-    mid_comp = comp_of if ell % 2 == 0 else edge_comp
-    for i, link in enumerate(H.vertices):
-        u = link.units
-        k = mid_comp.get(u[ell])
+    whole = compress(_inside(G, levels, ell, hub), _canonical(levels[ell]))
+    for i, (k, whole_link) in enumerate(zip(map(mid_comp.get, _link_middles(G, levels, ell)),
+                                            whole)):
         if k is None:
             continue
         middle[k].add(i)
         # a link with every edge in the hub has its middle unit there too
-        if ell == 0 or all(map(edge_comp.__contains__, u[1::2])):
+        if whole_link:
             inside[k].append(i)
     return list(zip(inside, middle))
 
@@ -455,9 +465,11 @@ def _check_counting(inst, caps, cache, records):
         def fn(ell=ell):
             # the edges of the level build against the dart-transfer count
             H = cache.graph(inst, ell)
-            nxt = cache.count(inst, ell + 1)
-            if H is None or nxt is None:
+            n, nxt = cache.count(inst, ell), cache.count(inst, ell + 1)
+            if H is None or n is None or nxt is None:
                 return "skip", "beyond the suite link budget"
+            if H.n != n:
+                return "fail", f"|V|={H.n} but {n} links"
             if H.m != nxt:
                 return "fail", f"|E|={H.m} but {nxt} longer links"
             detail = f"|E(L_{ell})|={H.m}"
@@ -516,13 +528,17 @@ def _check_looplessness(inst, caps, cache, records):
             H = cache.graph(inst, ell)
             if H is None:
                 return "skip", "beyond the suite link budget"
-            for i, j, lab in H.edges:
-                if i == j:
-                    return "fail", f"loop at {H.vertices[i]}"
-                # the two windows are one link when one equals the other or its reverse
-                w0, w1 = lab.units[:-2], lab.units[2:]
-                if w0 == w1 or w0 == w1[::-1]:
-                    return "fail", f"windows of {lab} coincide"
+            lo, hi = H.ends
+            loop = next(compress(lo, map(eq, lo, hi)), None)
+            if loop is not None:
+                return "fail", f"loop at {H.vertices[loop]}"
+            # the two windows are one link when the kernel parent and suffix
+            # of the label have one link index
+            levels = cache.link_levels(inst, ell, ell + 1)
+            tails, heads = _window_ids(levels, ell)
+            k = next(compress(count(), map(eq, tails, heads)), None)
+            if k is not None:
+                return "fail", f"windows of {_link_at(inst.graph, levels, ell + 1, k)} coincide"
             return "pass", f"{H.m} edges loopless"
 
         _timed(records, "Obs3.3", inst.name, ell, fn)
@@ -559,6 +575,29 @@ def _parallel_patterns(parallel_pairs, ell):
     return table
 
 
+def _doubled_units(G, levels, ell, pairs):
+    """Per pair of ``ell``-link indices in ``pairs``, the unit tuples of its two
+    links and of the ``(ell + 1)``-links that join them, as two frozensets,
+    read off kernel levels that hold every ``ell``- and ``(ell + 1)``-arc."""
+    out = {pair: (set(), set()) for pair in pairs}
+    if not pairs:
+        return out
+    top, link_of = levels[ell + 1], _link_ids(levels[ell])
+    ends = set(chain.from_iterable(pairs))
+    # the canonical label arcs whose parent is a link of some pair
+    starts = map(ends.__contains__, map(link_of.__getitem__, top.parent))
+    for a in compress(count(), map(and_, _canonical(top), starts)):
+        windows = top.parent[a], top.suffix[a]
+        i, j = sorted(map(link_of.__getitem__, windows))
+        if (i, j) in out:
+            links, labels = out[i, j]
+            for w in windows:
+                u = _units_at(G, levels, ell, w)
+                links.add(min(u, u[::-1]))
+            labels.add(_units_at(G, levels, ell + 1, a))
+    return {pair: (frozenset(links), frozenset(labels)) for pair, (links, labels) in out.items()}
+
+
 def _check_multiplicity(inst, caps, cache, records):
     G = inst.graph
     parallel_pairs = []
@@ -578,20 +617,22 @@ def _check_multiplicity(inst, caps, cache, records):
             H = cache.graph(inst, ell)
             if H is None:
                 return "skip", "beyond the suite link budget"
-            groups = H.edge_groups()
-            doubled = {pair: labs for pair, labs in groups.items() if len(labs) > 1}
+            # the edges run in order of their ends, so the pairs count in that order
+            doubled = {pair: c for pair, c in Counter(zip(*H.ends)).items() if c > 1}
+            units = _doubled_units(G, cache.link_levels(inst, ell, ell + 1), ell, doubled)
             patterns = _parallel_patterns(parallel_pairs, ell)
-            for pair, labs in doubled.items():
-                if len(labs) > 2:
-                    return "fail", f"multiplicity {len(labs)} at {pair}"
-                windows = frozenset((H.vertices[pair[0]].units, H.vertices[pair[1]].units))
-                if frozenset(lab.units for lab in labs) not in patterns.get(windows, ()):
+            for pair, c in doubled.items():
+                if c > 2:
+                    return "fail", f"multiplicity {c} at {pair}"
+                windows, labels = units[pair]
+                if labels not in patterns.get(windows, ()):
                     return "fail", f"doubled edge at {pair} without a parallel-pair pattern"
             # converse: every parallel pair produces its doubled edge
+            seen = {windows for windows, _ in units.values()}
             for u, v, e, f in parallel_pairs:
-                i = H.index[Link(_alternating_link(u, e, v, f, ell))]
-                j = H.index[Link(_alternating_link(v, f, u, e, ell))]
-                if len(groups.get((i, j) if i < j else (j, i), ())) != 2:
+                windows = frozenset((_alternating_link(u, e, v, f, ell),
+                                     _alternating_link(v, f, u, e, ell)))
+                if windows not in seen:
                     return "fail", f"parallel pair {e},{f} not doubled at length {ell}"
             return "pass", f"{len(doubled)} doubled pairs, all patterned"
 
@@ -637,7 +678,8 @@ def _check_hub(inst, caps, cache, records):
             if H is None:
                 return "skip", "beyond the suite link budget"
             adj = H.adjacency()
-            for inside, allowed in _hub_parts(H, cache.hub(inst, ell)):
+            levels = cache.link_levels(inst, ell, ell + 1)
+            for inside, allowed in _hub_parts(G, ell, levels, cache.hub(inst, ell)):
                 if not inside:
                     continue
                 # the vertices of H run in link order: start from the least link
@@ -692,10 +734,11 @@ def _check_partition(inst, caps, cache, records):
             lower = cache.graph(inst, ell - 2)
             if H is None or lower is None:
                 return "skip", "beyond the suite link budget"
-            # the parts by kernel ids: a vertex of lower, a label index one shorter
+            # the parts by kernel ids: a vertex of lower, a label index one
+            # shorter; only a failure text makes a link
             check, embeds = _natural_check(
-                cache.link_levels(inst, ell - 2, ell + 1), ell, lower.vertices.__getitem__,
-                lambda y: cache.graph(inst, ell - 1).vertices[y], H.vertices.__getitem__)
+                cache.link_levels(inst, ell - 2, ell + 1), ell, lambda x: lower.vertices[x],
+                lambda y: cache.graph(inst, ell - 1).vertices[y], lambda i: H.vertices[i])
             if not check.all_ok():
                 return "fail", f"conditions failed: {check.failures}"
             if H.n and not embeds:
@@ -992,23 +1035,27 @@ def _check_path_graphs(inst, caps, cache, records):
             H = cache.graph(inst, ell)
             if H is None:
                 return "skip", "beyond the suite link budget"
-            P = _path_graph_of(H)
+            levels = cache.link_levels(inst, ell, ell + 1)
+            vertex, label = _path_parts(G, levels, ell)
             if girth > max(ell, 2):
-                if not P.same_labeled_graph(H):
+                # the path graph keeps every vertex and every edge, and is simple
+                simple = sum(map(len, H.adjacency())) == 2 * H.m
+                if 0 in vertex or 0 in label or not simple:
                     return "fail", "path graph differs despite the girth bound"
                 return "pass", f"equal to the link graph (girth {girth})"
-            # induced subgraph of the simplification on the path vertices
-            S = H.simplify()
-            s_units = [v.units for v in S.vertices]
-            p_units = [v.units for v in P.vertices]
-            s_pairs = {(s_units[i], s_units[j]) for i, j, _ in S.edges}
-            p_pairs = {(p_units[i], p_units[j]) for i, j, _ in P.edges}
-            pv = set(p_units)
-            induced = {
-                (a, b) for a, b in s_pairs if a in pv and b in pv
-            }
-            if ell >= 2 and p_pairs != induced:
-                return "fail", "path graph is not the induced restriction"
+            # induced subgraph of the simplification on the path vertices: every
+            # pair of paths joined by an edge is joined by a path or a cycle
+            if ell >= 2:
+                top = levels[ell + 1]
+                both = bytes(map(and_, map(vertex.__getitem__, top.parent),
+                                 map(vertex.__getitem__, top.suffix)))
+                kept = bytes(map(and_, both, label))
+                if kept != both:
+                    link_of = _link_ids(levels[ell])
+                    pairs = [frozenset(map(link_of.__getitem__, ends))
+                             for ends in zip(top.parent, top.suffix)]
+                    if set(compress(pairs, kept)) != set(compress(pairs, both)):
+                        return "fail", "path graph is not the induced restriction"
             return "pass", "induced restriction verified"
 
         _timed(records, "PathGirth", inst.name, ell, fn)

@@ -12,8 +12,8 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, repeat
-from operator import add, ge, le
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, and_, ge, le, ne
 
 from .errors import (
     BacktrackEdge,
@@ -233,13 +233,21 @@ class _Level:
     first dart.  The arcs of level ``L`` whose parent is ``p`` are
     ``kids[p]:kids[p + 1]``.  A level built by ``_full_level`` also has
     ``rank[k]``, the rank of ``back[k]`` among the children of the arc that
-    ``rev[k]`` extends; other levels have ``rank`` ``None``."""
+    ``rev[k]`` extends; other levels have ``rank`` ``None``.
 
-    __slots__ = ("parent", "last", "suffix", "rev", "kids", "back", "rank")
+    What is derived from a level and the levels below it is made on its first
+    read and then kept on the level, to be read but never changed: ``canon``
+    (``_canonical``), ``ids`` (``_link_ids``), ``windows`` (``_window_ids``,
+    kept on the upper of its two levels), ``middles`` (``_middle_ids``) and
+    ``paths`` (``_paths``)."""
+
+    __slots__ = ("parent", "last", "suffix", "rev", "kids", "back", "rank",
+                 "canon", "ids", "windows", "middles", "paths")
 
     def __init__(self, parent, last, suffix, rev, kids, back, rank=None):
         self.parent, self.last, self.suffix, self.rev = parent, last, suffix, rev
         self.kids, self.back, self.rank = kids, back, rank
+        self.canon = self.ids = self.windows = self.middles = self.paths = None
 
     def pack(self):
         """Store the tables of a large level as ``array('i')`` (4 bytes an entry,
@@ -373,20 +381,62 @@ def _pruned_level(D, prev, fwd, short):
 
 
 def _canonical(level):
-    """Mask of the arcs of a level that are the canonical orientation of their link."""
-    return bytearray(map(le, range(len(level.rev)), level.rev))
+    """Mask of the arcs of a level that are the canonical orientation of their
+    link, as ``bytes``; kept on the level."""
+    if level.canon is None:
+        level.canon = bytes(map(le, range(len(level.rev)), level.rev))
+    return level.canon
 
 
 def _link_ids(level):
-    """Link index of every arc of a level: canonical arcs numbered in order."""
-    ids, count = array("i"), 0
-    for k, r in enumerate(level.rev):
-        if k <= r:
-            ids.append(count)
-            count += 1
+    """Link index of every arc of a level, as ``array('i')``: canonical arcs
+    numbered in order, and each other arc takes the index of its reverse;
+    kept on the level."""
+    if level.ids is None:
+        ids, n = array("i"), 0
+        for k, r in enumerate(level.rev):
+            if k <= r:
+                ids.append(n)
+                n += 1
+            else:
+                ids.append(ids[r])
+        level.ids = ids
+    return level.ids
+
+
+def _paths(G, levels, L):
+    """Mask of the arcs of level ``L`` that are paths (no vertex twice), as
+    ``bytes``; kept on the level.  An arc is a path when its parent and its
+    suffix are paths and its first vertex, the last of its reverse, is not
+    its last."""
+    lv = levels[L]
+    if lv.paths is None:
+        if L == 0:
+            lv.paths = bytes(_all(G.n))
         else:
-            ids.append(ids[r])
-    return ids
+            below, head = _paths(G, levels, L - 1), G.darts().head
+            firsts = map(head.__getitem__, map(lv.last.__getitem__, lv.rev))
+            ends_differ = map(ne, firsts, map(head.__getitem__, lv.last))
+            lv.paths = bytes(map(and_, map(and_, map(below.__getitem__, lv.parent),
+                                           map(below.__getitem__, lv.suffix)), ends_differ))
+    return lv.paths
+
+
+def _units_at(G, levels, L, k):
+    """The unit tuple of arc ``k`` of level ``L``: the last dart of the arc
+    and of each of its prefixes, after the vertex it starts at."""
+    steps, darts = G.darts().steps, []
+    for lv in levels[L:0:-1]:
+        darts.append(steps[lv.last[k]])
+        k = lv.parent[k]
+    return (G.vertices[k], *chain.from_iterable(reversed(darts)))
+
+
+def _link_at(G, levels, L, k):
+    """The ``Link`` of the ``k``-th ``L``-link in canonical order, for a
+    failure text."""
+    arc = next(islice(compress(count(), _canonical(levels[L])), k, None))
+    return Link(_units_at(G, levels, L, arc))
 
 
 def _unit_tuples(G, levels, want):
@@ -414,6 +464,15 @@ def _unit_tuples(G, levels, want):
 
 def _all(n):
     return bytearray(b"\x01") * n
+
+
+def _keep_for_links(levels):
+    """Drop from kernel levels that one link graph alone holds every table
+    but those its ``Link``s are made from: ``parent`` and ``last``
+    (``_unit_tuples``), and the canonical masks made so far."""
+    for lv in levels:
+        lv.suffix = lv.rev = lv.kids = lv.back = lv.rank = None
+        lv.ids = lv.windows = lv.middles = lv.paths = None
 
 
 def _kernel(G, ell, caps):
@@ -458,15 +517,17 @@ def link_count(G, ell, limit=None):
     return totals[ell] if ell == 0 else totals[ell] // 2
 
 
-def _window_ids(levels, ell, canon):
-    """The windows of the ``(ell + 1)``-links as two tables, read off kernel
-    levels that hold every ``ell``- and ``(ell + 1)``-arc, where ``canon`` is
-    ``_canonical(levels[ell + 1])``: per ``(ell + 1)``-link in canonical
-    order, the link indices of its kernel parent and suffix."""
-    link_of = _link_ids(levels[ell])
+def _window_ids(levels, ell):
+    """The windows of the ``(ell + 1)``-links as two ``array('i')`` tables,
+    read off kernel levels that hold every ``ell``- and ``(ell + 1)``-arc:
+    per ``(ell + 1)``-link in canonical order, the link indices of its
+    kernel parent and suffix.  Kept on level ``ell + 1``."""
     top = levels[ell + 1]
-    return [array("i", map(link_of.__getitem__, compress(table, canon)))
-            for table in (top.parent, top.suffix)]
+    if top.windows is None:
+        link_of, canon = _link_ids(levels[ell]), _canonical(top)
+        top.windows = tuple(array("i", map(link_of.__getitem__, compress(table, canon)))
+                            for table in (top.parent, top.suffix))
+    return top.windows
 
 
 def arc_windows(G, ell, limit=None):
@@ -500,13 +561,41 @@ def _middle_arcs(levels, ell, h, arcs):
     return arcs
 
 
-def _middle_ids(levels, ell, below):
+def _middle_ids(levels, ell):
     """Per ``ell``-link, in canonical order, the link index of its middle
-    segment of length ``ell - 2``, where ``below`` is
-    ``_link_ids(levels[ell - 2])``."""
+    segment of length ``ell - 2``, as ``array('i')``; kept on level ``ell``."""
     lv = levels[ell]
-    canon = compress(range(len(lv.rev)), _canonical(lv))
-    return list(map(below.__getitem__, _middle_arcs(levels, ell, 1, canon)))
+    if lv.middles is None:
+        canon = compress(range(len(lv.rev)), _canonical(lv))
+        below = _link_ids(levels[ell - 2])
+        lv.middles = array("i", map(below.__getitem__, _middle_arcs(levels, ell, 1, canon)))
+    return lv.middles
+
+
+def _link_middles(G, levels, ell):
+    """Per ``ell``-link, in canonical order, its middle unit: a vertex for even
+    ``ell`` and an edge id for odd ``ell``, read off its middle arc of length
+    0 or 1 (``_middle_arcs``)."""
+    lv = levels[ell]
+    mids = _middle_arcs(levels, ell, ell // 2, compress(range(len(lv.rev)), _canonical(lv)))
+    if ell % 2 == 0:
+        return list(map(G.vertices.__getitem__, mids))
+    steps, last = G.darts().steps, levels[1].last
+    return [steps[last[a]][0] for a in mids]
+
+
+def _inside(G, levels, ell, hub):
+    """Mask of the ``ell``-arcs all of whose edges (at length 0, whose vertex)
+    are in the subgraph ``hub``: an arc is inside when its parent is and
+    its last dart is a dart of a hub edge."""
+    if ell == 0:
+        return bytes(map(hub.has_vertex, G.vertices))
+    in_hub = bytes(hub.has_edge(eid) for eid, _ in G.darts().steps)
+    inside = _all(G.n)
+    for lv in levels[1 : ell + 1]:
+        inside = bytes(map(and_, map(inside.__getitem__, lv.parent),
+                           map(in_hub.__getitem__, lv.last)))
+    return inside
 
 
 def _middle_tuples(G, levels, ell, s):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from collections import Counter
 
 import pytest
@@ -305,6 +307,31 @@ class TestBuildOnce:
         swapped = (a, b, q), *H.edges[1:-1], (c, d, p)
         assert H.same_labeled_graph(LabeledGraph(H.ell, H.vertices, H.edges))
         assert not H.same_labeled_graph(LabeledGraph(H.ell, H.vertices, swapped))
+
+    def test_release_leaves_no_link_graph_of_the_instance_alive(self, monkeypatch):
+        # the recursive colourings, minor witnesses and colourings of an
+        # instance hold its link graphs; release drops them with the kernel
+        built, alive = [], []
+        real_graph, real_release = harness._windows_graph, harness._Cache.release
+
+        def recording(G, ell, levels):
+            H = real_graph(G, ell, levels)
+            built.append(weakref.ref(H))
+            return H
+
+        def release(cache):
+            real_release(cache)
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in built))
+
+        monkeypatch.setattr(harness, "_windows_graph", recording)
+        monkeypatch.setattr(harness._Cache, "release", release)
+        corpus = small_corpus() + [CorpusInstance("path(5)", path(5))]
+        report = verify_suite(corpus=corpus, caps=Caps(ell_range=(0, 1, 2, 3),
+                                                       recolour_instances=5))
+        assert report.passed() and built
+        assert {"Thm1.1", "Cor4.4", "Thm2", "Thm3.1"} <= {r.claim for r in report.records}
+        assert alive == [0] * len(corpus)
 
     def test_records_equal_separate_runs(self):
         combined = verify_suite(corpus=small_corpus(), claims=self.CLAIMS, caps=self.CAPS)

@@ -40,7 +40,9 @@ from linkgraphs.harness import (
 )
 from linkgraphs.minors import hadwiger_lower_bound
 from linkgraphs.links import (
+    DEFAULT_LIMIT,
     Link,
+    _kernel,
     _walks,
     enumerate_arcs,
     enumerate_links,
@@ -237,7 +239,7 @@ def test_hub_parts_and_middle_segments_match_reference(G):
     inst = CorpusInstance("g", G)
     for ell in _lengths(G):
         H = link_graph(G, ell)
-        parts = _hub_parts(H, hub_subgraph(G, ell))
+        parts = _hub_parts(G, ell, _kernel(G, ell, {ell: DEFAULT_LIMIT}), hub_subgraph(G, ell))
         want = ref.hub_component_links(G, ell)
         assert len(parts) == len(want)
         for (inside, allowed), (links, member) in zip(parts, want):
@@ -321,29 +323,41 @@ def test_counting_claims_make_no_links():
         assert not made, claim
 
 
-def test_hub_claims_make_the_links_of_each_link_graph_once():
-    # Lem3.5 reads its middles off kernel ids; only Lem3.7's hub parts make links
+def test_hub_claims_make_no_links():
+    # the Lem3.5 group reads middle units and hub masks off kernel ids
     corpus = [CorpusInstance("complete(4)", complete(4)), CorpusInstance("path(5)", path(5))]
-    sizes = [link_graph(inst.graph, ell) for inst in corpus for ell in Caps().ell_range]
     with _counting_links() as made:
         report = verify_suite(corpus=corpus, claims=["Lem3.5"])
+    assert report.records and report.passed()
+    assert not made
+
+
+# every claim but Thm2 and Thm3.x, whose witness routes and Hadwiger oracle
+# read the links of a link graph
+STRUCTURAL = [c for c in harness.ALL_CLAIMS if c != "Thm2" and not c.startswith("Thm3")]
+
+
+def test_structural_claims_make_no_links():
+    # a passing record of a structural claim reads only integers; a Link is
+    # made for output and failure texts alone
+    with _counting_links() as made:
+        report = verify_suite(claims=STRUCTURAL)
+    assert {r.claim for r in report.records} == set(STRUCTURAL)
     assert report.passed()
-    assert len(made) == sum(H.n + H.m for H in sizes)
+    assert not made
 
 
 @pytest.mark.parametrize("G", [wheel(5), path(5)])
 def test_counting_sees_an_edge_the_level_build_drops(G, monkeypatch):
     # non-regular graphs, so only the count against the arc counts can fail
-    real_graph, real_canonical = construction._windows_graph, construction._canonical
+    real_graph, real_windows = construction._windows_graph, construction._window_ids
 
     def dropping(graph, ell, levels):
-        def canonical(level):
-            mask = real_canonical(level)
-            if level is levels[ell + 1] and 1 in mask:
-                mask[mask.index(1)] = 0
-            return mask
+        def windows(levels, ell):
+            # copies without the first label: the kernel's tables stay as they are
+            return tuple(table[1:] for table in real_windows(levels, ell))
 
-        with mock.patch.object(construction, "_canonical", canonical):
+        with mock.patch.object(construction, "_window_ids", windows):
             return real_graph(graph, ell, levels)
 
     monkeypatch.setattr(harness, "_windows_graph", dropping)
@@ -354,6 +368,25 @@ def test_counting_sees_an_edge_the_level_build_drops(G, monkeypatch):
     assert fails == {ell: f"|E|={totals[ell + 1] // 2 - 1} but {totals[ell + 1] // 2} longer links"
                      for ell in Caps().ell_range if totals[ell + 1]}
     assert len(fails) >= 4
+
+
+@pytest.mark.parametrize("G", [wheel(5), path(5)])
+def test_counting_sees_a_vertex_the_level_build_drops(G, monkeypatch):
+    real_graph = construction._windows_graph
+
+    def shrinking(graph, ell, levels):
+        H = real_graph(graph, ell, levels)
+        H.n -= 1
+        return H
+
+    monkeypatch.setattr(harness, "_windows_graph", shrinking)
+    report = verify_suite(corpus=[CorpusInstance("g", G)], claims=["Obs3.1"])
+    # the order against the arc counts fails at every length
+    totals = _walks(G, 7)[0]
+    counts = [totals[0]] + [t // 2 for t in totals[1:]]
+    assert [(r.ell, r.status, r.detail) for r in report.records] == [
+        (ell, "fail", f"|V|={counts[ell] - 1} but {counts[ell]} links")
+        for ell in Caps().ell_range]
 
 
 def test_ids_sort_as_edge_ids_sort():
