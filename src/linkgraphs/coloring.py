@@ -329,20 +329,10 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     levels = _kernel(G, base, {L: _link_cap(L, limit) for L in range(base, ell + 2)})
     rec = _base_coloring(G, _windows_graph(G, base, levels), cap,
                          lambda: exact_edge_chromatic(G, cap))
-    graph, col = rec.graph, rec.coloring
     for length in range(base + 2, ell + 1, 2):
-        middle = _middle_ids(levels, length)
-        upper = _windows_graph(G, length, levels)
-        if not middle:
-            col = Coloring({}, 0)
-        else:
-            # a later lower colouring is the output of the lift before, checked there
-            if length == base + 2 and not is_proper(graph, col):
-                raise PreconditionViolated("lower colouring is not proper")
-            col = _lift_once(col, middle, upper.adjacency())
-        graph = upper
+        rec = _lifted(G, rec, _windows_graph(G, length, levels), _middle_ids(levels, length))
     _keep_for_links(levels)
-    return RecursiveColoring(ell, graph, col, rec.exact_base, rec.base_kind, rec.base_value)
+    return rec
 
 
 def _base_coloring(G, H, cap, solve_edge):

@@ -9,8 +9,8 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress, count
-from operator import and_, eq
+from itertools import chain, combinations, compress, count, groupby
+from operator import and_, attrgetter, eq, itemgetter
 
 from . import multigraph as mg
 from .coloring import (
@@ -37,7 +37,7 @@ from .construction import (
     reachable,
     verify_almost_standard,
 )
-from .errors import LimitExceeded, OracleTooLarge, WitnessInvalid
+from .errors import InvalidParameter, LimitExceeded, OracleTooLarge, WitnessInvalid
 from .links import (
     Link,
     _arc_cap,
@@ -71,17 +71,6 @@ OUT_OF_SCOPE = [
     "multigraph edge-colouring bounds, series-parallel edge colouring)",
     "characterisation of which abstract graphs are link graphs",
     "asymptotic and infinite-family claims",
-]
-
-ALL_CLAIMS = [
-    "Obs3.1", "Obs3.2", "Obs3.3", "Obs3.4",
-    "Lem3.5", "Cor3.6", "Lem3.7", "Cor3.8",
-    "Lem4.1", "Lem4.2",
-    "Thm1.1", "Thm1.2", "Thm1.3", "Thm1.4", "ArcChrom",
-    "Cor1.2", "Cor4.4",
-    "Thm2",
-    "Thm3.1", "Thm3.2", "Thm3.3", "Thm3.4", "Thm3.5",
-    "PathGirth", "DigraphIso",
 ]
 
 
@@ -435,10 +424,25 @@ def _hub_parts(G, ell, levels, hub):
     return list(zip(inside, middle))
 
 
-def _timed(records, claim, inst_name, ell, fn):
+class _Skip(Exception):
+    """A check's skip; ``_timed`` records its text."""
+
+
+def _fits(*reads):
+    """The reads of the run cache, each ``None`` beyond the suite link
+    budget; there the check records the budget skip."""
+    for read in reads:
+        if read is None:
+            raise _Skip("beyond the suite link budget")
+    return reads if len(reads) > 1 else reads[0]
+
+
+def _timed(records, claim, inst, caps, cache, ell):
     start = time.perf_counter()
     try:
-        status, detail = fn()
+        status, detail = claim.check(inst, caps, cache, ell)
+    except _Skip as exc:
+        status, detail = "skip", str(exc)
     except LimitExceeded as exc:
         status, detail = "skip", f"limit: {exc}"
     except OracleTooLarge as exc:
@@ -446,102 +450,69 @@ def _timed(records, claim, inst_name, ell, fn):
     except Exception as exc:
         status, detail = "fail", f"{type(exc).__name__}: {exc}"
     ms = int((time.perf_counter() - start) * 1000)
-    records.append(ClaimRecord(claim, inst_name, ell, status, detail, ms))
+    records.append(ClaimRecord(claim.name, inst.name, ell, status, detail, ms))
 
 
-def _is_regular(G):
-    if G.n == 0 or G.min_degree() != G.max_degree():
-        return None
-    return G.max_degree()
+# -- claim checks: each gives the (status, detail) of one record ----------------
 
 
-# -- claim checkers -----------------------------------------------------------
-
-
-def _check_counting(inst, caps, cache, records):
+def _check_counting(inst, caps, cache, ell):
     G = inst.graph
-    r = _is_regular(G)
-    for ell in caps.ell_range:
-        def fn(ell=ell):
-            # the edges of the level build against the dart-transfer count
-            H = cache.graph(inst, ell)
-            n, nxt = cache.count(inst, ell), cache.count(inst, ell + 1)
-            if H is None or n is None or nxt is None:
-                return "skip", "beyond the suite link budget"
-            if H.n != n:
-                return "fail", f"|V|={H.n} but {n} links"
-            if H.m != nxt:
-                return "fail", f"|E|={H.m} but {nxt} longer links"
-            detail = f"|E(L_{ell})|={H.m}"
-            if r is not None and r >= 2:
-                expect = G.m * (r - 1) ** ell
-                if nxt != expect:
-                    return "fail", f"count {nxt} != m(r-1)^ell = {expect}"
-                if ell >= 1:
-                    degs = set(H.degrees())
-                    if degs and degs != {2 * (r - 1)}:
-                        return "fail", f"not {2 * (r - 1)}-regular: {sorted(degs)}"
-                detail += f", regular check r={r}"
-            return "pass", detail
-
-        _timed(records, "Obs3.1", inst.name, ell, fn)
+    r = G.max_degree() if G.n and G.min_degree() == G.max_degree() else None
+    # the edges of the level build against the dart-transfer count
+    H, n, nxt = _fits(cache.graph(inst, ell), cache.count(inst, ell), cache.count(inst, ell + 1))
+    if H.n != n:
+        return "fail", f"|V|={H.n} but {n} links"
+    if H.m != nxt:
+        return "fail", f"|E|={H.m} but {nxt} longer links"
+    detail = f"|E(L_{ell})|={H.m}"
+    if r is not None and r >= 2:
+        expect = G.m * (r - 1) ** ell
+        if nxt != expect:
+            return "fail", f"count {nxt} != m(r-1)^ell = {expect}"
+        if ell >= 1:
+            degs = set(H.degrees())
+            if degs and degs != {2 * (r - 1)}:
+                return "fail", f"not {2 * (r - 1)}-regular: {sorted(degs)}"
+        detail += f", regular check r={r}"
+    return "pass", detail
 
 
-def _check_bipartite_counts(inst, caps, cache, records):
-    if inst.bipartite is None:
-        return
+def _check_bipartite_counts(inst, caps, cache, ell):
     n, m = inst.bipartite
-    if n < 2 or m < 2:
-        return
-    for ell in caps.ell_range:
-        if ell < 1:
-            continue
-
-        def fn(ell=ell):
-            order = cache.count(inst, ell)
-            H = cache.graph(inst, ell)
-            if order is None or H is None:
-                return "skip", "beyond the suite link budget"
-            if ell % 2 == 1:
-                expect = n * m * ((n - 1) * (m - 1)) ** ((ell - 1) // 2)
-                if order != expect:
-                    return "fail", f"order {order} != {expect}"
-                degs = set(H.degrees())
-                if degs != {n + m - 2}:
-                    return "fail", f"not {n + m - 2}-regular: {sorted(degs)}"
-                return "pass", f"order {expect}, ({n + m - 2})-regular"
-            expect = (n * m * (n + m - 2) * ((n - 1) * (m - 1)) ** (ell // 2 - 1)) // 2
-            if order != expect:
-                return "fail", f"order {order} != {expect}"
-            avg = 2 * H.m / H.n
-            want = 4 * (n - 1) * (m - 1) / (n + m - 2)
-            if abs(avg - want) > 1e-9:
-                return "fail", f"average degree {avg} != {want}"
-            return "pass", f"order {expect}, average degree {want:g}"
-
-        _timed(records, "Obs3.2", inst.name, ell, fn)
+    order, H = _fits(cache.count(inst, ell), cache.graph(inst, ell))
+    if ell % 2 == 1:
+        expect = n * m * ((n - 1) * (m - 1)) ** ((ell - 1) // 2)
+        if order != expect:
+            return "fail", f"order {order} != {expect}"
+        degs = set(H.degrees())
+        if degs != {n + m - 2}:
+            return "fail", f"not {n + m - 2}-regular: {sorted(degs)}"
+        return "pass", f"order {expect}, ({n + m - 2})-regular"
+    expect = (n * m * (n + m - 2) * ((n - 1) * (m - 1)) ** (ell // 2 - 1)) // 2
+    if order != expect:
+        return "fail", f"order {order} != {expect}"
+    avg = 2 * H.m / H.n
+    want = 4 * (n - 1) * (m - 1) / (n + m - 2)
+    if abs(avg - want) > 1e-9:
+        return "fail", f"average degree {avg} != {want}"
+    return "pass", f"order {expect}, average degree {want:g}"
 
 
-def _check_looplessness(inst, caps, cache, records):
-    for ell in caps.ell_range:
-        def fn(ell=ell):
-            H = cache.graph(inst, ell)
-            if H is None:
-                return "skip", "beyond the suite link budget"
-            lo, hi = H.ends
-            loop = next(compress(lo, map(eq, lo, hi)), None)
-            if loop is not None:
-                return "fail", f"loop at {H.vertices[loop]}"
-            # the two windows are one link when the kernel parent and suffix
-            # of the label have one link index
-            levels = cache.link_levels(inst, ell, ell + 1)
-            tails, heads = _window_ids(levels, ell)
-            k = next(compress(count(), map(eq, tails, heads)), None)
-            if k is not None:
-                return "fail", f"windows of {_link_at(inst.graph, levels, ell + 1, k)} coincide"
-            return "pass", f"{H.m} edges loopless"
-
-        _timed(records, "Obs3.3", inst.name, ell, fn)
+def _check_looplessness(inst, caps, cache, ell):
+    H = _fits(cache.graph(inst, ell))
+    lo, hi = H.ends
+    loop = next(compress(lo, map(eq, lo, hi)), None)
+    if loop is not None:
+        return "fail", f"loop at {H.vertices[loop]}"
+    # the two windows are one link when the kernel parent and suffix
+    # of the label have one link index
+    levels = cache.link_levels(inst, ell, ell + 1)
+    tails, heads = _window_ids(levels, ell)
+    k = next(compress(count(), map(eq, tails, heads)), None)
+    if k is not None:
+        return "fail", f"windows of {_link_at(inst.graph, levels, ell + 1, k)} coincide"
+    return "pass", f"{H.m} edges loopless"
 
 
 def _alternating_link(v, e, w, f, length):
@@ -598,154 +569,118 @@ def _doubled_units(G, levels, ell, pairs):
     return {pair: (frozenset(links), frozenset(labels)) for pair, (links, labels) in out.items()}
 
 
-def _check_multiplicity(inst, caps, cache, records):
-    G = inst.graph
-    parallel_pairs = []
+def _parallel_pairs(G):
+    """The pairs ``(u, v, e, f)`` of parallel edges, ``e`` before ``f`` in
+    edge order, joining ``u <= v``."""
     byp = {}
     for eid, u, v in G.edges():
-        key = (u, v) if u <= v else (v, u)
-        byp.setdefault(key, []).append(eid)
-    for (u, v), eids in sorted(byp.items()):
-        for a in range(len(eids)):
-            for b in range(a + 1, len(eids)):
-                parallel_pairs.append((u, v, eids[a], eids[b]))
-    for ell in caps.ell_range:
-        if ell < 1:
-            continue
-
-        def fn(ell=ell):
-            H = cache.graph(inst, ell)
-            if H is None:
-                return "skip", "beyond the suite link budget"
-            # the edges run in order of their ends, so the pairs count in that order
-            doubled = {pair: c for pair, c in Counter(zip(*H.ends)).items() if c > 1}
-            units = _doubled_units(G, cache.link_levels(inst, ell, ell + 1), ell, doubled)
-            patterns = _parallel_patterns(parallel_pairs, ell)
-            for pair, c in doubled.items():
-                if c > 2:
-                    return "fail", f"multiplicity {c} at {pair}"
-                windows, labels = units[pair]
-                if labels not in patterns.get(windows, ()):
-                    return "fail", f"doubled edge at {pair} without a parallel-pair pattern"
-            # converse: every parallel pair produces its doubled edge
-            seen = {windows for windows, _ in units.values()}
-            for u, v, e, f in parallel_pairs:
-                windows = frozenset((_alternating_link(u, e, v, f, ell),
-                                     _alternating_link(v, f, u, e, ell)))
-                if windows not in seen:
-                    return "fail", f"parallel pair {e},{f} not doubled at length {ell}"
-            return "pass", f"{len(doubled)} doubled pairs, all patterned"
-
-        _timed(records, "Obs3.4", inst.name, ell, fn)
+        byp.setdefault((u, v) if u <= v else (v, u), []).append(eid)
+    return [(u, v, e, f) for (u, v), eids in sorted(byp.items())
+            for e, f in combinations(eids, 2)]
 
 
-def _check_hub(inst, caps, cache, records):
+def _check_multiplicity(inst, caps, cache, ell):
     G = inst.graph
-    for ell in caps.ell_range:
-        def lem35(ell=ell):
-            count = cache.count(inst, ell)
-            if count is None:
-                return "skip", "beyond the suite link budget"
-            hub = cache.hub(inst, ell)
-            if G.is_connected() and not hub.is_connected():
-                return "fail", "hub disconnected for connected base"
-            # short links of the hub appear as middle segments two levels up
-            base = 2 * (ell // 2)
-            for s in (0, 1, 2):
-                seen = cache.middles(inst, base + s, s)
-                if seen is None:
-                    return "skip", "beyond the suite link budget"
-                for short in _hub_links(hub, s):
-                    if short not in seen:
-                        return "fail", f"{Link(short)} not a middle segment at length {base + s}"
-            if not G.is_connected() or not count:
-                return "pass", "hub segments covered"
-            # any two middle units are joined through some shunting component
-            if cache.graph(inst, ell) is None:
-                return "skip", "beyond the suite link budget"
-            unit_comps = cache.middle_comps(inst, ell)
-            units = sorted(unit_comps)
-            for a in range(len(units)):
-                for b in range(a + 1, len(units)):
-                    if not (unit_comps[units[a]] & unit_comps[units[b]]):
-                        return "fail", f"middles {units[a]}, {units[b]} never co-reachable"
-            return "pass", "hub connected; middle pairs co-reachable"
-
-        _timed(records, "Lem3.5", inst.name, ell, lem35)
-
-        def lem37(ell=ell):
-            H = cache.graph(inst, ell)
-            if H is None:
-                return "skip", "beyond the suite link budget"
-            adj = H.adjacency()
-            levels = cache.link_levels(inst, ell, ell + 1)
-            for inside, allowed in _hub_parts(G, ell, levels, cache.hub(inst, ell)):
-                if not inside:
-                    continue
-                # the vertices of H run in link order: start from the least link
-                seen = reachable(adj, inside[:1], allowed)
-                for i in inside:
-                    if i not in seen:
-                        return "fail", f"{H.vertices[i]} unreachable within its hub component"
-            return "pass", "restricted shunting connects every hub component"
-
-        _timed(records, "Lem3.7", inst.name, ell, lem37)
-
-        def cor36(ell=ell):
-            if not G.is_connected():
-                return "skip", "base graph disconnected"
-            H = cache.graph(inst, ell)
-            if H is None:
-                return "skip", "beyond the suite link budget"
-            same_middle_ok = all(len(s) == 1 for s in cache.middle_comps(inst, ell).values())
-            if same_middle_ok != H.is_connected():
-                return "fail", (
-                    f"same-middle shuntability {same_middle_ok} vs "
-                    f"connectivity {H.is_connected()}"
-                )
-            return "pass", f"criterion matches connectivity ({H.is_connected()})"
-
-        _timed(records, "Cor3.6", inst.name, ell, cor36)
-
-        def cor38(ell=ell):
-            H = cache.graph(inst, ell)
-            if H is None:
-                return "skip", "beyond the suite link budget"
-            # link_graph_connected on the run's hub, kernel and link graph
-            hub_answer = _hub_criterion(
-                G, ell, H.n, cache.hub(inst, ell),
-                lambda hub: _shunt_search(G, ell, hub, cache.link_levels(inst, ell, ell + 1), H),
-                lambda: H)
-            bfs_answer = H.is_connected()
-            if hub_answer != bfs_answer:
-                return "fail", f"hub criterion {hub_answer} vs BFS {bfs_answer}"
-            return "pass", f"criterion = BFS = {bfs_answer}"
-
-        _timed(records, "Cor3.8", inst.name, ell, cor38)
+    parallel_pairs = cache._answer("parallel_pairs", inst, None, lambda: _parallel_pairs(G))
+    H = _fits(cache.graph(inst, ell))
+    # the edges run in order of their ends, so the pairs count in that order
+    doubled = {pair: c for pair, c in Counter(zip(*H.ends)).items() if c > 1}
+    units = _doubled_units(G, cache.link_levels(inst, ell, ell + 1), ell, doubled)
+    patterns = _parallel_patterns(parallel_pairs, ell)
+    for pair, c in doubled.items():
+        if c > 2:
+            return "fail", f"multiplicity {c} at {pair}"
+        windows, labels = units[pair]
+        if labels not in patterns.get(windows, ()):
+            return "fail", f"doubled edge at {pair} without a parallel-pair pattern"
+    # converse: every parallel pair produces its doubled edge
+    seen = {windows for windows, _ in units.values()}
+    for u, v, e, f in parallel_pairs:
+        windows = frozenset((_alternating_link(u, e, v, f, ell),
+                             _alternating_link(v, f, u, e, ell)))
+        if windows not in seen:
+            return "fail", f"parallel pair {e},{f} not doubled at length {ell}"
+    return "pass", f"{len(doubled)} doubled pairs, all patterned"
 
 
-def _check_partition(inst, caps, cache, records):
-    for ell in caps.ell_range:
-        if ell < 2:
+def _check_hub_segments(inst, caps, cache, ell):
+    G = inst.graph
+    count = _fits(cache.count(inst, ell))
+    hub = cache.hub(inst, ell)
+    if G.is_connected() and not hub.is_connected():
+        return "fail", "hub disconnected for connected base"
+    # short links of the hub appear as middle segments two levels up
+    base = 2 * (ell // 2)
+    for s in (0, 1, 2):
+        seen = _fits(cache.middles(inst, base + s, s))
+        for short in _hub_links(hub, s):
+            if short not in seen:
+                return "fail", f"{Link(short)} not a middle segment at length {base + s}"
+    if not G.is_connected() or not count:
+        return "pass", "hub segments covered"
+    # any two middle units are joined through some shunting component
+    _fits(cache.graph(inst, ell))
+    unit_comps = cache.middle_comps(inst, ell)
+    units = sorted(unit_comps)
+    for a in range(len(units)):
+        for b in range(a + 1, len(units)):
+            if not (unit_comps[units[a]] & unit_comps[units[b]]):
+                return "fail", f"middles {units[a]}, {units[b]} never co-reachable"
+    return "pass", "hub connected; middle pairs co-reachable"
+
+
+def _check_same_middle(inst, caps, cache, ell):
+    if not inst.graph.is_connected():
+        return "skip", "base graph disconnected"
+    H = _fits(cache.graph(inst, ell))
+    same_middle_ok = all(len(s) == 1 for s in cache.middle_comps(inst, ell).values())
+    if same_middle_ok != H.is_connected():
+        return "fail", (f"same-middle shuntability {same_middle_ok} vs "
+                        f"connectivity {H.is_connected()}")
+    return "pass", f"criterion matches connectivity ({H.is_connected()})"
+
+
+def _check_hub_shunting(inst, caps, cache, ell):
+    H = _fits(cache.graph(inst, ell))
+    adj = H.adjacency()
+    levels = cache.link_levels(inst, ell, ell + 1)
+    for inside, allowed in _hub_parts(inst.graph, ell, levels, cache.hub(inst, ell)):
+        if not inside:
             continue
+        # the vertices of H run in link order: start from the least link
+        seen = reachable(adj, inside[:1], allowed)
+        for i in inside:
+            if i not in seen:
+                return "fail", f"{H.vertices[i]} unreachable within its hub component"
+    return "pass", "restricted shunting connects every hub component"
 
-        def fn(ell=ell):
-            H = cache.graph(inst, ell)
-            lower = cache.graph(inst, ell - 2)
-            if H is None or lower is None:
-                return "skip", "beyond the suite link budget"
-            # the parts by kernel ids: a vertex of lower, a label index one
-            # shorter; only a failure text makes a link
-            check, embeds = _natural_check(
-                cache.link_levels(inst, ell - 2, ell + 1), ell, lambda x: lower.vertices[x],
-                lambda y: cache.graph(inst, ell - 1).vertices[y], lambda i: H.vertices[i])
-            if not check.all_ok():
-                return "fail", f"conditions failed: {check.failures}"
-            if H.n and not embeds:
-                return "fail", "quotient does not embed two levels down"
-            return "pass", "conditions (a)-(e) and embedding hold"
 
-        _timed(records, "Lem4.1", inst.name, ell, fn)
+def _check_hub_criterion(inst, caps, cache, ell):
+    G = inst.graph
+    H = _fits(cache.graph(inst, ell))
+    # link_graph_connected on the run's hub, kernel and link graph
+    hub_answer = _hub_criterion(
+        G, ell, H.n, cache.hub(inst, ell),
+        lambda hub: _shunt_search(G, ell, hub, cache.link_levels(inst, ell, ell + 1), H),
+        lambda: H)
+    bfs_answer = H.is_connected()
+    if hub_answer != bfs_answer:
+        return "fail", f"hub criterion {hub_answer} vs BFS {bfs_answer}"
+    return "pass", f"criterion = BFS = {bfs_answer}"
+
+
+def _check_partition(inst, caps, cache, ell):
+    H, lower = _fits(cache.graph(inst, ell), cache.graph(inst, ell - 2))
+    # the parts by kernel ids: a vertex of lower, a label index one
+    # shorter; only a failure text makes a link
+    check, embeds = _natural_check(
+        cache.link_levels(inst, ell - 2, ell + 1), ell, lambda x: lower.vertices[x],
+        lambda y: cache.graph(inst, ell - 1).vertices[y], lambda i: H.vertices[i])
+    if not check.all_ok():
+        return "fail", f"conditions failed: {check.failures}"
+    if H.n and not embeds:
+        return "fail", "quotient does not embed two levels down"
+    return "pass", "conditions (a)-(e) and embedding hold"
 
 
 def random_recolour_instance(rng):
@@ -797,180 +732,151 @@ def recolouring_battery(count, seed=2024):
     return failures
 
 
-def _check_recolouring(caps, records):
-    def fn():
-        failures = recolouring_battery(caps.recolour_instances)
-        if failures:
-            return "fail", f"{len(failures)} violations, first: {failures[0]}"
-        return "pass", f"{caps.recolour_instances} seeded instances within bound"
-
-    _timed(records, "Lem4.2", "random-battery", None, fn)
+def _check_recolouring(inst, caps, cache, ell):
+    failures = recolouring_battery(caps.recolour_instances)
+    if failures:
+        return "fail", f"{len(failures)} violations, first: {failures[0]}"
+    return "pass", f"{caps.recolour_instances} seeded instances within bound"
 
 
-def _check_chromatic(inst, caps, cache, records):
+def _exact_chi(inst, caps, cache, ell):
+    """The oracle's chi at a length of this run; None beyond the oracle."""
+    if ell not in caps.ell_range:
+        return None
+    H = cache.graph(inst, ell)
+    if H is None or H.n > caps.chromatic_cap:
+        return None
+    return cache.chi(inst, ell)[0]
+
+
+def _check_parity_bound(inst, caps, cache, ell):
+    chi = _exact_chi(inst, caps, cache, ell)
+    if chi is None:
+        return "skip", "link graph beyond the chromatic oracle"
+    # chromatic_upper_bounds from the memo, less the two-back bound no check reads
+    bounds = _chromatic_bounds(inst.graph, ell, lambda length: cache.built(inst, length),
+                               lambda _: cache.chi(inst, 0)[0],
+                               lambda: cache.edge_chi(inst)[0])
+    if ell % 2 == 0 and bounds.exact_chi and chi > bounds.parity_bound:
+        return "fail", f"chi {chi} > parity bound {bounds.parity_bound}"
+    if ell % 2 == 1 and bounds.exact_chi_prime and chi > bounds.parity_bound:
+        return "fail", f"chi {chi} > parity bound {bounds.parity_bound}"
+    if ell == 1 and bounds.exact_chi_prime and chi != bounds.chi_prime:
+        return "fail", f"window-one chromatic {chi} differs from edge-chromatic {bounds.chi_prime}"
+    rec = cache.recursive(inst, ell)
+    if rec.graph.n and not is_proper(rec.graph, rec.coloring):
+        return "fail", "recursive colouring not proper"
+    if rec.exact_base:
+        # the lifted palette honours the parity and degree bounds; the
+        # two-back bound holds for the exact value, not the palette
+        guaranteed = [bounds.parity_bound]
+        if bounds.max_degree_bound is not None:
+            guaranteed.append(bounds.max_degree_bound)
+        floor_bound = min(guaranteed)
+        if rec.coloring.t > floor_bound:
+            return "fail", f"recursive {rec.coloring.t} > bound {floor_bound}"
+    return "pass", f"chi={chi} within parity bound {bounds.parity_bound}"
+
+
+def _check_degree_bound(inst, caps, cache, ell):
+    chi = None if ell == 1 else _exact_chi(inst, caps, cache, ell)
+    if chi is None:
+        return "skip", "not applicable or beyond oracle"
+    if chi > inst.graph.max_degree() + 1:
+        return "fail", f"chi {chi} > max degree + 1"
+    return "pass", f"chi={chi} <= {inst.graph.max_degree() + 1}"
+
+
+def _check_two_back(inst, caps, cache, ell):
+    chi = None if ell < 2 else _exact_chi(inst, caps, cache, ell)
+    below = None if chi is None else _exact_chi(inst, caps, cache, ell - 2)
+    if below is None:
+        return "skip", "needs both oracle values"
+    if chi > below:
+        return "fail", f"chi rose: {chi} > {below}"
+    return "pass", f"{chi} <= {below}"
+
+
+def _check_arc_chromatic(inst, caps, cache, ell):
     G = inst.graph
-
-    def exact_chi(ell):
-        """The oracle's chi at a length of this run; None beyond the oracle."""
-        if ell not in caps.ell_range:
-            return None
-        H = cache.graph(inst, ell)
-        if H is None or H.n > caps.chromatic_cap:
-            return None
-        return cache.chi(inst, ell)[0]
-
-    for ell in caps.ell_range:
-        def fn(ell=ell):
-            chi = exact_chi(ell)
-            if chi is None:
-                return "skip", "link graph beyond the chromatic oracle"
-            # chromatic_upper_bounds from the memo, less the two-back bound no check reads
-            bounds = _chromatic_bounds(G, ell, lambda length: cache.built(inst, length),
-                                       lambda _: cache.chi(inst, 0)[0],
-                                       lambda: cache.edge_chi(inst)[0])
-            if ell % 2 == 0 and bounds.exact_chi and chi > bounds.parity_bound:
-                return "fail", f"chi {chi} > parity bound {bounds.parity_bound}"
-            if ell % 2 == 1 and bounds.exact_chi_prime and chi > bounds.parity_bound:
-                return "fail", f"chi {chi} > parity bound {bounds.parity_bound}"
-            if ell == 1 and bounds.exact_chi_prime and chi != bounds.chi_prime:
-                return "fail", (
-                    f"window-one chromatic {chi} differs from edge-chromatic "
-                    f"{bounds.chi_prime}"
-                )
-            rec = cache.recursive(inst, ell)
-            if rec.graph.n and not is_proper(rec.graph, rec.coloring):
-                return "fail", "recursive colouring not proper"
-            if rec.exact_base:
-                # the lifted palette honours the parity and degree bounds; the
-                # two-back bound holds for the exact value, not the palette
-                guaranteed = [bounds.parity_bound]
-                if bounds.max_degree_bound is not None:
-                    guaranteed.append(bounds.max_degree_bound)
-                floor_bound = min(guaranteed)
-                if rec.coloring.t > floor_bound:
-                    return "fail", f"recursive {rec.coloring.t} > bound {floor_bound}"
-            return "pass", f"chi={chi} within parity bound {bounds.parity_bound}"
-
-        claim = "Thm1.1" if ell % 2 == 0 else "Thm1.2"
-        _timed(records, claim, inst.name, ell, fn)
-
-        def fn3(ell=ell):
-            chi = None if ell == 1 else exact_chi(ell)
-            if chi is None:
-                return "skip", "not applicable or beyond oracle"
-            if chi > G.max_degree() + 1:
-                return "fail", f"chi {chi} > max degree + 1"
-            return "pass", f"chi={chi} <= {G.max_degree() + 1}"
-
-        _timed(records, "Thm1.3", inst.name, ell, fn3)
-
-        def fn4(ell=ell):
-            chi = None if ell < 2 else exact_chi(ell)
-            below = None if chi is None else exact_chi(ell - 2)
-            if below is None:
-                return "skip", "needs both oracle values"
-            if chi > below:
-                return "fail", f"chi rose: {chi} > {below}"
-            return "pass", f"{chi} <= {below}"
-
-        _timed(records, "Thm1.4", inst.name, ell, fn4)
-
-        def fn_arc(ell=ell):
-            chi = None if ell < 1 else exact_chi(ell)
-            if chi is None:
-                return "skip", "beyond oracle"
-            count = cache.count(inst, ell)
-            if count is None or 2 * count > caps.chromatic_cap:
-                return "skip", "arc digraph beyond oracle"
-            cap = _arc_cap(caps.suite_links)
-            levels = cache.kernel(inst, {ell: cap, ell + 1: cap})
-            A = _windows_digraph(G, ell, _arc_windows(G, levels, ell))
-            adj = [set() for _ in range(A.n)]
-            for i, j in A.underlying_pairs():
-                adj[i].add(j)
-                adj[j].add(i)
-            chi_a, _ = exact_chromatic(adj, None)
-            if chi_a > chi:
-                return "fail", f"arc chromatic {chi_a} > link chromatic"
-            return "pass", f"{chi_a} <= {chi}"
-
-        _timed(records, "ArcChrom", inst.name, ell, fn_arc)
-
-        def fn_cor12(ell=ell):
-            try:
-                if ell % 2 == 0:
-                    base, _ = cache.base_chi(inst)
-                    qualifies = base <= 3 or ell > 2 * math.log(base - 3, 1.5)
-                else:
-                    base, _ = cache.edge_chi(inst)
-                    qualifies = base <= 3 or ell > 2 * math.log(base - 3, 1.5) + 1
-            except OracleTooLarge:
-                return "skip", "base oracle too large"
-            if not qualifies:
-                return "skip", "below the three-colour threshold"
-            if cache.count(inst, ell) is None:
-                return "skip", "beyond the suite link budget"
-            rec = cache.recursive(inst, ell)
-            if rec.graph.n and rec.coloring.t > 3:
-                return "fail", f"recursive colouring uses {rec.coloring.t} > 3"
-            chi = exact_chi(ell)
-            if chi is not None and chi > 3:
-                return "fail", f"exact chi {chi} > 3"
-            return "pass", f"three-colourable at length {ell}"
-
-        _timed(records, "Cor1.2", inst.name, ell, fn_cor12)
-
-        def fn_cor44(ell=ell):
-            delta = G.max_degree()
-            if delta < 3 or ell <= 2 * math.log(delta - 2, 1.5) + 3:
-                return "skip", "below the degree threshold"
-            if cache.count(inst, ell) is None:
-                return "skip", "beyond the suite link budget"
-            rec = cache.recursive(inst, ell)
-            if rec.graph.n and rec.coloring.t > 3:
-                return "fail", f"recursive colouring uses {rec.coloring.t} > 3"
-            return "pass", f"three colours beyond the degree threshold"
-
-        _timed(records, "Cor4.4", inst.name, ell, fn_cor44)
+    chi = None if ell < 1 else _exact_chi(inst, caps, cache, ell)
+    if chi is None:
+        return "skip", "beyond oracle"
+    count = cache.count(inst, ell)
+    if count is None or 2 * count > caps.chromatic_cap:
+        return "skip", "arc digraph beyond oracle"
+    cap = _arc_cap(caps.suite_links)
+    levels = cache.kernel(inst, {ell: cap, ell + 1: cap})
+    A = _windows_digraph(G, ell, _arc_windows(G, levels, ell))
+    adj = [set() for _ in range(A.n)]
+    for i, j in A.underlying_pairs():
+        adj[i].add(j)
+        adj[j].add(i)
+    chi_a, _ = exact_chromatic(adj, None)
+    if chi_a > chi:
+        return "fail", f"arc chromatic {chi_a} > link chromatic"
+    return "pass", f"{chi_a} <= {chi}"
 
 
-def _check_minors(inst, caps, cache, records):
-    G = inst.graph
-    dege = G.degeneracy()
+def _check_three_colours(inst, caps, cache, ell):
+    try:
+        if ell % 2 == 0:
+            base, _ = cache.base_chi(inst)
+            qualifies = base <= 3 or ell > 2 * math.log(base - 3, 1.5)
+        else:
+            base, _ = cache.edge_chi(inst)
+            qualifies = base <= 3 or ell > 2 * math.log(base - 3, 1.5) + 1
+    except OracleTooLarge:
+        return "skip", "base oracle too large"
+    if not qualifies:
+        return "skip", "below the three-colour threshold"
+    _fits(cache.count(inst, ell))
+    rec = cache.recursive(inst, ell)
+    if rec.graph.n and rec.coloring.t > 3:
+        return "fail", f"recursive colouring uses {rec.coloring.t} > 3"
+    chi = _exact_chi(inst, caps, cache, ell)
+    if chi is not None and chi > 3:
+        return "fail", f"exact chi {chi} > 3"
+    return "pass", f"three-colourable at length {ell}"
 
-    def base_eta():
-        try:
-            return cache.eta(inst)
-        except OracleTooLarge:
-            return None
 
-    for ell in caps.minor_ells:
-        def fn(ell=ell):
-            shape = cache.shape(inst, ell)
-            if shape is None:
-                return "skip", "beyond the suite link budget"
-            if shape[1] == 0:
-                return "skip", "link graph has no edge"
-            H = cache.graph(inst, ell)
-            res = cache.lower_bound(inst, ell)
-            check = verify_minor(H, res.witness)
-            if not check.ok:
-                return "fail", f"witness invalid: {check.reason}"
-            eta_g = base_eta()
-            floor = dege if eta_g is None else max(eta_g, dege)
-            if res.bound < floor:
-                return "fail", f"bound {res.bound} below max(eta, degeneracy) = {floor}"
-            detail = f"bound {res.bound} via {res.route}"
-            if H.n <= caps.hadwiger_cap:
-                eta_h = cache.eta(inst, ell)
-                if eta_h < res.bound:
-                    return "fail", f"oracle eta {eta_h} below witnessed bound {res.bound}"
-                if eta_g is not None and eta_h < floor:
-                    return "fail", f"oracle eta {eta_h} below {floor}"
-                detail += f", exact eta {eta_h}"
-            return "pass", detail
+def _check_degree_threshold(inst, caps, cache, ell):
+    delta = inst.graph.max_degree()
+    if delta < 3 or ell <= 2 * math.log(delta - 2, 1.5) + 3:
+        return "skip", "below the degree threshold"
+    _fits(cache.count(inst, ell))
+    rec = cache.recursive(inst, ell)
+    if rec.graph.n and rec.coloring.t > 3:
+        return "fail", f"recursive colouring uses {rec.coloring.t} > 3"
+    return "pass", f"three colours beyond the degree threshold"
 
-        _timed(records, "Thm2", inst.name, ell, fn)
+
+def _check_minors(inst, caps, cache, ell):
+    dege = cache._answer("degeneracy", inst, None, inst.graph.degeneracy)
+    shape = _fits(cache.shape(inst, ell))
+    if shape[1] == 0:
+        return "skip", "link graph has no edge"
+    H = cache.graph(inst, ell)
+    res = cache.lower_bound(inst, ell)
+    check = verify_minor(H, res.witness)
+    if not check.ok:
+        return "fail", f"witness invalid: {check.reason}"
+    try:
+        eta_g = cache.eta(inst)
+    except OracleTooLarge:
+        eta_g = None
+    floor = dege if eta_g is None else max(eta_g, dege)
+    if res.bound < floor:
+        return "fail", f"bound {res.bound} below max(eta, degeneracy) = {floor}"
+    detail = f"bound {res.bound} via {res.route}"
+    if H.n <= caps.hadwiger_cap:
+        eta_h = cache.eta(inst, ell)
+        if eta_h < res.bound:
+            return "fail", f"oracle eta {eta_h} below witnessed bound {res.bound}"
+        if eta_g is not None and eta_h < floor:
+            return "fail", f"oracle eta {eta_h} below {floor}"
+        detail += f", exact eta {eta_h}"
+    return "pass", detail
 
 
 def _theorem3_cases(G, ell):
@@ -993,158 +899,178 @@ def _theorem3_cases(G, ell):
     return cases
 
 
-def _check_hadwiger_conjecture(inst, caps, cache, records):
+def _check_hadwiger_conjecture(inst, caps, cache, ell):
+    # the skips read only the size, so they build no level and no graph
+    n, m = _fits(cache.shape(inst, ell))
+    if n > caps.chromatic_cap:
+        return "skip", "link graph beyond an oracle cap"
+    chi, _ = cache.chi(inst, ell)
+    if n <= caps.hadwiger_cap:
+        eta = cache.eta(inst, ell)
+        if eta < chi:
+            return "fail", f"eta {eta} < chi {chi}"
+        return "pass", f"eta {eta} >= chi {chi}"
+    if ell < 1:
+        return "skip", (f"link graph beyond the Hadwiger cap {caps.hadwiger_cap}; "
+                        "no witness route at ell=0")
+    if m == 0:
+        return "skip", "link graph has no edge"
+    res = cache.lower_bound(inst, ell)
+    if res.bound < chi:
+        return "fail", f"witnessed bound {res.bound} < chi {chi}"
+    return "pass", f"witnessed bound {res.bound} >= chi {chi}"
+
+
+def _check_path_graphs(inst, caps, cache, ell):
     G = inst.graph
-    for ell in caps.ell_range:
-        cases = _theorem3_cases(G, ell)
-        for case in cases:
-            def fn(case=case, ell=ell):
-                # the skips read only the size, so they build no level and no graph
-                shape = cache.shape(inst, ell)
-                if shape is None:
-                    return "skip", "beyond the suite link budget"
-                n, m = shape
-                if n > caps.chromatic_cap:
-                    return "skip", "link graph beyond an oracle cap"
-                chi, _ = cache.chi(inst, ell)
-                if n <= caps.hadwiger_cap:
-                    eta = cache.eta(inst, ell)
-                    if eta < chi:
-                        return "fail", f"eta {eta} < chi {chi}"
-                    return "pass", f"eta {eta} >= chi {chi}"
-                if ell < 1:
-                    return "skip", (
-                        f"link graph beyond the Hadwiger cap {caps.hadwiger_cap}; "
-                        "no witness route at ell=0"
-                    )
-                if m == 0:
-                    return "skip", "link graph has no edge"
-                res = cache.lower_bound(inst, ell)
-                if res.bound < chi:
-                    return "fail", f"witnessed bound {res.bound} < chi {chi}"
-                return "pass", f"witnessed bound {res.bound} >= chi {chi}"
-
-            _timed(records, f"Thm3.{case}", inst.name, ell, fn)
+    girth = cache._answer("girth", inst, None, G.girth)
+    H = _fits(cache.graph(inst, ell))
+    levels = cache.link_levels(inst, ell, ell + 1)
+    vertex, label = _path_parts(G, levels, ell)
+    if girth > max(ell, 2):
+        # the path graph keeps every vertex and every edge, and is simple
+        simple = sum(map(len, H.adjacency())) == 2 * H.m
+        if 0 in vertex or 0 in label or not simple:
+            return "fail", "path graph differs despite the girth bound"
+        return "pass", f"equal to the link graph (girth {girth})"
+    # induced subgraph of the simplification on the path vertices: every
+    # pair of paths joined by an edge is joined by a path or a cycle
+    if ell >= 2:
+        top = levels[ell + 1]
+        both = bytes(map(and_, map(vertex.__getitem__, top.parent),
+                         map(vertex.__getitem__, top.suffix)))
+        kept = bytes(map(and_, both, label))
+        if kept != both:
+            link_of = _link_ids(levels[ell])
+            pairs = [frozenset(map(link_of.__getitem__, ends))
+                     for ends in zip(top.parent, top.suffix)]
+            if set(compress(pairs, kept)) != set(compress(pairs, both)):
+                return "fail", "path graph is not the induced restriction"
+    return "pass", "induced restriction verified"
 
 
-def _check_path_graphs(inst, caps, cache, records):
+def _check_digraph_iso(inst, caps, cache, ell):
     G = inst.graph
-    girth = G.girth()
-    for ell in caps.ell_range:
-        def fn(ell=ell):
-            H = cache.graph(inst, ell)
-            if H is None:
-                return "skip", "beyond the suite link budget"
-            levels = cache.link_levels(inst, ell, ell + 1)
-            vertex, label = _path_parts(G, levels, ell)
-            if girth > max(ell, 2):
-                # the path graph keeps every vertex and every edge, and is simple
-                simple = sum(map(len, H.adjacency())) == 2 * H.m
-                if 0 in vertex or 0 in label or not simple:
-                    return "fail", "path graph differs despite the girth bound"
-                return "pass", f"equal to the link graph (girth {girth})"
-            # induced subgraph of the simplification on the path vertices: every
-            # pair of paths joined by an edge is joined by a path or a cycle
-            if ell >= 2:
-                top = levels[ell + 1]
-                both = bytes(map(and_, map(vertex.__getitem__, top.parent),
-                                 map(vertex.__getitem__, top.suffix)))
-                kept = bytes(map(and_, both, label))
-                if kept != both:
-                    link_of = _link_ids(levels[ell])
-                    pairs = [frozenset(map(link_of.__getitem__, ends))
-                             for ends in zip(top.parent, top.suffix)]
-                    if set(compress(pairs, kept)) != set(compress(pairs, both)):
-                        return "fail", "path graph is not the induced restriction"
-            return "pass", "induced restriction verified"
-
-        _timed(records, "PathGirth", inst.name, ell, fn)
+    count = cache.count(inst, ell)
+    if count is None or count > 2000:
+        return "skip", "beyond the iso-check budget"
+    # digraph_natural_iso_check on the instance kernel
+    cap = _arc_cap(caps.suite_links)
+    levels = cache.kernel(inst, {ell: cap, ell + 1: cap})
+    if _chains_match(G, levels, ell, iterated_line_digraph(G, ell, caps.suite_links)):
+        return "pass", "chain digraph isomorphic to the arc digraph"
+    return "fail", "natural bijection is not an isomorphism"
 
 
-# the lengths DigraphIso is checked at
-_ISO_ELLS = (1, 2, 3)
+# -- the claim table -------------------------------------------------------------
 
 
-def _check_digraph_iso(inst, caps, cache, records):
-    G = inst.graph
-    for ell in _ISO_ELLS:
-        def fn(ell=ell):
-            count = cache.count(inst, ell)
-            if count is None or count > 2000:
-                return "skip", "beyond the iso-check budget"
-            # digraph_natural_iso_check on the instance kernel
-            cap = _arc_cap(caps.suite_links)
-            levels = cache.kernel(inst, {ell: cap, ell + 1: cap})
-            if _chains_match(G, levels, ell, iterated_line_digraph(G, ell, caps.suite_links)):
-                return "pass", "chain digraph isomorphic to the arc digraph"
-            return "fail", "natural bijection is not an isomorphism"
-
-        _timed(records, "DigraphIso", inst.name, ell, fn)
+def _at(ell):
+    """The arc lengths of the link graph at ``ell``."""
+    return ell, ell + 1
 
 
-_CHECKERS = {
-    "Obs3.1": _check_counting,
-    "Obs3.2": _check_bipartite_counts,
-    "Obs3.3": _check_looplessness,
-    "Obs3.4": _check_multiplicity,
-    "Lem3.5": _check_hub,
-    "Lem4.1": _check_partition,
-    "Thm1.1": _check_chromatic,
-    "Thm2": _check_minors,
-    "Thm3.1": _check_hadwiger_conjecture,
-    "PathGirth": _check_path_graphs,
-    "DigraphIso": _check_digraph_iso,
-}
-
-_GROUPS = {
-    "Lem3.5": ["Lem3.5", "Cor3.6", "Lem3.7", "Cor3.8"],
-    "Thm1.1": ["Thm1.1", "Thm1.2", "Thm1.3", "Thm1.4", "ArcChrom", "Cor1.2", "Cor4.4"],
-    "Thm3.1": ["Thm3.1", "Thm3.2", "Thm3.3", "Thm3.4", "Thm3.5"],
-}
+def _up_to(ell):
+    """The arc lengths of every link graph up to ``ell``, which the recursive
+    colouring and the chromatic bounds read."""
+    return 0, ell + 1
 
 
-def _kernel_span(caps, wanted):
-    """The shortest and the longest arc length the selected claims read off
-    the instance kernel.  Thm2 and Thm3.x read the link graphs of their
-    lengths, DigraphIso the arcs of its lengths and one past, and the other
-    claims may read every link graph from length 0 (the recursive colouring
-    and the chromatic bounds) to their longest length."""
-    minor = {claim for claim in wanted if claim == "Thm2" or claim.startswith("Thm3")}
-    lengths = []
-    if "Thm2" in wanted:
-        lengths += caps.minor_ells
-    if minor - {"Thm2"}:
-        lengths += caps.ell_range
-    if "DigraphIso" in wanted:
-        lengths += _ISO_ELLS
-    if wanted - minor - {"Lem4.2", "DigraphIso"}:
-        lengths += [0, *caps.ell_range]
-    if not lengths:
-        return 0, 0
-    return min(lengths), max(lengths) + 1
+def _case(k):
+    """The ``applies`` of Theorem 3's case ``k``: whether the case holds for
+    an instance at ``ell``, from the cases computed once per (instance, ell)."""
+    return lambda inst, cache, ell: k in cache._answer(
+        "cases", inst, ell, lambda: _theorem3_cases(inst.graph, ell))
+
+
+@dataclass(frozen=True)
+class _Claim:
+    """A row of the claim table.  Per instance, ``check(inst, caps, cache,
+    ell)`` gives the ``(status, detail)`` of the claim's record at each of
+    the lengths ``lengths(caps)`` from ``least`` on where ``applies(inst,
+    cache, ell)`` holds; there it reads the arcs of the lengths ``reads(ell)``
+    (the shortest and the longest) off the instance kernel.  A claim with no
+    ``lengths`` is checked once per run."""
+
+    name: str
+    check: object
+    reads: object = _up_to
+    least: int = 0
+    applies: object = None
+    lengths: object = lambda caps: caps.ell_range
+
+
+_CLAIMS = [
+    _Claim("Obs3.1", _check_counting, _at),
+    _Claim("Obs3.2", _check_bipartite_counts, _at, 1,
+           lambda inst, cache, ell: inst.bipartite is not None and min(inst.bipartite) >= 2),
+    _Claim("Obs3.3", _check_looplessness, _at),
+    _Claim("Obs3.4", _check_multiplicity, _at, 1),
+    # ell = 2h and 2h + 1 read the middle segments of lengths 2h to 2h + 2
+    _Claim("Lem3.5", _check_hub_segments, lambda ell: (2 * (ell // 2), 2 * (ell // 2) + 2)),
+    _Claim("Cor3.6", _check_same_middle, _at),
+    _Claim("Lem3.7", _check_hub_shunting, _at),
+    _Claim("Cor3.8", _check_hub_criterion, _at),
+    _Claim("Lem4.1", _check_partition, lambda ell: (ell - 2, ell + 1), 2),
+    _Claim("Lem4.2", _check_recolouring, lengths=None),
+    _Claim("Thm1.1", _check_parity_bound, applies=lambda inst, cache, ell: ell % 2 == 0),
+    _Claim("Thm1.2", _check_parity_bound, applies=lambda inst, cache, ell: ell % 2 == 1),
+    _Claim("Thm1.3", _check_degree_bound, _at),
+    _Claim("Thm1.4", _check_two_back),
+    _Claim("ArcChrom", _check_arc_chromatic, _at),
+    _Claim("Cor1.2", _check_three_colours),
+    _Claim("Cor4.4", _check_degree_threshold),
+    _Claim("Thm2", _check_minors, _at, lengths=lambda caps: caps.minor_ells),
+    *(_Claim(f"Thm3.{k}", _check_hadwiger_conjecture, _at, applies=_case(k))
+      for k in range(1, 6)),
+    _Claim("PathGirth", _check_path_graphs, _at),
+    _Claim("DigraphIso", _check_digraph_iso, _at, lengths=lambda caps: (1, 2, 3)),
+]
+
+ALL_CLAIMS = [claim.name for claim in _CLAIMS]
+
+# the instance named in the records of the claims checked once per run
+_BATTERY = CorpusInstance("random-battery", None)
+
+
+def _kernel_span(plan):
+    """The shortest and the longest arc length that the ``(ell, claim)``
+    checks of ``plan`` read off the instance kernel."""
+    spans = [claim.reads(ell) for ell, claim in plan]
+    return (min(lo for lo, _ in spans), max(hi for _, hi in spans)) if spans else (0, 0)
 
 
 def verify_suite(corpus=None, claims=None, caps=None, seeds=DEFAULT_SEEDS):
-    """Run the selected claim suites over the corpus and assemble a report."""
+    """Run the selected claims over the corpus and assemble a report.  A
+    ``claims`` entry selects every claim whose name starts with it; an entry
+    that selects none raises ``InvalidParameter``.  Per instance, the claims
+    are checked in table order, each length by length; consecutive rows that
+    share a check take turns at each length."""
     caps = caps or Caps()
     corpus = corpus if corpus is not None else default_corpus(seeds)
     wanted = set(ALL_CLAIMS)
     if claims:
-        wanted = set()
-        for c in claims:
-            wanted.update(k for k in ALL_CLAIMS if k == c or k.startswith(c))
+        prefixes = tuple(claims)
+        for c in prefixes:
+            if c not in wanted and not any(k.startswith(c) for k in ALL_CLAIMS):
+                raise InvalidParameter(
+                    f"unknown claim {c!r}; known claims: {', '.join(ALL_CLAIMS)}")
+        wanted = {k for k in ALL_CLAIMS if k.startswith(prefixes)}
+    rows = [claim for claim in _CLAIMS if claim.name in wanted]
+    plan = []  # the (ell, claim) checks of each instance, in order
+    for _, group in groupby(rows, attrgetter("check")):
+        plan += sorted(((ell, claim) for claim in group if claim.lengths
+                        for ell in claim.lengths(caps) if ell >= claim.least), key=itemgetter(0))
     report = Report(seeds)
-    cache = _Cache(caps, _kernel_span(caps, wanted))
-    if "Lem4.2" in wanted:
-        _check_recolouring(caps, report.records)
+    cache = _Cache(caps, _kernel_span(plan))
+    for claim in rows:
+        if claim.lengths is None:
+            _timed(report.records, claim, _BATTERY, caps, cache, None)
     for inst in corpus:
-        for entry, checker in _CHECKERS.items():
-            group = _GROUPS.get(entry, [entry])
-            if not (set(group) & wanted):
-                continue
-            checker(inst, caps, cache, report.records)
+        for ell, claim in plan:
+            if claim.applies is None or claim.applies(inst, cache, ell):
+                _timed(report.records, claim, inst, caps, cache, ell)
         cache.release()
-    report.records = [r for r in report.records if r.claim in wanted]
     return report
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import weakref
@@ -17,7 +18,7 @@ from linkgraphs.coloring import (
 )
 from linkgraphs.cli import main
 from linkgraphs.construction import LabeledGraph, link_graph, link_graph_connected
-from linkgraphs.errors import LimitExceeded
+from linkgraphs.errors import InvalidParameter, LimitExceeded
 from linkgraphs.harness import (
     ALL_CLAIMS,
     Caps,
@@ -85,6 +86,69 @@ class TestSuite:
         names = [inst.name for inst in default_corpus()]
         assert "petersen" in names and "parallel-bridge" in names
         assert sum(1 for n in names if n.startswith("random")) == 2
+
+
+class TestClaimTable:
+    CORPUS = small_corpus() + [
+        CorpusInstance("bipartite(2,3)", complete_bipartite(2, 3), (2, 3))]
+    # Thm3.3 holds for complete(4) from ell = 4 on
+    CAPS = Caps(suite_links=4000, ell_range=(0, 1, 2, 3, 4), recolour_instances=25)
+
+    def test_a_selected_claim_runs_only_its_own_check(self, monkeypatch):
+        assert [claim.name for claim in harness._CLAIMS] == ALL_CLAIMS
+        assert len(set(ALL_CLAIMS)) == len(ALL_CLAIMS)
+        ran = Counter()
+
+        def counting(claim):
+            def check(inst, caps, cache, ell):
+                ran[claim.name] += 1
+                return claim.check(inst, caps, cache, ell)
+
+            return dataclasses.replace(claim, check=check)
+
+        monkeypatch.setattr(harness, "_CLAIMS", [counting(c) for c in harness._CLAIMS])
+        for name in ALL_CLAIMS:
+            ran.clear()
+            report = verify_suite(corpus=self.CORPUS, claims=[name], caps=self.CAPS)
+            assert report.records and {r.claim for r in report.records} == {name}
+            assert ran == {name: len(report.records)}
+
+    def test_an_unknown_claim_is_rejected(self):
+        with pytest.raises(InvalidParameter) as exc:
+            verify_suite(corpus=small_corpus(), claims=["Obs3.1", "Thm9"], caps=SMALL_CAPS)
+        assert "'Thm9'" in str(exc.value) and ", ".join(ALL_CLAIMS) in str(exc.value)
+
+    def test_verify_exits_two_on_an_unknown_claim(self, tmp_path, capsys):
+        gfile = tmp_path / "k4.txt"
+        main(["gen", "complete", "4", "--out", str(gfile)])
+        out = tmp_path / "report.json"
+        assert main(["verify", "--claims", "Thm9", "--out", str(out), str(gfile)]) == 2
+        assert "Thm9" in capsys.readouterr().err and not out.exists()
+
+    def test_lem35_reads_its_middle_segments_off_the_one_kernel(self, monkeypatch):
+        # at ell = 4 Lem3.5 reads the middle segments of the 6-links
+        builds = []
+        for module in (harness, links):
+            def counting(G, fwd, ell, top, real=module._arc_levels):
+                builds.append(G.serialize())
+                return real(G, fwd, ell, top)
+
+            monkeypatch.setattr(module, "_arc_levels", counting)
+        report = verify_suite(corpus=self.CORPUS, claims=["Lem3.5"],
+                              caps=Caps(ell_range=(0, 1, 2, 3, 4)))
+        assert report.passed()
+        assert builds == [inst.graph.serialize() for inst in self.CORPUS]
+
+    @pytest.mark.parametrize("method, claim", [("girth", "PathGirth"), ("degeneracy", "Thm2")])
+    def test_a_broken_instance_value_gives_fail_records(self, method, claim, monkeypatch):
+        def broken(G):
+            raise RuntimeError(f"{method} crashed")
+
+        monkeypatch.setattr(Multigraph, method, broken)
+        report = verify_suite(corpus=self.CORPUS, claims=[claim], caps=SMALL_CAPS)
+        assert report.records and all(
+            (r.claim, r.status, r.detail) == (claim, "fail", f"RuntimeError: {method} crashed")
+            for r in report.records)
 
 
 class TestTheorem3Skips:
