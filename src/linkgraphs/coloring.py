@@ -6,8 +6,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
-from .construction import LabeledGraph, _windows_graph, index_adjacency, link_graph
+from .construction import LabeledGraph, _pair_adjacency, _windows_graph, index_adjacency, link_graph
 from .errors import (
     InvalidParameter,
     OracleTooLarge,
@@ -170,16 +171,10 @@ def exact_edge_chromatic(G, cap=DEFAULT_CHROMATIC_CAP):
     eids = list(G.edge_ids)
     if cap is not None and len(eids) > cap:
         raise OracleTooLarge(len(eids), cap)
-    adj = [set() for _ in eids]
     pos = {e: i for i, e in enumerate(eids)}
-    for v in G.vertices:
-        inc = [e for e, _ in G.incident(v)]
-        for a in range(len(inc)):
-            for b in range(a + 1, len(inc)):
-                i, j = pos[inc[a]], pos[inc[b]]
-                adj[i].add(j)
-                adj[j].add(i)
-    chi, col = exact_chromatic(adj, cap=None)
+    conflicts = (pair for v in G.vertices
+                 for pair in combinations([pos[e] for e, _ in G.incident(v)], 2))
+    chi, col = exact_chromatic(_pair_adjacency(len(eids), conflicts), cap=None)
     delta = G.max_degree()
     if G.m and not delta <= chi <= max(delta, math.floor(1.5 * delta)):
         raise WitnessInvalid(f"edge-chromatic number {chi} outside the Vizing-Shannon "

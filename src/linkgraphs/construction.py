@@ -133,11 +133,7 @@ class LabeledGraph:
         must not mutate it.
         """
         if self._adj is None:
-            adj = [set() for _ in range(self.n)]
-            for a, b in zip(*self.ends):
-                adj[a].add(b)
-                adj[b].add(a)
-            self._adj = adj
+            self._adj = _pair_adjacency(self.n, zip(*self.ends))
         return self._adj
 
     def multiplicity(self, i, j):
@@ -161,15 +157,7 @@ class LabeledGraph:
         must not mutate it.
         """
         if self._comps is None:
-            adj = self.adjacency()
-            seen = set()
-            comps = []
-            for s in range(self.n):
-                if s not in seen:
-                    comp = reachable(adj, (s,))
-                    seen |= comp
-                    comps.append(sorted(comp))
-            self._comps = comps
+            self._comps = _components(self.adjacency())
         return self._comps
 
     def simplify(self):
@@ -182,7 +170,7 @@ class LabeledGraph:
         return LabeledGraph(self.ell, self.vertices, edges, self.source)
 
     def _unit_signature(self):
-        """``edge_signature`` as sorted triples of unit tuples."""
+        """The edges as sorted ``(end, end, label)`` unit-tuple triples, free of indexing."""
         units = [v.units for v in self.vertices]
         out = []
         for a, b, lab in self.edges:
@@ -190,10 +178,6 @@ class LabeledGraph:
             out.append((ua, ub, lab.units) if ua <= ub else (ub, ua, lab.units))
         out.sort()
         return out
-
-    def edge_signature(self):
-        """Label-based edge set, independent of vertex indexing."""
-        return [(Link(a), Link(b), Link(q)) for a, b, q in self._unit_signature()]
 
     def same_labeled_graph(self, other):
         return (
@@ -246,12 +230,19 @@ def index_adjacency(host):
         return host.adjacency()
     if isinstance(host, Multigraph):
         idx = {v: i for i, v in enumerate(host.vertices)}
-        adj = [set() for _ in range(host.n)]
-        for _, u, v in host.edges():
-            adj[idx[u]].add(idx[v])
-            adj[idx[v]].add(idx[u])
-        return adj
+        return _pair_adjacency(host.n, ((idx[u], idx[v]) for _, u, v in host.edges()))
     return host
+
+
+def _pair_adjacency(n, pairs):
+    """The neighbour-index sets on ``0..n-1`` of the index pairs ``pairs``:
+    repeated pairs collapse and a loop is dropped."""
+    adj = [set() for _ in range(n)]
+    for a, b in pairs:
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj
 
 
 def reachable(adj, starts, allowed=None):
@@ -265,6 +256,18 @@ def reachable(adj, starts, allowed=None):
                 seen.add(y)
                 stack.append(y)
     return seen
+
+
+def _components(adj):
+    """Sorted index lists of the connected components of an index adjacency,
+    by least index."""
+    seen, comps = set(), []
+    for s in range(len(adj)):
+        if s not in seen:
+            comp = reachable(adj, (s,))
+            seen |= comp
+            comps.append(sorted(comp))
+    return comps
 
 
 @dataclass
@@ -456,12 +459,7 @@ def arc_digraph(G, ell, limit=None):
     """
     if ell < 1:
         raise InvalidParameter(f"arc digraph needs ell >= 1, got {ell}")
-    return _windows_digraph(G, ell, arc_windows(G, ell, limit))
-
-
-def _windows_digraph(G, ell, windows):
-    """The ``ell``-arc digraph of ``G`` built from its ``arc_windows``."""
-    verts, labels, windows = windows
+    verts, labels, windows = arc_windows(G, ell, limit)
     arcs = tuple((t, h, q) for (t, h), q in zip(windows, labels))
     return LabeledDigraph(ell, tuple(verts), arcs, G)
 

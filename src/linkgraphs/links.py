@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, and_, ge, le, ne
@@ -23,6 +22,7 @@ from .errors import (
     LimitExceeded,
     WindowTooLong,
 )
+from .multigraph import _bfs_path
 
 DEFAULT_LIMIT = 10**6
 
@@ -675,7 +675,7 @@ def one_step_shunts(G, link):
 
 
 def can_shunt(G, L, R, middle_filter=None):
-    """Breadth-first reachability from ``L`` to ``R`` over one-step shunts.
+    """Breadth-first search (``_bfs_path``) from ``L`` to ``R`` over one-step shunts.
 
     Returns ``(ok, witness)`` where the witness lists the step links.  When
     ``middle_filter`` is given, intermediate images are restricted to links
@@ -685,28 +685,13 @@ def can_shunt(G, L, R, middle_filter=None):
         raise LengthMismatch(f"lengths {L.length} != {R.length}")
     if middle_filter is not None and not (middle_filter(L) and middle_filter(R)):
         return False, None
-    if L == R:
-        return True, []
-    parent = {L: None}
-    queue = deque([L])
-    while queue:
-        cur = queue.popleft()
-        for q, nxt in one_step_shunts(G, cur):
-            if nxt in parent:
-                continue
-            if middle_filter is not None and not middle_filter(nxt):
-                continue
-            parent[nxt] = (cur, q)
-            if nxt == R:
-                witness = []
-                node = nxt
-                while parent[node] is not None:
-                    node, step = parent[node]
-                    witness.append(step)
-                witness.reverse()
-                return True, witness
-            queue.append(nxt)
-    return False, None
+
+    def steps(cur):
+        return (step for step in one_step_shunts(G, cur)
+                if middle_filter is None or middle_filter(step[1]))
+
+    units = _bfs_path((L,), R, steps)
+    return (False, None) if units is None else (True, list(units[1::2]))
 
 
 def middle_units(G, ell, limit=None):

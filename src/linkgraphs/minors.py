@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .construction import LabeledGraph, index_adjacency, link_graph, reachable
+from .construction import LabeledGraph, _components, index_adjacency, link_graph, reachable
 from .errors import (
     BranchSetLacksLink,
     InvalidParameter,
@@ -151,13 +151,13 @@ def _complete_edges(t):
 # -- exact oracles ------------------------------------------------------------
 
 
-def _rows(n, pairs):
-    """Neighbour bitmasks of the simple graph on ``0..n-1`` with edges ``pairs``."""
-    rows = [0] * n
-    for i, j in pairs:
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return tuple(rows)
+def _rows(adj, verts):
+    """Neighbour bitmasks and edge count of the graph with index adjacency
+    ``adj`` on ``verts``, a vertex set that no edge leaves, renumbered in the
+    order of ``verts``."""
+    pos = {v: k for k, v in enumerate(verts)}
+    rows = tuple(sum(1 << pos[w] for w in adj[v]) for v in verts)
+    return rows, sum(map(int.bit_count, rows)) // 2
 
 
 def _max_clique_vertices(rows):
@@ -237,16 +237,20 @@ def hadwiger_number(G, cap=DEFAULT_HADWIGER_CAP):
     failures are memoised, under the raw graph (its tuple of neighbour
     bitmasks), not a canonical form; one set serves every target, since a
     graph without a K_t minor has no larger one."""
-    simp = G.underlying_simple()
-    if cap is not None and simp.n > cap:
-        raise OracleTooLarge(simp.n, cap)
-    best = min(simp.n, 1)
+    return _hadwiger(index_adjacency(G), cap)
+
+
+def _hadwiger(adj, cap):
+    """``hadwiger_number`` of the graph with index adjacency ``adj``."""
+    n = len(adj)
+    if cap is not None and n > cap:
+        raise OracleTooLarge(n, cap)
+    best = min(n, 1)
     failed = set()
-    for comp in simp.components():
-        _, edges = simp.induced_subgraph(comp).simple_index_graph()
-        rows = _rows(len(comp), edges)
+    for comp in _components(adj):
+        rows, m = _rows(adj, comp)
         t = max(best, len(_max_clique_vertices(rows))) + 1
-        while _contracts_to(rows, len(edges), t, failed):
+        while _contracts_to(rows, m, t, failed):
             t += 1
         best = t - 1
     return best
@@ -275,10 +279,9 @@ def _model_of_order(G, eta):
     without this prune.  Pruned and memoised graphs hold no model, so the
     search meets the same first model as one that expands every contraction.
     """
-    simp = G.underlying_simple()
-    verts, pairs = simp.simple_index_graph()
+    adj = index_adjacency(G)
     spare = eta * (eta - 1) // 2 - eta  # a covering model on n vertices needs spare + n edges
-    prune = simp.is_connected()
+    prune = len(_components(adj)) <= 1
     failed = set()
 
     def dfs(rows, m, labels):
@@ -306,7 +309,7 @@ def _model_of_order(G, eta):
         failed.add(rows)
         return None
 
-    model = dfs(_rows(len(verts), pairs), len(pairs), [frozenset({v}) for v in verts])
+    model = dfs(*_rows(adj, range(len(adj))), [frozenset({v}) for v in G.vertices])
     if model is None:
         raise WitnessInvalid(f"no K_{eta} model found; the search disagrees with the oracle")
     return model
@@ -791,7 +794,7 @@ def _eta_route(G, ell, H, eta_cap, limit, solve_eta):
     best = None
     for comp in comps:
         sub = G.induced_subgraph(comp)
-        if sub.underlying_simple().n > eta_cap:
+        if sub.n > eta_cap:
             continue
         eta = solve_eta(sub)
         if best is None or eta > best[0]:

@@ -37,6 +37,34 @@ def _successor_table(D):
                  for h, t in zip(D.head, D.twin))
 
 
+def _bfs_path(starts, target, steps):
+    """Units ``(v0, s1, v1, ..., vk)`` of a shortest path from one of
+    ``starts`` to ``target``, where ``steps(v)`` gives the ``(step, w)``
+    pairs that lead on from ``v``; None if there is none.
+
+    Breadth-first from the starts in the order given; the first discovery of
+    a vertex fixes its parent, which breaks ties, and the target is tested
+    when it is discovered."""
+    parent = dict.fromkeys(starts)
+    if target in parent:
+        return (target,)
+    queue = deque(parent)
+    while queue:
+        v = queue.popleft()
+        for step, w in steps(v):
+            if w in parent:
+                continue
+            parent[w] = (v, step)
+            if w == target:
+                units = [w]
+                while parent[w] is not None:
+                    w, step = parent[w]
+                    units += (step, w)
+                return tuple(reversed(units))
+            queue.append(w)
+    return None
+
+
 class Multigraph:
     """Finite undirected multigraph without loops; parallel edges allowed."""
 
@@ -94,14 +122,6 @@ class Multigraph:
             return self._endpoints[eid]
         except KeyError:
             raise UnknownEdge(eid) from None
-
-    def other_endpoint(self, eid, v):
-        u, w = self.endpoints(eid)
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise UnknownVertex(f"{v!r} is not an endpoint of {eid!r}")
 
     def incident(self, v):
         """Sorted tuple of ``(edge_id, other_endpoint)`` pairs at ``v``."""
@@ -291,30 +311,10 @@ class Multigraph:
         """Units ``(v0, e1, v1, ..., vk)`` of a shortest walk from the nearest
         source to ``target`` that never uses the edge ``avoid``; None if none.
 
-        Breadth-first from the sorted sources over sorted incidences; the
-        first discovery of a vertex fixes its parent, which breaks ties.
-        """
-        parent = {}
-        queue = deque()
-        for s in sorted(sources):
-            parent[s] = None
-            queue.append(s)
-        if target in parent:
-            return (target,)
-        while queue:
-            v = queue.popleft()
-            for eid, w in self._adj[v]:
-                if eid == avoid or w in parent:
-                    continue
-                parent[w] = (v, eid)
-                if w == target:
-                    units, node = [w], w
-                    while parent[node] is not None:
-                        node, e = parent[node]
-                        units += (e, node)
-                    return tuple(reversed(units))
-                queue.append(w)
-        return None
+        Breadth-first (``_bfs_path``) from the sorted sources over sorted
+        incidences."""
+        return _bfs_path(sorted(sources), target,
+                        lambda v: (step for step in self._adj[v] if step[0] != avoid))
 
     def shortest_cycle(self):
         """Units of a shortest closed walk ``(u, ..., v, e, u)`` through an edge
@@ -377,17 +377,6 @@ class Multigraph:
 
     def multiplicity(self, u, v):
         return sum(1 for _, w in self.incident(u) if w == v)
-
-    # -- indexing helpers for the numeric oracles ---------------------------
-
-    def simple_index_graph(self):
-        """Return ``(vertex_list, set of index pairs)`` of the simple skeleton."""
-        idx = {v: i for i, v in enumerate(self._vertices)}
-        pairs = set()
-        for u, v in self._endpoints.values():
-            i, j = idx[u], idx[v]
-            pairs.add((i, j) if i < j else (j, i))
-        return list(self._vertices), pairs
 
     # -- text formats --------------------------------------------------------
 

@@ -35,9 +35,20 @@ from linkgraphs.minors import (
 )
 
 
+def _simple_pairs(G):
+    """The vertices of ``G`` in order and the set of index pairs ``(i, j)``,
+    ``i < j``, of its edges, parallel edges collapsed."""
+    idx = {v: i for i, v in enumerate(G.vertices)}
+    return list(G.vertices), {tuple(sorted((idx[u], idx[v]))) for _, u, v in G.edges()}
+
+
 def _max_clique_vertices(n, pairs):
     """``minors._max_clique_vertices`` on an edge list."""
-    return minors._max_clique_vertices(minors._rows(n, pairs))
+    rows = [0] * n
+    for i, j in pairs:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return minors._max_clique_vertices(tuple(rows))
 
 
 def _contract_pair(n, pairs, i, j):
@@ -65,7 +76,7 @@ def hadwiger_number(G, cap=DEFAULT_HADWIGER_CAP):
     simp = G.underlying_simple()
     if cap is not None and simp.n > cap:
         raise OracleTooLarge(simp.n, cap)
-    _, pairs = simp.simple_index_graph()
+    _, pairs = _simple_pairs(simp)
     memo = {}
 
     def rec(n, edges):
@@ -87,7 +98,7 @@ def hadwiger_number(G, cap=DEFAULT_HADWIGER_CAP):
 
 def _model_of_order(G, eta):
     """Branch sets of a K_eta model in G, where eta is G's Hadwiger number."""
-    verts, pairs = G.underlying_simple().simple_index_graph()
+    verts, pairs = _simple_pairs(G)
     failed = set()
 
     def dfs(n, edges, labels):

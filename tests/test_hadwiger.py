@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 import reference_minors as ref
 from linkgraphs.construction import link_graph
 from linkgraphs.errors import NoEdge, OracleTooLarge
-from linkgraphs.minors import _model_of_order, hadwiger_lower_bound, hadwiger_number
+from linkgraphs.minors import (
+    DEFAULT_HADWIGER_CAP,
+    _hadwiger,
+    _model_of_order,
+    hadwiger_lower_bound,
+    hadwiger_model,
+    hadwiger_number,
+)
 from linkgraphs.multigraph import (
     Multigraph,
     complete,
@@ -87,6 +94,25 @@ def test_cap_is_checked_on_the_simple_graph():
 def test_model_search_matches_reference(G):
     eta = hadwiger_number(G, cap=None)
     assert _model_of_order(G, eta) == ref._model_of_order(G, eta)
+
+
+# The oracle reads a link graph's own adjacency; the reference reads the
+# graph as a string-named multigraph, whose vertices sort by name.  The
+# reference takes up to 30 s on a dense link graph of 9 vertices, so the
+# drawn graphs stop at 7.
+@settings(max_examples=100, deadline=None)
+@given(multigraphs(), st.integers(0, 3))
+@example(TWO_DIGONS, 2)
+@example(complete(4), 1)
+@example(dipole(3), 2)
+def test_link_graph_oracles_match_reference(G, ell):
+    H = link_graph(G, ell)
+    if H.n > 7:
+        return
+    M = H.to_multigraph()
+    eta = _hadwiger(H.adjacency(), DEFAULT_HADWIGER_CAP)
+    assert eta == ref.hadwiger_number(M)
+    assert hadwiger_model(M) == (eta, ref._model_of_order(M, eta))
 
 
 # Two digons at a vertex: a cut candidate whose size equals the best witness

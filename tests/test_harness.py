@@ -139,16 +139,21 @@ class TestClaimTable:
         assert report.passed()
         assert builds == [inst.graph.serialize() for inst in self.CORPUS]
 
-    @pytest.mark.parametrize("method, claim", [("girth", "PathGirth"), ("degeneracy", "Thm2")])
+    # Theorem 3's cases read the degeneracy: each Thm3.k row, whose case
+    # cannot be decided, gets a fail record at each length
+    @pytest.mark.parametrize("method, claim", [("girth", "PathGirth"), ("degeneracy", "Thm2"),
+                                               ("degeneracy", "Thm3")])
     def test_a_broken_instance_value_gives_fail_records(self, method, claim, monkeypatch):
         def broken(G):
             raise RuntimeError(f"{method} crashed")
 
         monkeypatch.setattr(Multigraph, method, broken)
         report = verify_suite(corpus=self.CORPUS, claims=[claim], caps=SMALL_CAPS)
-        assert report.records and all(
-            (r.claim, r.status, r.detail) == (claim, "fail", f"RuntimeError: {method} crashed")
-            for r in report.records)
+        rows = [c for c in ALL_CLAIMS if c.startswith(claim)]
+        ells = SMALL_CAPS.minor_ells if claim == "Thm2" else SMALL_CAPS.ell_range
+        assert len(report.records) == len(self.CORPUS) * len(ells) * len(rows)
+        assert all((r.status, r.detail) == ("fail", f"RuntimeError: {method} crashed")
+                   for r in report.records)
 
 
 class TestTheorem3Skips:
@@ -212,12 +217,21 @@ class TestOracleMemo:
             monkeypatch.setattr(harness, name, wrapper)
 
         counting("hadwiger_number", lambda G, cap: (G.serialize(),))
+        # a link graph's eta reads the graph's own adjacency list
+        held = []
+
+        def adjacency_key(adj, cap):
+            held.append(adj)  # kept alive, so no two calls share an id
+            return (id(adj),)
+
+        counting("_hadwiger", adjacency_key)
         # link graphs only: Cor1.2 and ArcChrom colour other graphs
         counting("exact_chromatic",
                  lambda H, cap: (H.ell, H.to_json()) if isinstance(H, LabeledGraph) else None)
         counting("_lower_bound", lambda G, ell, *args: (G.serialize(), ell))
         verify_suite(corpus=self.CORPUS, claims=self.CLAIMS, caps=self.CAPS)
-        assert {k[0] for k in calls} == {"hadwiger_number", "exact_chromatic", "_lower_bound"}
+        assert {k[0] for k in calls} == {"hadwiger_number", "_hadwiger", "exact_chromatic",
+                                         "_lower_bound"}
         assert max(calls.values()) == 1, [(k[0], c) for k, c in calls.items() if c > 1]
 
     def test_the_model_route_reads_eta_of_the_base_graph_off_the_memo(self, monkeypatch):
@@ -416,15 +430,16 @@ class TestUnexpectedErrors:
 
     @staticmethod
     def _break_oracle_on_cycle5(monkeypatch):
-        broken = link_graph(cycle(5), 1).to_multigraph().serialize()
-        real = harness.hadwiger_number
+        # the link graphs' eta reads their adjacency; path(5)'s differs
+        broken = link_graph(cycle(5), 1).adjacency()
+        real = harness._hadwiger
 
-        def oracle(G, cap):
-            if G.serialize() == broken:
+        def oracle(adj, cap):
+            if adj == broken:
                 raise RuntimeError("oracle crashed")
-            return real(G, cap)
+            return real(adj, cap)
 
-        monkeypatch.setattr(harness, "hadwiger_number", oracle)
+        monkeypatch.setattr(harness, "_hadwiger", oracle)
 
     def test_exception_becomes_a_fail_record(self, monkeypatch):
         before = _rows(verify_suite(corpus=self.CORPUS, claims=["Thm3"], caps=self.CAPS))

@@ -41,6 +41,7 @@ from linkgraphs.harness import (
 from linkgraphs.minors import hadwiger_lower_bound
 from linkgraphs.links import (
     DEFAULT_LIMIT,
+    Arc,
     Link,
     _kernel,
     _walks,
@@ -260,16 +261,17 @@ def test_kernel_matches_reference_at_larger_lengths(G, ell):
 
 
 @contextmanager
-def _counting_links():
-    """A list that gains one entry per ``Link`` made inside the block."""
+def _counting_links(cls=Link):
+    """A list that gains one entry per ``Link`` (or ``cls``) made inside the
+    block."""
     made = []
-    real = Link.__init__
+    real = cls.__init__
 
     def counting(self, *args):
         made.append(args)
         real(self, *args)
 
-    with mock.patch.object(Link, "__init__", counting):
+    with mock.patch.object(cls, "__init__", counting):
         yield made
 
 
@@ -344,6 +346,27 @@ def test_structural_claims_make_no_links():
         report = verify_suite(claims=STRUCTURAL)
     assert {r.claim for r in report.records} == set(STRUCTURAL)
     assert report.passed()
+    assert not made
+
+
+def test_eta_and_arc_chromatic_make_no_links():
+    # the Hadwiger oracle reads a link graph's own adjacency, and ArcChrom
+    # colours the arc digraph on kernel ids
+    caps = harness.Caps()
+    cache = harness._Cache(caps, (0, max(caps.ell_range) + 1))
+    solved = 0
+    with _counting_links() as made:
+        for inst in harness.default_corpus():
+            for ell in caps.ell_range:
+                shape = cache.shape(inst, ell)
+                if shape is not None and shape[0] <= caps.hadwiger_cap:
+                    assert cache.eta(inst, ell) >= min(shape[0], 1)
+                    solved += 1
+            cache.release()
+    assert solved and not made
+    with _counting_links(Arc) as made:
+        report = verify_suite(claims=["ArcChrom"])
+    assert {r.status for r in report.records} == {"pass", "skip"}
     assert not made
 
 
