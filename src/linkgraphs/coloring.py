@@ -7,6 +7,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import and_, eq, ne
 
 from .construction import LabeledGraph, _pair_adjacency, _windows_graph, index_adjacency, link_graph
 from .errors import (
@@ -54,12 +55,20 @@ class EdgeColoring:
 
 
 def is_proper(H, coloring):
-    """True iff no edge is monochromatic; the assignment must be total."""
-    adj = index_adjacency(H)
-    n = len(adj)
+    """True iff no edge is monochromatic; the assignment must be total.
+
+    A ``LabeledGraph`` is read off its edge ends, with no neighbour sets
+    built; a loop is ignored, as ``index_adjacency`` drops it."""
+    labeled = isinstance(H, LabeledGraph)
+    adj = None if labeled else index_adjacency(H)
+    n = H.n if labeled else len(adj)
     assign = coloring.assignment
-    if len(assign) != n or any(i not in assign for i in range(n)):
+    if len(assign) != n or not all(map(assign.__contains__, range(n))):
         raise PartialColoring(f"assignment covers {len(assign)} of {n} vertices")
+    if labeled:
+        tails, heads = H.ends
+        color = assign.__getitem__
+        return not any(map(and_, map(ne, tails, heads), map(eq, map(color, tails), map(color, heads))))
     for i in range(n):
         ci = assign[i]
         for j in adj[i]:
@@ -306,16 +315,20 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     length 1 transports an optimal edge colouring; graphs beyond the oracle
     cap fall back to greedy and are flagged via ``exact_base``.
 
-    Every link graph of the recursion is read off one kernel build, which
-    checks ``limit`` at each length in increasing order, as building the link
-    graphs one by one would.  The graphs hold kernel ids, and no ``Link`` is
-    made unless a caller reads one; the middle segment of a link is the
-    suffix of its parent.
+    Every link graph the recursion builds is read off one kernel build,
+    which checks ``limit`` at each length in increasing order, as building
+    the link graphs one by one would.  The graphs hold kernel ids, and no
+    ``Link`` is made unless a caller reads one; the middle segment of a link
+    is the suffix of its parent.
 
-    Each lifted colouring is checked in one scan of its graph, for properness
-    and for the recolouring's bound of two foreign colours (``_check_lifted``).
-    The base colouring is checked at the first lift; every later lower
-    colouring is the output of the lift before, which checked it.
+    A lift that recolours, from more than three colours, is checked in one
+    scan of its graph, for properness and for the recolouring's bound of two
+    foreign colours (``_check_lifted``).  Once the palette has at most three
+    colours the recolouring with ``r = 2`` keeps every colouring as it is, so
+    the lifts left are one transfer to the ``ell``-link graph (``_lifted_to``),
+    and no graph between is built.  The base colouring is checked when it
+    is first lifted; every later lower colouring is the output of the lift
+    before, which checked it.
     """
     if ell < 0:
         raise InvalidParameter(f"ell must be >= 0, got {ell}")
@@ -324,8 +337,11 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     levels = _kernel(G, base, {L: _link_cap(L, limit) for L in range(base, ell + 2)})
     rec = _base_coloring(G, _windows_graph(G, base, levels), cap,
                          lambda: exact_edge_chromatic(G, cap))
-    for length in range(base + 2, ell + 1, 2):
+    while rec.ell < ell and rec.coloring.t > 3:
+        length = rec.ell + 2
         rec = _lifted(G, rec, _windows_graph(G, length, levels), _middle_ids(levels, length))
+    if rec.ell < ell:
+        rec = _lifted_to(G, rec, levels, ell)
     _keep_for_links(levels)
     return rec
 
@@ -378,6 +394,33 @@ def _lifted(G, below, H, middle):
         col = _lift_once(below.coloring, middle, H.adjacency())
     return RecursiveColoring(H.ell, H, col, below.exact_base, below.base_kind,
                              below.base_value)
+
+
+def _lifted_to(G, below, levels, ell):
+    """The recursive colouring of the ``ell``-link graph of ``G`` lifted from
+    ``below``, whose palette has at most three colours, through ``levels``,
+    which hold every arc from ``below.ell`` to ``ell + 1``.
+
+    Each lift gives a link the colour of its middle segment, and the
+    recolouring with ``r = 2`` returns a colouring of at most three colours
+    as it is, so the colours are carried up through the ``_middle_ids`` of
+    each level in turn.  Only the ``ell``-link graph is built, and the
+    colouring is checked once, by ``is_proper`` on its ``ends``; with at most
+    three colours a vertex of a proper colouring sees at most two foreign
+    ones.  The base colouring is checked first, as ``_lifted`` checks it."""
+    if below.ell < 2 and not is_proper(below.graph, below.coloring):
+        raise PreconditionViolated("lower colouring is not proper")
+    H = _windows_graph(G, ell, levels)
+    if H.n == 0:
+        col = Coloring({}, 0)
+    else:
+        colors = list(map(below.coloring.assignment.__getitem__, range(below.graph.n)))
+        for length in range(below.ell + 2, ell + 1, 2):
+            colors = list(map(colors.__getitem__, _middle_ids(levels, length)))
+        col = Coloring(dict(enumerate(colors)), below.coloring.t)
+        if not is_proper(H, col):
+            raise PreconditionViolated("lifted colouring is not proper")
+    return RecursiveColoring(ell, H, col, below.exact_base, below.base_kind, below.base_value)
 
 
 @dataclass

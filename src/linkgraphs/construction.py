@@ -19,9 +19,11 @@ from .errors import (
 from .links import (
     Link,
     _arc_cap,
+    _arc_id,
     _arc_levels,
     _arc_units,
     _canonical,
+    _dart_table,
     _inside,
     _keep_for_links,
     _kernel,
@@ -61,13 +63,14 @@ class LabeledGraph:
     makes its ``vertices`` and ``edges`` on the first read of either, in one
     ``_unit_tuples`` pass, and then drops the levels.  A graph built from
     explicit vertices and edges fills ``ends`` from its edges on the first
-    read.  ``index`` is made on its first read.
+    read.  ``index`` is made on its first read; ``_lookup`` answers as it does
+    with no ``Link`` made while the graph holds its kernel levels.
     """
 
     def __init__(self, ell, vertices, edges, source=None, index=None):
         self.ell, self.source, self.n = ell, source, len(vertices)
         self._vertices, self._edges, self._index = vertices, edges, index or None
-        self._ends = self._pending = self._adj = self._comps = None
+        self._ends = self._pending = self._adj = self._comps = self._dart_ids = None
 
     def _make_links(self):
         """The ``Link``s of a graph built from kernel levels, in one pass:
@@ -99,6 +102,26 @@ class LabeledGraph:
         if self._index is None:
             self._index = {link: i for i, link in enumerate(self.vertices)}
         return self._index
+
+    def _lookup(self, link):
+        """``index[link]``: the vertex index of ``link``, ``KeyError`` when it is
+        not a vertex.  While the graph holds its kernel levels, the link's
+        darts are walked down them (``_arc_id``) and its index is the number
+        of canonical arcs before its own, so no ``Link`` of the graph is
+        made; a graph with explicit vertices, or whose ``Link``s are made,
+        reads ``index``."""
+        if not self._pending:
+            return self.index[link]
+        levels, units = self._pending[0], link.units
+        if len(units) != 2 * self.ell + 1:
+            raise KeyError(link)
+        if self._dart_ids is None:
+            self._dart_ids = _dart_table(self.source)
+        k = _arc_id(levels, self._dart_ids, units)
+        canon = _canonical(levels[self.ell])
+        if not canon[k]:
+            raise KeyError(link)
+        return canon.count(1, 0, k)
 
     @property
     def ends(self):

@@ -415,7 +415,7 @@ def _branch_sets_and_connectors(H, ell, lbars, paths, t):
         for j in range(t):
             full = conjunction(lbars[i], paths[(i, j)])
             for img in shunt_trace(full, ell).images:
-                verts.add(H.index[img])
+                verts.add(H._lookup(img))
         branch.append(frozenset(verts))
     connectors = {}
     for i in range(t):
@@ -426,7 +426,7 @@ def _branch_sets_and_connectors(H, ell, lbars, paths, t):
             rev_suffix_j = lbars[j].window(lij, ell).reverse()
             r = conjunction(conjunction(suffix_i, pij), rev_suffix_j)
             imgs = shunt_trace(r, ell).images
-            connectors[(i, j)] = tuple(H.index[im] for im in imgs)
+            connectors[(i, j)] = tuple(map(H._lookup, imgs))
     return branch, connectors
 
 
@@ -436,7 +436,7 @@ def _cycle_k2_witness(G, ell, cycle_arc, H):
     if hl.m == 0:
         raise PreconditionViolated("cycle too short to host adjacent links")
     a, b, _ = hl.edges[0]
-    ia, ib = H.index[hl.vertices[a]], H.index[hl.vertices[b]]
+    ia, ib = H._lookup(hl.vertices[a]), H._lookup(hl.vertices[b])
     return MinorWitness(
         2,
         _complete_edges(2),
@@ -535,18 +535,18 @@ def complete_minor_with_cycle(G, ell, inst, H=None, limit=None):
     if t >= 2:
         branch, connectors = _branch_sets_and_connectors(H, ell, lbars, paths, t)
     else:
-        branch = [frozenset({H.index[Link.from_arc(lbars[0])]})]
+        branch = [frozenset({H._lookup(Link.from_arc(lbars[0]))})]
         connectors = {}
 
     cyc_sub = G.edge_subgraph(cycle.edges())
     z_links = set(enumerate_links(cyc_sub, ell, limit))
     z_links.update(z_extra)
-    z_set = frozenset(H.index[l] for l in z_links)
+    z_set = frozenset(map(H._lookup, z_links))
     branch.append(z_set)
     zi = t
     for i in range(t):
-        li = H.index[Link.from_arc(lbars[i])]
-        connectors[(i, zi)] = (li, H.index[z_attach[i]])
+        li = H._lookup(Link.from_arc(lbars[i]))
+        connectors[(i, zi)] = (li, H._lookup(z_attach[i]))
     witness = MinorWitness(t + 1, _complete_edges(t + 1), branch, connectors, H,
                            "cut+cycle")
     return _checked(H, witness, "cycle construction")
@@ -707,6 +707,18 @@ def _k2_witness(H):
 
 
 def _degeneracy_route(G, ell, H):
+    """A K_d witness in the link graph ``H``, where d >= 2 is the degeneracy
+    of ``G``, or ``None``.
+
+    At ``ell = 1``, d edges at one vertex of the d-core are pairwise adjacent
+    in the line graph.  For ``ell >= 2``, take an (ell - 1)-arc p of the
+    d-core and d - 1 further core edges at each of its ends: the links that
+    extend p by one edge at its tail and those that extend it at its head are
+    the sides of a K_{d-1,d-1} in ``H``, since one edge at each end extends p
+    to an (ell + 1)-link, and ``_bipartite_model`` holds a K_d in it.  The
+    arcs p come in ``enumerate_arcs`` order and the first whose witness
+    verifies wins; a core with more than 5,000 (ell - 1)-arcs raises
+    ``LimitExceeded``, which ends the bound."""
     d, core = G.degeneracy(with_core=True)
     if d < 2:
         return None
@@ -715,7 +727,7 @@ def _degeneracy_route(G, ell, H):
                 key=lambda x: (core.degree(x), x))
         edge_links = []
         for eid, w in core.incident(v)[: d]:
-            edge_links.append(H.index[Link.from_units((v, eid, w))])
+            edge_links.append(H._lookup(Link.from_units((v, eid, w))))
         sets = [frozenset({i}) for i in edge_links[:d]]
         connectors = {}
         for i in range(d):
@@ -734,8 +746,8 @@ def _degeneracy_route(G, ell, H):
         b_links = [Link.from_arc(Arc(p.units + (eid, w))) for eid, w in b_ext]
         if len(set(a_links) | set(b_links)) != 2 * (d - 1):
             continue
-        sets, connectors = _bipartite_model([H.index[l] for l in a_links],
-                                            [H.index[l] for l in b_links])
+        sets, connectors = _bipartite_model(list(map(H._lookup, a_links)),
+                                            list(map(H._lookup, b_links)))
         witness = MinorWitness(d, _complete_edges(d), sets, connectors, H, "degeneracy")
         check = verify_minor(H, witness)
         if check.ok:
@@ -763,12 +775,12 @@ def _triple_split_cycle_witness(G, ell, H):
         return None
     k = len(order) // 3
     parts = [order[:k], order[k : 2 * k], order[2 * k :]]
-    sets = [frozenset(H.index[hl.vertices[i]] for i in part) for part in parts]
+    sets = [frozenset(H._lookup(hl.vertices[i]) for i in part) for part in parts]
     ends = []
     for a in range(3):
         b = (a + 1) % 3
-        u = H.index[hl.vertices[parts[a][-1]]]
-        v = H.index[hl.vertices[parts[b][0]]]
+        u = H._lookup(hl.vertices[parts[a][-1]])
+        v = H._lookup(hl.vertices[parts[b][0]])
         ends.append(((a, b) if a < b else (b, a), (u, v) if a < b else (v, u)))
     connectors = dict(ends)
     witness = MinorWitness(3, _complete_edges(3), sets, connectors, H, "cycle")
@@ -929,7 +941,14 @@ def hadwiger_lower_bound(G, ell, H=None, eta_cap=DEFAULT_HADWIGER_CAP, limit=Non
     never returns a bound without a verified witness.  The first of the
     largest witnesses wins, the K_2 of an edge when no route beats it.  The
     cut candidates come last and build only witnesses larger than the best
-    before them (``_candidate_route``).
+    before them (``_candidate_route``).  A route that passes an oracle cap
+    gives no witness and leaves a note naming the cap; the degeneracy
+    route's arc cap raises ``LimitExceeded``.
+
+    The routes find the links of their witnesses in ``H`` with
+    ``LabeledGraph._lookup``, on kernel ids, so of a link graph built here
+    or by ``link_graph`` they make no ``Link``, but for the hub lift, which
+    reads its vertices.
     """
     return _lower_bound(G, ell, H, eta_cap, limit, lambda sub: hadwiger_number(sub, eta_cap))
 

@@ -18,7 +18,7 @@ from linkgraphs.coloring import (
     recursive_chromatic_bound,
     reduce_coloring,
 )
-from linkgraphs.construction import link_graph
+from linkgraphs.construction import LabeledGraph, index_adjacency, link_graph
 from linkgraphs.errors import (
     OracleTooLarge,
     PartialColoring,
@@ -50,6 +50,21 @@ class TestProperness:
         H = link_graph(complete(3), 0)
         with pytest.raises(PartialColoring):
             is_proper(H, Coloring({0: 1}, 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(multigraphs(max_n=5, max_m=8), st.integers(0, 3), st.randoms(use_true_random=False))
+    def test_edge_ends_answer_as_the_neighbour_sets(self, G, ell, rnd):
+        # a LabeledGraph is read off its ends, a list of sets off the sets
+        H = link_graph(G, ell, 10_000)
+        for t in (1, 2, 3):
+            col = Coloring({i: rnd.randint(1, t) for i in range(H.n)}, t)
+            assert is_proper(H, col) == is_proper(index_adjacency(H), col)
+
+    def test_a_loop_is_ignored(self):
+        # as index_adjacency drops it
+        H = LabeledGraph(0, ("a", "b"), ((0, 0, "x"), (0, 1, "y")))
+        assert is_proper(H, Coloring({0: 1, 1: 2}, 2))
+        assert not is_proper(H, Coloring({0: 1, 1: 1}, 1))
 
 
 class TestExactOracles:
@@ -164,6 +179,16 @@ LIFT_SCANS = [
                       ("lifted", 810), ("proper", 810)]),
 ]
 
+# the kernel recursion lifts a palette of at most three colours straight to
+# the top graph: the base scan, one scan (and the recolouring's check) per lift
+# with more than three colours, and one properness check of the top graph
+KERNEL_LIFT_SCANS = [
+    (petersen(), 6, [("proper", 10), ("proper", 480)]),
+    (complete(5), 5, LIFT_SCANS[1][2]),
+    (complete(5), 8, [("proper", 5), ("lifted", 30), ("proper", 30), ("lifted", 270),
+                      ("proper", 270), ("proper", 21870)]),
+]
+
 
 def _record_scans(monkeypatch):
     """The list that every later ``is_proper`` and ``_check_lifted`` call of
@@ -219,7 +244,7 @@ class TestLifting:
                 if rec.graph.n:
                     assert is_proper(rec.graph, rec.coloring)
 
-    @pytest.mark.parametrize("G, ell, want", LIFT_SCANS)
+    @pytest.mark.parametrize("G, ell, want", KERNEL_LIFT_SCANS)
     def test_recursion_scans_each_lifted_graph_once(self, G, ell, want, monkeypatch):
         scans = _record_scans(monkeypatch)
         rec = recursive_chromatic_bound(G, ell)
@@ -253,6 +278,15 @@ class TestLifting:
             recursive_chromatic_bound(petersen(), 2)
         with pytest.raises(PreconditionViolated, match="lower colouring is not proper"):
             harness._Cache(Caps()).recursive(CorpusInstance("g", petersen()), 2)
+
+    def test_recursion_checks_the_top_graph_it_lifts_to(self, monkeypatch):
+        # every link takes the colour of link 0 two levels down: the one check
+        # on the top graph's edge ends sees it
+        real = coloring._middle_ids
+        monkeypatch.setattr(coloring, "_middle_ids",
+                            lambda levels, ell: [0] * len(real(levels, ell)))
+        with pytest.raises(PreconditionViolated, match="lifted colouring is not proper"):
+            recursive_chromatic_bound(petersen(), 4)
 
 
 class TestBounds:

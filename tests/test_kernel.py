@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import reference_coloring
 import reference_links as ref
-from linkgraphs import coloring, construction, harness, links, multigraph
+from linkgraphs import coloring, construction, harness, links, minors, multigraph
 from linkgraphs.coloring import DEFAULT_CHROMATIC_CAP, is_proper, recursive_chromatic_bound
 from linkgraphs.construction import (
     AlmostStandardPartition,
@@ -38,7 +38,7 @@ from linkgraphs.harness import (
     _hub_parts,
     verify_suite,
 )
-from linkgraphs.minors import hadwiger_lower_bound
+from linkgraphs.minors import hadwiger_lower_bound, verify_minor
 from linkgraphs.links import (
     DEFAULT_LIMIT,
     Arc,
@@ -314,6 +314,87 @@ def test_integer_reads_make_no_links():
     with _counting_links() as made:
         assert len(rec.graph.vertices) == rec.graph.n
     assert len(made) == rec.graph.n + rec.graph.m
+    # the witness routes look their links up on the kernel levels: a K7 via
+    # cut+cycle, with no Link of the link graph made
+    H = link_graph(G, 8)
+    res = hadwiger_lower_bound(G, 8, H)
+    assert (res.bound, res.route) == (7, "cut+cycle")
+    assert verify_minor(H, res.witness).ok
+    assert H._pending
+
+
+def _found(lookup, link):
+    """What a vertex lookup answers for ``link``: its index, or ``KeyError``."""
+    try:
+        return lookup(link)
+    except KeyError:
+        return KeyError
+
+
+@settings(max_examples=80, deadline=None)
+@given(multigraphs(max_n=6, max_m=10), multigraphs(max_n=4, max_m=6))
+def test_link_lookup_answers_as_the_index(G, other):
+    # the kernel walk answers as the index dict, before any Link is made, on
+    # graphs from link_graph and from the verify cache; the dict stays the oracle
+    inst, top = CorpusInstance("g", G), 4
+    cache = _Cache(Caps(suite_links=ARC_BUDGET), (0, top + 1))
+    for ell in _lengths(G, top):
+        R = ref.link_graph(G, ell)
+        labels = [lab for _, _, lab in R.edges]
+        strays = labels[:3] + list(enumerate_links(other, ell, ARC_BUDGET))[:20]
+        for link in R.vertices[:5]:
+            u = link.units
+            # the reverse orientation, and a walk whose last step leaves the graph
+            strays += [Link(u[::-1]), Link(u[:-1] + ("nowhere",))]
+            if ell:
+                strays.append(Link(u[:-2] + (u[-4] if ell > 1 else "e?", u[-1])))
+        for H in (link_graph(G, ell), cache.graph(inst, ell)):
+            if H is None:
+                continue
+            assert [H._lookup(link) for link in R.vertices] == list(range(R.n))
+            assert [_found(H._lookup, x) for x in strays] == [
+                _found(R.index.__getitem__, x) for x in strays]
+            assert H._pending
+            # a graph whose links are made reads its index
+            assert H.vertices == R.vertices
+            assert [_found(H._lookup, x) for x in strays] == [
+                _found(R.index.__getitem__, x) for x in strays]
+
+
+def test_minor_routes_make_no_links(monkeypatch):
+    # the witness routes of Thm2 and Thm3.x look their links up on kernel ids,
+    # so no cached link graph makes its Links, but where lift_minor reads them
+    made, cached, lifting = [], [], []
+    real_make, real_graph, real_lift = (construction.LabeledGraph._make_links,
+                                        _Cache.graph, minors.lift_minor)
+
+    def make(self):
+        if not lifting:
+            made.append(self)
+        real_make(self)
+
+    def graph(self, inst, ell):
+        H = real_graph(self, inst, ell)
+        cached.append(H)
+        return H
+
+    def lift(*args, **kwargs):
+        lifting.append(True)
+        try:
+            return real_lift(*args, **kwargs)
+        finally:
+            lifting.pop()
+
+    monkeypatch.setattr(construction.LabeledGraph, "_make_links", make)
+    monkeypatch.setattr(_Cache, "graph", graph)
+    monkeypatch.setattr(minors, "lift_minor", lift)
+    G = petersen()
+    H = link_graph(G, 8)
+    res = hadwiger_lower_bound(G, 8, H)
+    assert (res.bound, res.route, res.notes) == (7, "cut+cycle", [])
+    report = verify_suite(claims=["Thm2", "Thm3"])
+    assert report.passed() and cached
+    assert not [X for X in made if X is H or any(X is C for C in cached)]
 
 
 def test_counting_claims_make_no_links():
