@@ -9,6 +9,7 @@ import sys
 
 from . import multigraph as mg
 from .coloring import (
+    Coloring,
     exact_chromatic,
     greedy_coloring,
     is_proper,
@@ -133,13 +134,9 @@ def _cmd_stats(args):
 def _cmd_color(args):
     G = _load_graph(args.graph)
     ell = _parse_ells(args.ell)[0]
-    H = link_graph(G, ell, args.limit)
-    if args.method == "exact":
-        chi, col = exact_chromatic(H, args.oracle_cap)
-        result = {"method": "exact", "colors": chi}
-    elif args.method == "recursive":
+    if args.method == "recursive":
         rec = recursive_chromatic_bound(G, ell, args.oracle_cap, args.limit)
-        col = rec.coloring
+        H, col = rec.graph, rec.coloring
         result = {
             "method": "recursive",
             "colors": col.t,
@@ -148,11 +145,13 @@ def _cmd_color(args):
             "base_value": rec.base_value,
         }
     else:
-        k, colors = greedy_coloring(H.adjacency())
-        from .coloring import Coloring
-
-        col = Coloring(colors, max(k, 1) if H.n else 0)
-        result = {"method": "greedy", "colors": k}
+        H = link_graph(G, ell, args.limit)
+        if args.method == "exact":
+            chi, col = exact_chromatic(H, args.oracle_cap)
+        else:
+            chi, colors = greedy_coloring(H.adjacency())
+            col = Coloring(colors, chi)
+        result = {"method": args.method, "colors": chi}
     result["proper"] = bool(H.n == 0 or is_proper(H, col))
     result["assignment"] = json.loads(col.to_json(H))
     _emit(json.dumps(result, indent=2, sort_keys=True), args.out)

@@ -195,30 +195,29 @@ def reduce_coloring(H, coloring, r):
     """Recolour classes from the top down; output stays proper and uses at
     most ``floor(t*r/(r+1)) + 1`` colours.
 
-    Precondition: every vertex sees at most ``r`` distinct foreign colours.
-    For ``t <= r + 1`` the input is returned unchanged (the bound equals t).
+    Preconditions: the input is proper, and every vertex sees at most ``r``
+    distinct foreign colours (checked by ``_recolour``).  For ``t <= r + 1``
+    the input is returned unchanged (the bound equals t).
     """
     adj = index_adjacency(H)
-    n = len(adj)
     if r < 0:
         raise InvalidParameter(f"r must be >= 0, got {r}")
     if not is_proper(adj, coloring):
         raise PreconditionViolated("input colouring is not proper")
-    assign = coloring.assignment
-    for v in range(n):
-        foreign = {assign[w] for w in adj[v]}
-        if len(foreign) > r:
-            raise PreconditionViolated(
-                f"vertex {v} sees {len(foreign)} foreign colours > r={r}"
-            )
     return _recolour(adj, coloring, r)
 
 
 def _recolour(adj, coloring, r):
-    """``reduce_coloring`` on the neighbour sets ``adj`` once its
-    preconditions are checked; the output is still checked."""
-    t = coloring.t
+    """``reduce_coloring`` on the neighbour sets ``adj`` of a graph that
+    ``coloring`` colours properly.  The bound of ``r`` foreign colours a
+    vertex is checked here, also where the input is returned unchanged, and
+    the output is checked too."""
     assign = coloring.assignment
+    for v, nbrs in enumerate(adj):
+        foreign = set(map(assign.__getitem__, nbrs))
+        if len(foreign) > r:
+            raise PreconditionViolated(f"vertex {v} sees {len(foreign)} foreign colours > r={r}")
+    t = coloring.t
     if t <= r + 1:
         return Coloring(dict(assign), t)
 
@@ -259,39 +258,30 @@ def lift_coloring(G, ell, lower, coloring, upper=None, limit=None):
         upper = link_graph(G, ell, limit)
     if not is_proper(lower, coloring):
         raise PreconditionViolated("lower colouring is not proper")
-    middle = (lower.index[link.middle_segment(ell - 2)] for link in upper.vertices)
-    lifted = _transfer(coloring, middle)
-    if not is_proper(upper, lifted):
+    middle = [lower.index[link.middle_segment(ell - 2)] for link in upper.vertices]
+    return _lift(coloring, [middle], upper)
+
+
+def _lift(coloring, middles, H):
+    """The colouring of the link graph ``H`` lifted from ``coloring``, a
+    proper colouring of a shorter one, and recoloured with ``r = 2``.
+
+    ``middles`` holds one table per lift of two lengths, from the shortest
+    up: entry ``i`` of a table is the index, two lengths down, of the middle
+    segment of link ``i``.  Each link takes the colour of its middle segment
+    through every table in turn.  The lifted colouring is checked once, by
+    ``is_proper`` on the edge ends of ``H``.  With at most three colours the
+    recolouring keeps it as it is, and a vertex of a proper colouring sees
+    at most two foreign colours, so several lifts may be taken at once;
+    with more, ``middles`` holds one table, and ``_recolour`` reads the
+    neighbour sets of ``H``."""
+    colors = coloring.assignment
+    for middle in middles:
+        colors = list(map(colors.__getitem__, middle))
+    lifted = Coloring(dict(enumerate(colors)), coloring.t)
+    if not is_proper(H, lifted):
         raise PreconditionViolated("lifted colouring is not proper")
-    return reduce_coloring(upper, lifted, 2)
-
-
-def _transfer(coloring, middle):
-    """Give vertex ``i`` the colour of vertex ``middle[i]`` under ``coloring``."""
-    return Coloring(dict(enumerate(map(coloring.assignment.__getitem__, middle))), coloring.t)
-
-
-def _check_lifted(adj, assign):
-    """``reduce_coloring``'s preconditions for ``r = 2`` in one scan of the
-    neighbour sets ``adj``: the lifted colouring ``assign`` is total and
-    proper, and no vertex sees more than two foreign colours."""
-    if len(assign) != len(adj):
-        raise PartialColoring(f"assignment covers {len(assign)} of {len(adj)} vertices")
-    for v, nbrs in enumerate(adj):
-        foreign = set(map(assign.__getitem__, nbrs))
-        if assign[v] in foreign:
-            raise PreconditionViolated("lifted colouring is not proper")
-        if len(foreign) > 2:
-            raise PreconditionViolated(f"vertex {v} sees {len(foreign)} foreign colours > r=2")
-
-
-def _lift_once(coloring, middle, adj):
-    """Lift ``coloring`` through ``middle`` onto the graph with neighbour sets
-    ``adj``, check the lifted colouring in one scan (``_check_lifted``) and
-    recolour it with ``r = 2``; the output is checked by ``_recolour``."""
-    lifted = _transfer(coloring, middle)
-    _check_lifted(adj, lifted.assignment)
-    return _recolour(adj, lifted, 2)
+    return lifted if coloring.t <= 3 else _recolour(H.adjacency(), lifted, 2)
 
 
 @dataclass
@@ -321,14 +311,12 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     ``Link`` is made unless a caller reads one; the middle segment of a link
     is the suffix of its parent.
 
-    A lift that recolours, from more than three colours, is checked in one
-    scan of its graph, for properness and for the recolouring's bound of two
-    foreign colours (``_check_lifted``).  Once the palette has at most three
-    colours the recolouring with ``r = 2`` keeps every colouring as it is, so
-    the lifts left are one transfer to the ``ell``-link graph (``_lifted_to``),
-    and no graph between is built.  The base colouring is checked when it
-    is first lifted; every later lower colouring is the output of the lift
-    before, which checked it.
+    A palette of more than three colours is lifted two lengths, checked and
+    recoloured (``_lift``).  Once it has at most three colours the
+    recolouring keeps every colouring as it is, so the colours are carried
+    straight up to the ``ell``-link graph through the middle ids of each
+    length between, no graph between is built, and the top colouring is
+    checked once, on the edge ends of its graph.
     """
     if ell < 0:
         raise InvalidParameter(f"ell must be >= 0, got {ell}")
@@ -337,90 +325,47 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     levels = _kernel(G, base, {L: _link_cap(L, limit) for L in range(base, ell + 2)})
     rec = _base_coloring(G, _windows_graph(G, base, levels), cap,
                          lambda: exact_edge_chromatic(G, cap))
-    while rec.ell < ell and rec.coloring.t > 3:
-        length = rec.ell + 2
-        rec = _lifted(G, rec, _windows_graph(G, length, levels), _middle_ids(levels, length))
-    if rec.ell < ell:
-        rec = _lifted_to(G, rec, levels, ell)
+    while rec.ell < ell:
+        length = ell if rec.coloring.t <= 3 else rec.ell + 2
+        rec = _lifted(rec, _windows_graph(G, length, levels), levels)
     _keep_for_links(levels)
     return rec
 
 
 def _base_coloring(G, H, cap, solve_edge):
     """The recursive colouring of the link graph ``H`` of ``G`` at length 0 or
-    1; ``solve_edge()`` gives ``exact_edge_chromatic`` of ``G``, or raises
-    what it raises.
+    1, checked to be proper; ``solve_edge()`` gives ``exact_edge_chromatic``
+    of ``G``, or raises what it raises.
 
     At length 1 the links are the canonical 1-arcs, which are the darts that
     come before their twins, in dart order; each takes the colour of its
     edge."""
-    if H.ell == 0:
-        try:
-            chi, col = exact_chromatic(H, cap)
-            exact = True
-        except OracleTooLarge:
-            k, colors = greedy_coloring(H.adjacency())
-            chi, col = k, Coloring(colors, max(k, 1) if H.n else 0)
-            exact = False
-        return RecursiveColoring(0, H, col, exact, "chromatic", chi)
     try:
-        chi_p, ecol = solve_edge()
+        if H.ell == 0:
+            value, col = exact_chromatic(H, cap)
+        else:
+            value, ecol = solve_edge()
+            D = G.darts()
+            edges = (eid for d, ((eid, _), t) in enumerate(zip(D.steps, D.twin)) if d < t)
+            col = Coloring(dict(enumerate(map(ecol.assignment.__getitem__, edges))), value)
         exact = True
-        D = G.darts()
-        edges = (eid for d, ((eid, _), t) in enumerate(zip(D.steps, D.twin)) if d < t)
-        col = Coloring(dict(enumerate(map(ecol.assignment.__getitem__, edges))), chi_p)
     except OracleTooLarge:
-        k, colors = greedy_coloring(H.adjacency())
-        col = Coloring(colors, max(k, 1) if H.n else 0)
-        chi_p = col.t
-        exact = False
+        value, colors = greedy_coloring(H.adjacency())
+        col, exact = Coloring(colors, value), False
     if not is_proper(H, col):
-        raise WitnessInvalid("edge colouring transported to the line graph is not proper")
-    return RecursiveColoring(1, H, col, exact, "edge-chromatic", chi_p)
+        raise WitnessInvalid("base colouring is not proper" if H.ell == 0 else
+                             "edge colouring transported to the line graph is not proper")
+    return RecursiveColoring(H.ell, H, col, exact, "edge-chromatic" if H.ell else "chromatic",
+                             value)
 
 
-def _lifted(G, below, H, middle):
-    """The recursive colouring of the link graph ``H`` of ``G``, lifted from
-    ``below``, the recursive colouring two levels down, with the checks of
-    ``recursive_chromatic_bound``: the base colouring is checked when it is
-    lifted, and a colouring lifted before was checked by that lift.
-    ``middle[i]`` is the index in ``below.graph`` of the middle segment of
-    vertex ``i`` of ``H`` (``_middle_ids``)."""
-    if H.n == 0:
-        col = Coloring({}, 0)
-    else:
-        if below.ell < 2 and not is_proper(below.graph, below.coloring):
-            raise PreconditionViolated("lower colouring is not proper")
-        col = _lift_once(below.coloring, middle, H.adjacency())
-    return RecursiveColoring(H.ell, H, col, below.exact_base, below.base_kind,
-                             below.base_value)
-
-
-def _lifted_to(G, below, levels, ell):
-    """The recursive colouring of the ``ell``-link graph of ``G`` lifted from
-    ``below``, whose palette has at most three colours, through ``levels``,
-    which hold every arc from ``below.ell`` to ``ell + 1``.
-
-    Each lift gives a link the colour of its middle segment, and the
-    recolouring with ``r = 2`` returns a colouring of at most three colours
-    as it is, so the colours are carried up through the ``_middle_ids`` of
-    each level in turn.  Only the ``ell``-link graph is built, and the
-    colouring is checked once, by ``is_proper`` on its ``ends``; with at most
-    three colours a vertex of a proper colouring sees at most two foreign
-    ones.  The base colouring is checked first, as ``_lifted`` checks it."""
-    if below.ell < 2 and not is_proper(below.graph, below.coloring):
-        raise PreconditionViolated("lower colouring is not proper")
-    H = _windows_graph(G, ell, levels)
-    if H.n == 0:
-        col = Coloring({}, 0)
-    else:
-        colors = list(map(below.coloring.assignment.__getitem__, range(below.graph.n)))
-        for length in range(below.ell + 2, ell + 1, 2):
-            colors = list(map(colors.__getitem__, _middle_ids(levels, length)))
-        col = Coloring(dict(enumerate(colors)), below.coloring.t)
-        if not is_proper(H, col):
-            raise PreconditionViolated("lifted colouring is not proper")
-    return RecursiveColoring(ell, H, col, below.exact_base, below.base_kind, below.base_value)
+def _lifted(below, H, levels):
+    """The recursive colouring of the link graph ``H`` lifted from ``below``,
+    a checked recursive colouring of a shorter one of the same parity, through
+    the ``_middle_ids`` of ``levels`` at each length between (``_lift``)."""
+    col = Coloring({}, 0) if H.n == 0 else _lift(
+        below.coloring, [_middle_ids(levels, L) for L in range(below.ell + 2, H.ell + 1, 2)], H)
+    return RecursiveColoring(H.ell, H, col, below.exact_base, below.base_kind, below.base_value)
 
 
 @dataclass

@@ -50,7 +50,6 @@ from .links import (
     _link_cap,
     _link_ids,
     _link_middles,
-    _middle_ids,
     _middle_tuples,
     _units_at,
     _walks,
@@ -357,9 +356,10 @@ class _Cache:
         return self._answer("chi", inst, ell, solve)
 
     def recursive(self, inst, ell):
-        """``recursive_chromatic_bound`` of the link graph, lifted from the
-        memo two levels down through the middle segments on kernel ids.
-        Beyond the suite link budget it raises what ``link_graph`` raises."""
+        """``recursive_chromatic_bound`` of the link graph, lifted one table
+        of middle ids from the memo two levels down, as Thm1.x and Cor4.4
+        read the colouring at every length.  Beyond the suite link budget it
+        raises what ``link_graph`` raises."""
 
         def solve():
             below = self.recursive(inst, ell - 2) if ell >= 2 else None
@@ -367,8 +367,7 @@ class _Cache:
             if below is None:
                 return _base_coloring(inst.graph, H, self.caps.chromatic_cap,
                                       lambda: self.edge_chi(inst))
-            middle = _middle_ids(self.link_levels(inst, ell - 2, ell), ell)
-            return _lifted(inst.graph, below, H, middle)
+            return _lifted(below, H, self.link_levels(inst, ell - 2, ell))
 
         return self._answer("recursive", inst, ell, solve)
 

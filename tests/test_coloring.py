@@ -23,6 +23,7 @@ from linkgraphs.errors import (
     OracleTooLarge,
     PartialColoring,
     PreconditionViolated,
+    WitnessInvalid,
 )
 from linkgraphs.harness import Caps, CorpusInstance, random_recolour_instance, recolouring_battery
 from linkgraphs.multigraph import (
@@ -171,41 +172,41 @@ class TestRecolouring:
 
 
 LIFT_SCANS = [
-    # base chi 3: no lift recolours, so each lifted graph is scanned once
-    (petersen(), 6, [("proper", 10), ("lifted", 30), ("lifted", 120), ("lifted", 480)]),
-    # base chi' 5: both lifts recolour (5 to 4 to 3 colours), and their outputs
-    # are checked; the base graph is checked once as a base and once as lower
-    (complete(5), 5, [("proper", 10), ("proper", 10), ("lifted", 90), ("proper", 90),
-                      ("lifted", 810), ("proper", 810)]),
+    # base chi 3: no lift recolours, so each lifted graph is checked once
+    (petersen(), 6, [("proper", 10), ("proper", 30), ("proper", 120), ("proper", 480)]),
+    # base chi' 5: both lifts recolour (5 to 4 to 3 colours); each lifted
+    # colouring is checked, recoloured, and the output checked
+    (complete(5), 5, [("proper", 10), ("proper", 90), ("recolour", 90), ("proper", 90),
+                      ("proper", 810), ("recolour", 810), ("proper", 810)]),
 ]
 
 # the kernel recursion lifts a palette of at most three colours straight to
-# the top graph: the base scan, one scan (and the recolouring's check) per lift
-# with more than three colours, and one properness check of the top graph
+# the top graph: the base check, three scans per lift with more than three
+# colours, and one properness check of the top graph
 KERNEL_LIFT_SCANS = [
     (petersen(), 6, [("proper", 10), ("proper", 480)]),
     (complete(5), 5, LIFT_SCANS[1][2]),
-    (complete(5), 8, [("proper", 5), ("lifted", 30), ("proper", 30), ("lifted", 270),
-                      ("proper", 270), ("proper", 21870)]),
+    (complete(5), 8, [("proper", 5), ("proper", 30), ("recolour", 30), ("proper", 30),
+                      ("proper", 270), ("recolour", 270), ("proper", 270), ("proper", 21870)]),
 ]
 
 
 def _record_scans(monkeypatch):
-    """The list that every later ``is_proper`` and ``_check_lifted`` call of
+    """The list that every later ``is_proper`` and ``_recolour`` call of
     ``coloring`` appends its kind and colouring size to."""
     scans = []
-    real_proper, real_lifted = coloring.is_proper, coloring._check_lifted
+    real_proper, real_recolour = coloring.is_proper, coloring._recolour
 
     def proper(H, col):
         scans.append(("proper", len(col.assignment)))
         return real_proper(H, col)
 
-    def lifted(adj, assign):
-        scans.append(("lifted", len(assign)))
-        return real_lifted(adj, assign)
+    def recolour(adj, col, r):
+        scans.append(("recolour", len(col.assignment)))
+        return real_recolour(adj, col, r)
 
     monkeypatch.setattr(coloring, "is_proper", proper)
-    monkeypatch.setattr(coloring, "_check_lifted", lifted)
+    monkeypatch.setattr(coloring, "_recolour", recolour)
     return scans
 
 
@@ -259,25 +260,34 @@ class TestLifting:
         assert rec.coloring == recursive_chromatic_bound(G, ell).coloring
 
     def test_lifted_check_is_the_reduction_precondition(self):
-        star = [{1, 2, 3}, {0}, {0}, {0}]
-        seen3 = {0: 1, 1: 2, 2: 3, 3: 4}
+        # the lift checks properness on the edge ends, and both entry points
+        # check the foreign-colour bound in _recolour
+        star = LabeledGraph(0, ("a", "b", "c", "d"), ((0, 1, "x"), (0, 2, "y"), (0, 3, "z")))
+        seen3 = Coloring({0: 1, 1: 2, 2: 3, 3: 4}, 4)
+        same = [[0, 1, 2, 3]]
         with pytest.raises(PreconditionViolated, match="vertex 0 sees 3 foreign colours > r=2"):
-            reduce_coloring(star, Coloring(seen3, 4), 2)
+            reduce_coloring(star, seen3, 2)
         with pytest.raises(PreconditionViolated, match="vertex 0 sees 3 foreign colours > r=2"):
-            coloring._check_lifted(star, seen3)
+            coloring._lift(seen3, same, star)
+        with pytest.raises(PreconditionViolated, match="vertex 0 sees 3 foreign colours > r=1"):
+            reduce_coloring(star, Coloring(seen3.assignment, 2), 1)  # t <= r + 1 too
         with pytest.raises(PreconditionViolated, match="lifted colouring is not proper"):
-            coloring._check_lifted(star, {0: 1, 1: 2, 2: 1, 3: 2})
+            coloring._lift(Coloring({0: 1, 1: 2, 2: 1, 3: 2}, 2), same, star)
         with pytest.raises(PartialColoring):
-            coloring._check_lifted(star, {0: 1, 1: 2, 2: 2})
-        coloring._check_lifted(star, {0: 1, 1: 2, 2: 3, 3: 2})
+            coloring._lift(seen3, [[0, 1, 2]], star)
+        three = Coloring({0: 1, 1: 2, 2: 3, 3: 2}, 3)
+        assert coloring._lift(three, same, star) == three
+        # two lifts at once: each table is read in turn
+        assert coloring._lift(three, [[3, 2, 1, 0], [3, 2, 1, 0]], star) == three
 
     def test_recursion_rejects_an_improper_base_colouring(self, monkeypatch):
         monkeypatch.setattr(coloring, "exact_chromatic",
                             lambda H, cap=None: (1, Coloring({i: 1 for i in range(H.n)}, 1)))
-        with pytest.raises(PreconditionViolated, match="lower colouring is not proper"):
-            recursive_chromatic_bound(petersen(), 2)
-        with pytest.raises(PreconditionViolated, match="lower colouring is not proper"):
-            harness._Cache(Caps()).recursive(CorpusInstance("g", petersen()), 2)
+        for ell in (0, 2):
+            with pytest.raises(WitnessInvalid, match="base colouring is not proper"):
+                recursive_chromatic_bound(petersen(), ell)
+            with pytest.raises(WitnessInvalid, match="base colouring is not proper"):
+                harness._Cache(Caps()).recursive(CorpusInstance("g", petersen()), ell)
 
     def test_recursion_checks_the_top_graph_it_lifts_to(self, monkeypatch):
         # every link takes the colour of link 0 two levels down: the one check
@@ -287,6 +297,21 @@ class TestLifting:
                             lambda levels, ell: [0] * len(real(levels, ell)))
         with pytest.raises(PreconditionViolated, match="lifted colouring is not proper"):
             recursive_chromatic_bound(petersen(), 4)
+
+    def test_a_corrupted_lift_gives_fail_records(self, monkeypatch):
+        corpus = [CorpusInstance("K4", complete(4)), CorpusInstance("petersen", petersen())]
+
+        def run():
+            return harness.verify_suite(corpus=corpus, claims=["Thm1", "Cor4.4"],
+                                        caps=Caps(ell_range=(0, 1, 2, 3, 4)))
+
+        assert run().passed()
+        real = coloring._middle_ids
+        monkeypatch.setattr(coloring, "_middle_ids",
+                            lambda levels, ell: [0] * len(real(levels, ell)))
+        failed = run().failures()
+        assert failed
+        assert all("lifted colouring is not proper" in r.detail for r in failed)
 
 
 class TestBounds:
@@ -351,6 +376,8 @@ real_max_color, real_used = Coloring.max_color, Coloring.used
 
 coloring.exact_chromatic = lambda adj, cap=None: (1, Coloring({i: 1 for i in range(len(adj))}, 1))
 expect_raise(lambda: coloring.exact_edge_chromatic(complete(4)))
+coloring.exact_chromatic = lambda H, cap=None: (1, Coloring({i: 1 for i in range(H.n)}, 1))
+expect_raise(lambda: coloring.recursive_chromatic_bound(complete(4), 0))
 coloring.exact_chromatic = real_chromatic
 
 Coloring.max_color = lambda self: self.t + 1
@@ -376,6 +403,7 @@ def test_bad_results_raise_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "edge-chromatic number 1 outside the Vizing-Shannon range for maximum degree 3",
+        "base colouring is not proper",
         "recolouring exceeded its bound",
         "recolouring broke properness",
         "recolouring increased colour count",

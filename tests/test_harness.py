@@ -280,21 +280,21 @@ class TestBuildOnce:
     def test_each_link_graph_and_recursive_colouring_is_built_once(self, monkeypatch):
         calls = Counter()
 
-        def counting(name, length):
+        def counting(name, key):
             real = getattr(harness, name)
 
-            def wrapper(G, *args):
-                calls[(name, G.serialize(), length(*args))] += 1
-                return real(G, *args)
+            def wrapper(*args):
+                calls[(name, *key(*args))] += 1
+                return real(*args)
 
             monkeypatch.setattr(harness, name, wrapper)
 
         # every link graph is read off the one kernel of its instance
-        counting("_arc_levels", lambda fwd, ell, top: top)
-        counting("_windows_graph", lambda ell, windows: ell)
-        counting("_base_coloring", lambda H, cap, solve_edge: H.ell)
-        counting("_lifted", lambda below, H, middle: H.ell)
-        counting("hub_subgraph", lambda ell, limit: ell)
+        counting("_arc_levels", lambda G, fwd, ell, top: (G.serialize(), top))
+        counting("_windows_graph", lambda G, ell, windows: (G.serialize(), ell))
+        counting("_base_coloring", lambda G, H, cap, solve_edge: (G.serialize(), H.ell))
+        counting("_lifted", lambda below, H, levels: (H.source.serialize(), H.ell))
+        counting("hub_subgraph", lambda G, ell, limit: (G.serialize(), ell))
         # the chromatic bounds of Thm1.1/1.2 read the link graphs of the run
         monkeypatch.setattr(coloring, "link_graph", None)
         monkeypatch.setattr(harness, "link_graph", None)
@@ -561,6 +561,26 @@ class TestCli:
         assert rc == 0
         data = json.loads(out.read_text())
         assert data["colors"] <= 3 and data["proper"]
+
+    def test_color_recursive_builds_the_top_graph_once(self, monkeypatch, tmp_path):
+        gfile = tmp_path / "petersen.txt"
+        main(["gen", "petersen", "--out", str(gfile)])
+        built = []
+        real = construction._windows_graph
+
+        def counting(G, ell, levels):
+            built.append(ell)
+            return real(G, ell, levels)
+
+        monkeypatch.setattr(construction, "_windows_graph", counting)
+        monkeypatch.setattr(coloring, "_windows_graph", counting)
+        out = tmp_path / "col.json"
+        assert main(["color", "--method", "recursive", "--ell", "4",
+                     "--out", str(out), str(gfile)]) == 0
+        # the base graph, then the top graph, which the output reads
+        assert built == [0, 4]
+        data = json.loads(out.read_text())
+        assert data["colors"] == 3 and data["proper"] and len(data["assignment"]) == 120
 
     def test_minor_command(self, tmp_path):
         gfile = tmp_path / "w5.txt"
