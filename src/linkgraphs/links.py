@@ -503,15 +503,20 @@ def _keep_for_links(levels):
         lv.ids = lv.windows = lv.middles = lv.paths = None
 
 
-def _kernel(G, ell, caps):
-    """Check each ``{length: cap}`` of ``caps`` on the arc counts, as an
-    enumeration stopping one arc past the cap would, then build the levels
-    up to the longest length."""
-    top = max(caps)
-    totals, fwd = _walks(G, top)
+def _counted(G, caps):
+    """``_walks`` up to the longest length of the ``{length: cap}`` ``caps``,
+    once each cap is checked on the arc counts in increasing length, as an
+    enumeration stopping one arc past the cap would."""
+    totals, fwd = _walks(G, max(caps))
     for length in sorted(caps):
         _check_limit(totals[length], caps[length])
-    return _arc_levels(G, fwd, ell, top)
+    return totals, fwd
+
+
+def _kernel(G, ell, caps):
+    """The levels up to the longest length of ``caps``, once ``_counted``
+    has checked them."""
+    return _arc_levels(G, _counted(G, caps)[1], ell, max(caps))
 
 
 def _arc_cap(limit):
@@ -526,6 +531,30 @@ def enumerate_arcs(G, ell, limit=None):
         return [Arc((v,)) for v in G.vertices]
     want = _all(len(levels[ell].last))
     return [Arc(u) for u in _unit_tuples(G, levels, {ell: want})[ell]]
+
+
+def _walk_arcs(G, ell, fwd):
+    """The ``ell``-arcs of ``G``, ``ell >= 1``, as unit tuples in
+    ``enumerate_arcs`` order, one at a time: a depth-first walk with an
+    explicit stack, so its depth is not bounded by the recursion limit.  It
+    steps only onto darts from which ``fwd``, the reach table of
+    ``_walks(G, ell)`` or of a longer count, still reaches length ``ell``,
+    so every partial arc it holds is the prefix of one it yields."""
+    D = G.darts()
+    start, head, twin, steps = D.start, D.head, D.twin, D.steps
+    for v, lo, hi in zip(G.vertices, start, start[1:]):
+        # reversed: the stack pops the least dart first
+        stack = [((v,), d) for d in range(hi - 1, lo - 1, -1) if fwd[d] >= ell - 1]
+        while stack:
+            units, d = stack.pop()
+            units += steps[d]
+            left = ell - len(units) // 2
+            if not left:
+                yield units
+                continue
+            h, back = head[d], twin[d]
+            stack += [(units, s) for s in range(start[h + 1] - 1, start[h] - 1, -1)
+                      if s != back and fwd[s] >= left - 1]
 
 
 def enumerate_links(G, ell, limit=None):

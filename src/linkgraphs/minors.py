@@ -20,11 +20,15 @@ from .errors import (
 from .links import (
     Arc,
     Link,
+    _counted,
+    _link_cap,
+    _walk_arcs,
     conjunction,
-    enumerate_arcs,
     enumerate_links,
     has_arc,
     hub_subgraph,
+    is_link_of,
+    one_step_shunts,
     shunt_trace,
 )
 from .multigraph import Multigraph, complete_bipartite
@@ -35,13 +39,73 @@ DEFAULT_HADWIGER_CAP = 12
 # -- witnesses ----------------------------------------------------------------
 
 
+class _LinkHost:
+    """The ``ell``-link graph of ``G``, ``ell >= 1``, as a witness host with
+    nothing built: ``n`` and ``m`` come from the arc counts, a link gets its
+    vertex id on its first lookup, and ``host[i]`` is the set of ids of the
+    one-step shunts of vertex ``i``, which are exactly its neighbours.
+
+    ``vertices[i]`` is the link of vertex ``i``.  ``len(host)`` is ``n``, so
+    ``index_adjacency`` passes the host through and ``verify_minor`` reads it
+    as a list of neighbour sets.  It checks the caps ``link_graph`` checks,
+    and raises what it raises."""
+
+    def __init__(self, G, ell, limit=None):
+        totals, self._fwd = _counted(G, {L: _link_cap(L, limit) for L in (ell, ell + 1)})
+        self.G, self.ell = G, ell
+        self.n, self.m = totals[ell] // 2, totals[ell + 1] // 2
+        self.vertices, self._ids, self._adj = [], {}, {}
+
+    def __len__(self):
+        return self.n
+
+    def _id(self, link):
+        i = self._ids.setdefault(link, len(self.vertices))
+        if i == len(self.vertices):
+            self.vertices.append(link)
+        return i
+
+    def _lookup(self, link):
+        """The vertex id of ``link``; ``KeyError`` when it is not an
+        ``ell``-link of ``G`` in its canonical orientation."""
+        i = self._ids.get(link)
+        if i is None:
+            u = link.units
+            if len(u) != 2 * self.ell + 1 or u > u[::-1] or not is_link_of(self.G, link):
+                raise KeyError(link)
+            i = self._id(link)
+        return i
+
+    def __getitem__(self, i):
+        """The neighbour ids of vertex ``i``; none for an id no link has."""
+        if i not in self._adj:
+            if not 0 <= i < len(self.vertices):
+                return frozenset()
+            self._adj[i] = {self._id(R) for _, R in one_step_shunts(self.G, self.vertices[i])}
+        return self._adj[i]
+
+    def first_edge(self):
+        """The ends of the link graph's first edge in canonical order, as
+        ``link_graph`` stores it first: the least link with a one-step shunt,
+        and its least neighbour."""
+        for units in _walk_arcs(self.G, self.ell, self._fwd):
+            if units <= units[::-1]:
+                shunts = one_step_shunts(self.G, Link(units))
+                if shunts:
+                    return self._id(Link(units)), self._id(min(R for _, R in shunts))
+
+
 @dataclass
 class MinorWitness:
     """Branch sets plus connecting paths certifying a minor model.
 
     ``connectors`` maps sorted target-edge pairs to host vertex paths whose
     first and last vertices lie in the respective branch sets and whose
-    interiors avoid every branch set and every other interior.
+    interiors avoid every branch set and every other interior.  The host is
+    a ``LabeledGraph``, a ``Multigraph``, or the link host of
+    ``hadwiger_lower_bound`` (``n``, ``m``, ``host[i]`` the neighbour ids of
+    vertex ``i`` and ``host.vertices[i]`` its link); ``to_json`` labels each
+    vertex by its name in ``vertices``.
     """
 
     target_size: int
@@ -60,9 +124,7 @@ class MinorWitness:
 
     def to_json(self):
         def label(i):
-            if isinstance(self.host, LabeledGraph):
-                return str(self.host.vertices[i])
-            if isinstance(self.host, Multigraph):
+            if isinstance(self.host, (LabeledGraph, Multigraph, _LinkHost)):
                 return str(self.host.vertices[i])
             return str(i)
 
@@ -392,6 +454,21 @@ def _tail_window(closed, ell):
     return Arc(tuple(out))
 
 
+def _cycle_links(closed, ell):
+    """The ``ell``-links, ``ell >= 1``, of the cycle that the closed walk
+    ``closed`` goes round once, as the windows of the walk, in the order a
+    walk over the cycle's own link graph visits them: from the least link on
+    through its lesser neighbour.  Windows at consecutive starts are joined
+    by the one-longer window, so that graph is a cycle through them in start
+    order (for a digon, two links joined twice)."""
+    u, c = closed.units, closed.length
+    walk = u + u[1:] * (ell // c + 1)
+    links = [Link.from_units(walk[2 * p : 2 * (p + ell) + 1]) for p in range(c)]
+    s = links.index(min(links))
+    step = 1 if links[(s + 1) % c] < links[s - 1] else -1
+    return [links[(s + step * k) % c] for k in range(c)]
+
+
 def _x_paths(X, cut_arcs, ell):
     """Shortest paths inside the cut set between attachment vertices."""
     paths = {}
@@ -430,13 +507,10 @@ def _branch_sets_and_connectors(H, ell, lbars, paths, t):
     return branch, connectors
 
 
-def _cycle_k2_witness(G, ell, cycle_arc, H):
-    sub = G.edge_subgraph(cycle_arc.edges())
-    hl = link_graph(sub, ell)
-    if hl.m == 0:
-        raise PreconditionViolated("cycle too short to host adjacent links")
-    a, b, _ = hl.edges[0]
-    ia, ib = H._lookup(hl.vertices[a]), H._lookup(hl.vertices[b])
+def _cycle_k2_witness(ell, cycle_arc, H):
+    """The first edge of the link graph of the cycle ``cycle_arc`` goes
+    round, as a K_2."""
+    ia, ib = map(H._lookup, _cycle_links(cycle_arc, ell)[:2])
     return MinorWitness(
         2,
         _complete_edges(2),
@@ -475,7 +549,7 @@ def complete_minor_from_cut(G, ell, inst, H=None, limit=None):
         return conjunction(walk, cut[i])
 
     if t == 2:
-        return _cycle_k2_witness(G, ell, o_cycle(0), H)
+        return _cycle_k2_witness(ell, o_cycle(0), H)
 
     lbars = [_tail_window(o_cycle(i), ell) for i in range(t)]
     branch, connectors = _branch_sets_and_connectors(H, ell, lbars, paths, t)
@@ -538,8 +612,7 @@ def complete_minor_with_cycle(G, ell, inst, H=None, limit=None):
         branch = [frozenset({H._lookup(Link.from_arc(lbars[0]))})]
         connectors = {}
 
-    cyc_sub = G.edge_subgraph(cycle.edges())
-    z_links = set(enumerate_links(cyc_sub, ell, limit))
+    z_links = set(_cycle_links(cycle, ell))
     z_links.update(z_extra)
     z_set = frozenset(map(H._lookup, z_links))
     branch.append(z_set)
@@ -699,9 +772,8 @@ def lift_minor(G, ell, branch_sets, H=None, hub=None, limit=None):
 
 
 def _k2_witness(H):
-    if H.m == 0:
-        raise NoEdge("the link graph has no edge")
-    a, b = H.ends[0][0], H.ends[1][0]
+    """The first edge of the link graph ``H``, which has one, as a K_2."""
+    a, b = (H.ends[0][0], H.ends[1][0]) if isinstance(H, LabeledGraph) else H.first_edge()
     return MinorWitness(2, _complete_edges(2), [frozenset({a}), frozenset({b})],
                         {(0, 1): (a, b)}, H, "edge")
 
@@ -716,9 +788,11 @@ def _degeneracy_route(G, ell, H):
     extend p by one edge at its tail and those that extend it at its head are
     the sides of a K_{d-1,d-1} in ``H``, since one edge at each end extends p
     to an (ell + 1)-link, and ``_bipartite_model`` holds a K_d in it.  The
-    arcs p come in ``enumerate_arcs`` order and the first whose witness
-    verifies wins; a core with more than 5,000 (ell - 1)-arcs raises
-    ``LimitExceeded``, which ends the bound."""
+    arcs p are walked one at a time in ``enumerate_arcs`` order
+    (``_walk_arcs``) and the first whose witness verifies wins; a core with
+    more than 5,000 (ell - 1)-arcs raises ``LimitExceeded`` before any is
+    walked, as ``enumerate_arcs(core, ell - 1, 5000)`` does, which ends the
+    bound."""
     d, core = G.degeneracy(with_core=True)
     if d < 2:
         return None
@@ -735,7 +809,8 @@ def _degeneracy_route(G, ell, H):
                 connectors[(i, j)] = (edge_links[i], edge_links[j])
         witness = MinorWitness(d, _complete_edges(d), sets, connectors, H, "degeneracy")
         return _checked(H, witness, "degeneracy construction")
-    for p in enumerate_arcs(core, ell - 1, 5000):
+    fwd = _counted(core, {ell - 1: 5000})[1]
+    for p in map(Arc, _walk_arcs(core, ell - 1, fwd)):
         a_ext = [(eid, w) for eid, w in core.incident(p.tail_vertex)
                  if eid != p.tail_edge][: d - 1]
         b_ext = [(eid, w) for eid, w in core.incident(p.head_vertex)
@@ -749,8 +824,7 @@ def _degeneracy_route(G, ell, H):
         sets, connectors = _bipartite_model(list(map(H._lookup, a_links)),
                                             list(map(H._lookup, b_links)))
         witness = MinorWitness(d, _complete_edges(d), sets, connectors, H, "degeneracy")
-        check = verify_minor(H, witness)
-        if check.ok:
+        if verify_minor(H, witness).ok:
             return witness
     return None
 
@@ -760,34 +834,13 @@ def _triple_split_cycle_witness(G, ell, H):
     cyc = shortest_cycle_arc(G.underlying_simple())
     if cyc is None or cyc.length < 3:
         return None
-    sub = G.edge_subgraph(cyc.edges())
-    hl = link_graph(sub, ell)
-    order = [0]
-    adj = hl.adjacency()
-    prev = None
-    while len(order) < hl.n:
-        nxt = sorted(w for w in adj[order[-1]] if w != prev and w not in order)
-        if not nxt:
-            break
-        prev = order[-1]
-        order.append(nxt[0])
-    if len(order) < 3:
-        return None
+    order = list(map(H._lookup, _cycle_links(cyc, ell)))
     k = len(order) // 3
-    parts = [order[:k], order[k : 2 * k], order[2 * k :]]
-    sets = [frozenset(H._lookup(hl.vertices[i]) for i in part) for part in parts]
-    ends = []
-    for a in range(3):
-        b = (a + 1) % 3
-        u = H._lookup(hl.vertices[parts[a][-1]])
-        v = H._lookup(hl.vertices[parts[b][0]])
-        ends.append(((a, b) if a < b else (b, a), (u, v) if a < b else (v, u)))
-    connectors = dict(ends)
-    witness = MinorWitness(3, _complete_edges(3), sets, connectors, H, "cycle")
-    check = verify_minor(H, witness)
-    if not check.ok:
-        return None
-    return witness
+    a, b, c = order[:k], order[k : 2 * k], order[2 * k :]
+    connectors = {(0, 1): (a[-1], b[0]), (1, 2): (b[-1], c[0]), (0, 2): (a[0], c[-1])}
+    witness = MinorWitness(3, _complete_edges(3), list(map(frozenset, (a, b, c))), connectors,
+                           H, "cycle")
+    return witness if verify_minor(H, witness).ok else None
 
 
 def _peel_degree_one(G):
@@ -847,6 +900,9 @@ def _eta_route(G, ell, H, eta_cap, limit, solve_eta):
             deficient = k
             break
     if deficient is None:
+        # the lift reads every vertex of the link graph
+        if not isinstance(H, LabeledGraph):
+            H = link_graph(G, ell, limit)
         try:
             return lift_minor(peeled, ell, [frozenset(bs) for bs in sets], H=H,
                               hub=hub, limit=limit)
@@ -945,10 +1001,17 @@ def hadwiger_lower_bound(G, ell, H=None, eta_cap=DEFAULT_HADWIGER_CAP, limit=Non
     gives no witness and leaves a note naming the cap; the degeneracy
     route's arc cap raises ``LimitExceeded``.
 
-    The routes find the links of their witnesses in ``H`` with
-    ``LabeledGraph._lookup``, on kernel ids, so of a link graph built here
-    or by ``link_graph`` they make no ``Link``, but for the hub lift, which
-    reads its vertices.
+    With no ``H``, the routes run on a link host that builds nothing: it
+    checks the caps ``link_graph`` checks on the arc counts, gives each link
+    an id on its first lookup, and reads a vertex's neighbours off its
+    one-step shunts, so a witness is found and verified on the links it
+    touches, and hosted there (``n``, ``m``, ``host[i]`` the neighbour ids of
+    vertex ``i`` and ``host.vertices[i]`` its link).  Only the hub lift,
+    which reads every vertex, builds the link graph, and hosts its witness
+    there.  A passed ``H`` hosts every witness, and the routes find their
+    links in it with ``LabeledGraph._lookup``, on kernel ids, so of a graph
+    from ``link_graph`` they make no ``Link``, but for the hub lift.  Either
+    way ``witness.to_json()`` labels the vertices by their links.
     """
     return _lower_bound(G, ell, H, eta_cap, limit, lambda sub: hadwiger_number(sub, eta_cap))
 
@@ -961,11 +1024,10 @@ def _lower_bound(G, ell, H, eta_cap, limit, solve_eta):
     if ell < 1:
         raise PreconditionViolated(f"needs ell >= 1, got {ell}")
     if H is None:
-        H = link_graph(G, ell, limit)
+        H = _LinkHost(G, ell, limit)
     if H.m == 0:
         raise NoEdge("the link graph has no edge")
-    notes = []
-    witnesses = [_k2_witness(H)]
+    notes, witnesses = [], []
     for name, fn in (
         ("degeneracy", lambda: _degeneracy_route(G, ell, H)),
         ("model", lambda: _eta_route(G, ell, H, eta_cap, limit, solve_eta)),
@@ -976,13 +1038,16 @@ def _lower_bound(G, ell, H, eta_cap, limit, solve_eta):
             notes.append(f"{name}: {exc}")
             continue
         if w is not None:
-            witnesses.append(_checked(H, w, f"{name} witness"))
+            witnesses.append(_checked(w.host, w, f"{name} witness"))
         else:
             notes.append(f"{name}: no witness")
-    best = max(witnesses, key=lambda w: w.target_size)
-    w, note = _candidate_route(G, ell, H, limit, best.target_size)
+    best = max(witnesses, key=lambda w: w.target_size, default=None)
+    w, note = _candidate_route(G, ell, H, limit, best.target_size if best else 2)
     if w is None:
         notes.append(f"cut-candidates: {note}")
     else:
         best = _checked(H, w, "cut-candidates witness")
+    if best is None or best.target_size <= 2:
+        # the K_2 of the first edge comes first among equal witnesses
+        best = _k2_witness(H)
     return LowerBoundResult(best.target_size, best, best.route, notes)

@@ -4,6 +4,7 @@ builders."""
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import reference_coloring
 import reference_links as ref
-from linkgraphs import coloring, construction, harness, links, minors, multigraph
+from linkgraphs import cli, coloring, construction, harness, links, minors, multigraph
 from linkgraphs.coloring import DEFAULT_CHROMATIC_CAP, is_proper, recursive_chromatic_bound
 from linkgraphs.construction import (
     AlmostStandardPartition,
@@ -44,20 +45,24 @@ from linkgraphs.links import (
     Arc,
     Link,
     _kernel,
+    _walk_arcs,
     _walks,
     enumerate_arcs,
     enumerate_links,
     has_arc,
     hub_subgraph,
+    link_count,
     middle_units,
 )
 from linkgraphs.multigraph import (
     Multigraph,
     complete,
+    cycle,
     dipole,
     parallel_bridge,
     path,
     petersen,
+    random_multigraph,
     wheel,
 )
 
@@ -395,6 +400,85 @@ def test_minor_routes_make_no_links(monkeypatch):
     report = verify_suite(claims=["Thm2", "Thm3"])
     assert report.passed() and cached
     assert not [X for X in made if X is H or any(X is C for C in cached)]
+
+
+def test_public_minor_bound_builds_no_link_graph(monkeypatch, tmp_path):
+    # with no link graph passed in, the witnesses are found and checked on
+    # one-step shunts; only a hub lift would build the link graph
+    built = []
+    real_windows, real_link_graph = construction._windows_graph, minors.link_graph
+
+    def windows(*args):
+        built.append("_windows_graph")
+        return real_windows(*args)
+
+    def whole(*args, **kwargs):
+        built.append("link_graph")
+        return real_link_graph(*args, **kwargs)
+
+    monkeypatch.setattr(construction, "_windows_graph", windows)
+    monkeypatch.setattr(minors, "link_graph", whole)
+    first, second = map(random_multigraph, harness.DEFAULT_SEEDS[:2])
+    # the large-ell workload's inputs; the random graphs at the longest
+    # length whose link graph fits the suite budget
+    for G, ell, bound in ((complete(5), 6, 5), (complete(6), 5, 6), (wheel(6), 6, 7),
+                          (first, 6, 6), (second, 4, 11)):
+        res = hadwiger_lower_bound(G, ell)
+        assert (res.bound, res.route) == (bound, "cut+cycle")
+        assert verify_minor(res.witness.host, res.witness).ok
+        assert (res.witness.host.n, res.witness.host.m) == (link_count(G, ell),
+                                                            link_count(G, ell + 1))
+    # the degeneracy route's arc cap stops it before anything is built
+    with pytest.raises(LimitExceeded, match=r"\(5001 > 5000\)"):
+        hadwiger_lower_bound(petersen(), 10)
+    gfile = tmp_path / "petersen.txt"
+    cli.main(["gen", "petersen", "--out", str(gfile)])
+    assert cli.main(["minor", "--ell", "10", str(gfile)]) == 3
+    assert built == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(multigraphs(max_n=7, max_m=12))
+def test_arc_walk_matches_the_kernel_order(G):
+    # steered by the reach table of the count up to the length or one longer
+    for ell in _lengths(G):
+        if ell:
+            want = [a.units for a in enumerate_arcs(G, ell)]
+            for count in (ell, ell + 1):
+                assert list(_walk_arcs(G, ell, _walks(G, count)[1])) == want
+
+
+def test_arc_walk_reaches_past_the_recursion_limit():
+    G, ell = cycle(5), sys.getrecursionlimit() + 50
+    walked = list(_walk_arcs(G, ell, _walks(G, ell)[1]))
+    assert len(walked) == 10 and walked == [a.units for a in enumerate_arcs(G, ell)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(multigraphs(max_n=6, max_m=10), multigraphs(max_n=4, max_m=6))
+def test_link_host_answers_as_the_link_graph(G, other):
+    # ids come in lookup order; the links, the strays and the neighbours of
+    # each vertex match the reference link graph's
+    for ell in _lengths(G, 4):
+        if not ell:
+            continue
+        R, host = ref.link_graph(G, ell), minors._LinkHost(G, ell)
+        assert (len(host), host.m) == (R.n, len(R.edges))
+        strays = list(enumerate_links(other, ell, ARC_BUDGET))[:20]
+        for link in R.vertices[:5]:
+            u = link.units
+            strays += [Link(u[::-1]), Link(u[:-1] + ("nowhere",)), Link(u[2:])]
+        assert [_found(host._lookup, x) is KeyError for x in strays] == [
+            _found(R.index.__getitem__, x) is KeyError for x in strays]
+        ids = [host._lookup(link) for link in reversed(R.vertices)]
+        assert [host.vertices[i] for i in ids] == list(reversed(R.vertices))
+        adj = R.adjacency()
+        for k, link in enumerate(R.vertices):
+            got = {R.index[host.vertices[j]] for j in host[host._lookup(link)]}
+            assert got == adj[k]
+        if R.edges:
+            a, b = host.first_edge()
+            assert (R.index[host.vertices[a]], R.index[host.vertices[b]]) == R.edges[0][:2]
 
 
 def test_counting_claims_make_no_links():

@@ -5,11 +5,13 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from linkgraphs import minors
 from linkgraphs.construction import link_graph
 from linkgraphs.errors import (
     BranchSetLacksLink,
+    LinkGraphError,
     NoCycleInY,
     PreconditionViolated,
     WitnessInvalid,
@@ -28,6 +30,8 @@ from linkgraphs.minors import (
     lift_minor,
     verify_minor,
 )
+from linkgraphs.harness import default_corpus
+from linkgraphs.links import _walks
 from linkgraphs.multigraph import (
     Multigraph,
     complete,
@@ -40,6 +44,7 @@ from linkgraphs.multigraph import (
 )
 
 from conftest import run_optimized
+from strategies import multigraphs
 
 
 def triangle_grid():
@@ -383,3 +388,87 @@ class TestWitnessGate:
                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                  if isinstance(node, ast.Assert)]
         assert found == []
+
+
+# -- the link host: the public bound finds and checks its witnesses on one-step
+# shunts, and agrees with the bound on a built link graph --------------------
+
+LIMIT = 20_000
+
+
+def _outcome(run):
+    """What a lower-bound call gives: the bound, route, notes and witness
+    JSON, or the type and text of what it raises."""
+    try:
+        res = run()
+    except LinkGraphError as exc:
+        return type(exc), str(exc)
+    return res.bound, res.route, res.notes, res.witness.to_json()
+
+
+@pytest.mark.parametrize("inst", default_corpus(), ids=lambda inst: inst.name)
+def test_link_host_bound_matches_the_built_graph(inst):
+    G = inst.graph
+    for ell in range(1, 6):
+        def built():
+            return hadwiger_lower_bound(G, ell, link_graph(G, ell, LIMIT), limit=LIMIT)
+
+        assert _outcome(lambda: hadwiger_lower_bound(G, ell, limit=LIMIT)) == _outcome(built), ell
+
+
+def _mapped(w, host, to):
+    """``w`` on ``host``, each vertex ``v`` of ``w.host`` replaced by ``to(v)``."""
+    return MinorWitness(w.target_size, w.target_edges,
+                        [frozenset(map(to, bs)) for bs in w.branch_sets],
+                        {e: tuple(map(to, path)) for e, path in w.connectors.items()},
+                        host, w.route)
+
+
+def _corruptions(H, w):
+    """Witnesses on the link graph ``H`` that ``verify_minor`` rejects: ``w``
+    with a branch set split by a far vertex, ``w`` with a connector over a
+    non-edge, and a path minor whose two connectors share their interior."""
+    adj = H.adjacency()
+    out = []
+    (i, j), path = min(w.connectors.items())
+    used = set().union(*w.branch_sets, *w.connectors.values())
+    far = [v for v in range(H.n)
+           if v not in used and not any(v in adj[x] for x in w.branch_sets[i])]
+    if far:
+        sets = list(w.branch_sets)
+        sets[i] = sets[i] | {far[0]}
+        out.append(MinorWitness(w.target_size, w.target_edges, sets, w.connectors, H))
+        out.append(MinorWitness(w.target_size, w.target_edges, w.branch_sets,
+                                {**w.connectors, (i, j): (path[0], far[0], path[-1])}, H))
+    hub = next((z for z in range(H.n) if len(adj[z]) >= 3), None)
+    if hub is not None:
+        a, b, c = sorted(adj[hub])[:3]
+        out.append(MinorWitness(3, frozenset({(0, 1), (0, 2)}),
+                                [frozenset({a}), frozenset({b}), frozenset({c})],
+                                {(0, 1): (a, hub, b), (0, 2): (a, hub, c)}, H))
+    return out
+
+
+def _verdict(host, w):
+    check = verify_minor(host, w)
+    return check.ok, check.reason
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_n=6, max_m=9))
+def test_link_host_verdicts_match_the_built_graph(G):
+    totals = _walks(G, 7)[0]
+    for ell in (L for L in range(1, 7) if 0 < totals[L + 1] <= 3000):
+        H = link_graph(G, ell)
+        built = hadwiger_lower_bound(G, ell, H).witness
+        found = hadwiger_lower_bound(G, ell)
+        assert _outcome(lambda: found) == _outcome(lambda: hadwiger_lower_bound(G, ell, H))
+        witnesses = [built, _mapped(found.witness, H,
+                                    lambda v: H.index[found.witness.host.vertices[v]])]
+        bad = _corruptions(H, built)
+        assert not any(verify_minor(H, w).ok for w in bad)
+        host = minors._LinkHost(G, ell)
+        for w in witnesses + bad:
+            on_host = _mapped(w, host, lambda v: host._lookup(H.vertices[v]))
+            assert _verdict(host, on_host) == _verdict(H, w)
+            assert on_host.to_json() == w.to_json()
