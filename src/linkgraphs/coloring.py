@@ -57,8 +57,9 @@ class EdgeColoring:
 def is_proper(H, coloring):
     """True iff no edge is monochromatic; the assignment must be total.
 
-    A ``LabeledGraph`` is read off its edge ends, with no neighbour sets
-    built; a loop is ignored, as ``index_adjacency`` drops it."""
+    A ``LabeledGraph`` is read off its edge ends in either order
+    (``_pairs``), with no neighbour sets built and no sort; a loop is
+    ignored, as ``index_adjacency`` drops it."""
     labeled = isinstance(H, LabeledGraph)
     adj = None if labeled else index_adjacency(H)
     n = H.n if labeled else len(adj)
@@ -66,7 +67,7 @@ def is_proper(H, coloring):
     if len(assign) != n or not all(map(assign.__contains__, range(n))):
         raise PartialColoring(f"assignment covers {len(assign)} of {n} vertices")
     if labeled:
-        tails, heads = H.ends
+        tails, heads = H._pairs()
         color = assign.__getitem__
         return not any(map(and_, map(ne, tails, heads), map(eq, map(color, tails), map(color, heads))))
     for i in range(n):

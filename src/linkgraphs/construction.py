@@ -56,34 +56,38 @@ class LabeledGraph:
     Edges are stored as ``(i, j, label)`` with ``i < j``; labels are pairwise
     distinct and their two windows are exactly the endpoints.
 
-    The integer core is ``n`` and ``ends``, the two ``array('i')`` tables of
-    edge ends ``i`` and ``j`` in the order of ``edges``; ``m``, the degrees,
-    the adjacency, the components and the multiplicities read only the core.
-    A graph built from kernel levels (``_windows_graph``) holds kernel ids and
-    makes its ``vertices`` and ``edges`` on the first read of either, in one
-    ``_unit_tuples`` pass, and then drops the levels.  A graph built from
-    explicit vertices and edges fills ``ends`` from its edges on the first
-    read.  ``index`` is made on its first read; ``_lookup`` answers as it does
-    with no ``Link`` made while the graph holds its kernel levels.
+    The integer core is ``n`` and the edge ends, two ``array('i')`` tables.
+    ``ends`` holds them in the order of ``edges``, with ``i < j``.  A graph
+    built from kernel levels (``_windows_graph``) holds kernel ids: its core
+    is the windows of its labels in canonical label order, either end first,
+    and ``ends`` is sorted from them (``_sorted_ends``) on the first read of
+    ``ends`` or of the ``Link``s, which then drops the windows.  ``m``,
+    the degrees, the adjacency and the components read the edges in either
+    order (``_pairs``), so counting, colouring and connectivity sort nothing.
+    The first read of ``edges`` or ``vertices`` makes the ``Link``s in one
+    ``_unit_tuples`` pass and drops the levels.  A graph built from explicit
+    vertices and edges fills ``ends`` from its edges on the first read.
+    ``index`` is made on its first read; ``_lookup`` answers as it does with
+    no ``Link`` made while the graph holds its kernel levels.
     """
 
     def __init__(self, ell, vertices, edges, source=None, index=None):
         self.ell, self.source, self.n = ell, source, len(vertices)
         self._vertices, self._edges, self._index = vertices, edges, index or None
-        self._ends = self._pending = self._adj = self._comps = self._dart_ids = None
+        self._ends = self._windows = self._order = self._pending = None
+        self._adj = self._comps = self._dart_ids = None
 
     def _make_links(self):
         """The ``Link``s of a graph built from kernel levels, in one pass:
-        ``_pending`` holds the levels and, per edge, the canonical index of
-        its label."""
-        levels, order = self._pending
-        ell = self.ell
+        ``_pending`` holds the levels, and ``_order``, made with ``ends``,
+        per edge the canonical index of its label."""
+        levels, ell = self._pending, self.ell
         units = _unit_tuples(self.source, levels,
                              {L: _canonical(levels[L]) for L in (ell, ell + 1)})
         self._vertices = tuple(map(Link, units[ell]))
         labels = list(map(Link, units[ell + 1]))
-        self._edges = tuple(zip(*self.ends, map(labels.__getitem__, order)))
-        self._pending = None
+        self._edges = tuple(zip(*self.ends, map(labels.__getitem__, self._order)))
+        self._pending = self._order = None
 
     @property
     def vertices(self):
@@ -112,7 +116,7 @@ class LabeledGraph:
         reads ``index``."""
         if not self._pending:
             return self.index[link]
-        levels, units = self._pending[0], link.units
+        levels, units = self._pending, link.units
         if len(units) != 2 * self.ell + 1:
             raise KeyError(link)
         if self._dart_ids is None:
@@ -126,8 +130,19 @@ class LabeledGraph:
     @property
     def ends(self):
         if self._ends is None:
-            self._ends = array("i", map(_first, self._edges)), array("i", map(_second, self._edges))
+            if self._windows is None:
+                self._ends = (array("i", map(_first, self._edges)),
+                              array("i", map(_second, self._edges)))
+            else:
+                self._ends, self._order = _sorted_ends(self._windows, self.n)
+                self._windows = None
         return self._ends
+
+    def _pairs(self):
+        """The edge ends as two tables, in whichever order the graph holds:
+        the label-order windows, either end first, until ``ends`` is read,
+        then ``ends``.  For readers that take the edges in any order."""
+        return self.ends if self._windows is None else self._windows
 
     def __eq__(self, other):
         # ``index`` and the integer core follow from the vertices and edges
@@ -140,11 +155,11 @@ class LabeledGraph:
 
     @property
     def m(self):
-        return len(self.ends[0])
+        return len(self._pairs()[0])
 
     def degrees(self):
         deg = [0] * self.n
-        for table in self.ends:
+        for table in self._pairs():
             for a in table:
                 deg[a] += 1
         return deg
@@ -156,7 +171,7 @@ class LabeledGraph:
         must not mutate it.
         """
         if self._adj is None:
-            self._adj = _pair_adjacency(self.n, zip(*self.ends))
+            self._adj = _pair_adjacency(self.n, zip(*self._pairs()))
         return self._adj
 
     def multiplicity(self, i, j):
@@ -379,21 +394,27 @@ def link_graph(G, ell, limit=None):
 def _windows_graph(G, ell, levels):
     """The ``ell``-link graph of ``G`` on the kernel ids of ``levels``, which
     hold every ``ell``- and ``(ell + 1)``-arc: each ``(ell + 1)``-link joins
-    the links of its kernel parent and suffix.
+    the links of its kernel parent and suffix.  The graph holds these
+    windows in canonical label order (``_window_ids``), unsorted."""
+    H = LabeledGraph(ell, (), (), G)
+    H.n = _canonical(levels[ell]).count(1)
+    H._pending, H._windows = levels, _window_ids(levels, ell)
+    return H
 
-    The edges are sorted by their ends with a stable sort over the labels in
-    canonical order.  Canonical label ids run in unit order, so this is the
-    order of the sorted ``(i, j, label)`` triples."""
-    tails, heads = _window_ids(levels, ell)
-    n = _canonical(levels[ell]).count(1)
+
+def _sorted_ends(windows, n):
+    """The edge ends ``i < j`` of an ``n``-vertex graph whose labels have the
+    windows ``windows`` in canonical order, sorted by their ends with a
+    stable sort over the labels, and per sorted edge its label index.
+    Canonical label ids run in unit order, so this is the order of the
+    sorted ``(i, j, label)`` triples."""
+    tails, heads = windows
     # an edge with ends i < j has the key i * n + j
     key = [a * n + b if a < b else b * n + a for a, b in zip(tails, heads)]
     order = array("i", sorted(range(len(key)), key=key.__getitem__))
     key = list(map(key.__getitem__, order))
-    H = LabeledGraph(ell, (), (), G)
-    H.n, H._pending = n, (levels, order)
-    H._ends = array("i", map(floordiv, key, repeat(n))), array("i", map(mod, key, repeat(n)))
-    return H
+    ends = array("i", map(floordiv, key, repeat(n))), array("i", map(mod, key, repeat(n)))
+    return ends, order
 
 
 def partial_link_graph(G, links, quals, limit=None):

@@ -503,8 +503,9 @@ def _check_bipartite_counts(inst, caps, cache, ell):
 
 def _check_looplessness(inst, caps, cache, ell):
     H = _fits(cache.graph(inst, ell))
-    lo, hi = H.ends
-    loop = next(compress(lo, map(eq, lo, hi)), None)
+    # the least loop, the first in the order of ``ends``
+    lo, hi = H._pairs()
+    loop = min(compress(lo, map(eq, lo, hi)), default=None)
     if loop is not None:
         return "fail", f"loop at {H.vertices[loop]}"
     # the two windows are one link when the kernel parent and suffix
@@ -585,8 +586,10 @@ def _check_multiplicity(inst, caps, cache, ell):
     G = inst.graph
     parallel_pairs = cache._answer("parallel_pairs", inst, None, lambda: _parallel_pairs(G))
     H = _fits(cache.graph(inst, ell))
-    # the edges run in order of their ends, so the pairs count in that order
-    doubled = {pair: c for pair, c in Counter(zip(*H.ends)).items() if c > 1}
+    # the pairs count in sorted order, the order of ``ends``
+    lo, hi = H._pairs()
+    pairs = Counter(zip(map(min, lo, hi), map(max, lo, hi)))
+    doubled = dict(sorted((pair, c) for pair, c in pairs.items() if c > 1))
     units = _doubled_units(G, cache.link_levels(inst, ell, ell + 1), ell, doubled)
     patterns = _parallel_patterns(parallel_pairs, ell)
     for pair, c in doubled.items():

@@ -711,22 +711,28 @@ def one_step_shunts(G, link):
     This is exactly the labelled edge neighbourhood of ``link`` in the link
     graph; entries are sorted and pairwise distinct in ``Q``.
     """
-    ell = link.length
-    res = []
-    if ell == 0:
+    if link.length == 0:
+        res = []
         v = link.units[0]
         for eid, w in G.incident(v):
             res.append((Link.from_units((v, eid, w)), Link((w,))))
         res.sort()
         return res
-    for arc in link.orientations():
-        head = arc.head_vertex
-        head_edge = arc.head_edge
+    return [(Link(q), Link(r)) for q, r in _shunt_steps(G, link.units)]
+
+
+def _shunt_steps(G, units):
+    """``one_step_shunts`` of the link with canonical units ``units``, of
+    length at least 1, as sorted pairs of canonical unit tuples ``(Q, R)``:
+    each orientation of the link extended by one dart at its head, and that
+    extension without its first dart."""
+    res = []
+    for arc in (units, units[::-1]):
+        head_edge, head, rest = arc[-2], arc[-1], arc[2:]
         for eid, w in G.incident(head):
-            if eid == head_edge:
-                continue
-            ext = Arc(arc.units + (eid, w))
-            res.append((Link.from_arc(ext), Link.from_arc(Arc(ext.units[2:]))))
+            if eid != head_edge:
+                q, r = arc + (eid, w), rest + (eid, w)
+                res.append((min(q, q[::-1]), min(r, r[::-1])))
     res.sort()
     return res
 

@@ -22,13 +22,13 @@ from .links import (
     Link,
     _counted,
     _link_cap,
+    _shunt_steps,
     _walk_arcs,
     conjunction,
     enumerate_links,
     has_arc,
     hub_subgraph,
     is_link_of,
-    one_step_shunts,
     shunt_trace,
 )
 from .multigraph import Multigraph, complete_bipartite
@@ -43,7 +43,9 @@ class _LinkHost:
     """The ``ell``-link graph of ``G``, ``ell >= 1``, as a witness host with
     nothing built: ``n`` and ``m`` come from the arc counts, a link gets its
     vertex id on its first lookup, and ``host[i]`` is the set of ids of the
-    one-step shunts of vertex ``i``, which are exactly its neighbours.
+    one-step shunts of vertex ``i``, which are exactly its neighbours.  Ids
+    are kept by canonical unit tuple, and a shunt's link is read off
+    ``links._shunt_steps`` as one, so a ``Link`` is made only for a new id.
 
     ``vertices[i]`` is the link of vertex ``i``.  ``len(host)`` is ``n``, so
     ``index_adjacency`` passes the host through and ``verify_minor`` reads it
@@ -59,21 +61,21 @@ class _LinkHost:
     def __len__(self):
         return self.n
 
-    def _id(self, link):
-        i = self._ids.setdefault(link, len(self.vertices))
+    def _id(self, units):
+        i = self._ids.setdefault(units, len(self.vertices))
         if i == len(self.vertices):
-            self.vertices.append(link)
+            self.vertices.append(Link(units))
         return i
 
     def _lookup(self, link):
         """The vertex id of ``link``; ``KeyError`` when it is not an
         ``ell``-link of ``G`` in its canonical orientation."""
-        i = self._ids.get(link)
+        u = link.units
+        i = self._ids.get(u)
         if i is None:
-            u = link.units
             if len(u) != 2 * self.ell + 1 or u > u[::-1] or not is_link_of(self.G, link):
                 raise KeyError(link)
-            i = self._id(link)
+            i = self._id(u)
         return i
 
     def __getitem__(self, i):
@@ -81,7 +83,8 @@ class _LinkHost:
         if i not in self._adj:
             if not 0 <= i < len(self.vertices):
                 return frozenset()
-            self._adj[i] = {self._id(R) for _, R in one_step_shunts(self.G, self.vertices[i])}
+            steps = _shunt_steps(self.G, self.vertices[i].units)
+            self._adj[i] = {self._id(r) for _, r in steps}
         return self._adj[i]
 
     def first_edge(self):
@@ -90,9 +93,9 @@ class _LinkHost:
         and its least neighbour."""
         for units in _walk_arcs(self.G, self.ell, self._fwd):
             if units <= units[::-1]:
-                shunts = one_step_shunts(self.G, Link(units))
-                if shunts:
-                    return self._id(Link(units)), self._id(min(R for _, R in shunts))
+                steps = _shunt_steps(self.G, units)
+                if steps:
+                    return self._id(units), self._id(min(r for _, r in steps))
 
 
 @dataclass
@@ -772,8 +775,14 @@ def lift_minor(G, ell, branch_sets, H=None, hub=None, limit=None):
 
 
 def _k2_witness(H):
-    """The first edge of the link graph ``H``, which has one, as a K_2."""
-    a, b = (H.ends[0][0], H.ends[1][0]) if isinstance(H, LabeledGraph) else H.first_edge()
+    """The first edge of the link graph ``H``, which has one, as a K_2.  On
+    a ``LabeledGraph`` it is the least end pair ``(i, j)``, ``i < j``, found
+    in one scan of the edges in the order the graph holds them, so no sort."""
+    if isinstance(H, LabeledGraph):
+        lo, hi = H._pairs()
+        a, b = min(zip(map(min, lo, hi), map(max, lo, hi)))
+    else:
+        a, b = H.first_edge()
     return MinorWitness(2, _complete_edges(2), [frozenset({a}), frozenset({b})],
                         {(0, 1): (a, b)}, H, "edge")
 
@@ -1048,6 +1057,7 @@ def _lower_bound(G, ell, H, eta_cap, limit, solve_eta):
     else:
         best = _checked(H, w, "cut-candidates witness")
     if best is None or best.target_size <= 2:
-        # the K_2 of the first edge comes first among equal witnesses
-        best = _k2_witness(H)
+        # the K_2 of the first edge comes first among equal witnesses; the
+        # model route has made it already when eta(G) = 2
+        best = next((w for w in witnesses if w.route == "edge"), None) or _k2_witness(H)
     return LowerBoundResult(best.target_size, best, best.route, notes)

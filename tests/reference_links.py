@@ -13,6 +13,11 @@ arc by arc, with each suffix and reverse found by binary search; the kernel
 now builds a full level a block of children per parent, and the tests check
 that its tables are the same.
 
+``eager_link_graph`` is ``link_graph`` with its edges sorted by their ends
+as it is built, the sort the package makes on the first read of ``ends``;
+``one_step_shunts`` extends ``Arc`` objects and sorts ``Link`` pairs; the
+package reads the shunts of a link of length at least 1 off unit tuples.
+
 ``verify_almost_standard`` checks conditions (a)-(e) with the parts numbered
 by their ``Link`` keys in sorted order, and ``natural_iso`` matches the chain
 digraph to the arc digraph through sorted and hashed ``Arc`` objects.  The
@@ -22,9 +27,11 @@ digraph on kernel ids.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import deque
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, floordiv, mod
 
 from linkgraphs.construction import (
     AlmostStandardPartition,
@@ -39,11 +46,15 @@ from linkgraphs.links import (
     DEFAULT_LIMIT,
     Arc,
     Link,
+    _canonical,
+    _keep_for_links,
+    _kernel,
     _Level,
+    _link_cap,
+    _window_ids,
     hub_subgraph,
     is_cycle,
     is_path,
-    one_step_shunts,
 )
 
 
@@ -123,6 +134,39 @@ def link_graph(G, ell, limit=None):
         edge_list.append((i, j, q))
     edge_list.sort()
     return LabeledGraph(ell, verts, tuple(edge_list), G, idx)
+
+
+def eager_link_graph(G, ell, limit=None):
+    """``link_graph`` on kernel ids with ``ends``, and the label index of each
+    edge, sorted as it is built: a stable sort of the label-order windows
+    by their ends ``i < j``."""
+    levels = _kernel(G, ell, {ell: _link_cap(ell, limit), ell + 1: _link_cap(ell + 1, limit)})
+    tails, heads = _window_ids(levels, ell)
+    n = _canonical(levels[ell]).count(1)
+    key = [a * n + b if a < b else b * n + a for a, b in zip(tails, heads)]
+    order = array("i", sorted(range(len(key)), key=key.__getitem__))
+    key = list(map(key.__getitem__, order))
+    H = LabeledGraph(ell, (), (), G)
+    H.n, H._pending, H._order = n, levels, order
+    H._ends = array("i", map(floordiv, key, repeat(n))), array("i", map(mod, key, repeat(n)))
+    _keep_for_links(levels)
+    return H
+
+
+def one_step_shunts(G, link):
+    """Every ``(Q, R)`` with ``Q`` a one-longer link having ``link`` as a
+    window, sorted: each orientation extended at its head as an ``Arc``."""
+    if link.length == 0:
+        v = link.units[0]
+        return sorted((canonical((v, eid, w)), Link((w,))) for eid, w in G.incident(v))
+    res = []
+    for arc in link.orientations():
+        for eid, w in G.incident(arc.head_vertex):
+            if eid != arc.head_edge:
+                ext = Arc(arc.units + (eid, w))
+                res.append((canonical(ext.units), canonical(ext.units[2:])))
+    res.sort()
+    return res
 
 
 def arc_digraph(G, ell, limit=None):

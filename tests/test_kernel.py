@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 import reference_coloring
 import reference_links as ref
 from linkgraphs import cli, coloring, construction, harness, links, minors, multigraph
-from linkgraphs.coloring import DEFAULT_CHROMATIC_CAP, is_proper, recursive_chromatic_bound
+from linkgraphs.coloring import (
+    DEFAULT_CHROMATIC_CAP,
+    Coloring,
+    greedy_coloring,
+    is_proper,
+    recursive_chromatic_bound,
+)
 from linkgraphs.construction import (
     AlmostStandardPartition,
     ChainDigraph,
@@ -53,6 +59,7 @@ from linkgraphs.links import (
     hub_subgraph,
     link_count,
     middle_units,
+    one_step_shunts,
 )
 from linkgraphs.multigraph import (
     Multigraph,
@@ -97,6 +104,8 @@ def test_kernel_matches_depth_first_reference(G):
             A, B = arc_digraph(G, ell), ref.arc_digraph(G, ell)
             assert A.vertices == B.vertices and A.arcs == B.arcs
         assert link_graph_connected(G, ell) == ref.link_graph_connected(G, ell)
+        for link in R.vertices[:20]:
+            assert one_step_shunts(G, link) == ref.one_step_shunts(G, link)
         assert middle_units(G, ell) == {l.middle_unit() for l in ref.enumerate_links(G, ell)}
         assert has_arc(G, ell) == bool(ref.enumerate_arcs(G, ell))
 
@@ -299,6 +308,72 @@ def test_link_graph_core_matches_reference_before_its_links_are_made(G):
         assert not made
         assert (H.vertices, H.edges, H.index) == (R.vertices, R.edges, R.index)
         assert _core(H) == _core(R)
+
+
+@contextmanager
+def _counting_sorts():
+    """A list that gains one entry per sort of a link graph's edge ends made
+    inside the block."""
+    sorts = []
+    real = construction._sorted_ends
+
+    def counting(*args):
+        sorts.append(args)
+        return real(*args)
+
+    with mock.patch.object(construction, "_sorted_ends", counting):
+        yield sorts
+
+
+def _unordered_reads(H, colorings):
+    """What a link graph answers without the order of its edges."""
+    return (H.m, H.degrees(), H.adjacency(), H.components(), H.is_connected(),
+            [is_proper(H, c) for c in colorings])
+
+
+@settings(max_examples=80, deadline=None)
+@given(multigraphs(max_n=7, max_m=12), st.randoms(use_true_random=False))
+def test_unordered_reads_match_the_eager_sort(G, rnd):
+    # a graph from link_graph answers the counts, colouring checks and
+    # connectivity off its label-order windows, and sorts on the first read
+    # of ends, edges or its links, as the eagerly sorted oracle does
+    for ell in _lengths(G):
+        O = ref.eager_link_graph(G, ell)
+        t, proper = greedy_coloring(ref.link_graph(G, ell).adjacency())
+        colorings = [Coloring({i: rnd.randint(1, 3) for i in range(O.n)}, 3),
+                     Coloring(proper, t)]
+        want = _unordered_reads(O, colorings)
+        with _counting_sorts() as sorts:
+            H = link_graph(G, ell)
+            assert _unordered_reads(H, colorings) == want
+            assert not sorts
+            assert (H.ends, H.edges, H.to_json()) == (O.ends, O.edges, O.to_json())
+            assert _unordered_reads(H, colorings) == want
+            # sorted before any other read
+            S = link_graph(G, ell)
+            assert S.vertices == O.vertices
+            assert _unordered_reads(S, colorings) == want
+        assert len(sorts) == 2
+
+
+def test_counting_colouring_and_connectivity_sorts_no_edges():
+    G = petersen()
+    with _counting_sorts() as sorts:
+        H = link_graph(G, 6)
+        assert sum(H.degrees()) == 2 * H.m == 2 * 15 * 2**6 and H.is_connected()
+        rec = recursive_chromatic_bound(G, 6)
+        assert rec.coloring.t <= 3 and is_proper(rec.graph, rec.coloring)
+        assert link_graph_connected(G, 6)
+        res = hadwiger_lower_bound(G, 6, H)
+        assert (res.bound, res.route) == (7, "cut+cycle")
+        assert verify_minor(H, res.witness).ok
+        # the edge witness is the least end pair, found in one scan
+        P = link_graph(path(4), 1)
+        edge = hadwiger_lower_bound(path(4), 1, P).witness
+        assert not sorts
+        assert len(H.edges) == H.m
+        assert len(sorts) == 1
+    assert (edge.route, edge.connectors) == ("edge", {(0, 1): P.edges[0][:2]})
 
 
 def test_integer_reads_make_no_links():

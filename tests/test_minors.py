@@ -374,6 +374,21 @@ class TestWitnessGate:
         assert res.route == "hub-lift" and res.bound == 5
         assert calls == [10]
 
+    def test_edge_witness_is_made_once(self, monkeypatch):
+        # eta(path(4)) = 2: the model route's K_2 is the edge witness
+        calls = []
+        real = minors._LinkHost.first_edge
+
+        def counting(self):
+            calls.append(self.ell)
+            return real(self)
+
+        monkeypatch.setattr(minors._LinkHost, "first_edge", counting)
+        res = hadwiger_lower_bound(path(4), 1)
+        assert (res.bound, res.route, res.notes) == (
+            2, "edge", ["degeneracy: no witness", "cut-candidates: none can beat K_2"])
+        assert calls == [1]
+
     def test_lift_raises_when_a_branch_set_splits(self, monkeypatch):
         monkeypatch.setattr(minors, "reachable", lambda adj, starts, allowed=None: set(starts))
         sets = [frozenset({f"t{t}a", f"t{t}b", f"t{t}c"}) for t in range(4)]
