@@ -19,11 +19,9 @@ from .errors import (
 from .links import (
     Link,
     _arc_cap,
-    _arc_id,
     _arc_levels,
     _arc_units,
     _canonical,
-    _dart_table,
     _inside,
     _keep_for_links,
     _kernel,
@@ -67,15 +65,17 @@ class LabeledGraph:
     The first read of ``edges`` or ``vertices`` makes the ``Link``s in one
     ``_unit_tuples`` pass and drops the levels.  A graph built from explicit
     vertices and edges fills ``ends`` from its edges on the first read.
-    ``index`` is made on its first read; ``_lookup`` answers as it does with
-    no ``Link`` made while the graph holds its kernel levels.
+    ``index`` is made on its first read.  ``_lookup`` finds a vertex by the
+    canonical unit tuple of its link, in a dict made once: from the kernel
+    levels while the graph holds them, so no ``Link`` is made, and from the
+    vertices otherwise.
     """
 
     def __init__(self, ell, vertices, edges, source=None, index=None):
         self.ell, self.source, self.n = ell, source, len(vertices)
         self._vertices, self._edges, self._index = vertices, edges, index or None
         self._ends = self._windows = self._order = self._pending = None
-        self._adj = self._comps = self._dart_ids = None
+        self._adj = self._comps = self._ids = None
 
     def _make_links(self):
         """The ``Link``s of a graph built from kernel levels, in one pass:
@@ -107,25 +107,20 @@ class LabeledGraph:
             self._index = {link: i for i, link in enumerate(self.vertices)}
         return self._index
 
-    def _lookup(self, link):
-        """``index[link]``: the vertex index of ``link``, ``KeyError`` when it is
-        not a vertex.  While the graph holds its kernel levels, the link's
-        darts are walked down them (``_arc_id``) and its index is the number
-        of canonical arcs before its own, so no ``Link`` of the graph is
-        made; a graph with explicit vertices, or whose ``Link``s are made,
-        reads ``index``."""
-        if not self._pending:
-            return self.index[link]
-        levels, units = self._pending, link.units
-        if len(units) != 2 * self.ell + 1:
-            raise KeyError(link)
-        if self._dart_ids is None:
-            self._dart_ids = _dart_table(self.source)
-        k = _arc_id(levels, self._dart_ids, units)
-        canon = _canonical(levels[self.ell])
-        if not canon[k]:
-            raise KeyError(link)
-        return canon.count(1, 0, k)
+    def _lookup(self, units):
+        """The vertex index of the link with canonical unit tuple ``units``;
+        ``KeyError`` when it is not a vertex.  Reads a ``{units: index}``
+        dict made on the first lookup: while the graph holds its kernel
+        levels, from one ``_unit_tuples`` pass over its canonical links, so
+        no ``Link`` of the graph is made; otherwise from its vertices."""
+        if self._ids is None:
+            if self._pending:
+                levels, ell = self._pending, self.ell
+                found = _unit_tuples(self.source, levels, {ell: _canonical(levels[ell])})[ell]
+            else:
+                found = map(_units, self.vertices)
+            self._ids = dict(zip(found, range(self.n)))
+        return self._ids[units]
 
     @property
     def ends(self):

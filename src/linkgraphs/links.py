@@ -9,7 +9,7 @@ smaller unit tuple.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, and_, ge, le, ne
@@ -430,34 +430,6 @@ def _units_at(G, levels, L, k):
         darts.append(steps[lv.last[k]])
         k = lv.parent[k]
     return (G.vertices[k], *chain.from_iterable(reversed(darts)))
-
-
-def _dart_table(G):
-    """What ``_arc_id`` reads a unit tuple with: per vertex its index, and
-    per ``(edge id, head vertex)`` step the dart it takes (a loopless edge
-    has one dart into each end)."""
-    D = G.darts()
-    return dict(zip(G.vertices, range(G.n))), dict(zip(D.steps, range(len(D.steps))))
-
-
-def _arc_id(levels, table, units):
-    """The kernel id of the arc with unit tuple ``units`` at level
-    ``len(units) // 2``, walked down from its first vertex; ``KeyError``
-    when the levels keep no such arc.  ``table`` is ``_dart_table(G)``.
-
-    ``parent`` is sorted and the children of one arc are in dart order, so
-    each step bisects ``parent`` for the children of the arc so far and
-    their ``last`` for the next dart."""
-    vertex_of, dart_of = table
-    k = vertex_of[units[0]]
-    for lv, step in zip(islice(levels, 1, None), zip(units[1::2], units[2::2])):
-        d, parent, last = dart_of[step], lv.parent, lv.last
-        lo = bisect_left(parent, k)
-        hi = bisect_right(parent, k, lo)
-        k = bisect_left(last, d, lo, hi)
-        if k == hi or last[k] != d:
-            raise KeyError(units)
-    return k
 
 
 def _link_at(G, levels, L, k):

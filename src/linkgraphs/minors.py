@@ -24,16 +24,16 @@ from .links import (
     _link_cap,
     _shunt_steps,
     _walk_arcs,
-    conjunction,
     enumerate_links,
     has_arc,
     hub_subgraph,
-    is_link_of,
-    shunt_trace,
+    validate_arc,
 )
 from .multigraph import Multigraph, complete_bipartite
 
 DEFAULT_HADWIGER_CAP = 12
+# the cut-candidate route: balls kept, and the largest cuts among them tried
+_MAX_CANDIDATES, _TRIES = 200, 12
 
 
 # -- witnesses ----------------------------------------------------------------
@@ -44,7 +44,7 @@ class _LinkHost:
     nothing built: ``n`` and ``m`` come from the arc counts, a link gets its
     vertex id on its first lookup, and ``host[i]`` is the set of ids of the
     one-step shunts of vertex ``i``, which are exactly its neighbours.  Ids
-    are kept by canonical unit tuple, and a shunt's link is read off
+    are kept, and looked up, by canonical unit tuple; a shunt's link is read off
     ``links._shunt_steps`` as one, so a ``Link`` is made only for a new id.
 
     ``vertices[i]`` is the link of vertex ``i``.  ``len(host)`` is ``n``, so
@@ -67,15 +67,15 @@ class _LinkHost:
             self.vertices.append(Link(units))
         return i
 
-    def _lookup(self, link):
-        """The vertex id of ``link``; ``KeyError`` when it is not an
-        ``ell``-link of ``G`` in its canonical orientation."""
-        u = link.units
-        i = self._ids.get(u)
+    def _lookup(self, units):
+        """The vertex id of the link with unit tuple ``units``; ``KeyError``
+        when it is not an ``ell``-link of ``G`` in its canonical orientation."""
+        i = self._ids.get(units)
         if i is None:
-            if len(u) != 2 * self.ell + 1 or u > u[::-1] or not is_link_of(self.G, link):
-                raise KeyError(link)
-            i = self._id(u)
+            if (len(units) != 2 * self.ell + 1 or units > units[::-1]
+                    or not validate_arc(self.G, Arc(units))):
+                raise KeyError(units)
+            i = self._id(units)
         return i
 
     def __getitem__(self, i):
@@ -175,6 +175,8 @@ def verify_minor(host, witness):
     all_branch = seen
     interiors = set()
     for i, j in witness.target_edges:
+        if not 0 <= i < j < witness.target_size:
+            return VerifyResult(False, f"target edge {i}-{j} is not a pair of branch sets i < j")
         path = witness.connectors.get((i, j))
         if path is None:
             return VerifyResult(False, f"no connector for target edge {i}-{j}")
@@ -211,6 +213,12 @@ def _checked(host, witness, what):
 
 def _complete_edges(t):
     return frozenset((i, j) for i in range(t) for j in range(i + 1, t))
+
+
+def _k2(a, b, host, route):
+    """The K_2 on the adjacent vertices ``a`` and ``b`` of ``host``."""
+    return MinorWitness(2, _complete_edges(2), [frozenset({a}), frozenset({b})],
+                        {(0, 1): (a, b)}, host, route)
 
 
 # -- exact oracles ------------------------------------------------------------
@@ -432,96 +440,73 @@ def shortest_cycle_arc(G):
     return None if units is None else Arc(units)
 
 
-def _rotate_closed(arc, p):
-    """Rotation of a closed arc starting (and ending) at walk position p."""
-    u = arc.units
-    c = arc.length
-    out = [u[2 * p]]
-    for k in range(c):
-        eidx = ((p + k) % c) + 1
-        out.append(u[2 * eidx - 1])
-        out.append(u[2 * ((p + k + 1) % c)])
-    return Arc(tuple(out))
-
-
-def _tail_window(closed, ell):
-    """The arc formed by the last ``ell`` edges of a closed walk, wrapping."""
-    u = closed.units
-    c = closed.length
+def _windows(walk, ell):
+    """The ``ell``-windows of the walk with unit tuple ``walk``, from its
+    start on, each as the canonical unit tuple of its link: the links of
+    ``shunt_trace(Arc(walk), ell).images``."""
     out = []
-    for k in range(ell + 1):
-        out.append(u[2 * ((c - ell + k) % c)])
-        if k < ell:
-            eidx = ((c - ell + k) % c) + 1
-            out.append(u[2 * eidx - 1])
-    return Arc(tuple(out))
+    for k in range(0, len(walk) - 2 * ell, 2):
+        w = walk[k : k + 2 * ell + 1]
+        out.append(min(w, w[::-1]))
+    return out
+
+
+def _ending_at(closed, p, ell):
+    """The unit tuple of the ``ell`` darts of the closed walk ``closed`` that
+    end at its position ``p``, wrapping round it as often as needed."""
+    c = len(closed) // 2
+    k = ell // c + 1
+    end = 2 * (p + c * k)
+    walk = closed[:-1] * (k + 1) + closed[-1:]
+    return walk[end - 2 * ell : end + 1]
 
 
 def _cycle_links(closed, ell):
     """The ``ell``-links, ``ell >= 1``, of the cycle that the closed walk
-    ``closed`` goes round once, as the windows of the walk, in the order a
-    walk over the cycle's own link graph visits them: from the least link on
-    through its lesser neighbour.  Windows at consecutive starts are joined
-    by the one-longer window, so that graph is a cycle through them in start
-    order (for a digon, two links joined twice)."""
-    u, c = closed.units, closed.length
-    walk = u + u[1:] * (ell // c + 1)
-    links = [Link.from_units(walk[2 * p : 2 * (p + ell) + 1]) for p in range(c)]
+    ``closed`` (a unit tuple) goes round once, as canonical unit tuples: the
+    windows of the walk, in the order a walk over the cycle's own link graph
+    visits them, from the least link on through its lesser neighbour.
+    Windows at consecutive starts are joined by the one-longer window, so
+    that graph is a cycle through them in start order (for a digon, two
+    links joined twice)."""
+    c = len(closed) // 2
+    walk = closed + closed[1:] * (ell // c + 1)
+    links = _windows(walk[: 2 * (c + ell) - 1], ell)
     s = links.index(min(links))
     step = 1 if links[(s + 1) % c] < links[s - 1] else -1
     return [links[(s + step * k) % c] for k in range(c)]
 
 
-def _x_paths(X, cut_arcs, ell):
-    """Shortest paths inside the cut set between attachment vertices."""
+def _x_paths(X, cut, ell):
+    """Shortest walks inside the cut set between the heads of the cut arcs
+    ``cut`` (unit tuples), by ordered pair of arc positions."""
     paths = {}
-    t = len(cut_arcs)
+    t = len(cut)
     for i in range(t):
         for j in range(i, t):
-            xi, xj = cut_arcs[i].head_vertex, cut_arcs[j].head_vertex
-            units = X.shortest_walk((xi,), xj)
+            units = X.shortest_walk((cut[i][-1],), cut[j][-1])
             if units is None or len(units) // 2 > ell - 1:
                 raise PreconditionViolated("attachment vertices too far apart")
-            arc = Arc(units)
-            paths[(i, j)] = arc
-            paths[(j, i)] = arc.reverse()
+            paths[(i, j)], paths[(j, i)] = units, units[::-1]
     return paths
 
 
 def _branch_sets_and_connectors(H, ell, lbars, paths, t):
+    """Branch set i: the windows of the last window ``lbars[i]`` into the cut
+    set slid along each walk there; connector ij: the windows across the
+    walk from i to j, entered and left through the cut arcs."""
     branch = []
     for i in range(t):
-        verts = set()
-        for j in range(t):
-            full = conjunction(lbars[i], paths[(i, j)])
-            for img in shunt_trace(full, ell).images:
-                verts.add(H._lookup(img))
-        branch.append(frozenset(verts))
+        links = {w for j in range(t) for w in _windows(lbars[i] + paths[(i, j)][1:], ell)}
+        branch.append(frozenset(map(H._lookup, links)))
     connectors = {}
     for i in range(t):
         for j in range(i + 1, t):
             pij = paths[(i, j)]
-            lij = pij.length
-            suffix_i = lbars[i].window(lij, ell)
-            rev_suffix_j = lbars[j].window(lij, ell).reverse()
-            r = conjunction(conjunction(suffix_i, pij), rev_suffix_j)
-            imgs = shunt_trace(r, ell).images
-            connectors[(i, j)] = tuple(map(H._lookup, imgs))
+            k = len(pij) - 1  # each last window less its first len(pij) // 2 darts
+            walk = lbars[i][k:] + pij[1:] + lbars[j][k:][::-1][1:]
+            connectors[(i, j)] = tuple(map(H._lookup, _windows(walk, ell)))
     return branch, connectors
-
-
-def _cycle_k2_witness(ell, cycle_arc, H):
-    """The first edge of the link graph of the cycle ``cycle_arc`` goes
-    round, as a K_2."""
-    ia, ib = map(H._lookup, _cycle_links(cycle_arc, ell)[:2])
-    return MinorWitness(
-        2,
-        _complete_edges(2),
-        [frozenset({ia}), frozenset({ib})],
-        {(0, 1): (ia, ib)},
-        H,
-        "cycle",
-    )
 
 
 def complete_minor_from_cut(G, ell, inst, H=None, limit=None):
@@ -534,7 +519,7 @@ def complete_minor_from_cut(G, ell, inst, H=None, limit=None):
     if ell < 1:
         raise PreconditionViolated(f"needs ell >= 1, got {ell}")
     X, Y = inst.validate(ell)
-    cut = inst.cut_arcs()
+    cut = [arc.units for arc in inst.cut_arcs()]
     t = len(cut)
     if t < 2:
         raise PreconditionViolated(f"cut size {t} below 2")
@@ -544,17 +529,17 @@ def complete_minor_from_cut(G, ell, inst, H=None, limit=None):
     paths = _x_paths(X, cut, ell)
 
     def o_cycle(i):
+        """The closed walk from the head of cut arc i to that of the next, out
+        across its cut edge, through the complement, and in across cut arc i."""
         ip = (i + 1) % t
-        rev_ip = Arc((cut[ip].head_vertex, cut[ip].units[1], cut[ip].tail_vertex))
-        qarc = Arc(Y.shortest_walk((cut[ip].tail_vertex,), cut[i].tail_vertex))
-        walk = conjunction(paths[(i, ip)], rev_ip)
-        walk = conjunction(walk, qarc)
-        return conjunction(walk, cut[i])
+        back = Y.shortest_walk((cut[ip][0],), cut[i][0])
+        return paths[(i, ip)] + cut[ip][-2::-1] + back[1:] + cut[i][1:]
 
     if t == 2:
-        return _cycle_k2_witness(ell, o_cycle(0), H)
+        # the first edge of the link graph of the cycle o_cycle(0) goes round
+        return _k2(*map(H._lookup, _cycle_links(o_cycle(0), ell)[:2]), H, "cycle")
 
-    lbars = [_tail_window(o_cycle(i), ell) for i in range(t)]
+    lbars = [_ending_at(o_cycle(i), 0, ell) for i in range(t)]
     branch, connectors = _branch_sets_and_connectors(H, ell, lbars, paths, t)
     witness = MinorWitness(t, _complete_edges(t), branch, connectors, H, "cut")
     return _checked(H, witness, "cut construction")
@@ -566,10 +551,10 @@ def complete_minor_with_cycle(G, ell, inst, H=None, limit=None):
     if ell < 1:
         raise PreconditionViolated(f"needs ell >= 1, got {ell}")
     X, Y = inst.validate(ell)
-    cycle = shortest_cycle_arc(Y)
+    cycle = Y.shortest_cycle()
     if cycle is None:
         raise NoCycleInY("the complement is a forest")
-    cut = inst.cut_arcs()
+    cut = [arc.units for arc in inst.cut_arcs()]
     t = len(cut)
     if t < 1:
         raise PreconditionViolated("no edges leave the cut set")
@@ -577,52 +562,30 @@ def complete_minor_with_cycle(G, ell, inst, H=None, limit=None):
         H = link_graph(G, ell, limit)
     paths = _x_paths(X, cut, ell)
 
-    rotations = []
-    for direction in (cycle, cycle.reverse()):
-        for p in range(direction.length):
-            rotations.append(_rotate_closed(direction, p))
-
-    lbars = []
-    z_attach = []  # last window before the step into each branch set
-    z_extra = []
-    for i in range(t):
-        units = Y.shortest_walk(cycle.vertices()[:-1], cut[i].tail_vertex)
-        if units is None:
-            raise WitnessInvalid("the complement does not reach the cut from its cycle")
-        parc = Arc(units)
-        z = parc.tail_vertex
-        qarc = None
-        for rot in rotations:
-            if rot.head_vertex != z:
-                continue
-            cand = _tail_window(rot, ell)
-            if parc.length > 0 and cand.head_edge == parc.tail_edge:
-                continue
-            qarc = cand
-            break
-        if qarc is None:
-            raise WitnessInvalid("no valid window around the complement cycle")
-        full = conjunction(conjunction(qarc, parc), cut[i])
-        s = parc.length
-        lbars.append(full.window(s + 1, ell + s + 1))
-        trace = shunt_trace(conjunction(qarc, parc), ell)
-        z_extra.extend(trace.images)
-        z_attach.append(Link.from_arc(full.window(s, ell + s)))
-
-    if t >= 2:
-        branch, connectors = _branch_sets_and_connectors(H, ell, lbars, paths, t)
-    else:
-        branch = [frozenset({H._lookup(Link.from_arc(lbars[0]))})]
-        connectors = {}
-
+    into = {}  # per cycle vertex, the ell darts round the cycle into it, either way
+    for closed in (cycle, cycle[::-1]):
+        for p in range(len(cycle) // 2):
+            into.setdefault(closed[2 * p], []).append(_ending_at(closed, p, ell))
     z_links = set(_cycle_links(cycle, ell))
-    z_links.update(z_extra)
-    z_set = frozenset(map(H._lookup, z_links))
-    branch.append(z_set)
-    zi = t
+    lbars, links = [], []  # per cut arc: its last window, its last two links
     for i in range(t):
-        li = H._lookup(Link.from_arc(lbars[i]))
-        connectors[(i, zi)] = (li, H._lookup(z_attach[i]))
+        walk = Y.shortest_walk(cycle[0:-1:2], cut[i][0])
+        if walk is None:
+            raise WitnessInvalid("the complement does not reach the cut from its cycle")
+        # the walk must not turn back along the last dart into its start
+        last = next((w for w in into[walk[0]] if len(walk) == 1 or w[-2] != walk[1]), None)
+        if last is None:
+            raise WitnessInvalid("no valid window around the complement cycle")
+        full = last + walk[1:] + cut[i][1:]
+        wins = _windows(full, ell)
+        z_links.update(wins[:-1])
+        lbars.append(full[-2 * ell - 1 :])
+        links.append((wins[-1], wins[-2]))
+
+    branch, connectors = _branch_sets_and_connectors(H, ell, lbars, paths, t)
+    branch.append(frozenset(map(H._lookup, z_links)))
+    for i in range(t):
+        connectors[(i, t)] = tuple(map(H._lookup, links[i]))
     witness = MinorWitness(t + 1, _complete_edges(t + 1), branch, connectors, H,
                            "cut+cycle")
     return _checked(H, witness, "cycle construction")
@@ -783,8 +746,7 @@ def _k2_witness(H):
         a, b = min(zip(map(min, lo, hi), map(max, lo, hi)))
     else:
         a, b = H.first_edge()
-    return MinorWitness(2, _complete_edges(2), [frozenset({a}), frozenset({b})],
-                        {(0, 1): (a, b)}, H, "edge")
+    return _k2(a, b, H, "edge")
 
 
 def _degeneracy_route(G, ell, H):
@@ -808,9 +770,7 @@ def _degeneracy_route(G, ell, H):
     if ell == 1:
         v = min((x for x in core.vertices if core.degree(x) >= d),
                 key=lambda x: (core.degree(x), x))
-        edge_links = []
-        for eid, w in core.incident(v)[: d]:
-            edge_links.append(H._lookup(Link.from_units((v, eid, w))))
+        edge_links = [H._lookup(min((v, eid, w), (w, eid, v))) for eid, w in core.incident(v)[:d]]
         sets = [frozenset({i}) for i in edge_links[:d]]
         connectors = {}
         for i in range(d):
@@ -819,15 +779,13 @@ def _degeneracy_route(G, ell, H):
         witness = MinorWitness(d, _complete_edges(d), sets, connectors, H, "degeneracy")
         return _checked(H, witness, "degeneracy construction")
     fwd = _counted(core, {ell - 1: 5000})[1]
-    for p in map(Arc, _walk_arcs(core, ell - 1, fwd)):
-        a_ext = [(eid, w) for eid, w in core.incident(p.tail_vertex)
-                 if eid != p.tail_edge][: d - 1]
-        b_ext = [(eid, w) for eid, w in core.incident(p.head_vertex)
-                 if eid != p.head_edge][: d - 1]
+    for p in _walk_arcs(core, ell - 1, fwd):
+        a_ext = [(eid, w) for eid, w in core.incident(p[0]) if eid != p[1]][: d - 1]
+        b_ext = [(eid, w) for eid, w in core.incident(p[-1]) if eid != p[-2]][: d - 1]
         if len(a_ext) < d - 1 or len(b_ext) < d - 1:
             continue
-        a_links = [Link.from_arc(Arc((w, eid) + p.units)) for eid, w in a_ext]
-        b_links = [Link.from_arc(Arc(p.units + (eid, w))) for eid, w in b_ext]
+        a_links = [_windows((w, eid) + p, ell)[0] for eid, w in a_ext]
+        b_links = [_windows(p + (eid, w), ell)[0] for eid, w in b_ext]
         if len(set(a_links) | set(b_links)) != 2 * (d - 1):
             continue
         sets, connectors = _bipartite_model(list(map(H._lookup, a_links)),
@@ -840,8 +798,8 @@ def _degeneracy_route(G, ell, H):
 
 def _triple_split_cycle_witness(G, ell, H):
     """Clique minor of order three from a shortest simple cycle of length >= 3."""
-    cyc = shortest_cycle_arc(G.underlying_simple())
-    if cyc is None or cyc.length < 3:
+    cyc = G.underlying_simple().shortest_cycle()
+    if cyc is None or len(cyc) < 7:  # a cycle of length >= 3
         return None
     order = list(map(H._lookup, _cycle_links(cyc, ell)))
     k = len(order) // 3
@@ -929,7 +887,7 @@ def _eta_route(G, ell, H, eta_cap, limit, solve_eta):
         return None
 
 
-def _candidate_route(G, ell, H, limit, best, max_candidates=200, tries=12):
+def _candidate_route(G, ell, H, limit, best):
     """The largest cut witness that beats ``K_best``, the largest witness found
     before this route, as ``(witness, None)``; ``(None, note)`` when none does.
 
@@ -959,9 +917,9 @@ def _candidate_route(G, ell, H, limit, best, max_candidates=200, tries=12):
                     continue
                 seen.add(ball)
                 candidates.append((sub, ball))
-                if len(candidates) >= max_candidates:
+                if len(candidates) >= _MAX_CANDIDATES:
                     break
-            if len(candidates) >= max_candidates:
+            if len(candidates) >= _MAX_CANDIDATES:
                 break
     scored = []
     for sub, ball in candidates:
@@ -969,7 +927,7 @@ def _candidate_route(G, ell, H, limit, best, max_candidates=200, tries=12):
         scored.append((-t, sorted(ball), sub, ball))
     scored.sort(key=lambda s: (s[0], s[1]))
     found, stopped = None, False
-    for neg_t, _, sub, ball in scored[:tries]:
+    for neg_t, _, sub, ball in scored[:_TRIES]:
         t = -neg_t
         if t + 1 <= best:
             stopped = True
@@ -1017,10 +975,12 @@ def hadwiger_lower_bound(G, ell, H=None, eta_cap=DEFAULT_HADWIGER_CAP, limit=Non
     touches, and hosted there (``n``, ``m``, ``host[i]`` the neighbour ids of
     vertex ``i`` and ``host.vertices[i]`` its link).  Only the hub lift,
     which reads every vertex, builds the link graph, and hosts its witness
-    there.  A passed ``H`` hosts every witness, and the routes find their
-    links in it with ``LabeledGraph._lookup``, on kernel ids, so of a graph
-    from ``link_graph`` they make no ``Link``, but for the hub lift.  Either
-    way ``witness.to_json()`` labels the vertices by their links.
+    there.  A passed ``H`` hosts every witness.  The routes carry links as
+    canonical unit tuples and look them up by those (``_lookup``), in a
+    ``LabeledGraph`` through a dict of its vertices' unit tuples made once,
+    from the kernel levels while it holds them, so of a graph from
+    ``link_graph`` they make no ``Link``, but for the hub lift.  Either way
+    ``witness.to_json()`` labels the vertices by their links.
     """
     return _lower_bound(G, ell, H, eta_cap, limit, lambda sub: hadwiger_number(sub, eta_cap))
 

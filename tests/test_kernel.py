@@ -414,8 +414,8 @@ def _found(lookup, link):
 @settings(max_examples=80, deadline=None)
 @given(multigraphs(max_n=6, max_m=10), multigraphs(max_n=4, max_m=6))
 def test_link_lookup_answers_as_the_index(G, other):
-    # the kernel walk answers as the index dict, before any Link is made, on
-    # graphs from link_graph and from the verify cache; the dict stays the oracle
+    # the unit-tuple lookup answers as the index dict, before any Link is made,
+    # on graphs from link_graph and from the verify cache; the dict stays the oracle
     inst, top = CorpusInstance("g", G), 4
     cache = _Cache(Caps(suite_links=ARC_BUDGET), (0, top + 1))
     for ell in _lengths(G, top):
@@ -431,13 +431,13 @@ def test_link_lookup_answers_as_the_index(G, other):
         for H in (link_graph(G, ell), cache.graph(inst, ell)):
             if H is None:
                 continue
-            assert [H._lookup(link) for link in R.vertices] == list(range(R.n))
-            assert [_found(H._lookup, x) for x in strays] == [
+            assert [H._lookup(link.units) for link in R.vertices] == list(range(R.n))
+            assert [_found(H._lookup, x.units) for x in strays] == [
                 _found(R.index.__getitem__, x) for x in strays]
             assert H._pending
             # a graph whose links are made reads its index
             assert H.vertices == R.vertices
-            assert [_found(H._lookup, x) for x in strays] == [
+            assert [_found(H._lookup, x.units) for x in strays] == [
                 _found(R.index.__getitem__, x) for x in strays]
 
 
@@ -543,13 +543,13 @@ def test_link_host_answers_as_the_link_graph(G, other):
         for link in R.vertices[:5]:
             u = link.units
             strays += [Link(u[::-1]), Link(u[:-1] + ("nowhere",)), Link(u[2:])]
-        assert [_found(host._lookup, x) is KeyError for x in strays] == [
+        assert [_found(host._lookup, x.units) is KeyError for x in strays] == [
             _found(R.index.__getitem__, x) is KeyError for x in strays]
-        ids = [host._lookup(link) for link in reversed(R.vertices)]
+        ids = [host._lookup(link.units) for link in reversed(R.vertices)]
         assert [host.vertices[i] for i in ids] == list(reversed(R.vertices))
         adj = R.adjacency()
         for k, link in enumerate(R.vertices):
-            got = {R.index[host.vertices[j]] for j in host[host._lookup(link)]}
+            got = {R.index[host.vertices[j]] for j in host[host._lookup(link.units)]}
             assert got == adj[k]
         if R.edges:
             a, b = host.first_edge()

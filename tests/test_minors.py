@@ -31,7 +31,7 @@ from linkgraphs.minors import (
     verify_minor,
 )
 from linkgraphs.harness import default_corpus
-from linkgraphs.links import _walks
+from linkgraphs.links import _walks, enumerate_arcs, shunt_trace
 from linkgraphs.multigraph import (
     Multigraph,
     complete,
@@ -98,6 +98,19 @@ class TestVerify:
             H,
         )
         assert not verify_minor(H, w).ok
+
+    def test_malformed_target_edges_are_rejected(self):
+        # a target edge (i, j) names branch sets 0 <= i < j < target_size: a
+        # negative end would read the last set, and one past them would raise
+        sets = [frozenset({0}), frozenset({1})]
+        H = link_graph(path(3), 1)  # edge links 0 - 1 - 2
+        wrapped = MinorWitness(2, frozenset({(-1, 0), (0, 1)}), sets,
+                               {(-1, 0): (1, 0), (0, 1): (0, 1)}, H)
+        K = link_graph(complete(4), 1)
+        beyond = MinorWitness(2, frozenset({(0, 5)}), sets, {(0, 5): (0, 1)}, K)
+        for host, w in ((H, wrapped), (K, beyond)):
+            res = verify_minor(host, w)
+            assert not res.ok and "target edge" in res.reason
 
 
 class TestOracle:
@@ -484,6 +497,37 @@ def test_link_host_verdicts_match_the_built_graph(G):
         assert not any(verify_minor(H, w).ok for w in bad)
         host = minors._LinkHost(G, ell)
         for w in witnesses + bad:
-            on_host = _mapped(w, host, lambda v: host._lookup(H.vertices[v]))
+            on_host = _mapped(w, host, lambda v: host._lookup(H.vertices[v].units))
             assert _verdict(host, on_host) == _verdict(H, w)
             assert on_host.to_json() == w.to_json()
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_n=5, max_m=7))
+def test_windows_are_the_links_of_a_shunt_trace(G):
+    totals = _walks(G, 4)[0]
+    for length in (L for L in range(1, 5) if totals[L] <= 400):
+        for arc in enumerate_arcs(G, length):
+            for ell in range(length + 1):
+                images = shunt_trace(arc, ell).images
+                assert minors._windows(arc.units, ell) == [link.units for link in images]
+
+
+@pytest.mark.parametrize("c", range(2, 9))
+def test_cycle_links_follow_a_walk_over_the_cycle_link_graph(c):
+    # from the least link through its lesser neighbour, then on to the one
+    # neighbour not yet visited, on the built link graph of the cycle; any
+    # closed walk round the cycle, from any start, either way, gives that order
+    G = cycle(c)
+    closed = G.shortest_cycle()
+    walks = [w[2 * p :] + w[1 : 2 * p + 1] for w in (closed, closed[::-1]) for p in range(c)]
+    for ell in range(1, 7):
+        H = link_graph(G, ell)
+        adj, link = H.adjacency(), H.vertices.__getitem__
+        order = [min(range(H.n), key=link)]
+        while len(order) < H.n:
+            order.append(min(adj[order[-1]] - set(order), key=link))
+        expected = [link(i).units for i in order]
+        assert len(expected) == c
+        for walk in walks:
+            assert minors._cycle_links(walk, ell) == expected
