@@ -171,8 +171,8 @@ def _cmd_minor(args):
 
 def _cmd_verify(args):
     caps = Caps(
-        suite_links=args.limit or Caps.suite_links,
-        chromatic_cap=args.oracle_cap or Caps.chromatic_cap,
+        suite_links=Caps.suite_links if args.limit is None else args.limit,
+        chromatic_cap=Caps.chromatic_cap if args.oracle_cap is None else args.oracle_cap,
         ell_range=tuple(_parse_ells(args.ell)),
     )
     if args.graph:

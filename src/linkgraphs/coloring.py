@@ -382,20 +382,6 @@ class ChromaticBounds:
     max_degree_bound: int | None  # Delta + 1, absent for ell == 1
     two_back_bound: int | None  # chromatic number two levels down, if oracle-sized
 
-    def applicable(self):
-        out = {}
-        if self.parity_bound is not None:
-            out["parity"] = self.parity_bound
-        if self.max_degree_bound is not None:
-            out["max_degree"] = self.max_degree_bound
-        if self.two_back_bound is not None:
-            out["two_back"] = self.two_back_bound
-        return out
-
-    def minimum(self):
-        vals = self.applicable().values()
-        return min(vals) if vals else None
-
 
 def _decay_bound(base, steps):
     """min(base, floor((2/3)^steps * (base - 3)) + 3), exact in rationals."""

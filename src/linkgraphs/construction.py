@@ -625,8 +625,19 @@ def _parts_by_middle(units):
 def verify_almost_standard(H, partition):
     """Check conditions (a)-(e) independently; raises only on non-partitions.
 
-    The parts are numbered in the partition's order and checked by
-    ``_almost_standard``; the failure texts name them by their keys."""
+    The parts are numbered in the partition's order by ``_numbered`` and
+    checked by ``_almost_standard``; the failure texts name them by their keys."""
+    vpart, eparts = _numbered(H, partition)
+    vkeys, ekeys = list(partition.vertex_parts), list(partition.edge_parts)
+    return _almost_standard(H.ends, vpart, eparts,
+                            vkeys.__getitem__, ekeys.__getitem__, H.vertices.__getitem__)
+
+
+def _numbered(H, partition):
+    """The parts of ``partition`` numbered in its order: ``vpart[i]`` is the
+    number of the vertex part of vertex ``i``, and ``eparts`` lists the edge
+    indices of each edge part.  Raises ``PartitionMismatch`` unless the parts
+    cover the vertices and the edges of ``H`` once each."""
     vpart = [None] * H.n
     for x, members in enumerate(partition.vertex_parts.values()):
         for i in members:
@@ -644,9 +655,7 @@ def verify_almost_standard(H, partition):
             covered[k] = True
     if not all(covered):
         raise PartitionMismatch("edge parts do not cover the graph")
-    vkeys, ekeys = list(partition.vertex_parts), list(partition.edge_parts)
-    return _almost_standard(H.ends, vpart, eparts,
-                            vkeys.__getitem__, ekeys.__getitem__, H.vertices.__getitem__)
+    return vpart, eparts
 
 
 def _almost_standard(ends, vpart, eparts, vkey, ekey, vertex):
@@ -658,57 +667,43 @@ def _almost_standard(ends, vpart, eparts, vkey, ekey, vertex):
     checked in list order.  ``vkey``, ``ekey`` and ``vertex`` give what the
     failure texts name for a vertex part, an edge part and a vertex; they
     are called only on a failure."""
-    failures = []
     lo, hi = ends
+    a, b, c, d, e = [], [], [], [], []
 
     # (a) every vertex part is an independent set
-    a_ok = True
     for i, j in zip(lo, hi):
         if vpart[i] == vpart[j]:
-            a_ok = False
-            failures.append(("a", f"edge inside part {vkey(vpart[i])}"))
+            a.append(("a", f"edge inside part {vkey(vpart[i])}"))
             break
 
-    # (b) every edge part touches exactly two vertex parts
-    b_ok = True
+    # (b) every edge part touches exactly two vertex parts, and (c) is the
+    # edge set of a complete bipartite subgraph; list the parts each vertex meets
+    meets = {}
     for y, members in enumerate(eparts):
-        touched = {vpart[lo[k]] for k in members} | {vpart[hi[k]] for k in members}
+        pairs = [(lo[k], hi[k]) for k in members]
+        met = dict.fromkeys([v for pair in pairs for v in pair])
+        touched = {vpart[v] for v in met}
         if len(touched) != 2:
-            b_ok = False
-            failures.append(("b", f"edge part {ekey(y)} touches {len(touched)} parts"))
+            b.append(("b", f"edge part {ekey(y)} touches {len(touched)} parts"))
+        if not _is_complete_bipartite(pairs):
+            c.append(("c", f"edge part {ekey(y)} is not complete bipartite"))
+        for v in met:
+            meets.setdefault(v, []).append(y)
 
-    # (c) every edge part is the edge set of a complete bipartite subgraph
-    c_ok = True
-    for y, members in enumerate(eparts):
-        if not _is_complete_bipartite([(lo[k], hi[k]) for k in members]):
-            c_ok = False
-            failures.append(("c", f"edge part {ekey(y)} is not complete bipartite"))
-
-    # (d) every vertex meets at most two edge parts
-    d_ok = True
-    vertex_eparts = defaultdict(set)
-    for y, members in enumerate(eparts):
-        for k in members:
-            vertex_eparts[lo[k]].add(y)
-            vertex_eparts[hi[k]].add(y)
-    for v, keys in vertex_eparts.items():
-        if len(keys) > 2:
-            d_ok = False
-            failures.append(("d", f"vertex {vertex(v)} meets {len(keys)} edge parts"))
-            break
-
-    # (e) a vertex part holds at most one vertex meeting any two edge parts
-    e_ok = True
+    # over the vertices in the order first met: (d) every vertex meets at most
+    # two edge parts, and (e) a vertex part holds at most one vertex meeting
+    # any two edge parts
     seen = set()
-    for v, keys in vertex_eparts.items():
-        for pair in combinations(sorted(keys), 2):
+    for v, parts in meets.items():
+        if len(parts) > 2 and not d:
+            d.append(("d", f"vertex {vertex(v)} meets {len(parts)} edge parts"))
+        for pair in combinations(parts, 2):
             tag = (vpart[v], *pair)
             if tag in seen:
-                e_ok = False
-                failures.append(("e", f"two vertices of {vkey(vpart[v])} meet both parts"))
+                e.append(("e", f"two vertices of {vkey(vpart[v])} meet both parts"))
             else:
                 seen.add(tag)
-    return PartitionCheck(a_ok, b_ok, c_ok, d_ok, e_ok, failures)
+    return PartitionCheck(not a, not b, not c, not d, not e, a + b + c + d + e)
 
 
 def _is_complete_bipartite(pairs):
@@ -729,24 +724,16 @@ def _is_complete_bipartite(pairs):
 
 def quotient(H, partition):
     """Quotient multigraph: one vertex per vertex part, one edge per edge part."""
-    covered = {}
-    for key, members in partition.vertex_parts.items():
-        for i in members:
-            covered[i] = key
-    if len(covered) != H.n:
-        raise PartitionMismatch("vertex parts do not cover the graph")
+    vpart, eparts = _numbered(H, partition)
+    verts = [str(k) for k in partition.vertex_parts]
+    lo, hi = H.ends
     edges = []
-    for key, members in sorted(partition.edge_parts.items()):
-        parts = set()
-        for k in members:
-            i, j, _ = H.edges[k]
-            parts.add(covered[i])
-            parts.add(covered[j])
+    for key, members in sorted(zip(partition.edge_parts, eparts)):
+        parts = {vpart[lo[k]] for k in members} | {vpart[hi[k]] for k in members}
         if len(parts) != 2:
             raise PartitionMismatch(f"edge part {key} does not touch exactly two parts")
-        u, v = sorted(str(p) for p in parts)
+        u, v = sorted(verts[x] for x in parts)
         edges.append((str(key), u, v))
-    verts = [str(k) for k in partition.vertex_parts]
     return Multigraph(verts, edges)
 
 
@@ -767,22 +754,17 @@ def quotient_embedding_check(G, ell, H=None, lower=None, limit=None):
 
 def _quotient_embeds(H, part, lower):
     """``quotient_embedding_check`` on a partition ``part`` of ``H`` keyed by
-    links: a vertex part is numbered by the index of its key in ``lower``,
-    and an edge part is looked up by the unit tuple of its key among the
-    labels of ``lower``; ``_embeds`` checks the numbers."""
-    covered = [None] * H.n
-    image = set()
-    for key, members in part.vertex_parts.items():
-        x = lower.index.get(key)
-        if x is None:
-            return False
-        image.add(x)
-        for i in members:
-            covered[i] = x
+    links: a vertex part numbered ``x`` (``_numbered``) maps to the index of
+    its key in ``lower``, and an edge part is looked up by the unit tuple of
+    its key among the labels of ``lower``; ``_embeds`` checks the numbers."""
+    vpart, eparts = _numbered(H, part)
+    image = [lower.index.get(key) for key in part.vertex_parts]
+    if None in image:
+        return False
     lower_ends = {lab.units: (i, j) for i, j, lab in lower.edges}
-    return _embeds(H.ends, covered, image,
-                   [(list(members), lower_ends.get(key.units))
-                    for key, members in part.edge_parts.items()],
+    return _embeds(H.ends, [image[x] for x in vpart], set(image),
+                   [(members, lower_ends.get(key.units))
+                    for key, members in zip(part.edge_parts, eparts)],
                    [edge[:2] for edge in lower.edges])
 
 

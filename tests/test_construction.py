@@ -237,6 +237,21 @@ class TestPartitions:
             ("c", "edge part [u0 e1 u1 e3 u0] is not complete bipartite"),
         ] + [("e", "two vertices of [u0 e1 u1] meet both parts")] * 3
 
+    def test_a_vertex_meeting_three_edge_parts_fails_d(self):
+        H = link_graph(dipole(3), 3)
+        part = natural_partition(H)
+        eparts = dict(part.edge_parts)
+        key = next(key for key in eparts if str(key) == "[u1 e1 u0 e2 u1]")
+        members = sorted(eparts[key])
+        # split the part in two halves; the second goes under an edge label
+        eparts[key] = frozenset(members[:2])
+        eparts[H.edges[members[2]][2]] = frozenset(members[2:])
+        check = verify_almost_standard(H, type(part)(3, part.vertex_parts, eparts))
+        assert check.failures == [
+            ("d", "vertex [u0 e2 u1 e1 u0 e2 u1] meets 3 edge parts"),
+            ("e", "two vertices of [u0 e1 u1] meet both parts"),
+        ]
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(
         lambda pair: pair[0] < pair[1]), max_size=10))
@@ -286,6 +301,24 @@ class TestQuotient:
         Q = quotient(H, natural_partition(H))
         # parts are keyed by middle vertices; the quotient embeds into G
         assert Q.n <= G.n and Q.m <= G.m
+
+    @pytest.mark.parametrize("change, text", [
+        ("negative", "edge -1 not properly partitioned"),
+        ("past_end", "edge 24 not properly partitioned"),
+        ("dropped", "edge parts do not cover the graph"),
+    ])
+    def test_malformed_edge_parts_raise(self, change, text):
+        H = link_graph(complete(4), 2)
+        part = natural_partition(H)
+        eparts = dict(part.edge_parts)
+        key = next(key for key, members in eparts.items() if H.m - 1 in members)
+        if change == "dropped":
+            del eparts[key]
+        else:
+            wrong = -1 if change == "negative" else H.m
+            eparts[key] = eparts[key] - {H.m - 1} | {wrong}
+        with pytest.raises(PartitionMismatch, match=f"^{text}$"):
+            quotient(H, type(part)(part.ell, part.vertex_parts, eparts))
 
 
 class TestDotExport:

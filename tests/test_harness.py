@@ -630,6 +630,14 @@ class TestCli:
             (Caps().chromatic_cap, Caps().hadwiger_cap), (30, Caps().hadwiger_cap)
         ]
 
+    def test_verify_honours_a_zero_colouring_cap(self, tmp_path):
+        gfile = tmp_path / "c4.txt"
+        main(["gen", "cycle", "4", "--out", str(gfile)])
+        out = tmp_path / "report.json"
+        assert main(["verify", "--claims", "Thm1.3", "--ell", "2", "--oracle-cap", "0",
+                     "--out", str(out), str(gfile)]) == 0
+        assert [r["status"] for r in json.loads(out.read_text())["records"]] == ["skip"]
+
     def test_verify_subcommand(self, tmp_path):
         gfile = tmp_path / "k4.txt"
         main(["gen", "complete", "4", "--out", str(gfile)])
