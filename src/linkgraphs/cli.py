@@ -30,11 +30,23 @@ def _load_graph(path):
         return parse_edge_list(fh.read())
 
 
-def _parse_ells(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+def _ells(text):
+    """``--ell``: one length, or the lengths ``lo..hi`` inclusive."""
+    lo, dots, hi = text.partition("..")
+    try:
+        ells = list(range(int(lo), int(hi if dots else lo) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a length or lo..hi, got {text!r}") from None
+    if not ells:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return ells
+
+
+def _count(text):
+    """A limit or cap: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _emit(text, out):
@@ -74,7 +86,7 @@ def _cmd_gen(args):
 
 def _cmd_build(args):
     G = _load_graph(args.graph)
-    ell = _parse_ells(args.ell)[0]
+    ell = args.ell[0]
     if args.kind == "link":
         H = link_graph(G, ell, args.limit)
     elif args.kind == "path":
@@ -111,7 +123,7 @@ def _cmd_stats(args):
         "diameter": str(G.diameter()),
     }
     per_ell = {}
-    for ell in _parse_ells(args.ell):
+    for ell in args.ell:
         try:
             H = link_graph(G, ell, args.limit)
         except LimitExceeded as exc:
@@ -133,7 +145,7 @@ def _cmd_stats(args):
 
 def _cmd_color(args):
     G = _load_graph(args.graph)
-    ell = _parse_ells(args.ell)[0]
+    ell = args.ell[0]
     if args.method == "recursive":
         rec = recursive_chromatic_bound(G, ell, args.oracle_cap, args.limit)
         H, col = rec.graph, rec.coloring
@@ -160,7 +172,7 @@ def _cmd_color(args):
 
 def _cmd_minor(args):
     G = _load_graph(args.graph)
-    ell = _parse_ells(args.ell)[0]
+    ell = args.ell[0]
     res = hadwiger_lower_bound(G, ell, eta_cap=args.hadwiger_cap, limit=args.limit)
     payload = json.loads(res.witness.to_json())
     payload["bound"] = res.bound
@@ -173,7 +185,7 @@ def _cmd_verify(args):
     caps = Caps(
         suite_links=Caps.suite_links if args.limit is None else args.limit,
         chromatic_cap=Caps.chromatic_cap if args.oracle_cap is None else args.oracle_cap,
-        ell_range=tuple(_parse_ells(args.ell)),
+        ell_range=tuple(args.ell),
     )
     if args.graph:
         corpus = [CorpusInstance(args.graph, _load_graph(args.graph))]
@@ -194,10 +206,10 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, oracle_cap=True):
-        p.add_argument("--ell", default="1", help="window length, e.g. 2 or 0..5")
-        p.add_argument("--limit", type=int, default=None, help="link enumeration cap")
+        p.add_argument("--ell", type=_ells, default="1", help="window length, e.g. 2 or 0..5")
+        p.add_argument("--limit", type=_count, default=None, help="link enumeration cap")
         if oracle_cap:
-            p.add_argument("--oracle-cap", dest="oracle_cap", type=int, default=64,
+            p.add_argument("--oracle-cap", dest="oracle_cap", type=_count, default=64,
                            help="exact colouring oracle cap")
         p.add_argument("--format", choices=["json", "dot", "edgelist"], default="json")
         p.add_argument("--out", default=None)
@@ -225,15 +237,15 @@ def main(argv=None):
 
     p = sub.add_parser("minor", help="verified clique-minor lower bound")
     common(p, oracle_cap=False)
-    p.add_argument("--hadwiger-cap", dest="hadwiger_cap", type=int,
+    p.add_argument("--hadwiger-cap", dest="hadwiger_cap", type=_count,
                    default=Caps.hadwiger_cap, help="exact Hadwiger oracle cap")
     p.set_defaults(fn=_cmd_minor)
 
     p = sub.add_parser("verify", help="run claim suites")
     p.add_argument("--claims", default=None, help=f"comma list from {ALL_CLAIMS}")
-    p.add_argument("--ell", default="0..5")
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--oracle-cap", dest="oracle_cap", type=int, default=None,
+    p.add_argument("--ell", type=_ells, default="0..5")
+    p.add_argument("--limit", type=_count, default=None)
+    p.add_argument("--oracle-cap", dest="oracle_cap", type=_count, default=None,
                    help="exact colouring oracle cap")
     p.add_argument("--out", default=None)
     p.add_argument("graph", nargs="?", default=None)
@@ -246,7 +258,7 @@ def main(argv=None):
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
         sys.stderr.write("\n")
         return EXIT_LIMIT
-    except LinkGraphError as exc:
+    except (LinkGraphError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

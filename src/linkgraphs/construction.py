@@ -380,6 +380,8 @@ class PartitionCheck:
 
 def link_graph(G, ell, limit=None):
     """The graph on ``ell``-links whose edges are the one-longer links."""
+    if ell < 0:
+        raise InvalidParameter(f"ell must be >= 0, got {ell}")
     levels = _kernel(G, ell, {ell: _link_cap(ell, limit), ell + 1: _link_cap(ell + 1, limit)})
     H = _windows_graph(G, ell, levels)
     _keep_for_links(levels)
@@ -443,8 +445,6 @@ def partial_link_graph(G, links, quals, limit=None):
 
 def path_graph(G, ell, limit=None):
     """Simple graph on ``ell``-paths joined through one-longer paths or cycles."""
-    if ell < 0:
-        raise InvalidParameter(f"ell must be >= 0, got {ell}")
     return _path_graph_of(link_graph(G, ell, limit))
 
 
@@ -685,7 +685,7 @@ def _almost_standard(ends, vpart, eparts, vkey, ekey, vertex):
         touched = {vpart[v] for v in met}
         if len(touched) != 2:
             b.append(("b", f"edge part {ekey(y)} touches {len(touched)} parts"))
-        if not _is_complete_bipartite(pairs):
+        if not _is_complete_bipartite(pairs, met):
             c.append(("c", f"edge part {ekey(y)} is not complete bipartite"))
         for v in met:
             meets.setdefault(v, []).append(y)
@@ -706,20 +706,21 @@ def _almost_standard(ends, vpart, eparts, vkey, ekey, vertex):
     return PartitionCheck(not a, not b, not c, not d, not e, a + b + c + d + e)
 
 
-def _is_complete_bipartite(pairs):
-    """True when the index pairs are the edges of a complete bipartite graph,
-    each once: every edge has one end among the neighbours of one vertex,
-    and the edges number the sides' product."""
-    edges = set(pairs)
-    if len(edges) != len(pairs):
-        return False
-    if not edges:
+def _is_complete_bipartite(pairs, ends):
+    """True when the index pairs, whose ends are ``ends``, are the edges of a
+    complete bipartite graph, each once: one side is the neighbours of one
+    vertex, every pair has one end on it, and the distinct pairs number the
+    sides' product."""
+    if not pairs:
         return True
     x = pairs[0][0]
-    side = {j if i == x else i for i, j in edges if x in (i, j)}
-    ends = {v for pair in edges for v in pair}
-    return (len(edges) == len(side) * (len(ends) - len(side))
-            and all((i in side) != (j in side) for i, j in edges))
+    side = {j if i == x else i for i, j in pairs if x in (i, j)}
+    if len(pairs) != len(side) * (len(ends) - len(side)):
+        return False
+    for i, j in pairs:
+        if (i in side) == (j in side):
+            return False
+    return len(set(pairs)) == len(pairs)
 
 
 def quotient(H, partition):

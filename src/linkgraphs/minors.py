@@ -279,7 +279,15 @@ def _contracts_to(rows, m, t, failed):
     A K_t model in a connected graph grows to cover every vertex, so
     contractions alone reach K_t, and such a model needs ``n - t`` edges
     inside its branch sets plus ``t(t-1)/2`` between them.  ``failed`` holds
-    graphs already known to have no K_t minor (nor, then, any larger one)."""
+    graphs already known to have no K_t minor (nor, then, any larger one).
+
+    Only the edges of one vertex are branched on when that is enough.  Let v
+    be a vertex of least degree, the least index on ties.  If deg(v) < t - 1,
+    {v} cannot be a branch set of a covering model, which needs a neighbour
+    in each of the t - 1 other sets; so v's branch set, being connected, also
+    holds a neighbour u, and contracting uv first leaves a covering K_t model.
+    Trying v's edges alone then misses no model, and each ``failed`` entry
+    still proves "no K_t minor".  Otherwise every edge i < j is tried."""
     n = len(rows)
     spare = t * (t - 1) // 2 - t  # a covering model on n vertices needs spare + n edges
     if n < t or spare + n > m:
@@ -288,14 +296,19 @@ def _contracts_to(rows, m, t, failed):
         return True
     if rows in failed:
         return False
-    for i, row in enumerate(rows):
-        for j in range(i + 1, n):
-            if not row >> j & 1:
-                continue
-            # contracting ij loses ij and one edge per common neighbour
-            left = m - 1 - (row & rows[j]).bit_count()
-            if spare + n - 1 <= left and _contracts_to(_merge(rows, i, j), left, t, failed):
-                return True
+    degs = list(map(int.bit_count, rows))
+    low = min(degs)
+    if low < t - 1:
+        v = degs.index(low)
+        row = rows[v]
+        edges = [(u, v) if u < v else (v, u) for u in range(n) if row >> u & 1]
+    else:
+        edges = ((i, j) for i, row in enumerate(rows) for j in range(i + 1, n) if row >> j & 1)
+    for i, j in edges:
+        # contracting ij loses ij and one edge per common neighbour
+        left = m - 1 - (rows[i] & rows[j]).bit_count()
+        if spare + n - 1 <= left and _contracts_to(_merge(rows, i, j), left, t, failed):
+            return True
     failed.add(rows)
     return False
 
@@ -309,7 +322,11 @@ def hadwiger_number(G, cap=DEFAULT_HADWIGER_CAP):
     search asks for K_{t+1}, K_{t+2}, ... until the answer is no.  Only
     failures are memoised, under the raw graph (its tuple of neighbour
     bitmasks), not a canonical form; one set serves every target, since a
-    graph without a K_t minor has no larger one."""
+    graph without a K_t minor has no larger one.  A node whose vertex v of
+    least degree has deg(v) < t - 1 branches only on v's edges: {v} alone
+    cannot be a branch set of a covering K_t model, so v's branch set holds a
+    neighbour u, and contracting uv first keeps the model
+    (``_contracts_to``)."""
     return _hadwiger(index_adjacency(G), cap)
 
 

@@ -405,10 +405,14 @@ def parse_edge_list(text):
     Lines starting with ``#`` are ignored.  ``v NAME`` declares an isolated
     vertex, any other two-token line declares an edge; repeated lines yield
     parallel edges.  Edge ids are synthesized as ``e1``, ``e2``, ... in line
-    order.
+    order.  Bytes are read as UTF-8; a line that is not raises
+    ``MalformedLine``.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedLine(text.count(b"\n", 0, exc.start) + 1, "not UTF-8") from None
     vertices = set()
     edges = []
     edge_no = 0

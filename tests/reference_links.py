@@ -22,7 +22,8 @@ package reads the shunts of a link of length at least 1 off unit tuples.
 by their ``Link`` keys in sorted order, and ``natural_iso`` matches the chain
 digraph to the arc digraph through sorted and hashed ``Arc`` objects.  The
 package checks both on integers, for the natural partition and the arc
-digraph on kernel ids.
+digraph on kernel ids.  ``_is_complete_bipartite`` is condition (c) as it was
+before it read the end set its caller builds.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from linkgraphs.construction import (
     LabeledDigraph,
     LabeledGraph,
     PartitionCheck,
-    _is_complete_bipartite,
     partial_link_graph,
 )
 from linkgraphs.errors import InvalidParameter, LimitExceeded, PartitionMismatch
@@ -233,6 +233,22 @@ def natural_partition(H):
         {k: frozenset(v) for k, v in vparts.items()},
         {k: frozenset(v) for k, v in eparts.items()},
     )
+
+
+def _is_complete_bipartite(pairs):
+    """True when the index pairs are the edges of a complete bipartite graph,
+    each once: every edge has one end among the neighbours of one vertex,
+    and the edges number the sides' product."""
+    edges = set(pairs)
+    if len(edges) != len(pairs):
+        return False
+    if not edges:
+        return True
+    x = pairs[0][0]
+    side = {j if i == x else i for i, j in edges if x in (i, j)}
+    ends = {v for pair in edges for v in pair}
+    return (len(edges) == len(side) * (len(ends) - len(side))
+            and all((i in side) != (j in side) for i, j in edges))
 
 
 def verify_almost_standard(H, partition):

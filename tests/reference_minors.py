@@ -7,6 +7,8 @@ memoised per isomorphism class.  ``_model_of_order`` is the original model
 search, memoised the same way, and ``_candidate_route`` the cut-candidate
 route that builds a witness for every candidate it tries.
 ``hadwiger_lower_bound`` is the original lower bound on top of those two.
+``_contracts_to`` is the decision search on neighbour bitmasks as it was
+before it branched on the edges of one vertex: every edge is tried.
 The package answers the same questions by pruned searches on neighbour
 bitmasks; the tests check that both agree.
 """
@@ -94,6 +96,27 @@ def hadwiger_number(G, cap=DEFAULT_HADWIGER_CAP):
         return best
 
     return rec(simp.n, frozenset(pairs))
+
+
+def _contracts_to(rows, m, t, failed):
+    """``minors._contracts_to`` trying every edge i < j at every node."""
+    n = len(rows)
+    spare = t * (t - 1) // 2 - t
+    if n < t or spare + n > m:
+        return False
+    if 2 * m == n * (n - 1):
+        return True
+    if rows in failed:
+        return False
+    for i, row in enumerate(rows):
+        for j in range(i + 1, n):
+            if not row >> j & 1:
+                continue
+            left = m - 1 - (row & rows[j]).bit_count()
+            if spare + n - 1 <= left and _contracts_to(minors._merge(rows, i, j), left, t, failed):
+                return True
+    failed.add(rows)
+    return False
 
 
 def _model_of_order(G, eta):

@@ -24,7 +24,7 @@ from linkgraphs.construction import (
     quotient_embedding_check,
     verify_almost_standard,
 )
-from linkgraphs.errors import NotALink, PartitionMismatch, WindowTooShort
+from linkgraphs.errors import InvalidParameter, NotALink, PartitionMismatch, WindowTooShort
 from linkgraphs.links import Link, enumerate_links, hub_subgraph, is_path
 from linkgraphs.multigraph import (
     Multigraph,
@@ -71,6 +71,10 @@ class TestLinkGraph:
     def test_multiplicity_at_most_two(self, G, ell):
         H = link_graph(G, ell)
         assert all(len(labs) <= 2 for labs in H.edge_groups().values())
+
+    def test_negative_window_is_rejected(self):
+        with pytest.raises(InvalidParameter, match="ell must be >= 0, got -1"):
+            link_graph(dipole(2), -1)
 
     def test_json_schema(self):
         H = link_graph(dipole(2), 1)
@@ -262,7 +266,7 @@ class TestPartitions:
             side = {v for k, v in enumerate(verts) if mask >> k & 1}
             across = [(i, j) for i in verts for j in verts if i < j and (i in side) != (j in side)]
             want = want or sorted(pairs) == across
-        assert _is_complete_bipartite(pairs) == want
+        assert _is_complete_bipartite(pairs, set(verts)) == want
 
     def test_singleton_partition_on_triangle(self):
         H = link_graph(complete(3), 0)

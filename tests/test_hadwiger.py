@@ -8,12 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_minors as ref
+from linkgraphs import minors
 from linkgraphs.construction import link_graph
 from linkgraphs.errors import NoEdge, OracleTooLarge
 from linkgraphs.minors import (
     DEFAULT_HADWIGER_CAP,
+    _contracts_to,
     _hadwiger,
     _model_of_order,
+    _rows,
     hadwiger_lower_bound,
     hadwiger_model,
     hadwiger_number,
@@ -74,6 +77,63 @@ def test_small_and_disconnected_graphs(G, eta):
 ])
 def test_baseline_graphs(G, eta):
     assert hadwiger_number(G) == eta
+
+
+@st.composite
+def connected_rows(draw, max_n=10):
+    """Neighbour bitmasks of a connected simple graph: a random tree on
+    0..n-1 (vertex j hangs from an earlier vertex) plus the chords a random
+    bitmask over the pairs picks."""
+    n = draw(st.integers(1, max_n))
+    parents = [draw(st.integers(0, j - 1)) for j in range(1, n)]
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    chords = draw(st.integers(0, (1 << len(pairs)) - 1))
+    rows = [0] * n
+    for k, (i, j) in enumerate(pairs):
+        if chords >> k & 1 or parents[j - 1] == i:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def _link_rows(G):
+    """Neighbour bitmasks of the 1-link graph of ``G``."""
+    adj = link_graph(G, 1).adjacency()
+    return _rows(adj, range(len(adj)))[0]
+
+
+# Branching only on the edges of a vertex of degree below t - 1 must decide
+# every target as the search that tries every edge does.  In the first
+# example, vertex 1 has degree 4 and is a branch set alone in every covering
+# K_5 model, so branching on its edges at t - 1 = 4 too would miss them all.
+@settings(max_examples=400, deadline=None)
+@given(connected_rows())
+@example((238, 77, 75, 55, 232, 153, 151, 113))
+@example(_link_rows(complete_bipartite(3, 4)))
+@example(_link_rows(wheel(6)))
+def test_contraction_decisions_match_the_all_edges_search(rows):
+    m = sum(map(int.bit_count, rows)) // 2
+    for t in range(1, len(rows) + 2):
+        assert _contracts_to(rows, m, t, set()) == ref._contracts_to(rows, m, t, set()), t
+
+
+# Nodes the decision search visits inside ``_hadwiger`` at ell = 1; the search
+# that tries every edge visits 2,840, 640 and 61,355.
+@pytest.mark.parametrize("G, cap, eta, most", [
+    pytest.param(complete_bipartite(3, 4), DEFAULT_HADWIGER_CAP, 6, 200, id="K_{3,4}"),
+    pytest.param(wheel(6), DEFAULT_HADWIGER_CAP, 7, 30, id="wheel(6)"),
+    pytest.param(petersen(), 16, 6, 400, id="Petersen"),
+])
+def test_decision_search_node_counts(monkeypatch, G, cap, eta, most):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _contracts_to(*args)
+
+    monkeypatch.setattr(minors, "_contracts_to", counted)
+    assert _hadwiger(link_graph(G, 1).adjacency(), cap) == eta
+    assert len(calls) <= most
 
 
 def test_cap_is_checked_on_the_simple_graph():

@@ -661,6 +661,53 @@ class TestCli:
             main(["build", "--kind", "iterated", "--ell", "1", str(gfile)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("args, text", [
+        (["build", "--ell", "x"], "argument --ell: expected a length or lo..hi, got 'x'"),
+        (["build", "--ell", "1..x"], "argument --ell: expected a length or lo..hi, got '1..x'"),
+        (["build", "--ell", "3..1"], "argument --ell: empty range '3..1'"),
+        (["build", "--limit", "-5"], "argument --limit: expected an integer >= 0, got '-5'"),
+        (["color", "--oracle-cap", "-1"],
+         "argument --oracle-cap: expected an integer >= 0, got '-1'"),
+        (["minor", "--hadwiger-cap", "-2"],
+         "argument --hadwiger-cap: expected an integer >= 0, got '-2'"),
+    ])
+    def test_bad_options_are_usage_errors(self, args, text, tmp_path, capsys):
+        gfile = tmp_path / "c4.txt"
+        main(["gen", "cycle", "4", "--out", str(gfile)])
+        with pytest.raises(SystemExit) as exc:
+            main([*args, str(gfile)])
+        assert exc.value.code == 2
+        assert text in capsys.readouterr().err
+
+    def test_a_negative_window_is_a_usage_error(self, tmp_path, capsys):
+        gfile = tmp_path / "c4.txt"
+        main(["gen", "cycle", "4", "--out", str(gfile)])
+        assert main(["build", "--ell", "-1", str(gfile)]) == 2
+        assert capsys.readouterr().err == "error: ell must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("name, content, text", [
+        ("missing.txt", None, "No such file or directory"),
+        ("adir", "dir", "Is a directory"),
+        ("bad.txt", b"a b\n\xff c\n", "line 2: not UTF-8"),
+    ])
+    def test_unreadable_input_is_a_usage_error(self, name, content, text, tmp_path, capsys):
+        path = tmp_path / name
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        assert main(["build", "--ell", "1", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and text in err
+
+    def test_output_into_a_missing_directory_is_a_usage_error(self, tmp_path, capsys):
+        gfile = tmp_path / "c4.txt"
+        main(["gen", "cycle", "4", "--out", str(gfile)])
+        out = tmp_path / "missing" / "report.json"
+        assert main(["verify", "--claims", "Obs3.1", "--ell", "1", "--out", str(out), str(gfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file or directory" in err
+
     def test_limit_error_exit_code(self, tmp_path):
         gfile = tmp_path / "pet.txt"
         main(["gen", "petersen", "--out", str(gfile)])

@@ -47,6 +47,10 @@ class TestParsing:
         with pytest.raises(MalformedLine):
             parse_edge_list("a b c\n")
 
+    def test_bytes_that_are_not_utf8(self):
+        with pytest.raises(MalformedLine, match="line 2: not UTF-8"):
+            parse_edge_list(b"a b\n\xff c\n")
+
     def test_bridge_example(self):
         G = parse_edge_list("u0 v0\nv0 v1\nv0 v1\nv1 u1\n")
         assert G.n == 4 and G.m == 4
