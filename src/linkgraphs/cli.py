@@ -16,7 +16,7 @@ from .coloring import (
     recursive_chromatic_bound,
 )
 from .construction import arc_digraph, link_graph, link_graph_connected, path_graph
-from .errors import LimitExceeded, LinkGraphError, OracleTooLarge
+from .errors import InvalidParameter, LimitExceeded, LinkGraphError, OracleTooLarge
 from .harness import ALL_CLAIMS, Caps, CorpusInstance, verify_suite
 from .minors import hadwiger_lower_bound
 from .multigraph import parse_edge_list
@@ -40,6 +40,14 @@ def _ells(text):
     if not ells:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return ells
+
+
+def _one_ell(args):
+    """The one length of ``--ell`` for the commands that take one."""
+    if len(args.ell) > 1:
+        raise InvalidParameter(
+            f"--ell takes one length here, got {args.ell[0]}..{args.ell[-1]}")
+    return args.ell[0]
 
 
 def _count(text):
@@ -85,8 +93,8 @@ def _cmd_gen(args):
 
 
 def _cmd_build(args):
+    ell = _one_ell(args)
     G = _load_graph(args.graph)
-    ell = args.ell[0]
     if args.kind == "link":
         H = link_graph(G, ell, args.limit)
     elif args.kind == "path":
@@ -144,8 +152,8 @@ def _cmd_stats(args):
 
 
 def _cmd_color(args):
+    ell = _one_ell(args)
     G = _load_graph(args.graph)
-    ell = args.ell[0]
     if args.method == "recursive":
         rec = recursive_chromatic_bound(G, ell, args.oracle_cap, args.limit)
         H, col = rec.graph, rec.coloring
@@ -171,8 +179,8 @@ def _cmd_color(args):
 
 
 def _cmd_minor(args):
+    ell = _one_ell(args)
     G = _load_graph(args.graph)
-    ell = args.ell[0]
     res = hadwiger_lower_bound(G, ell, eta_cap=args.hadwiger_cap, limit=args.limit)
     payload = json.loads(res.witness.to_json())
     payload["bound"] = res.bound

@@ -21,7 +21,9 @@ from .links import (
     _arc_cap,
     _arc_levels,
     _arc_units,
+    _arcs,
     _canonical,
+    _counted,
     _inside,
     _keep_for_links,
     _kernel,
@@ -382,7 +384,11 @@ def link_graph(G, ell, limit=None):
     """The graph on ``ell``-links whose edges are the one-longer links."""
     if ell < 0:
         raise InvalidParameter(f"ell must be >= 0, got {ell}")
-    levels = _kernel(G, ell, {ell: _link_cap(ell, limit), ell + 1: _link_cap(ell + 1, limit)})
+    totals, fwd = _counted(G, {ell: _link_cap(ell, limit), ell + 1: _link_cap(ell + 1, limit)})
+    if not _arcs(totals, ell):
+        # past the last length with an arc: no link, and no level is built
+        return LabeledGraph(ell, (), (), G)
+    levels = _arc_levels(G, fwd, ell, ell + 1)
     H = _windows_graph(G, ell, levels)
     _keep_for_links(levels)
     return H

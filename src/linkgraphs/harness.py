@@ -42,6 +42,7 @@ from .links import (
     Link,
     _arc_cap,
     _arc_levels,
+    _arcs,
     _check_limit,
     _canonical,
     _inside,
@@ -203,8 +204,8 @@ class _Cache:
             low, top = self.span
             totals, fwd = _walks(inst.graph, top) if top >= 1 else ((), ())
             fit = low - 1
-            while fit < len(totals) - 1 and (
-                    totals[fit + 1] <= _link_cap(fit + 1, self.caps.suite_links)):
+            while totals and fit < top and (
+                    _arcs(totals, fit + 1) <= _link_cap(fit + 1, self.caps.suite_links)):
                 fit += 1
             self._current = [inst.name, totals, fwd, fit, None]
         return self._current
@@ -219,7 +220,7 @@ class _Cache:
         if not self.span[0] <= min(limits) <= max(limits) <= fit:
             return _kernel(inst.graph, min(limits), limits)
         for length in sorted(limits):
-            _check_limit(totals[length], limits[length])
+            _check_limit(_arcs(totals, length), limits[length])
         if levels is None:
             levels = current[4] = _arc_levels(inst.graph, fwd, self.span[0], fit)
             # no read extends a level, so the tables for that go
@@ -233,14 +234,15 @@ class _Cache:
         length past the instance's counts counts its own arcs, as ``kernel``
         builds its own kernel there."""
         totals = self._counts(inst)[1]
-        if ell >= len(totals):
+        if ell > self.span[1] or not totals:
             totals, _ = _walks(inst.graph, ell)
+        arcs = _arcs(totals, ell)
         try:
-            _check_limit(totals[ell], _link_cap(ell, self.caps.suite_links))
+            _check_limit(arcs, _link_cap(ell, self.caps.suite_links))
         except LimitExceeded:
             return None
         # an arc of length >= 1 is never its own reverse, as G has no loop
-        return totals[ell] if ell == 0 else totals[ell] // 2
+        return arcs if ell == 0 else arcs // 2
 
     def shape(self, inst, ell):
         """``(n, m)`` of the link graph at ``ell``, read off the arc counts:
@@ -754,22 +756,109 @@ def _exact_chi(inst, caps, cache, ell):
     return cache.chi(inst, ell)[0]
 
 
+# -- certificates beyond the colouring oracle ----------------------------------
+#
+# Where the link graph at a length of the run fits the suite link budget but
+# not the colouring cap, its chromatic number is bounded by checked witnesses
+# instead: above by the cached recursive colouring, below by an edge (2) or
+# an odd closed walk (3).  Each is re-checked where it is used.
+
+
+def _beyond_oracle(inst, caps, cache, ell):
+    """True where ``_exact_chi`` is ``None`` for the colouring cap alone and
+    every link graph the recursive colouring builds up to ``ell`` fits the
+    suite link budget."""
+    if ell not in caps.ell_range:
+        return False
+    H = cache.graph(inst, ell)
+    return (H is not None and H.n > caps.chromatic_cap
+            and all(cache.shape(inst, L) for L in range(ell % 2, ell, 2)))
+
+
+def _chi_ceiling(inst, caps, cache, ell):
+    """A checked bound on chi of the link graph at ``ell`` from above: the
+    oracle's chi, or beyond the oracle (``_beyond_oracle``) the number of
+    colours of the cached recursive colouring, re-checked to be proper on
+    its first read; ``None`` where neither applies."""
+    chi = _exact_chi(inst, caps, cache, ell)
+    if chi is not None or not _beyond_oracle(inst, caps, cache, ell):
+        return chi
+
+    def solve():
+        rec = cache.recursive(inst, ell)
+        if not is_proper(rec.graph, rec.coloring):
+            raise WitnessInvalid(f"certificate: recursive colouring not proper at ell={ell}")
+        return rec.coloring.used()
+
+    return cache._answer("ceiling", inst, ell, solve)
+
+
+def _odd_closed_walk(adj):
+    """The vertices of an odd closed walk in the graph of neighbour sets
+    ``adj``, each adjacent to the next and the last to the first; ``None``
+    when the graph is bipartite.  A breadth-first search gives each vertex a
+    depth and a parent; an edge between two vertices of one depth closes
+    their tree paths up to the root they share into a walk of odd length."""
+    depth, parent = [-1] * len(adj), [-1] * len(adj)
+    for root in range(len(adj)):
+        if depth[root] >= 0:
+            continue
+        depth[root], queue = 0, [root]
+        for v in queue:
+            for w in adj[v]:
+                if depth[w] < 0:
+                    depth[w], parent[w] = depth[v] + 1, v
+                    queue.append(w)
+                elif depth[w] == depth[v]:
+                    down, up = [v], [w]
+                    while parent[down[-1]] >= 0:
+                        down.append(parent[down[-1]])
+                        up.append(parent[up[-1]])
+                    return down[::-1] + up[:-1]
+    return None
+
+
+def _is_odd_closed_walk(adj, walk):
+    """True when ``walk`` is an odd closed walk in the graph of neighbour
+    sets ``adj``, checked step by step; it holds an odd cycle, so chi >= 3."""
+    n = len(adj)
+    return len(walk) % 2 == 1 and all(
+        0 <= v < n and w in adj[v] for v, w in zip(walk, walk[1:] + walk[:1]))
+
+
+def _chi_floor(inst, caps, cache, ell):
+    """A checked bound on chi of the link graph at ``ell`` from below: the
+    oracle's chi, or beyond the oracle 3 with an odd closed walk, 2 with an
+    edge, 1 with a vertex; ``None`` where neither applies."""
+    chi = _exact_chi(inst, caps, cache, ell)
+    if chi is not None or not _beyond_oracle(inst, caps, cache, ell):
+        return chi
+    adj = cache.graph(inst, ell).adjacency()
+    walk = cache._answer("odd walk", inst, ell, lambda: _odd_closed_walk(adj))
+    if walk is None:
+        return 2 if any(adj) else min(len(adj), 1)
+    if not _is_odd_closed_walk(adj, walk):
+        raise WitnessInvalid(f"certificate: not an odd closed walk at ell={ell}")
+    return 3
+
+
 def _check_parity_bound(inst, caps, cache, ell):
     chi = _exact_chi(inst, caps, cache, ell)
-    if chi is None:
+    if chi is None and not _beyond_oracle(inst, caps, cache, ell):
         return "skip", "link graph beyond the chromatic oracle"
     # chromatic_upper_bounds from the memo, less the two-back bound no check reads
     bounds = _chromatic_bounds(inst.graph, ell, lambda length: cache.built(inst, length),
                                lambda _: cache.chi(inst, 0)[0],
                                lambda: cache.edge_chi(inst)[0])
-    if ell % 2 == 0 and bounds.exact_chi and chi > bounds.parity_bound:
+    exact = bounds.exact_chi or bounds.exact_chi_prime  # the base of this parity
+    if chi is not None and exact and chi > bounds.parity_bound:
         return "fail", f"chi {chi} > parity bound {bounds.parity_bound}"
-    if ell % 2 == 1 and bounds.exact_chi_prime and chi > bounds.parity_bound:
-        return "fail", f"chi {chi} > parity bound {bounds.parity_bound}"
-    if ell == 1 and bounds.exact_chi_prime and chi != bounds.chi_prime:
+    if chi is not None and ell == 1 and exact and chi != bounds.chi_prime:
         return "fail", f"window-one chromatic {chi} differs from edge-chromatic {bounds.chi_prime}"
     rec = cache.recursive(inst, ell)
-    if rec.graph.n and not is_proper(rec.graph, rec.coloring):
+    if chi is None:
+        hi = _chi_ceiling(inst, caps, cache, ell)  # the recursive colouring, checked
+    elif rec.graph.n and not is_proper(rec.graph, rec.coloring):
         return "fail", "recursive colouring not proper"
     if rec.exact_base:
         # the lifted palette honours the parity and degree bounds; the
@@ -780,12 +869,25 @@ def _check_parity_bound(inst, caps, cache, ell):
         floor_bound = min(guaranteed)
         if rec.coloring.t > floor_bound:
             return "fail", f"recursive {rec.coloring.t} > bound {floor_bound}"
-    return "pass", f"chi={chi} within parity bound {bounds.parity_bound}"
+    if chi is not None:
+        return "pass", f"chi={chi} within parity bound {bounds.parity_bound}"
+    # certificate: the recursive colouring, and at ell = 1 a bound from
+    # below that meets it
+    decided = exact and hi <= bounds.parity_bound
+    if ell == 1:
+        decided = decided and _chi_floor(inst, caps, cache, ell) == hi == bounds.chi_prime
+    if not decided:
+        return "skip", "link graph beyond the chromatic oracle"
+    value = f"chi={hi}" if ell == 1 else f"chi <= {hi}"
+    return "pass", f"certificate: {value} within parity bound {bounds.parity_bound}"
 
 
 def _check_degree_bound(inst, caps, cache, ell):
     chi = None if ell == 1 else _exact_chi(inst, caps, cache, ell)
     if chi is None:
+        hi = None if ell == 1 else _chi_ceiling(inst, caps, cache, ell)
+        if hi is not None and hi <= inst.graph.max_degree() + 1:
+            return "pass", f"certificate: chi <= {hi} <= {inst.graph.max_degree() + 1}"
         return "skip", "not applicable or beyond oracle"
     if chi > inst.graph.max_degree() + 1:
         return "fail", f"chi {chi} > max degree + 1"
@@ -795,29 +897,46 @@ def _check_degree_bound(inst, caps, cache, ell):
 def _check_two_back(inst, caps, cache, ell):
     chi = None if ell < 2 else _exact_chi(inst, caps, cache, ell)
     below = None if chi is None else _exact_chi(inst, caps, cache, ell - 2)
-    if below is None:
-        return "skip", "needs both oracle values"
-    if chi > below:
-        return "fail", f"chi rose: {chi} > {below}"
-    return "pass", f"{chi} <= {below}"
+    if below is not None:
+        if chi > below:
+            return "fail", f"chi rose: {chi} > {below}"
+        return "pass", f"{chi} <= {below}"
+    # certificate: chi at ell from above meets chi two back from below
+    hi = None if ell < 2 else _chi_ceiling(inst, caps, cache, ell)
+    lo = None if hi is None else _chi_floor(inst, caps, cache, ell - 2)
+    if lo is not None and hi <= lo:
+        return "pass", f"certificate: chi <= {hi}, chi two back >= {lo}"
+    return "skip", "needs both oracle values"
 
 
 def _check_arc_chromatic(inst, caps, cache, ell):
     chi = None if ell < 1 else _exact_chi(inst, caps, cache, ell)
-    if chi is None:
+    if chi is None and (ell < 1 or not _beyond_oracle(inst, caps, cache, ell)):
         return "skip", "beyond oracle"
-    count = cache.count(inst, ell)
-    if count is None or 2 * count > caps.chromatic_cap:
-        return "skip", "arc digraph beyond oracle"
+    oracle = chi is not None and 2 * cache.count(inst, ell) <= caps.chromatic_cap
+    skip = "beyond oracle" if chi is None else "arc digraph beyond oracle"
     cap = _arc_cap(caps.suite_links)
+    if not oracle and 2 * cache.count(inst, ell + 1) > cap:
+        return "skip", skip
     levels = cache.kernel(inst, {ell: cap, ell + 1: cap})
     # the arc digraph on kernel ids: each (ell + 1)-arc joins its parent and its suffix
     top = levels[ell + 1]
-    adj = _pair_adjacency(len(levels[ell].last), zip(top.parent, top.suffix))
-    chi_a, _ = exact_chromatic(adj, None)
-    if chi_a > chi:
-        return "fail", f"arc chromatic {chi_a} > link chromatic"
-    return "pass", f"{chi_a} <= {chi}"
+    if oracle:
+        adj = _pair_adjacency(len(levels[ell].last), zip(top.parent, top.suffix))
+        chi_a, _ = exact_chromatic(adj, None)
+        if chi_a > chi:
+            return "fail", f"arc chromatic {chi_a} > link chromatic"
+        return "pass", f"{chi_a} <= {chi}"
+    # certificate: each arc takes the colour of its link in the oracle's
+    # colouring or the recursive one, checked on every edge of the arc digraph
+    links = cache.recursive(inst, ell).coloring if chi is None else cache.chi(inst, ell)[1]
+    colour = list(map(links.assignment.__getitem__, _link_ids(levels[ell])))
+    if any(map(eq, map(colour.__getitem__, top.parent), map(colour.__getitem__, top.suffix))):
+        raise WitnessInvalid(f"certificate: link colours not proper on the arcs at ell={ell}")
+    used, lo = len(set(colour)), _chi_floor(inst, caps, cache, ell)
+    if used > lo:
+        return "skip", skip
+    return "pass", f"certificate: arc chromatic <= {used}, link chromatic >= {lo}"
 
 
 def _check_three_colours(inst, caps, cache, ell):

@@ -176,9 +176,11 @@ def _walks(G, ell):
     """Count the arcs of each length up to ``ell`` by first dart, without
     enumerating them.
 
-    Returns ``(totals, fwd)``: ``totals[L]`` is the number of ``L``-arcs, and
-    ``fwd[d]`` is how many more darts, at most ``ell - 1``, a walk can take
-    after dart ``d``; walking back from ``d`` reaches ``fwd[twin[d]]``.
+    Returns ``(totals, fwd)``: ``totals[L]`` is the number of ``L``-arcs, up
+    to ``ell`` or to the first length with none, past which there are none
+    (``_arcs``); ``fwd[d]`` is how many more darts, at most ``ell - 1``, a
+    walk can take after dart ``d``; walking back from ``d`` reaches
+    ``fwd[twin[d]]``.
     """
     if ell < 0:
         raise InvalidParameter(f"arc length must be >= 0, got {ell}")
@@ -197,14 +199,18 @@ def _walks(G, ell):
             fwd = [L - 1] * len(fwd)
         totals.append(sum(count))
         if not totals[-1]:
-            totals += [0] * (ell - L)
             break
     return totals, fwd
 
 
+def _arcs(totals, L):
+    """The number of ``L``-arcs in the ``totals`` of ``_walks``."""
+    return totals[L] if L < len(totals) else 0
+
+
 def has_arc(G, ell):
     """True when ``G`` has an ``ell``-arc."""
-    return _walks(G, ell)[0][ell] > 0
+    return _arcs(_walks(G, ell)[0], ell) > 0
 
 
 def _check_limit(count, cap):
@@ -408,11 +414,14 @@ def _paths(G, levels, L):
     """Mask of the arcs of level ``L`` that are paths (no vertex twice), as
     ``bytes``; kept on the level.  An arc is a path when its parent and its
     suffix are paths and its first vertex, the last of its reverse, is not
-    its last."""
+    its last.  A path of length ``L`` has ``L + 1`` distinct vertices, so
+    from ``L = n`` on, and above a level with no path, no arc is a path."""
     lv = levels[L]
     if lv.paths is None:
         if L == 0:
             lv.paths = bytes(_all(G.n))
+        elif L >= G.n or 1 not in _paths(G, levels, L - 1):
+            lv.paths = bytes(len(lv.last))
         else:
             below, head = _paths(G, levels, L - 1), G.darts().head
             firsts = map(head.__getitem__, map(lv.last.__getitem__, lv.rev))
@@ -481,7 +490,7 @@ def _counted(G, caps):
     enumeration stopping one arc past the cap would."""
     totals, fwd = _walks(G, max(caps))
     for length in sorted(caps):
-        _check_limit(totals[length], caps[length])
+        _check_limit(_arcs(totals, length), caps[length])
     return totals, fwd
 
 
@@ -530,10 +539,14 @@ def _walk_arcs(G, ell, fwd):
 
 
 def enumerate_links(G, ell, limit=None):
-    """All ``ell``-links in canonical order: one per arc and its reverse."""
-    levels = _kernel(G, ell, {ell: _link_cap(ell, limit)})
+    """All ``ell``-links in canonical order: one per arc and its reverse.
+    Past the last length with an arc there are none, and no level is built."""
+    totals, fwd = _counted(G, {ell: _link_cap(ell, limit)})
     if ell == 0:
         return [Link((v,)) for v in G.vertices]
+    if not _arcs(totals, ell):
+        return []
+    levels = _arc_levels(G, fwd, ell, ell)
     canon = _canonical(levels[ell])
     return [Link(u) for u in _unit_tuples(G, levels, {ell: canon})[ell]]
 
@@ -541,9 +554,9 @@ def enumerate_links(G, ell, limit=None):
 def link_count(G, ell, limit=None):
     """The number of ``ell``-links, counted without enumerating them; over
     ``limit`` it raises what ``enumerate_links`` raises."""
-    totals, _ = _walks(G, ell)
-    _check_limit(totals[ell], _link_cap(ell, limit))
-    return totals[ell] if ell == 0 else totals[ell] // 2
+    arcs = _arcs(_walks(G, ell)[0], ell)
+    _check_limit(arcs, _link_cap(ell, limit))
+    return arcs if ell == 0 else arcs // 2
 
 
 def _window_ids(levels, ell):
@@ -735,7 +748,7 @@ def middle_units(G, ell, limit=None):
     ``ell = 2h + 1``, a vertex with two darts out that can each walk
     ``h - 1`` darts on for ``ell = 2h``."""
     totals, fwd = _walks(G, ell)
-    _check_limit(totals[ell], _link_cap(ell, limit))
+    _check_limit(_arcs(totals, ell), _link_cap(ell, limit))
     if ell == 0:
         return set(G.vertices)
     D, h = G.darts(), ell // 2

@@ -20,6 +20,7 @@ from .errors import (
 from .links import (
     Arc,
     Link,
+    _arcs,
     _counted,
     _link_cap,
     _shunt_steps,
@@ -55,7 +56,7 @@ class _LinkHost:
     def __init__(self, G, ell, limit=None):
         totals, self._fwd = _counted(G, {L: _link_cap(L, limit) for L in (ell, ell + 1)})
         self.G, self.ell = G, ell
-        self.n, self.m = totals[ell] // 2, totals[ell + 1] // 2
+        self.n, self.m = _arcs(totals, ell) // 2, _arcs(totals, ell + 1) // 2
         self.vertices, self._ids, self._adj = [], {}, {}
 
     def __len__(self):

@@ -13,7 +13,7 @@ import reference_links
 from linkgraphs import harness, links
 from linkgraphs.construction import link_graph
 from linkgraphs.harness import Caps, CorpusInstance, _Cache, _hub_parts
-from linkgraphs.links import _kernel, _walks, hub_subgraph
+from linkgraphs.links import _arcs, _kernel, _walks, hub_subgraph
 
 from strategies import multigraphs
 
@@ -24,7 +24,7 @@ BUDGET = 3000
 def _lengths(G, top=5):
     """Lengths 0..top whose one-longer arcs fit the budget."""
     totals = _walks(G, top + 1)[0]
-    return [ell for ell in range(top + 1) if totals[ell + 1] <= BUDGET]
+    return [ell for ell in range(top + 1) if _arcs(totals, ell + 1) <= BUDGET]
 
 
 # name: (lowest level, read), for the tables a level keeps

@@ -7,6 +7,7 @@ import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
 
 from linkgraphs import cli, coloring, construction, harness, links, minors
 from linkgraphs.coloring import (
@@ -19,6 +20,7 @@ from linkgraphs.coloring import (
 from linkgraphs.cli import main
 from linkgraphs.construction import LabeledGraph, link_graph, link_graph_connected
 from linkgraphs.errors import InvalidParameter, LimitExceeded
+from linkgraphs.links import link_count
 from linkgraphs.harness import (
     ALL_CLAIMS,
     Caps,
@@ -37,6 +39,7 @@ from linkgraphs.multigraph import (
     path,
     petersen,
 )
+from strategies import multigraphs
 
 
 SMALL_CAPS = Caps(suite_links=4000, ell_range=(0, 1, 2, 3), recolour_instances=25)
@@ -539,6 +542,117 @@ class TestNegativeControls:
         assert all(detected for _, detected in results)
 
 
+def _certified(records):
+    """The records a certificate decided, by (instance, claim, ell)."""
+    return {(r.instance, r.claim, r.ell): r for r in records
+            if r.detail.startswith("certificate")}
+
+
+class TestCertificates:
+    """Beyond the colouring cap, Thm1.1-Thm1.4 and ArcChrom are decided by
+    checked certificates: a proper colouring bounds chi from above, and an
+    edge or an odd closed walk from below."""
+
+    CLAIMS = ["Thm1", "ArcChrom"]
+    GRAPHS = {"complete(4)": complete(4), "petersen": petersen()}
+    # complete(4) has 6 links of length 1 and 12 of length 2
+    CAPS = Caps(chromatic_cap=6, ell_range=(0, 1, 2, 3, 4))
+
+    def _run(self):
+        """The records of the run, by (instance, claim, ell), less their timings."""
+        corpus = [CorpusInstance(name, G) for name, G in self.GRAPHS.items()]
+        return {(r.instance, r.claim, r.ell): dataclasses.replace(r, ms=0)
+                for r in verify_suite(corpus, self.CLAIMS, self.CAPS).records}
+
+    def _beyond_cap(self, key):
+        name, _, ell = key
+        return link_count(self.GRAPHS[name], ell) > self.CAPS.chromatic_cap
+
+    @settings(max_examples=40, deadline=None)
+    @given(multigraphs(max_n=5, max_m=7))
+    @example(complete(4))
+    def test_certificate_statuses_match_the_oracle(self, G):
+        # with the cap at the base graph's size, the base oracles stay exact
+        # and the link graphs from length 2 on go to the certificates; the
+        # default cap leaves them to the oracle
+        inst, ells = [CorpusInstance("g", G)], (0, 1, 2, 3)
+        low = Caps(chromatic_cap=max(G.n, G.m), ell_range=ells)
+        by_certificate = _certified(verify_suite(inst, self.CLAIMS, low).records)
+        by_oracle = {(r.instance, r.claim, r.ell): r
+                     for r in verify_suite(inst, self.CLAIMS, Caps(ell_range=ells)).records
+                     if r.status != "skip" and not r.detail.startswith("certificate")}
+        shared = by_certificate.keys() & by_oracle.keys()
+        assert {k: by_certificate[k].status for k in shared} == {
+            k: by_oracle[k].status for k in shared}
+        assert {r.status for r in by_certificate.values()} <= {"pass"}
+
+    def test_certificates_decide_what_the_cap_leaves(self):
+        records = self._run()
+        certified = _certified(records.values())
+        assert {k[1] for k in certified} == {"Thm1.1", "Thm1.2", "Thm1.3", "Thm1.4", "ArcChrom"}
+        assert all(r.status == "pass" for r in records.values() if r.status != "skip")
+
+    def test_a_shifted_colour_in_the_cached_palette_gives_certificate_fail_records(
+            self, monkeypatch):
+        certified = _certified(self._run().values())
+        real = harness._Cache.recursive
+
+        def shifted(cache, inst, ell):
+            rec = real(cache, inst, ell)
+            if rec.graph.n <= self.CAPS.chromatic_cap:
+                return rec
+            # the ends of the first edge take one colour
+            a, b = (table[0] for table in rec.graph._pairs())
+            colours = dict(rec.coloring.assignment)
+            colours[a] = colours[b]
+            return dataclasses.replace(rec, coloring=Coloring(colours, rec.coloring.t))
+
+        monkeypatch.setattr(harness._Cache, "recursive", shifted)
+        after = self._run()
+        # the certificates on the oracle's colouring read no palette
+        palette = {k for k in certified if self._beyond_cap(k)}
+        assert palette and {after[k].status for k in palette} == {"fail"}
+        assert all(after[k] == certified[k] for k in certified.keys() - palette)
+
+    @pytest.mark.parametrize("mutant", ["even walk", "walk with a non-edge"])
+    def test_a_bad_odd_walk_certificate_is_rejected(self, mutant, monkeypatch):
+        before = self._run()
+        real = harness._odd_closed_walk
+
+        def bad(adj):
+            walk = real(adj)
+            a = walk[0]
+            if mutant == "even walk":
+                # along an edge and back: closed, but of even length
+                return [a, min(adj[a])]
+            # the first step goes to a vertex that is not a neighbour
+            return [a, min(set(range(len(adj))) - adj[a] - {a}), *walk[2:]]
+
+        monkeypatch.setattr(harness, "_odd_closed_walk", bad)
+        after = self._run()
+        changed = {k for k in before if after[k] != before[k]}
+        assert changed & _certified(before.values()).keys()
+        assert all(after[k].status == "fail" and "certificate: not an odd closed walk"
+                   in after[k].detail for k in changed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_n=5, max_m=7))
+def test_an_odd_walk_certificate_exists_exactly_when_chi_exceeds_two(G):
+    for ell in (0, 1, 2):
+        adj = link_graph(G, ell).adjacency()
+        if len(adj) > 40:
+            continue
+        walk = harness._odd_closed_walk(adj)
+        assert (walk is None) == (exact_chromatic(adj, None)[0] <= 2)
+        if walk is not None:
+            assert harness._is_odd_closed_walk(adj, walk)
+            # an even walk, a step off the graph, an index out of range
+            assert not harness._is_odd_closed_walk(adj, walk[:-1])
+            assert not harness._is_odd_closed_walk(adj, [walk[0]] * len(walk))
+            assert not harness._is_odd_closed_walk(adj, walk[:-1] + [-1])
+
+
 class TestCli:
     def test_gen_build_stats_roundtrip(self, tmp_path):
         gfile = tmp_path / "d3.txt"
@@ -636,7 +750,9 @@ class TestCli:
         out = tmp_path / "report.json"
         assert main(["verify", "--claims", "Thm1.3", "--ell", "2", "--oracle-cap", "0",
                      "--out", str(out), str(gfile)]) == 0
-        assert [r["status"] for r in json.loads(out.read_text())["records"]] == ["skip"]
+        # the oracle decides nothing; a certificate decides the record
+        assert [(r["status"], r["detail"]) for r in json.loads(out.read_text())["records"]] == [
+            ("pass", "certificate: chi <= 2 <= 3")]
 
     def test_verify_subcommand(self, tmp_path):
         gfile = tmp_path / "k4.txt"
@@ -707,6 +823,15 @@ class TestCli:
         assert main(["verify", "--claims", "Obs3.1", "--ell", "1", "--out", str(out), str(gfile)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "No such file or directory" in err
+
+    @pytest.mark.parametrize("command", ["build", "color", "minor"])
+    def test_a_range_of_lengths_is_a_usage_error(self, command, tmp_path, capsys):
+        gfile = tmp_path / "c4.txt"
+        main(["gen", "cycle", "4", "--out", str(gfile)])
+        assert main([command, "--ell", "1..3", str(gfile)]) == 2
+        assert capsys.readouterr().err == "error: --ell takes one length here, got 1..3\n"
+        # a range of one length is that length
+        assert main([command, "--ell", "2..2", "--out", str(tmp_path / "out"), str(gfile)]) == 0
 
     def test_limit_error_exit_code(self, tmp_path):
         gfile = tmp_path / "pet.txt"

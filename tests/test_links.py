@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkgraphs import construction, links
+from linkgraphs.construction import link_graph
 from linkgraphs.errors import (
     BacktrackEdge,
     EndpointMismatch,
@@ -22,6 +26,7 @@ from linkgraphs.links import (
     hub_subgraph,
     is_cycle,
     is_path,
+    link_count,
     middle_units,
     one_step_shunts,
     shunt_trace,
@@ -78,6 +83,17 @@ class TestEnumeration:
     def test_limit_exceeded(self):
         with pytest.raises(LimitExceeded):
             enumerate_links(petersen(), 4, limit=10)
+
+    def test_a_length_past_the_last_arc_has_no_link_and_builds_no_level(self, monkeypatch):
+        # a single edge has no 2-arc, so it has no link of length 2 or more
+        monkeypatch.setattr(links, "_arc_levels", None)
+        monkeypatch.setattr(construction, "_arc_levels", None)
+        G, ell, start = path(1), 10**12, time.perf_counter()
+        assert link_count(G, ell) == 0
+        assert enumerate_links(G, ell) == []
+        H = link_graph(G, ell)
+        assert (H.ell, H.n, H.m, H.vertices, H.edges) == (ell, 0, 0, (), ())
+        assert time.perf_counter() - start < 1
 
     def test_deterministic_sorted_order(self):
         links = enumerate_links(complete(4), 2)
