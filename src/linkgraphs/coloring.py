@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import and_, eq, ne
 
@@ -17,7 +18,7 @@ from .errors import (
     PreconditionViolated,
     WitnessInvalid,
 )
-from .links import _keep_for_links, _kernel, _link_cap, _middle_ids
+from .links import _keep_for_links, _middle_ids, _recursion_kernel
 
 DEFAULT_CHROMATIC_CAP = 64
 
@@ -64,8 +65,7 @@ def is_proper(H, coloring):
     adj = None if labeled else index_adjacency(H)
     n = H.n if labeled else len(adj)
     assign = coloring.assignment
-    if len(assign) != n or not all(map(assign.__contains__, range(n))):
-        raise PartialColoring(f"assignment covers {len(assign)} of {n} vertices")
+    _check_total(assign, n)
     if labeled:
         tails, heads = H._pairs()
         color = assign.__getitem__
@@ -78,23 +78,53 @@ def is_proper(H, coloring):
     return True
 
 
+def _check_total(assign, n):
+    """Raise ``PartialColoring`` unless ``assign`` colours exactly ``0..n-1``."""
+    if len(assign) != n or not all(map(assign.__contains__, range(n))):
+        raise PartialColoring(f"assignment covers {len(assign)} of {n} vertices")
+
+
+def _saturation_scores(adj):
+    """``(step, scores)``: the saturation order key ``(distinct neighbour
+    colours, degree, -index)`` of each vertex of ``adj`` as one integer, at
+    no colour seen, and ``step``, which one more distinct neighbour colour
+    adds.  Degree and index fill the digits below ``step``, so the integers
+    order the vertices as the keys do, and a vertex is its score's residue:
+    ``v = n - 1 - score % n``."""
+    n = len(adj)
+    degrees = list(map(len, adj))
+    step = n * (max(degrees, default=0) + 1)
+    return step, [d * n + n - 1 - v for v, d in enumerate(degrees)]
+
+
 def greedy_coloring(adj):
     """First-fit colouring in saturation order (most distinct neighbour
-    colours, then degree, then least index): ``(colours used, colouring)``."""
+    colours, then degree, then least index): ``(colours used, colouring)``.
+
+    Each score only rises, so the vertices wait in a max-heap that gets one
+    more entry per rise; an entry below its vertex's score is stale and
+    skipped.  O((n + m) log n)."""
     n = len(adj)
+    step, score = _saturation_scores(adj)
+    heap = [-s for s in score]
+    heapify(heap)
     sat = [set() for _ in range(n)]
     colors = {}
-    uncolored = set(range(n))
-    while uncolored:
-        v = max(uncolored, key=lambda x: (len(sat[x]), len(adj[x]), -x))
-        used = {colors[w] for w in adj[v] if w in colors}
+    while heap:
+        s = -heappop(heap)
+        v = n - 1 - s % n
+        if s != score[v]:
+            continue
+        used = sat[v]
         c = 1
         while c in used:
             c += 1
         colors[v] = c
-        uncolored.discard(v)
         for w in adj[v]:
-            sat[w].add(c)
+            if c not in sat[w] and w not in colors:
+                sat[w].add(c)
+                score[w] += step
+                heappush(heap, -score[w])
     return max(colors.values(), default=0), colors
 
 
@@ -117,6 +147,12 @@ def exact_chromatic(H, cap=DEFAULT_CHROMATIC_CAP):
 
     Deterministic: ties break on vertex index.  Parallel edges are irrelevant
     for properness and are collapsed by the adjacency view.
+
+    Saturation is kept up to date as vertices are coloured and uncoloured:
+    a search node picks its vertex by one pass over the uncoloured vertices'
+    scores, and each colour tried updates only that vertex's neighbours, so
+    a node costs O(n + degree) rather than a rebuild of every neighbour-colour
+    set.
     """
     adj = index_adjacency(H)
     n = len(adj)
@@ -136,43 +172,58 @@ def exact_chromatic(H, cap=DEFAULT_CHROMATIC_CAP):
     best_k = ub
     best_assign = dict(best)
     colors = {}
+    uncolored = set(range(n))
+    # per vertex, {colour: coloured neighbours of that colour} and its
+    # saturation score, both kept up to date as colours come and go
+    seen = [{} for _ in range(n)]
+    step, score = _saturation_scores(adj)
 
-    def choose():
-        pick, key = None, None
-        for v in range(n):
-            if v in colors:
-                continue
-            sat = len({colors[w] for w in adj[v] if w in colors})
-            k2 = (sat, len(adj[v]), -v)
-            if key is None or k2 > key:
-                pick, key = v, k2
-        return pick
+    def paint(v, c):
+        colors[v] = c
+        for w in adj[v]:
+            counts = seen[w]
+            k = counts.get(c, 0)
+            if not k:
+                score[w] += step
+            counts[c] = k + 1
+
+    def unpaint(v, c):
+        del colors[v]
+        for w in adj[v]:
+            counts = seen[w]
+            k = counts[c]
+            if k == 1:
+                del counts[c]
+                score[w] -= step
+            else:
+                counts[c] = k - 1
 
     def branch(used_k):
         nonlocal best_k, best_assign
         if used_k >= best_k:
             return
-        v = choose()
-        if v is None:
+        if not uncolored:
             best_k = used_k
             best_assign = dict(colors)
             return
-        seen = {colors[w] for w in adj[v] if w in colors}
+        v = max(uncolored, key=score.__getitem__)
+        skip = seen[v]
+        uncolored.remove(v)
         for c in range(1, min(used_k + 1, best_k - 1) + 1):
-            if c in seen:
+            if c in skip:
                 continue
-            colors[v] = c
+            paint(v, c)
             branch(max(used_k, c))
-            del colors[v]
+            unpaint(v, c)
             if best_k <= max(lb, 1):
-                return
+                break
+        uncolored.add(v)
 
     # seed the clique to cut symmetry; a clique needs pairwise distinct colours
     for i, v in enumerate(clique):
-        colors[v] = i + 1
+        paint(v, i + 1)
+        uncolored.remove(v)
     branch(len(clique))
-    for i, v in enumerate(clique):
-        del colors[v]
     return best_k, Coloring(best_assign, best_k)
 
 
@@ -208,16 +259,25 @@ def reduce_coloring(H, coloring, r):
     return _recolour(adj, coloring, r)
 
 
-def _recolour(adj, coloring, r):
+def _recolour(adj, coloring, r, improper=None):
     """``reduce_coloring`` on the neighbour sets ``adj`` of a graph that
     ``coloring`` colours properly.  The bound of ``r`` foreign colours a
     vertex is checked here, also where the input is returned unchanged, and
-    the output is checked too."""
+    the output is checked too.  With ``improper`` given, the same first scan
+    checks that the input is total and proper, and raises
+    ``PreconditionViolated(improper)`` if it is not, before any bound."""
     assign = coloring.assignment
+    if improper is not None:
+        _check_total(assign, len(adj))
+    crowded = None
     for v, nbrs in enumerate(adj):
         foreign = set(map(assign.__getitem__, nbrs))
-        if len(foreign) > r:
-            raise PreconditionViolated(f"vertex {v} sees {len(foreign)} foreign colours > r={r}")
+        if improper is not None and assign[v] in foreign:
+            raise PreconditionViolated(improper)
+        if crowded is None and len(foreign) > r:
+            crowded = f"vertex {v} sees {len(foreign)} foreign colours > r={r}"
+    if crowded is not None:
+        raise PreconditionViolated(crowded)
     t = coloring.t
     if t <= r + 1:
         return Coloring(dict(assign), t)
@@ -270,19 +330,21 @@ def _lift(coloring, middles, H):
     ``middles`` holds one table per lift of two lengths, from the shortest
     up: entry ``i`` of a table is the index, two lengths down, of the middle
     segment of link ``i``.  Each link takes the colour of its middle segment
-    through every table in turn.  The lifted colouring is checked once, by
-    ``is_proper`` on the edge ends of ``H``.  With at most three colours the
-    recolouring keeps it as it is, and a vertex of a proper colouring sees
-    at most two foreign colours, so several lifts may be taken at once;
-    with more, ``middles`` holds one table, and ``_recolour`` reads the
-    neighbour sets of ``H``."""
+    through every table in turn.  The lifted colouring is checked once:
+    with at most three colours by ``is_proper`` on the edge ends of ``H``,
+    and the recolouring keeps it as it is, since a vertex of a proper
+    colouring sees at most two foreign colours, so several lifts may be
+    taken at once; with more, ``middles`` holds one table, and the first
+    scan of ``_recolour`` over the neighbour sets of ``H`` checks it."""
     colors = coloring.assignment
     for middle in middles:
         colors = list(map(colors.__getitem__, middle))
     lifted = Coloring(dict(enumerate(colors)), coloring.t)
+    if coloring.t > 3:
+        return _recolour(H.adjacency(), lifted, 2, "lifted colouring is not proper")
     if not is_proper(H, lifted):
         raise PreconditionViolated("lifted colouring is not proper")
-    return lifted if coloring.t <= 3 else _recolour(H.adjacency(), lifted, 2)
+    return lifted
 
 
 @dataclass
@@ -318,19 +380,22 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     straight up to the ``ell``-link graph through the middle ids of each
     length between, no graph between is built, and the top colouring is
     checked once, on the edge ends of its graph.
+
+    A length past the last one with an arc has no link: its colouring is
+    empty, and it is answered from the base colouring with no level built
+    above the base, so a huge ``ell`` costs no more than the lengths with
+    arcs.
     """
     if ell < 0:
         raise InvalidParameter(f"ell must be >= 0, got {ell}")
-    base = ell % 2
-    # with ell = base no level at or above the base is pruned
-    levels = _kernel(G, base, {L: _link_cap(L, limit) for L in range(base, ell + 2)})
-    rec = _base_coloring(G, _windows_graph(G, base, levels), cap,
+    levels, top = _recursion_kernel(G, ell, limit)
+    rec = _base_coloring(G, _windows_graph(G, ell % 2, levels), cap,
                          lambda: exact_edge_chromatic(G, cap))
-    while rec.ell < ell:
-        length = ell if rec.coloring.t <= 3 else rec.ell + 2
+    while rec.ell < top:
+        length = top if rec.coloring.t <= 3 else rec.ell + 2
         rec = _lifted(rec, _windows_graph(G, length, levels), levels)
     _keep_for_links(levels)
-    return rec
+    return rec if top == ell else _lifted(rec, LabeledGraph(ell, (), (), G), levels)
 
 
 def _base_coloring(G, H, cap, solve_edge):

@@ -973,7 +973,7 @@ def _check_degree_threshold(inst, caps, cache, ell):
 
 
 def _check_minors(inst, caps, cache, ell):
-    dege = cache._answer("degeneracy", inst, None, inst.graph.degeneracy)
+    dege = inst.graph.degeneracy()
     shape = _fits(cache.shape(inst, ell))
     if shape[1] == 0:
         return "skip", "link graph has no edge"

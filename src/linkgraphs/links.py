@@ -500,6 +500,22 @@ def _kernel(G, ell, caps):
     return _arc_levels(G, _counted(G, caps)[1], ell, max(caps))
 
 
+def _recursion_kernel(G, ell, limit):
+    """``(levels, top)`` for the recursive colouring of the ``ell``-link graph:
+    ``top`` is ``ell``, or ``base = ell % 2`` when there is no ``ell``-arc,
+    and ``levels`` hold every arc of length ``base`` to ``top + 1``.  The
+    link limit is checked at each length from ``base`` to ``ell + 1`` in
+    increasing order, as building the link graphs one by one would; past
+    the last length with an arc there is nothing to check or build."""
+    base = ell % 2
+    totals, fwd = _walks(G, ell + 1)
+    for L in range(base, min(ell + 2, len(totals))):
+        _check_limit(totals[L], _link_cap(L, limit))
+    top = ell if _arcs(totals, ell) else base
+    # with ell = base no level at or above the base is pruned
+    return _arc_levels(G, fwd, base, top + 1), top
+
+
 def _arc_cap(limit):
     """``enumerate_arcs``' limit as a cap on arcs."""
     return 2 * DEFAULT_LIMIT if limit is None else limit

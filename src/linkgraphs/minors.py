@@ -839,11 +839,17 @@ def _peel_degree_one(G):
         cur = cur.induced_subgraph(keep)
 
 
+def _component(G, comp):
+    """The subgraph of ``G`` on its component ``comp``: ``G`` itself when
+    ``comp`` is all of it."""
+    return G if len(comp) == G.n else G.induced_subgraph(comp)
+
+
 def _eta_route(G, ell, H, eta_cap, limit, solve_eta):
     comps = G.components()
     best = None
     for comp in comps:
-        sub = G.induced_subgraph(comp)
+        sub = _component(G, comp)
         if sub.n > eta_cap:
             continue
         eta = solve_eta(sub)
@@ -925,7 +931,7 @@ def _candidate_route(G, ell, H, limit, best):
     seen = set()
     for comp in comps:
         comp_set = set(comp)
-        sub = G.induced_subgraph(comp)
+        sub = _component(G, comp)
         radius_cap = max(0, (ell + 1) // 2 - 1)
         for v in comp:
             dist = sub._bfs_dist(v)

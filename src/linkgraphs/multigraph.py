@@ -68,7 +68,7 @@ def _bfs_path(starts, target, steps):
 class Multigraph:
     """Finite undirected multigraph without loops; parallel edges allowed."""
 
-    __slots__ = ("_vertices", "_endpoints", "_adj", "_vset", "_darts", "_succ")
+    __slots__ = ("_vertices", "_endpoints", "_adj", "_vset", "_darts", "_succ", "_peel")
 
     def __init__(self, vertices=(), edges=()):
         """Build from vertex names and an iterable of ``(edge_id, u, v)``."""
@@ -91,7 +91,7 @@ class Multigraph:
             adj[u].append((eid, v))
             adj[v].append((eid, u))
         self._adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
-        self._darts = self._succ = None
+        self._darts = self._succ = self._peel = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -188,21 +188,25 @@ class Multigraph:
         """Maximum over subgraphs of the minimum degree, by min-degree peeling.
 
         With ``with_core=True`` also returns the peeling-time subgraph whose
-        minimum degree attains the maximum.
+        minimum degree attains the maximum.  The peel runs on first use and
+        its result is then kept.
         """
-        deg = {v: self.degree(v) for v in self._vertices}
-        alive = set(self._vertices)
-        best = 0
-        core = frozenset(alive)
-        while alive:
-            v = min(alive, key=lambda x: (deg[x], x))
-            if deg[v] > best:
-                best = deg[v]
-                core = frozenset(alive)
-            for eid, w in self._adj[v]:
-                if w in alive and w != v:
-                    deg[w] -= 1
-            alive.discard(v)
+        if self._peel is None:
+            deg = {v: self.degree(v) for v in self._vertices}
+            alive = set(self._vertices)
+            best = 0
+            core = frozenset(alive)
+            while alive:
+                v = min(alive, key=lambda x: (deg[x], x))
+                if deg[v] > best:
+                    best = deg[v]
+                    core = frozenset(alive)
+                for eid, w in self._adj[v]:
+                    if w in alive and w != v:
+                        deg[w] -= 1
+                alive.discard(v)
+            self._peel = best, core
+        best, core = self._peel
         if not with_core:
             return best
         return best, self.induced_subgraph(core)

@@ -21,3 +21,18 @@ def multigraphs(draw, max_n=6, max_m=9):
     verts = [f"v{i}" for i in range(n)]
     edges = [(f"e{k}", f"v{u}", f"v{v}") for k, (u, v) in enumerate(pairs, start=1)]
     return Multigraph(verts, edges)
+
+
+@st.composite
+def simple_adjacencies(draw, max_n=12):
+    """Neighbour-index sets of a simple graph on up to ``max_n`` vertices,
+    as dense as a multigraph's link graph is sparse."""
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=n * (n - 1) // 2))
+    adj = [set() for _ in range(n)]
+    for a, b in pairs:
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj

@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import json
+import time
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference_coloring
 from conftest import run_optimized
-from strategies import multigraphs
+from strategies import multigraphs, simple_adjacencies
 
-from linkgraphs import coloring, harness
+from linkgraphs import cli, coloring, harness, links
 from linkgraphs.coloring import (
+    DEFAULT_CHROMATIC_CAP,
     Coloring,
     chromatic_upper_bounds,
     exact_chromatic,
     exact_edge_chromatic,
+    greedy_coloring,
     is_proper,
     lift_coloring,
     recursive_chromatic_bound,
@@ -20,6 +26,7 @@ from linkgraphs.coloring import (
 )
 from linkgraphs.construction import LabeledGraph, index_adjacency, link_graph
 from linkgraphs.errors import (
+    LimitExceeded,
     OracleTooLarge,
     PartialColoring,
     PreconditionViolated,
@@ -32,6 +39,7 @@ from linkgraphs.multigraph import (
     cycle,
     dipole,
     parallel_bridge,
+    path,
     petersen,
     wheel,
 )
@@ -122,6 +130,47 @@ class TestExactOracles:
                     used.setdefault(x, set()).add(c)
 
 
+def _assert_saturation_kernels_agree(adj):
+    """The saturation kernels give the reference copies' colour counts and
+    colourings on ``adj``, assigned in the same order; the exact oracle is
+    asked only up to its cap."""
+    got, want = greedy_coloring(adj), reference_coloring.greedy_coloring(adj)
+    assert got[0] == want[0] and list(got[1].items()) == list(want[1].items())
+    if len(adj) <= DEFAULT_CHROMATIC_CAP:
+        got, want = exact_chromatic(adj), reference_coloring.exact_chromatic(adj)
+        assert got[0] == want[0] and got[1].t == want[1].t
+        assert list(got[1].assignment.items()) == list(want[1].assignment.items())
+
+
+class TestSaturationKernels:
+    @given(multigraphs(max_n=7, max_m=10), st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_saturation_kernels_match_the_reference_on_link_graphs(self, G, ell):
+        try:
+            H = link_graph(G, ell, 1000)
+        except LimitExceeded:
+            assume(False)
+        _assert_saturation_kernels_agree(index_adjacency(G))
+        _assert_saturation_kernels_agree(H.adjacency())
+
+    @given(simple_adjacencies(max_n=14))
+    @settings(max_examples=150, deadline=None)
+    def test_saturation_kernels_match_the_reference_on_dense_graphs(self, adj):
+        _assert_saturation_kernels_agree(adj)
+
+    @pytest.mark.parametrize("G, ell", [(complete(6), 2), (petersen(), 3), (wheel(5), 3),
+                                        (complete(4), 4), (complete_bipartite(2, 4), 4)])
+    def test_saturation_kernels_match_the_reference_up_to_the_cap(self, G, ell):
+        H = link_graph(G, ell)
+        assert H.n <= DEFAULT_CHROMATIC_CAP
+        _assert_saturation_kernels_agree(H.adjacency())
+
+    def test_saturation_greedy_matches_the_reference_on_a_large_link_graph(self):
+        H = link_graph(petersen(), 8)
+        assert H.n == 1920
+        _assert_saturation_kernels_agree(H.adjacency())
+
+
 class TestRecolouring:
     def test_identity_when_few_classes(self):
         H = link_graph(complete(3), 0)
@@ -175,19 +224,20 @@ LIFT_SCANS = [
     # base chi 3: no lift recolours, so each lifted graph is checked once
     (petersen(), 6, [("proper", 10), ("proper", 30), ("proper", 120), ("proper", 480)]),
     # base chi' 5: both lifts recolour (5 to 4 to 3 colours); each lifted
-    # colouring is checked, recoloured, and the output checked
-    (complete(5), 5, [("proper", 10), ("proper", 90), ("recolour", 90), ("proper", 90),
-                      ("proper", 810), ("recolour", 810), ("proper", 810)]),
+    # colouring is checked in the recolouring's first scan, recoloured, and
+    # the output checked
+    (complete(5), 5, [("proper", 10), ("recolour", 90), ("proper", 90),
+                      ("recolour", 810), ("proper", 810)]),
 ]
 
 # the kernel recursion lifts a palette of at most three colours straight to
-# the top graph: the base check, three scans per lift with more than three
+# the top graph: the base check, two scans per lift with more than three
 # colours, and one properness check of the top graph
 KERNEL_LIFT_SCANS = [
     (petersen(), 6, [("proper", 10), ("proper", 480)]),
     (complete(5), 5, LIFT_SCANS[1][2]),
-    (complete(5), 8, [("proper", 5), ("proper", 30), ("recolour", 30), ("proper", 30),
-                      ("proper", 270), ("recolour", 270), ("proper", 270), ("proper", 21870)]),
+    (complete(5), 8, [("proper", 5), ("recolour", 30), ("proper", 30),
+                      ("recolour", 270), ("proper", 270), ("proper", 21870)]),
 ]
 
 
@@ -201,9 +251,9 @@ def _record_scans(monkeypatch):
         scans.append(("proper", len(col.assignment)))
         return real_proper(H, col)
 
-    def recolour(adj, col, r):
+    def recolour(adj, col, r, improper=None):
         scans.append(("recolour", len(col.assignment)))
-        return real_recolour(adj, col, r)
+        return real_recolour(adj, col, r, improper)
 
     monkeypatch.setattr(coloring, "is_proper", proper)
     monkeypatch.setattr(coloring, "_recolour", recolour)
@@ -279,6 +329,28 @@ class TestLifting:
         assert coloring._lift(three, same, star) == three
         # two lifts at once: each table is read in turn
         assert coloring._lift(three, [[3, 2, 1, 0], [3, 2, 1, 0]], star) == three
+
+    def test_a_length_past_the_last_arc_is_coloured_from_the_base_alone(self, tmp_path, capsys,
+                                                                         monkeypatch):
+        # a single edge has no 2-arc: at an even length past it only the
+        # base K2 is built and coloured, and the top colouring is empty
+        G, ell = path(1), 10**12
+        want = reference_coloring.recursive_chromatic_bound(G, 2)
+        builds, real = [], links._arc_levels
+        monkeypatch.setattr(links, "_arc_levels", lambda *args: builds.append(args[2:]) or real(*args))
+        start = time.perf_counter()
+        rec = recursive_chromatic_bound(G, ell)
+        assert builds == [(0, 1)]
+        assert (rec.ell, rec.graph.n, rec.graph.m, rec.coloring) == (ell, 0, 0, Coloring({}, 0))
+        assert (rec.exact_base, rec.base_kind, rec.base_value) == (
+            want.exact_base, want.base_kind, want.base_value) == (True, "chromatic", 2)
+        gfile = tmp_path / "p1.txt"
+        gfile.write_text(G.serialize(), encoding="utf-8")
+        assert cli.main(["color", "--method", "recursive", "--ell", str(ell), str(gfile)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "method": "recursive", "colors": 0, "exact_base": True, "base": "chromatic",
+            "base_value": 2, "proper": True, "assignment": {}}
+        assert time.perf_counter() - start < 1
 
     def test_recursion_rejects_an_improper_base_colouring(self, monkeypatch):
         monkeypatch.setattr(coloring, "exact_chromatic",
