@@ -65,30 +65,33 @@ def _emit(text, out):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+# each generator, with the numbers of integer parameters it takes
+_GENERATORS = {
+    "dipole": (mg.dipole, (1,)),
+    "complete": (mg.complete, (1,)),
+    "complete-bipartite": (mg.complete_bipartite, (2,)),
+    "cycle": (mg.cycle, (1,)),
+    "path": (mg.path, (1,)),
+    "petersen": (mg.petersen, (0,)),
+    "wheel": (mg.wheel, (1,)),
+    "parallel-bridge": (mg.parallel_bridge, (0,)),
+    "random": (lambda seed=0: mg.random_multigraph(seed), (0, 1)),
+}
+
+
 def _cmd_gen(args):
     name = args.name.replace("_", "-")
-    params = [int(p) for p in args.params if p.lstrip("-").isdigit()]
-    if name == "dipole":
-        G = mg.dipole(*params)
-    elif name == "complete":
-        G = mg.complete(*params)
-    elif name == "complete-bipartite":
-        G = mg.complete_bipartite(*params)
-    elif name == "cycle":
-        G = mg.cycle(*params)
-    elif name == "path":
-        G = mg.path(*params)
-    elif name == "petersen":
-        G = mg.petersen()
-    elif name == "wheel":
-        G = mg.wheel(*params)
-    elif name == "parallel-bridge":
-        G = mg.parallel_bridge()
-    elif name == "random":
-        G = mg.random_multigraph(params[0] if params else 0)
-    else:
+    if name not in _GENERATORS:
         raise LinkGraphError(f"unknown generator {args.name!r}")
-    _emit(G.serialize(), args.out)
+    make, counts = _GENERATORS[name]
+    try:
+        params = [int(p) for p in args.params]
+    except ValueError:
+        params = None
+    if params is None or len(params) not in counts:
+        raise InvalidParameter(f"gen {name} takes {' or '.join(map(str, counts))} integer "
+                               f"parameter(s), got {args.params}")
+    _emit(make(*params).serialize(), args.out)
     return 0
 
 

@@ -252,6 +252,8 @@ def reduce_coloring(H, coloring, r):
     the input is returned unchanged (the bound equals t).
     """
     adj = index_adjacency(H)
+    if adj is H:  # a raw list may hold a loop, which is_proper ignores too
+        adj = [{w for w in nbrs if w != v} for v, nbrs in enumerate(adj)]
     if r < 0:
         raise InvalidParameter(f"r must be >= 0, got {r}")
     if not is_proper(adj, coloring):

@@ -746,51 +746,12 @@ def _check_recolouring(inst, caps, cache, ell):
     return "pass", f"{caps.recolour_instances} seeded instances within bound"
 
 
-def _exact_chi(inst, caps, cache, ell):
-    """The oracle's chi at a length of this run; None beyond the oracle."""
-    if ell not in caps.ell_range:
-        return None
-    H = cache.graph(inst, ell)
-    if H is None or H.n > caps.chromatic_cap:
-        return None
-    return cache.chi(inst, ell)[0]
-
-
-# -- certificates beyond the colouring oracle ----------------------------------
+# -- chi of a link graph as a checked interval ---------------------------------
 #
-# Where the link graph at a length of the run fits the suite link budget but
-# not the colouring cap, its chromatic number is bounded by checked witnesses
-# instead: above by the cached recursive colouring, below by an edge (2) or
-# an odd closed walk (3).  Each is re-checked where it is used.
-
-
-def _beyond_oracle(inst, caps, cache, ell):
-    """True where ``_exact_chi`` is ``None`` for the colouring cap alone and
-    every link graph the recursive colouring builds up to ``ell`` fits the
-    suite link budget."""
-    if ell not in caps.ell_range:
-        return False
-    H = cache.graph(inst, ell)
-    return (H is not None and H.n > caps.chromatic_cap
-            and all(cache.shape(inst, L) for L in range(ell % 2, ell, 2)))
-
-
-def _chi_ceiling(inst, caps, cache, ell):
-    """A checked bound on chi of the link graph at ``ell`` from above: the
-    oracle's chi, or beyond the oracle (``_beyond_oracle``) the number of
-    colours of the cached recursive colouring, re-checked to be proper on
-    its first read; ``None`` where neither applies."""
-    chi = _exact_chi(inst, caps, cache, ell)
-    if chi is not None or not _beyond_oracle(inst, caps, cache, ell):
-        return chi
-
-    def solve():
-        rec = cache.recursive(inst, ell)
-        if not is_proper(rec.graph, rec.coloring):
-            raise WitnessInvalid(f"certificate: recursive colouring not proper at ell={ell}")
-        return rec.coloring.used()
-
-    return cache._answer("ceiling", inst, ell, solve)
+# Within the colouring cap the oracle gives chi.  Beyond it, where every link
+# graph the recursive colouring builds up to the length fits the suite link
+# budget, checked witnesses bound it instead: above the cached recursive
+# colouring, below an odd closed walk (3), an edge (2) or a vertex (1).
 
 
 def _odd_closed_walk(adj):
@@ -826,39 +787,53 @@ def _is_odd_closed_walk(adj, walk):
         0 <= v < n and w in adj[v] for v, w in zip(walk, walk[1:] + walk[:1]))
 
 
-def _chi_floor(inst, caps, cache, ell):
-    """A checked bound on chi of the link graph at ``ell`` from below: the
-    oracle's chi, or beyond the oracle 3 with an odd closed walk, 2 with an
-    edge, 1 with a vertex; ``None`` where neither applies."""
-    chi = _exact_chi(inst, caps, cache, ell)
-    if chi is not None or not _beyond_oracle(inst, caps, cache, ell):
-        return chi
-    adj = cache.graph(inst, ell).adjacency()
-    walk = cache._answer("odd walk", inst, ell, lambda: _odd_closed_walk(adj))
-    if walk is None:
-        return 2 if any(adj) else min(len(adj), 1)
-    if not _is_odd_closed_walk(adj, walk):
-        raise WitnessInvalid(f"certificate: not an odd closed walk at ell={ell}")
-    return 3
+def _chi_bounds(inst, caps, cache, ell):
+    """``(lo, hi, certified)`` with ``lo <= chi <= hi`` for the link graph at
+    ``ell``, a length of the run, memoised: ``(chi, chi, False)`` from the
+    oracle within the colouring cap, and beyond it the certificates above,
+    with ``certified`` true; ``None`` where neither applies.  A certificate
+    that fails its check raises ``WitnessInvalid``."""
+
+    def solve():
+        shape = cache.shape(inst, ell) if ell in caps.ell_range else None
+        if shape is None:
+            return None
+        if shape[0] <= caps.chromatic_cap:
+            chi = cache.chi(inst, ell)[0]
+            return chi, chi, False
+        if not all(cache.shape(inst, L) for L in range(ell % 2, ell, 2)):
+            return None
+        rec = cache.recursive(inst, ell)
+        if not is_proper(rec.graph, rec.coloring):
+            raise WitnessInvalid(f"certificate: recursive colouring not proper at ell={ell}")
+        adj = rec.graph.adjacency()
+        walk = _odd_closed_walk(adj)
+        if walk is None:
+            return 2 if any(adj) else min(len(adj), 1), rec.coloring.used(), True
+        if not _is_odd_closed_walk(adj, walk):
+            raise WitnessInvalid(f"certificate: not an odd closed walk at ell={ell}")
+        return 3, rec.coloring.used(), True
+
+    return cache._answer("chi bounds", inst, ell, solve)
 
 
 def _check_parity_bound(inst, caps, cache, ell):
-    chi = _exact_chi(inst, caps, cache, ell)
-    if chi is None and not _beyond_oracle(inst, caps, cache, ell):
+    chi = _chi_bounds(inst, caps, cache, ell)
+    if chi is None:
         return "skip", "link graph beyond the chromatic oracle"
+    lo, hi, certified = chi
     # chromatic_upper_bounds from the memo, less the two-back bound no check reads
     bounds = _chromatic_bounds(inst.graph, ell, lambda length: cache.built(inst, length),
                                lambda _: cache.chi(inst, 0)[0],
                                lambda: cache.edge_chi(inst)[0])
     exact = bounds.exact_chi or bounds.exact_chi_prime  # the base of this parity
-    if chi is not None and exact and chi > bounds.parity_bound:
-        return "fail", f"chi {chi} > parity bound {bounds.parity_bound}"
-    if chi is not None and ell == 1 and exact and chi != bounds.chi_prime:
-        return "fail", f"window-one chromatic {chi} differs from edge-chromatic {bounds.chi_prime}"
+    if not certified and exact and hi > bounds.parity_bound:
+        return "fail", f"chi {hi} > parity bound {bounds.parity_bound}"
+    if not certified and ell == 1 and exact and hi != bounds.chi_prime:
+        return "fail", f"window-one chromatic {hi} differs from edge-chromatic {bounds.chi_prime}"
     rec = cache.recursive(inst, ell)
-    if chi is None:
-        hi = _chi_ceiling(inst, caps, cache, ell)  # the recursive colouring, checked
-    elif rec.graph.n and not is_proper(rec.graph, rec.coloring):
+    # a certified interval has checked the recursive colouring already
+    if not certified and rec.graph.n and not is_proper(rec.graph, rec.coloring):
         return "fail", "recursive colouring not proper"
     if rec.exact_base:
         # the lifted palette honours the parity and degree bounds; the
@@ -869,52 +844,52 @@ def _check_parity_bound(inst, caps, cache, ell):
         floor_bound = min(guaranteed)
         if rec.coloring.t > floor_bound:
             return "fail", f"recursive {rec.coloring.t} > bound {floor_bound}"
-    if chi is not None:
-        return "pass", f"chi={chi} within parity bound {bounds.parity_bound}"
+    if not certified:
+        return "pass", f"chi={hi} within parity bound {bounds.parity_bound}"
     # certificate: the recursive colouring, and at ell = 1 a bound from
     # below that meets it
-    decided = exact and hi <= bounds.parity_bound
-    if ell == 1:
-        decided = decided and _chi_floor(inst, caps, cache, ell) == hi == bounds.chi_prime
-    if not decided:
+    if not (exact and hi <= bounds.parity_bound and (ell != 1 or lo == hi == bounds.chi_prime)):
         return "skip", "link graph beyond the chromatic oracle"
     value = f"chi={hi}" if ell == 1 else f"chi <= {hi}"
     return "pass", f"certificate: {value} within parity bound {bounds.parity_bound}"
 
 
 def _check_degree_bound(inst, caps, cache, ell):
-    chi = None if ell == 1 else _exact_chi(inst, caps, cache, ell)
-    if chi is None:
-        hi = None if ell == 1 else _chi_ceiling(inst, caps, cache, ell)
-        if hi is not None and hi <= inst.graph.max_degree() + 1:
-            return "pass", f"certificate: chi <= {hi} <= {inst.graph.max_degree() + 1}"
+    chi = None if ell == 1 else _chi_bounds(inst, caps, cache, ell)
+    bound = inst.graph.max_degree() + 1
+    if chi is None or chi[2] and chi[1] > bound:
         return "skip", "not applicable or beyond oracle"
-    if chi > inst.graph.max_degree() + 1:
-        return "fail", f"chi {chi} > max degree + 1"
-    return "pass", f"chi={chi} <= {inst.graph.max_degree() + 1}"
+    _, hi, certified = chi
+    if certified:
+        return "pass", f"certificate: chi <= {hi} <= {bound}"
+    if hi > bound:
+        return "fail", f"chi {hi} > max degree + 1"
+    return "pass", f"chi={hi} <= {bound}"
 
 
 def _check_two_back(inst, caps, cache, ell):
-    chi = None if ell < 2 else _exact_chi(inst, caps, cache, ell)
-    below = None if chi is None else _exact_chi(inst, caps, cache, ell - 2)
-    if below is not None:
-        if chi > below:
-            return "fail", f"chi rose: {chi} > {below}"
-        return "pass", f"{chi} <= {below}"
+    chi = None if ell < 2 else _chi_bounds(inst, caps, cache, ell)
+    below = None if chi is None else _chi_bounds(inst, caps, cache, ell - 2)
+    if below is None:
+        return "skip", "needs both oracle values"
+    (_, hi, certified), (lo, _, below_certified) = chi, below
+    if not (certified or below_certified):
+        if hi > lo:
+            return "fail", f"chi rose: {hi} > {lo}"
+        return "pass", f"{hi} <= {lo}"
     # certificate: chi at ell from above meets chi two back from below
-    hi = None if ell < 2 else _chi_ceiling(inst, caps, cache, ell)
-    lo = None if hi is None else _chi_floor(inst, caps, cache, ell - 2)
-    if lo is not None and hi <= lo:
+    if hi <= lo:
         return "pass", f"certificate: chi <= {hi}, chi two back >= {lo}"
     return "skip", "needs both oracle values"
 
 
 def _check_arc_chromatic(inst, caps, cache, ell):
-    chi = None if ell < 1 else _exact_chi(inst, caps, cache, ell)
-    if chi is None and (ell < 1 or not _beyond_oracle(inst, caps, cache, ell)):
+    chi = None if ell < 1 else _chi_bounds(inst, caps, cache, ell)
+    if chi is None:
         return "skip", "beyond oracle"
-    oracle = chi is not None and 2 * cache.count(inst, ell) <= caps.chromatic_cap
-    skip = "beyond oracle" if chi is None else "arc digraph beyond oracle"
+    lo, hi, certified = chi
+    oracle = not certified and 2 * cache.count(inst, ell) <= caps.chromatic_cap
+    skip = "beyond oracle" if certified else "arc digraph beyond oracle"
     cap = _arc_cap(caps.suite_links)
     if not oracle and 2 * cache.count(inst, ell + 1) > cap:
         return "skip", skip
@@ -924,16 +899,16 @@ def _check_arc_chromatic(inst, caps, cache, ell):
     if oracle:
         adj = _pair_adjacency(len(levels[ell].last), zip(top.parent, top.suffix))
         chi_a, _ = exact_chromatic(adj, None)
-        if chi_a > chi:
+        if chi_a > hi:
             return "fail", f"arc chromatic {chi_a} > link chromatic"
-        return "pass", f"{chi_a} <= {chi}"
+        return "pass", f"{chi_a} <= {hi}"
     # certificate: each arc takes the colour of its link in the oracle's
     # colouring or the recursive one, checked on every edge of the arc digraph
-    links = cache.recursive(inst, ell).coloring if chi is None else cache.chi(inst, ell)[1]
+    links = cache.recursive(inst, ell).coloring if certified else cache.chi(inst, ell)[1]
     colour = list(map(links.assignment.__getitem__, _link_ids(levels[ell])))
     if any(map(eq, map(colour.__getitem__, top.parent), map(colour.__getitem__, top.suffix))):
         raise WitnessInvalid(f"certificate: link colours not proper on the arcs at ell={ell}")
-    used, lo = len(set(colour)), _chi_floor(inst, caps, cache, ell)
+    used = len(set(colour))
     if used > lo:
         return "skip", skip
     return "pass", f"certificate: arc chromatic <= {used}, link chromatic >= {lo}"
@@ -955,9 +930,9 @@ def _check_three_colours(inst, caps, cache, ell):
     rec = cache.recursive(inst, ell)
     if rec.graph.n and rec.coloring.t > 3:
         return "fail", f"recursive colouring uses {rec.coloring.t} > 3"
-    chi = _exact_chi(inst, caps, cache, ell)
-    if chi is not None and chi > 3:
-        return "fail", f"exact chi {chi} > 3"
+    chi = _chi_bounds(inst, caps, cache, ell)
+    if chi is not None and chi[0] > 3:  # only the oracle's chi is above 3
+        return "fail", f"exact chi {chi[0]} > 3"
     return "pass", f"three-colourable at length {ell}"
 
 

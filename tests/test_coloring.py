@@ -206,6 +206,13 @@ class TestRecolouring:
         with pytest.raises(PreconditionViolated):
             reduce_coloring(adj, Coloring({0: 1, 1: 1}, 1), 0)
 
+    def test_a_loop_in_a_raw_list_is_ignored(self):
+        # is_proper ignores the loop at 0, and so does the foreign-colour bound
+        adj, col = [{0, 1}, {0}], Coloring({0: 1, 1: 2}, 2)
+        out = reduce_coloring(adj, col, 1)
+        assert out.assignment == col.assignment and out.t == col.t
+        assert adj == [{0, 1}, {0}]
+
     def test_seeded_battery(self):
         assert recolouring_battery(120, seed=7) == []
 

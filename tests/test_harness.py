@@ -7,7 +7,8 @@ import weakref
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from linkgraphs import cli, coloring, construction, harness, links, minors
 from linkgraphs.coloring import (
@@ -38,6 +39,7 @@ from linkgraphs.multigraph import (
     dipole,
     path,
     petersen,
+    random_multigraph,
 )
 from strategies import multigraphs
 
@@ -635,6 +637,20 @@ class TestCertificates:
         assert all(after[k].status == "fail" and "certificate: not an odd closed walk"
                    in after[k].detail for k in changed)
 
+    @settings(max_examples=40, deadline=None)
+    @given(multigraphs(max_n=5, max_m=7))
+    @example(complete(4))
+    def test_certificate_intervals_hold_the_oracle_chi(self, G):
+        # at a cap of 0 every link graph with a vertex is certified
+        caps = Caps(chromatic_cap=0, ell_range=(0, 1, 2, 3))
+        inst, cache = CorpusInstance("g", G), harness._Cache(caps, (0, 4))
+        for ell in caps.ell_range:
+            H = link_graph(G, ell)
+            lo, hi, certified = harness._chi_bounds(inst, caps, cache, ell)
+            assert certified == (H.n > 0)
+            if H.n <= 40:
+                assert lo <= exact_chromatic(H, None)[0] <= hi
+
 
 @settings(max_examples=60, deadline=None)
 @given(multigraphs(max_n=5, max_m=7))
@@ -651,6 +667,77 @@ def test_an_odd_walk_certificate_exists_exactly_when_chi_exceeds_two(G):
             assert not harness._is_odd_closed_walk(adj, walk[:-1])
             assert not harness._is_odd_closed_walk(adj, [walk[0]] * len(walk))
             assert not harness._is_odd_closed_walk(adj, walk[:-1] + [-1])
+
+
+# values for the CLI fuzz: small, negative, malformed and empty; ``None``
+# leaves an option's value out
+_ELLS = ["0", "1", "2", "3", "0..3", "1..2", "2..2", "3..1", "-1", "x", "1..x", "", None]
+_COUNTS = ["0", "3", "64", "-5", "x", "", None]
+_GRAPH_LINES = [b"a b", b"b c", b"c a", b"a a", b"v d", b"# note", b"a", b"a b c", b"\xff"]
+
+
+@st.composite
+def _graph_file(draw, tmp_path):
+    """The input path as a list of argv entries: a generator's edge list
+    (most often), arbitrary bytes, a few lines of the edge-list format, a
+    missing file, a directory, or no path at all."""
+    kind = draw(st.sampled_from(["graph"] * 3 + ["bytes", "lines", "missing", "directory",
+                                                 "none"]))
+    if kind == "none":
+        return []
+    name = tmp_path / kind
+    if kind == "graph":
+        G = draw(st.sampled_from([cycle(4), complete(4), dipole(3), path(2)]))
+        name.write_text(G.serialize(), encoding="utf-8")
+    elif kind == "bytes":
+        name.write_bytes(draw(st.binary(max_size=24)))
+    elif kind == "lines":
+        name.write_bytes(b"\n".join(draw(st.lists(st.sampled_from(_GRAPH_LINES), max_size=6))))
+    elif kind == "directory":
+        name.mkdir(exist_ok=True)
+    return [str(name)]
+
+
+def _option(flag, values):
+    """An option as a list of argv entries: left out, given without its
+    value, or given one of ``values``."""
+    return st.one_of(st.just([]), st.sampled_from(values).map(
+        lambda v: [flag] if v is None else [flag, v]))
+
+
+@st.composite
+def _argv(draw, tmp_path):
+    """argv for one of the six subcommands, from a small grammar; generator
+    parameters stay at 6 or below and lengths at 3 or below."""
+    command = draw(st.sampled_from(["gen", "build", "stats", "color", "minor", "verify"]))
+    out = draw(_option("--out", [str(tmp_path / "out.txt"), str(tmp_path / "no" / "out")]))
+    if command == "gen":
+        name = draw(st.sampled_from(["dipole", "complete", "complete-bipartite", "cycle",
+                                     "path", "petersen", "wheel", "parallel_bridge",
+                                     "random", "grid"]))
+        params = draw(st.lists(st.sampled_from(["0", "2", "3", "6", "-1", "x", "2.5"]),
+                               max_size=3))
+        return ["gen", name, *params, *out]
+    options = [_option("--ell", _ELLS), _option("--limit", _COUNTS)]
+    if command == "verify":
+        options.append(_option("--claims", ["Obs3.1", "Obs3.3", "Nope"]))
+        options.append(_option("--oracle-cap", _COUNTS))
+    else:
+        options.append(_option("--format", ["json", "dot", "edgelist", "xml"]))
+        if command == "minor":
+            options.append(_option("--hadwiger-cap", _COUNTS))
+        else:
+            options.append(_option("--oracle-cap", _COUNTS))
+        if command == "build":
+            options.append(_option("--kind", ["link", "path", "arc", "iterated"]))
+        if command == "color":
+            options.append(_option("--method", ["exact", "recursive", "greedy", "bogus"]))
+    argv = [command, *out]
+    for option in options:
+        argv += draw(option)
+    if command == "verify" and "--claims" not in argv:
+        argv += ["--claims", "Obs3.1"]  # one cheap claim
+    return argv + draw(_graph_file(tmp_path))
 
 
 class TestCli:
@@ -832,6 +919,42 @@ class TestCli:
         assert capsys.readouterr().err == "error: --ell takes one length here, got 1..3\n"
         # a range of one length is that length
         assert main([command, "--ell", "2..2", "--out", str(tmp_path / "out"), str(gfile)]) == 0
+
+    @pytest.mark.parametrize("argv, text", [
+        (["complete"], "gen complete takes 1 integer parameter(s), got []"),
+        (["complete", "4", "x"], "gen complete takes 1 integer parameter(s), got ['4', 'x']"),
+        (["dipole", "3", "1"], "gen dipole takes 1 integer parameter(s), got ['3', '1']"),
+        (["complete-bipartite", "x", "4"],
+         "gen complete-bipartite takes 2 integer parameter(s), got ['x', '4']"),
+        (["random", "1", "2"], "gen random takes 0 or 1 integer parameter(s), got ['1', '2']"),
+        (["petersen", "3"], "gen petersen takes 0 integer parameter(s), got ['3']"),
+        (["wheel", "2.5"], "gen wheel takes 1 integer parameter(s), got ['2.5']"),
+        (["complete", "-3"], "complete needs n >= 1, got -3"),
+    ])
+    def test_a_wrong_generator_parameter_is_a_usage_error(self, argv, text, capsys):
+        assert main(["gen", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {text}\n"
+
+    def test_random_takes_an_optional_seed(self, capsys):
+        assert main(["gen", "random"]) == 0
+        assert capsys.readouterr().out == random_multigraph(0).serialize()
+        assert main(["gen", "random", "7"]) == 0
+        assert capsys.readouterr().out == random_multigraph(7).serialize()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_argv_exits_with_a_known_code(self, data, tmp_path, capsys):
+        argv = data.draw(_argv(tmp_path))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in ((0, 1, 2, 3) if argv[0] == "verify" else (0, 2, 3)), argv
+        assert "Traceback" not in err
+        if code == 3:
+            assert set(json.loads(err)) == {"error", "detail"}
 
     def test_limit_error_exit_code(self, tmp_path):
         gfile = tmp_path / "pet.txt"
