@@ -216,13 +216,11 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, oracle_cap=True):
+    def common(p):
+        """The options of every command on one graph; each adds those it
+        reads besides."""
         p.add_argument("--ell", type=_ells, default="1", help="window length, e.g. 2 or 0..5")
         p.add_argument("--limit", type=_count, default=None, help="link enumeration cap")
-        if oracle_cap:
-            p.add_argument("--oracle-cap", dest="oracle_cap", type=_count, default=64,
-                           help="exact colouring oracle cap")
-        p.add_argument("--format", choices=["json", "dot", "edgelist"], default="json")
         p.add_argument("--out", default=None)
         p.add_argument("graph", help="edge-list file")
 
@@ -234,6 +232,7 @@ def main(argv=None):
 
     p = sub.add_parser("build", help="emit a derived graph")
     p.add_argument("--kind", choices=["link", "path", "arc"], default="link")
+    p.add_argument("--format", choices=["json", "dot", "edgelist"], default="json")
     common(p)
     p.set_defaults(fn=_cmd_build)
 
@@ -243,11 +242,13 @@ def main(argv=None):
 
     p = sub.add_parser("color", help="colour a link graph")
     p.add_argument("--method", choices=["exact", "recursive", "greedy"], default="exact")
+    p.add_argument("--oracle-cap", dest="oracle_cap", type=_count, default=64,
+                   help="exact colouring oracle cap")
     common(p)
     p.set_defaults(fn=_cmd_color)
 
     p = sub.add_parser("minor", help="verified clique-minor lower bound")
-    common(p, oracle_cap=False)
+    common(p)
     p.add_argument("--hadwiger-cap", dest="hadwiger_cap", type=_count,
                    default=Caps.hadwiger_cap, help="exact Hadwiger oracle cap")
     p.set_defaults(fn=_cmd_minor)

@@ -391,8 +391,8 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     if ell < 0:
         raise InvalidParameter(f"ell must be >= 0, got {ell}")
     levels, top = _recursion_kernel(G, ell, limit)
-    rec = _base_coloring(G, _windows_graph(G, ell % 2, levels), cap,
-                         lambda: exact_edge_chromatic(G, cap))
+    solve = exact_edge_chromatic if ell % 2 else exact_chromatic
+    rec = _base_coloring(G, _windows_graph(G, ell % 2, levels), lambda: solve(G, cap))
     while rec.ell < top:
         length = top if rec.coloring.t <= 3 else rec.ell + 2
         rec = _lifted(rec, _windows_graph(G, length, levels), levels)
@@ -400,22 +400,22 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     return rec if top == ell else _lifted(rec, LabeledGraph(ell, (), (), G), levels)
 
 
-def _base_coloring(G, H, cap, solve_edge):
+def _base_coloring(G, H, solve):
     """The recursive colouring of the link graph ``H`` of ``G`` at length 0 or
-    1, checked to be proper; ``solve_edge()`` gives ``exact_edge_chromatic``
-    of ``G``, or raises what it raises.
+    1, checked to be proper.  ``solve()`` gives the exact solve of that
+    parity, ``exact_chromatic`` or ``exact_edge_chromatic`` of ``G``, or
+    raises what it raises; past its cap the colouring is greedy.
 
-    At length 1 the links are the canonical 1-arcs, which are the darts that
-    come before their twins, in dart order; each takes the colour of its
-    edge."""
+    At length 0 the links are the vertices of ``G`` in order, so a colouring
+    of ``G`` is one of ``H``.  At length 1 the links are the canonical
+    1-arcs, which are the darts that come before their twins, in dart order;
+    each takes the colour of its edge."""
     try:
-        if H.ell == 0:
-            value, col = exact_chromatic(H, cap)
-        else:
-            value, ecol = solve_edge()
+        value, col = solve()
+        if H.ell == 1:
             D = G.darts()
             edges = (eid for d, ((eid, _), t) in enumerate(zip(D.steps, D.twin)) if d < t)
-            col = Coloring(dict(enumerate(map(ecol.assignment.__getitem__, edges))), value)
+            col = Coloring(dict(enumerate(map(col.assignment.__getitem__, edges))), value)
         exact = True
     except OracleTooLarge:
         value, colors = greedy_coloring(H.adjacency())
@@ -459,36 +459,20 @@ def _decay_bound(base, steps):
 
 def chromatic_upper_bounds(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     """Evaluate every applicable closed-form bound for reporting."""
-    bounds = _chromatic_bounds(G, ell, lambda length: link_graph(G, length, limit),
-                               lambda H: exact_chromatic(H, cap)[0],
-                               lambda: exact_edge_chromatic(G, cap)[0])
+    even = ell % 2 == 0
+    H = link_graph(G, 0, limit) if even else None
+    try:
+        base = (exact_chromatic(H, cap) if even else exact_edge_chromatic(G, cap))[0]
+        exact = True
+    except OracleTooLarge:
+        H = H if even else link_graph(G, 1, limit)
+        base, exact = greedy_coloring(H.adjacency())[0], False
+    two_back = None
     if ell >= 2:
         try:
-            bounds.two_back_bound, _ = exact_chromatic(link_graph(G, ell - 2, limit), cap)
+            two_back, _ = exact_chromatic(link_graph(G, ell - 2, limit), cap)
         except OracleTooLarge:
             pass
-    return bounds
-
-
-def _chromatic_bounds(G, ell, graph, solve_chi, solve_chi_prime):
-    """``chromatic_upper_bounds`` without the two-back bound.  ``graph(length)``
-    gives the link graph at length 0 or 1, ``solve_chi(H)`` the exact
-    chromatic number of the one at 0, and ``solve_chi_prime()`` the exact
-    edge-chromatic number of ``G``; they raise what the oracles and
-    ``link_graph`` raise."""
-    even = ell % 2 == 0
-    if even:
-        H = graph(0)
-        try:
-            base, exact = solve_chi(H), True
-        except OracleTooLarge:
-            base, exact = greedy_coloring(H.adjacency())[0], False
-    else:
-        try:
-            base, exact = solve_chi_prime(), True
-        except OracleTooLarge:
-            base, exact = greedy_coloring(graph(1).adjacency())[0], False
-    chi, chi_prime = (base, None) if even else (None, base)
-    delta_bound = G.max_degree() + 1 if ell != 1 else None
-    return ChromaticBounds(ell, chi, chi_prime, exact and even, exact and not even,
-                           _decay_bound(base, ell // 2), delta_bound, None)
+    return ChromaticBounds(ell, base if even else None, None if even else base,
+                           exact and even, exact and not even, _decay_bound(base, ell // 2),
+                           G.max_degree() + 1 if ell != 1 else None, two_back)

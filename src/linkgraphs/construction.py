@@ -846,28 +846,35 @@ def link_graph_connected(G, ell, limit=None):
     The criterion: the hub subgraph is connected and every link can be shunted
     to a link lying inside the hub.  A hub holding every edge of ``G`` (at
     ``ell = 0``, every vertex) holds every link, so only a connected hub that
-    misses some needs the shunt search.  When the hub hosts no link at all the
-    criterion is silent and we fall back to direct breadth-first search.
+    misses some needs the shunt search.  The search runs over the link graph
+    built under the limits that ``link_graph`` checks; when the hub hosts no
+    link at all the criterion is silent and we fall back to direct
+    breadth-first search of that same graph.
     """
-    return _hub_criterion(G, ell, link_count(G, ell, limit), hub_subgraph(G, ell, limit),
-                          lambda hub: shunt_reach(G, ell, hub), lambda: link_graph(G, ell, limit))
+
+    def graph():
+        levels = _kernel(G, ell, {ell: _link_cap(ell, limit), ell + 1: _link_cap(ell + 1, limit)})
+        return levels, _windows_graph(G, ell, levels)
+
+    return _hub_criterion(G, ell, link_count(G, ell, limit), hub_subgraph(G, ell, limit), graph)
 
 
-def _hub_criterion(G, ell, n_links, hub, reach, whole):
+def _hub_criterion(G, ell, n_links, hub, graph):
     """``link_graph_connected`` for the ``n_links`` ``ell``-links, with ``hub``
-    their hub subgraph: ``reach(hub)`` is ``shunt_reach(G, ell, hub)``, and
-    the fallback searches ``whole()``, the link graph as ``link_graph``
-    gives it."""
+    their hub subgraph: ``graph()`` gives kernel levels that hold every
+    ``ell``- and ``(ell + 1)``-arc and the link graph on them, or raises what
+    ``link_graph`` raises; only a connected hub that misses a unit reads it."""
     if n_links <= 1:
         return True
     if not hub.is_connected():
         return False
     if (hub.m == G.m) if ell else (hub.n == G.n):
         return True
-    reached = reach(hub)
+    levels, H = graph()
+    reached = _shunt_search(G, ell, hub, levels, H)
     if not reached:
         # degenerate: hub too small to host a link of this length
-        return whole().is_connected()
+        return H.is_connected()
     return reached == n_links
 
 

@@ -16,7 +16,7 @@ from . import multigraph as mg
 from .coloring import (
     Coloring,
     _base_coloring,
-    _chromatic_bounds,
+    _decay_bound,
     _lifted,
     exact_chromatic,
     exact_edge_chromatic,
@@ -29,7 +29,6 @@ from .construction import (
     _natural_check,
     _pair_adjacency,
     _path_parts,
-    _shunt_search,
     _windows_graph,
     iterated_line_digraph,
     link_graph,
@@ -47,14 +46,12 @@ from .links import (
     _canonical,
     _inside,
     _kernel,
-    _link_at,
     _link_cap,
     _link_ids,
     _link_middles,
     _middle_tuples,
     _units_at,
     _walks,
-    _window_ids,
     enumerate_links,
     hub_subgraph,
 )
@@ -279,12 +276,6 @@ class _Cache:
                 self._graphs[key] = _windows_graph(inst.graph, ell, levels)
         return self._graphs[key]
 
-    def built(self, inst, ell):
-        """The link graph; beyond the suite link budget it raises what
-        ``link_graph`` raises."""
-        H = self.graph(inst, ell)
-        return link_graph(inst.graph, ell, self.caps.suite_links) if H is None else H
-
     def hub(self, inst, ell):
         """The hub subgraph of the base graph at ``ell``."""
         return self._answer(
@@ -334,7 +325,8 @@ class _Cache:
         return self._answer("eta", inst, ell, solve)
 
     def base_chi(self, inst):
-        """``exact_chromatic`` of the base graph."""
+        """``exact_chromatic`` of the base graph, which is that of its 0-link
+        graph: both have the same neighbour sets in the same vertex order."""
         return self._answer(
             "base_chi", inst, None, lambda: exact_chromatic(inst.graph, self.caps.chromatic_cap))
 
@@ -345,12 +337,14 @@ class _Cache:
             lambda: exact_edge_chromatic(inst.graph, self.caps.chromatic_cap))
 
     def chi(self, inst, ell):
-        """``exact_chromatic`` of the link graph: ``(chi, colouring)``.  A
-        colouring that is not proper raises ``WitnessInvalid``."""
+        """``exact_chromatic`` of the link graph: ``(chi, colouring)``, at
+        ``ell = 0`` read off ``base_chi``.  A colouring that is not proper
+        raises ``WitnessInvalid``."""
 
         def solve():
             H = self.graph(inst, ell)
-            chi, col = exact_chromatic(H, self.caps.chromatic_cap)
+            chi, col = (self.base_chi(inst) if ell == 0 else
+                        exact_chromatic(H, self.caps.chromatic_cap))
             if not is_proper(H, col):
                 raise WitnessInvalid(f"exact_chromatic gave an improper colouring at ell={ell}")
             return chi, col
@@ -358,17 +352,20 @@ class _Cache:
         return self._answer("chi", inst, ell, solve)
 
     def recursive(self, inst, ell):
-        """``recursive_chromatic_bound`` of the link graph, lifted one table
-        of middle ids from the memo two levels down, as Thm1.x and Cor4.4
-        read the colouring at every length.  Beyond the suite link budget it
-        raises what ``link_graph`` raises."""
+        """``recursive_chromatic_bound`` of the link graph: at length 0 or 1
+        from the exact solve of ``base_chi`` or ``edge_chi``, and above lifted
+        one table of middle ids from the memo two levels down, as Thm1.x and
+        Cor4.4 read the colouring at every length.  Beyond the suite link
+        budget it raises what ``link_graph`` raises."""
 
         def solve():
             below = self.recursive(inst, ell - 2) if ell >= 2 else None
-            H = self.built(inst, ell)
+            H = self.graph(inst, ell)
+            if H is None:
+                H = link_graph(inst.graph, ell, self.caps.suite_links)
             if below is None:
-                return _base_coloring(inst.graph, H, self.caps.chromatic_cap,
-                                      lambda: self.edge_chi(inst))
+                base = self.edge_chi if ell else self.base_chi
+                return _base_coloring(inst.graph, H, lambda: base(inst))
             return _lifted(below, H, self.link_levels(inst, ell - 2, ell))
 
         return self._answer("recursive", inst, ell, solve)
@@ -505,18 +502,13 @@ def _check_bipartite_counts(inst, caps, cache, ell):
 
 def _check_looplessness(inst, caps, cache, ell):
     H = _fits(cache.graph(inst, ell))
-    # the least loop, the first in the order of ``ends``
+    # the least loop, the first in the order of ``ends``; a label whose two
+    # windows are one link is a loop, as its kernel parent and suffix have
+    # one link index
     lo, hi = H._pairs()
     loop = min(compress(lo, map(eq, lo, hi)), default=None)
     if loop is not None:
         return "fail", f"loop at {H.vertices[loop]}"
-    # the two windows are one link when the kernel parent and suffix
-    # of the label have one link index
-    levels = cache.link_levels(inst, ell, ell + 1)
-    tails, heads = _window_ids(levels, ell)
-    k = next(compress(count(), map(eq, tails, heads)), None)
-    if k is not None:
-        return "fail", f"windows of {_link_at(inst.graph, levels, ell + 1, k)} coincide"
     return "pass", f"{H.m} edges loopless"
 
 
@@ -666,10 +658,8 @@ def _check_hub_criterion(inst, caps, cache, ell):
     G = inst.graph
     H = _fits(cache.graph(inst, ell))
     # link_graph_connected on the run's hub, kernel and link graph
-    hub_answer = _hub_criterion(
-        G, ell, H.n, cache.hub(inst, ell),
-        lambda hub: _shunt_search(G, ell, hub, cache.link_levels(inst, ell, ell + 1), H),
-        lambda: H)
+    hub_answer = _hub_criterion(G, ell, H.n, cache.hub(inst, ell),
+                                lambda: (cache.link_levels(inst, ell, ell + 1), H))
     bfs_answer = H.is_connected()
     if hub_answer != bfs_answer:
         return "fail", f"hub criterion {hub_answer} vs BFS {bfs_answer}"
@@ -822,36 +812,31 @@ def _check_parity_bound(inst, caps, cache, ell):
     if chi is None:
         return "skip", "link graph beyond the chromatic oracle"
     lo, hi, certified = chi
-    # chromatic_upper_bounds from the memo, less the two-back bound no check reads
-    bounds = _chromatic_bounds(inst.graph, ell, lambda length: cache.built(inst, length),
-                               lambda _: cache.chi(inst, 0)[0],
-                               lambda: cache.edge_chi(inst)[0])
-    exact = bounds.exact_chi or bounds.exact_chi_prime  # the base of this parity
-    if not certified and exact and hi > bounds.parity_bound:
-        return "fail", f"chi {hi} > parity bound {bounds.parity_bound}"
-    if not certified and ell == 1 and exact and hi != bounds.chi_prime:
-        return "fail", f"window-one chromatic {hi} differs from edge-chromatic {bounds.chi_prime}"
+    # the bounds of chromatic_upper_bounds, less the two-back bound no check
+    # reads, from the base of this parity that the recursive colouring lifts
     rec = cache.recursive(inst, ell)
+    exact, base = rec.exact_base, rec.base_value
+    parity = _decay_bound(base, ell // 2)
+    if not certified and exact and hi > parity:
+        return "fail", f"chi {hi} > parity bound {parity}"
+    if not certified and ell == 1 and exact and hi != base:
+        return "fail", f"window-one chromatic {hi} differs from edge-chromatic {base}"
     # a certified interval has checked the recursive colouring already
     if not certified and rec.graph.n and not is_proper(rec.graph, rec.coloring):
         return "fail", "recursive colouring not proper"
-    if rec.exact_base:
-        # the lifted palette honours the parity and degree bounds; the
-        # two-back bound holds for the exact value, not the palette
-        guaranteed = [bounds.parity_bound]
-        if bounds.max_degree_bound is not None:
-            guaranteed.append(bounds.max_degree_bound)
-        floor_bound = min(guaranteed)
-        if rec.coloring.t > floor_bound:
-            return "fail", f"recursive {rec.coloring.t} > bound {floor_bound}"
+    # the lifted palette honours the parity bound and, but at ell = 1, the
+    # degree bound; the two-back bound holds for the exact value, not the palette
+    bound = parity if ell == 1 else min(parity, inst.graph.max_degree() + 1)
+    if exact and rec.coloring.t > bound:
+        return "fail", f"recursive {rec.coloring.t} > bound {bound}"
     if not certified:
-        return "pass", f"chi={hi} within parity bound {bounds.parity_bound}"
+        return "pass", f"chi={hi} within parity bound {parity}"
     # certificate: the recursive colouring, and at ell = 1 a bound from
     # below that meets it
-    if not (exact and hi <= bounds.parity_bound and (ell != 1 or lo == hi == bounds.chi_prime)):
+    if not (exact and hi <= parity and (ell != 1 or lo == hi == base)):
         return "skip", "link graph beyond the chromatic oracle"
     value = f"chi={hi}" if ell == 1 else f"chi <= {hi}"
-    return "pass", f"certificate: {value} within parity bound {bounds.parity_bound}"
+    return "pass", f"certificate: {value} within parity bound {parity}"
 
 
 def _check_degree_bound(inst, caps, cache, ell):
@@ -914,6 +899,16 @@ def _check_arc_chromatic(inst, caps, cache, ell):
     return "pass", f"certificate: arc chromatic <= {used}, link chromatic >= {lo}"
 
 
+def _over_three(inst, cache, ell):
+    """The fail record of Cor1.2 and Cor4.4 where the recursive colouring at
+    ``ell`` uses more than three colours, else ``None``."""
+    _fits(cache.count(inst, ell))
+    rec = cache.recursive(inst, ell)
+    if rec.graph.n and rec.coloring.t > 3:
+        return "fail", f"recursive colouring uses {rec.coloring.t} > 3"
+    return None
+
+
 def _check_three_colours(inst, caps, cache, ell):
     try:
         if ell % 2 == 0:
@@ -926,10 +921,9 @@ def _check_three_colours(inst, caps, cache, ell):
         return "skip", "base oracle too large"
     if not qualifies:
         return "skip", "below the three-colour threshold"
-    _fits(cache.count(inst, ell))
-    rec = cache.recursive(inst, ell)
-    if rec.graph.n and rec.coloring.t > 3:
-        return "fail", f"recursive colouring uses {rec.coloring.t} > 3"
+    over = _over_three(inst, cache, ell)
+    if over:
+        return over
     chi = _chi_bounds(inst, caps, cache, ell)
     if chi is not None and chi[0] > 3:  # only the oracle's chi is above 3
         return "fail", f"exact chi {chi[0]} > 3"
@@ -940,11 +934,7 @@ def _check_degree_threshold(inst, caps, cache, ell):
     delta = inst.graph.max_degree()
     if delta < 3 or ell <= 2 * math.log(delta - 2, 1.5) + 3:
         return "skip", "below the degree threshold"
-    _fits(cache.count(inst, ell))
-    rec = cache.recursive(inst, ell)
-    if rec.graph.n and rec.coloring.t > 3:
-        return "fail", f"recursive colouring uses {rec.coloring.t} > 3"
-    return "pass", f"three colours beyond the degree threshold"
+    return _over_three(inst, cache, ell) or ("pass", "three colours beyond the degree threshold")
 
 
 def _check_minors(inst, caps, cache, ell):

@@ -35,8 +35,9 @@ def recursive_chromatic_bound(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     """Colour the base link graph, then lift two lengths at a time."""
     if ell < 0:
         raise InvalidParameter(f"ell must be >= 0, got {ell}")
-    rec = _base_coloring(G, link_graph(G, ell % 2, limit), cap,
-                         lambda: exact_edge_chromatic(G, cap))
+    H = link_graph(G, ell % 2, limit)
+    rec = _base_coloring(G, H, lambda: exact_edge_chromatic(G, cap) if ell % 2 else
+                         exact_chromatic(H, cap))
     for length in range(ell % 2 + 2, ell + 1, 2):
         H = link_graph(G, length, limit)
         col = Coloring({}, 0) if H.n == 0 else lift_coloring(

@@ -95,6 +95,12 @@ class TestExactOracles:
         with pytest.raises(OracleTooLarge):
             exact_chromatic(link_graph(petersen(), 4), cap=64)
 
+    @given(multigraphs(max_n=7, max_m=12))
+    @settings(max_examples=60, deadline=None)
+    def test_base_solve_of_a_graph_equals_that_of_its_zero_link_graph(self, G):
+        # the run cache solves the base graph once for both
+        assert exact_chromatic(G) == exact_chromatic(link_graph(G, 0))
+
     def test_witnesses_are_proper(self):
         for G in (petersen(), complete_bipartite(2, 4), wheel(5)):
             H = link_graph(G, 2)
@@ -360,8 +366,10 @@ class TestLifting:
         assert time.perf_counter() - start < 1
 
     def test_recursion_rejects_an_improper_base_colouring(self, monkeypatch):
-        monkeypatch.setattr(coloring, "exact_chromatic",
-                            lambda H, cap=None: (1, Coloring({i: 1 for i in range(H.n)}, 1)))
+        # the run cache solves the base graph through its own memo
+        for module in (coloring, harness):
+            monkeypatch.setattr(module, "exact_chromatic",
+                                lambda H, cap=None: (1, Coloring({i: 1 for i in range(H.n)}, 1)))
         for ell in (0, 2):
             with pytest.raises(WitnessInvalid, match="base colouring is not proper"):
                 recursive_chromatic_bound(petersen(), ell)

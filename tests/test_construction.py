@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from strategies import multigraphs
 
-from linkgraphs import canon, construction
+from linkgraphs import canon, construction, links
 from linkgraphs.construction import (
     ChainDigraph,
     _is_complete_bipartite,
@@ -24,8 +24,15 @@ from linkgraphs.construction import (
     quotient_embedding_check,
     verify_almost_standard,
 )
-from linkgraphs.errors import InvalidParameter, NotALink, PartitionMismatch, WindowTooShort
-from linkgraphs.links import Link, enumerate_links, hub_subgraph, is_path
+from linkgraphs.errors import (
+    InvalidParameter,
+    LimitExceeded,
+    NotALink,
+    PartitionMismatch,
+    WindowTooShort,
+)
+from linkgraphs.harness import DEFAULT_SEEDS
+from linkgraphs.links import Link, enumerate_links, hub_subgraph, is_path, link_count
 from linkgraphs.multigraph import (
     Multigraph,
     complete,
@@ -35,6 +42,7 @@ from linkgraphs.multigraph import (
     parallel_bridge,
     path,
     petersen,
+    random_multigraph,
     wheel,
 )
 
@@ -384,13 +392,13 @@ class TestConnectivity:
 
     def test_shunt_search_runs_only_when_the_hub_misses_an_edge(self, monkeypatch):
         searched = []
-        real = construction.shunt_reach
+        real = construction._shunt_search
 
-        def counting(G, ell, hub):
+        def counting(G, ell, hub, levels, H):
             searched.append((G, ell))
-            return real(G, ell, hub)
+            return real(G, ell, hub, levels, H)
 
-        monkeypatch.setattr(construction, "shunt_reach", counting)
+        monkeypatch.setattr(construction, "_shunt_search", counting)
         answers = set()
         for G, ell in self.HUB_HOLDS_EVERY_EDGE + self.HUB_MISSES_AN_EDGE:
             hub = hub_subgraph(G, ell)
@@ -402,6 +410,28 @@ class TestConnectivity:
             assert searched.count((G, ell)) == misses
             answers.add((misses, bfs))
         assert answers == {(False, True), (True, True), (True, False)}
+
+    def test_connectivity_limit_is_checked_where_link_graph_checks_it(self):
+        # random2 of the default corpus: its hub at ell = 5 misses an edge, so
+        # the shunt search needs the 6-links, which pass a limit the 5-links meet
+        G, ell = random_multigraph(DEFAULT_SEEDS[1]), 5
+        limit = link_count(G, ell)
+        for build in (link_graph, link_graph_connected):
+            with pytest.raises(LimitExceeded, match=r"\(35809 > 35808\)"):
+                build(G, ell, limit)
+
+    def test_connectivity_fallback_reads_the_kernel_of_the_search(self, monkeypatch):
+        # the hub of path(4) at ell = 3 hosts no 3-link: breadth-first search
+        # of the searched graph decides, and one kernel is built
+        G, ell = path(4), 3
+        want = link_graph(G, ell).is_connected()
+        builds = []
+        for module in (construction, links):
+            real = module._arc_levels
+            monkeypatch.setattr(module, "_arc_levels",
+                                lambda *args, real=real: builds.append(args[2:]) or real(*args))
+        assert link_graph_connected(G, ell) == want
+        assert builds == [(ell, ell + 1)]
 
     @given(multigraphs(max_n=5, max_m=7), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)

@@ -239,6 +239,24 @@ class TestOracleMemo:
                                          "_lower_bound"}
         assert max(calls.values()) == 1, [(k[0], c) for k, c in calls.items() if c > 1]
 
+    def test_a_default_run_solves_each_base_graph_once(self, monkeypatch):
+        # the base graph and its 0-link graph share one solve, which the
+        # recursive colouring, Thm1.x and Cor1.2 read
+        solved = Counter()
+        for module in (harness, coloring):
+            def counting(H, cap=coloring.DEFAULT_CHROMATIC_CAP, real=module.exact_chromatic):
+                if isinstance(H, LabeledGraph) and H.ell == 0:
+                    solved[H.source.serialize()] += 1
+                elif isinstance(H, Multigraph):
+                    solved[H.serialize()] += 1
+                return real(H, cap)
+
+            monkeypatch.setattr(module, "exact_chromatic", counting)
+        corpus = default_corpus()
+        assert verify_suite(corpus=corpus).passed()
+        assert sum(solved.values()) == len(corpus) == 31
+        assert sorted(solved) == sorted(inst.graph.serialize() for inst in corpus)
+
     def test_the_model_route_reads_eta_of_the_base_graph_off_the_memo(self, monkeypatch):
         calls = Counter()
         for module in (harness, minors):
@@ -297,10 +315,10 @@ class TestBuildOnce:
         # every link graph is read off the one kernel of its instance
         counting("_arc_levels", lambda G, fwd, ell, top: (G.serialize(), top))
         counting("_windows_graph", lambda G, ell, windows: (G.serialize(), ell))
-        counting("_base_coloring", lambda G, H, cap, solve_edge: (G.serialize(), H.ell))
+        counting("_base_coloring", lambda G, H, solve: (G.serialize(), H.ell))
         counting("_lifted", lambda below, H, levels: (H.source.serialize(), H.ell))
         counting("hub_subgraph", lambda G, ell, limit: (G.serialize(), ell))
-        # the chromatic bounds of Thm1.1/1.2 read the link graphs of the run
+        # the colouring claims read the link graphs of the run
         monkeypatch.setattr(coloring, "link_graph", None)
         monkeypatch.setattr(harness, "link_graph", None)
         report = verify_suite(corpus=small_corpus(), claims=self.CLAIMS, caps=self.CAPS)
@@ -483,9 +501,11 @@ class TestOracleCallsInsideRecords:
         real = harness.exact_chromatic
 
         def oracle(H, cap):
-            if isinstance(H, LabeledGraph) and H.source == cycle(5):
+            # a link graph, or at ell = 0 the base graph, which the run solves
+            G = H.source if isinstance(H, LabeledGraph) else H
+            if G == cycle(5):
                 return 1, Coloring({i: 0 for i in range(H.n)}, 1)
-            if isinstance(H, LabeledGraph) and H.source == path(5):
+            if G == path(5):
                 raise RuntimeError("oracle crashed")
             return real(H, cap)
 
@@ -722,16 +742,14 @@ def _argv(draw, tmp_path):
     if command == "verify":
         options.append(_option("--claims", ["Obs3.1", "Obs3.3", "Nope"]))
         options.append(_option("--oracle-cap", _COUNTS))
-    else:
+    if command == "minor":
+        options.append(_option("--hadwiger-cap", _COUNTS))
+    if command == "build":
         options.append(_option("--format", ["json", "dot", "edgelist", "xml"]))
-        if command == "minor":
-            options.append(_option("--hadwiger-cap", _COUNTS))
-        else:
-            options.append(_option("--oracle-cap", _COUNTS))
-        if command == "build":
-            options.append(_option("--kind", ["link", "path", "arc", "iterated"]))
-        if command == "color":
-            options.append(_option("--method", ["exact", "recursive", "greedy", "bogus"]))
+        options.append(_option("--kind", ["link", "path", "arc", "iterated"]))
+    if command == "color":
+        options.append(_option("--oracle-cap", _COUNTS))
+        options.append(_option("--method", ["exact", "recursive", "greedy", "bogus"]))
     argv = [command, *out]
     for option in options:
         argv += draw(option)
@@ -881,6 +899,23 @@ class TestCli:
             main([*args, str(gfile)])
         assert exc.value.code == 2
         assert text in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option", [
+        ("build", ["--oracle-cap", "30"]),
+        ("stats", ["--oracle-cap", "30"]),
+        ("stats", ["--format", "dot"]),
+        ("color", ["--format", "dot"]),
+        ("minor", ["--format", "dot"]),
+    ])
+    def test_an_option_the_command_ignores_is_a_usage_error(self, command, option, tmp_path,
+                                                            capsys):
+        gfile = tmp_path / "c4.txt"
+        main(["gen", "cycle", "4", "--out", str(gfile)])
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(gfile), *option])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+        assert main([command, "--out", str(tmp_path / "out"), str(gfile)]) == 0
 
     def test_a_negative_window_is_a_usage_error(self, tmp_path, capsys):
         gfile = tmp_path / "c4.txt"
