@@ -7,7 +7,7 @@ import json
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations, compress, repeat
+from itertools import combinations, compress, islice, repeat
 from operator import and_, attrgetter, eq, floordiv, itemgetter, mod, or_
 
 from .errors import (
@@ -23,24 +23,25 @@ from .links import (
     _arc_units,
     _arcs,
     _canonical,
+    _check_limit,
     _counted,
+    _hub_graph,
     _inside,
     _keep_for_links,
     _kernel,
     _link_cap,
     _link_ids,
     _middle_ids,
+    _middle_units,
     _paths,
     _unit_tuples,
     _walks,
     _window_ids,
     arc_windows,
     enumerate_arcs,
-    hub_subgraph,
     is_cycle,
     is_link_of,
     is_path,
-    link_count,
 )
 from .multigraph import Multigraph
 
@@ -522,16 +523,28 @@ def iterated_line_digraph(G, ell, limit=None):
     """Apply the line-digraph step ``ell`` times starting from the 1-arc digraph."""
     if ell < 1:
         raise InvalidParameter(f"iterated line digraph needs ell >= 1, got {ell}")
+    return next(islice(_line_digraphs(G, limit), ell - 1, None))
+
+
+def _line_digraphs(G, limit=None):
+    """The chain digraphs of depth 1, 2, ... in turn, each a line-digraph
+    step from the one before; ``limit`` caps the 1-arcs, and is checked on
+    the first ``next``.
+
+    At depth 1 arc ``i`` joins every arc ``j`` that leaves its head by
+    another edge.  The 1-arcs grouped by tail vertex give those ``j`` in
+    increasing order, so the pairs come in ``(i, j)`` order without a scan
+    of all pairs."""
     one_arcs = enumerate_arcs(G, 1, limit)
     verts = tuple((a,) for a in one_arcs)
-    pairs = []
-    for i, u in enumerate(verts):
-        for j, v in enumerate(verts):
-            a, b = u[0], v[0]
-            if a.head_vertex == b.tail_vertex and a.head_edge != b.tail_edge:
-                pairs.append((i, j))
+    leaving = defaultdict(list)
+    for j, a in enumerate(one_arcs):
+        leaving[a.tail_vertex].append(j)
+    pairs = [(i, j) for i, a in enumerate(one_arcs) for j in leaving[a.head_vertex]
+             if one_arcs[j].tail_edge != a.head_edge]
     depth = 1
-    while depth < ell:
+    while True:
+        yield ChainDigraph(depth, verts, tuple(pairs))
         # line digraph: vertices become the arcs, arcs become composable pairs
         new_verts = tuple(verts[i] + (verts[j][-1],) for i, j in pairs)
         by_tail = {}
@@ -543,7 +556,6 @@ def iterated_line_digraph(G, ell, limit=None):
                 new_pairs.append((k, k2))
         verts, pairs = new_verts, sorted(new_pairs)
         depth += 1
-    return ChainDigraph(ell, verts, tuple(pairs))
 
 
 def _flatten_chain(chain):
@@ -850,13 +862,23 @@ def link_graph_connected(G, ell, limit=None):
     built under the limits that ``link_graph`` checks; when the hub hosts no
     link at all the criterion is silent and we fall back to direct
     breadth-first search of that same graph.
+
+    One count of the arcs up to ``ell + 1`` gives the number of links, the
+    hub and the levels of the search; the ``(ell + 1)``-links are checked
+    against ``limit`` only when the search builds its graph.
     """
+    if ell < 0:
+        raise InvalidParameter(f"arc length must be >= 0, got {ell}")
+    totals, fwd = _walks(G, ell + 1)
+    hub = _hub_graph(G, ell, _middle_units(G, ell, (totals, fwd), limit))
 
     def graph():
-        levels = _kernel(G, ell, {ell: _link_cap(ell, limit), ell + 1: _link_cap(ell + 1, limit)})
+        _check_limit(_arcs(totals, ell + 1), _link_cap(ell + 1, limit))
+        levels = _arc_levels(G, fwd, ell, ell + 1)
         return levels, _windows_graph(G, ell, levels)
 
-    return _hub_criterion(G, ell, link_count(G, ell, limit), hub_subgraph(G, ell, limit), graph)
+    arcs = _arcs(totals, ell)
+    return _hub_criterion(G, ell, arcs if ell == 0 else arcs // 2, hub, graph)
 
 
 def _hub_criterion(G, ell, n_links, hub, graph):

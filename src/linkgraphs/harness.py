@@ -26,11 +26,11 @@ from .coloring import (
 from .construction import (
     _chains_match,
     _hub_criterion,
+    _line_digraphs,
     _natural_check,
     _pair_adjacency,
     _path_parts,
     _windows_graph,
-    iterated_line_digraph,
     link_graph,
     natural_partition,
     reachable,
@@ -44,16 +44,17 @@ from .links import (
     _arcs,
     _check_limit,
     _canonical,
+    _hub_graph,
     _inside,
     _kernel,
     _link_cap,
     _link_ids,
     _link_middles,
     _middle_tuples,
+    _middle_units,
     _units_at,
     _walks,
     enumerate_links,
-    hub_subgraph,
 )
 from .minors import _hadwiger, _lower_bound, hadwiger_number, verify_minor
 from .multigraph import Multigraph
@@ -225,15 +226,19 @@ class _Cache:
                 level.kids = level.back = level.rank = None
         return levels
 
+    def _walks(self, inst, ell):
+        """The ``(totals, fwd)`` of the instance's arc counts when they reach
+        ``ell``; past them, a count of its own up to ``ell``, as ``kernel``
+        builds its own kernel there."""
+        _, totals, fwd, _, _ = self._counts(inst)
+        if ell > self.span[1] or not totals:
+            return _walks(inst.graph, ell)
+        return totals, fwd
+
     def count(self, inst, ell):
         """The number of ``ell``-links, read off the arc counts; ``None``
-        exactly where ``enumerate_links`` raises at the suite link budget.  A
-        length past the instance's counts counts its own arcs, as ``kernel``
-        builds its own kernel there."""
-        totals = self._counts(inst)[1]
-        if ell > self.span[1] or not totals:
-            totals, _ = _walks(inst.graph, ell)
-        arcs = _arcs(totals, ell)
+        exactly where ``enumerate_links`` raises at the suite link budget."""
+        arcs = _arcs(self._walks(inst, ell)[0], ell)
         try:
             _check_limit(arcs, _link_cap(ell, self.caps.suite_links))
         except LimitExceeded:
@@ -277,9 +282,44 @@ class _Cache:
         return self._graphs[key]
 
     def hub(self, inst, ell):
-        """The hub subgraph of the base graph at ``ell``."""
-        return self._answer(
-            "hub", inst, ell, lambda: hub_subgraph(inst.graph, ell, self.caps.suite_links))
+        """``hub_subgraph`` of the base graph at ``ell``, with the middle
+        units read off the arc counts: the base graph itself when they are
+        all of it, and otherwise built once per distinct set of units."""
+        return self._hub(inst, ell)[0]
+
+    def hub_links(self, inst, ell, s):
+        """``_hub_links`` of the hub at ``ell``, kept with the hub."""
+        hub, links = self._hub(inst, ell)
+        if s not in links:
+            links[s] = _hub_links(hub, s)
+        return links[s]
+
+    def _hub(self, inst, ell):
+        """``[hub, {s: its s-links}]`` at ``ell``, one per parity of ``ell``
+        and set of middle units."""
+        G = inst.graph
+
+        def solve():
+            units = _middle_units(G, ell, self._walks(inst, ell), self.caps.suite_links)
+            return self._answer("hub_of", inst, (ell % 2, frozenset(units)),
+                                lambda: [_hub_graph(G, ell, units), {}])
+
+        return self._answer("hub", inst, ell, solve)
+
+    def chain_digraph(self, inst, ell):
+        """``iterated_line_digraph`` of the base graph at depth ``ell``, each
+        depth one line-digraph step from the one before (``_line_digraphs``).
+        The first depth is made when the memo is, so a limit it hits raises
+        again on the next read."""
+
+        def solve():
+            deeper = _line_digraphs(inst.graph, self.caps.suite_links)
+            return [next(deeper)], deeper
+
+        made, deeper = self._answer("chains", inst, None, solve)
+        while len(made) < ell:
+            made.append(next(deeper))
+        return made[ell - 1]
 
     def middles(self, inst, length, s):
         """The middle segments of length ``s <= 2`` of the ``length``-links,
@@ -612,7 +652,7 @@ def _check_hub_segments(inst, caps, cache, ell):
     base = 2 * (ell // 2)
     for s in (0, 1, 2):
         seen = _fits(cache.middles(inst, base + s, s))
-        for short in _hub_links(hub, s):
+        for short in cache.hub_links(inst, ell, s):
             if short not in seen:
                 return "fail", f"{Link(short)} not a middle segment at length {base + s}"
     if not G.is_connected() or not count:
@@ -1043,7 +1083,7 @@ def _check_digraph_iso(inst, caps, cache, ell):
     # digraph_natural_iso_check on the instance kernel
     cap = _arc_cap(caps.suite_links)
     levels = cache.kernel(inst, {ell: cap, ell + 1: cap})
-    if _chains_match(G, levels, ell, iterated_line_digraph(G, ell, caps.suite_links)):
+    if _chains_match(G, levels, ell, cache.chain_digraph(inst, ell)):
         return "pass", "chain digraph isomorphic to the arc digraph"
     return "fail", "natural bijection is not an isomorphism"
 

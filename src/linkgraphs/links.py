@@ -11,7 +11,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add, and_, ge, le, ne
 
 from .errors import (
@@ -441,13 +441,6 @@ def _units_at(G, levels, L, k):
     return (G.vertices[k], *chain.from_iterable(reversed(darts)))
 
 
-def _link_at(G, levels, L, k):
-    """The ``Link`` of the ``k``-th ``L``-link in canonical order, for a
-    failure text."""
-    arc = next(islice(compress(count(), _canonical(levels[L])), k, None))
-    return Link(_units_at(G, levels, L, arc))
-
-
 def _unit_tuples(G, levels, want):
     """Unit tuples of the arcs ``want`` selects, as ``{level: mask}``: per level
     the selected arcs in id order.  Only they and their prefixes get tuples, and
@@ -763,7 +756,14 @@ def middle_units(G, ell, limit=None):
     table: an edge whose darts can each walk ``h`` darts on for
     ``ell = 2h + 1``, a vertex with two darts out that can each walk
     ``h - 1`` darts on for ``ell = 2h``."""
-    totals, fwd = _walks(G, ell)
+    return _middle_units(G, ell, _walks(G, ell), limit)
+
+
+def _middle_units(G, ell, counts, limit):
+    """``middle_units`` read off ``counts``, the ``(totals, fwd)`` of
+    ``_walks(G, L)`` for some ``L >= ell``: past ``ell - 1`` darts the reach
+    table decides no middle unit.  It raises what ``middle_units`` raises."""
+    totals, fwd = counts
     _check_limit(_arcs(totals, ell), _link_cap(ell, limit))
     if ell == 0:
         return set(G.vertices)
@@ -781,8 +781,15 @@ def hub_subgraph(G, ell, limit=None):
     maximal one on them; for odd ``ell`` they are edges and the subgraph is
     the minimal one containing them.
     """
-    units = middle_units(G, ell, limit)
-    if ell % 2 == 0:
-        return G.induced_subgraph(units)
-    return G.edge_subgraph(units)
+    return _hub_graph(G, ell, middle_units(G, ell, limit))
 
+
+def _hub_graph(G, ell, units):
+    """``hub_subgraph`` on the middle units ``units``: ``G`` itself when they
+    are all of ``G``, which at odd ``ell`` also needs ``G`` to have no
+    isolated vertex, as ``edge_subgraph`` keeps only endpoints."""
+    if ell % 2 == 0:
+        return G if len(units) == G.n else G.induced_subgraph(units)
+    if len(units) == G.m and G.min_degree() > 0:
+        return G
+    return G.edge_subgraph(units)

@@ -68,7 +68,8 @@ def _bfs_path(starts, target, steps):
 class Multigraph:
     """Finite undirected multigraph without loops; parallel edges allowed."""
 
-    __slots__ = ("_vertices", "_endpoints", "_adj", "_vset", "_darts", "_succ", "_peel")
+    __slots__ = ("_vertices", "_endpoints", "_adj", "_vset", "_darts", "_succ", "_peel",
+                 "_comps")
 
     def __init__(self, vertices=(), edges=()):
         """Build from vertex names and an iterable of ``(edge_id, u, v)``."""
@@ -91,7 +92,7 @@ class Multigraph:
             adj[u].append((eid, v))
             adj[v].append((eid, u))
         self._adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
-        self._darts = self._succ = self._peel = None
+        self._darts = self._succ = self._peel = self._comps = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -214,19 +215,27 @@ class Multigraph:
     # -- connectivity -------------------------------------------------------
 
     def components(self):
-        """Connected components as sorted lists of vertices, sorted by minimum."""
-        seen = set()
-        comps = []
-        for start in self._vertices:
-            if start not in seen:
-                comp = self._bfs_dist(start)
-                seen.update(comp)
-                comps.append(sorted(comp))
-        return comps
+        """Connected components as sorted lists of vertices, sorted by minimum.
+        The search runs on first use and its result is then kept; each call
+        returns fresh lists."""
+        return [list(comp) for comp in self._components()]
+
+    def _components(self):
+        """The kept components, as tuples."""
+        if self._comps is None:
+            seen = set()
+            comps = []
+            for start in self._vertices:
+                if start not in seen:
+                    comp = self._bfs_dist(start)
+                    seen.update(comp)
+                    comps.append(tuple(sorted(comp)))
+            self._comps = tuple(comps)
+        return self._comps
 
     def is_connected(self):
         """True for the null graph by convention."""
-        return len(self.components()) <= 1
+        return len(self._components()) <= 1
 
     def _bfs_dist(self, start):
         dist = {start: 0}

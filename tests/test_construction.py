@@ -31,7 +31,7 @@ from linkgraphs.errors import (
     PartitionMismatch,
     WindowTooShort,
 )
-from linkgraphs.harness import DEFAULT_SEEDS
+from linkgraphs.harness import DEFAULT_SEEDS, default_corpus
 from linkgraphs.links import Link, enumerate_links, hub_subgraph, is_path, link_count
 from linkgraphs.multigraph import (
     Multigraph,
@@ -179,6 +179,23 @@ class TestArcDigraphs:
         C = iterated_line_digraph(G, 1)
         A = arc_digraph(G, 1)
         assert len(C.vertices) == A.n and len(C.arcs) == len(A.arcs)
+
+    def test_first_line_digraph_step_matches_a_scan_of_every_pair(self):
+        # the 1-arcs grouped by tail give the pairs of the all-pairs scan, in its order
+        for inst in default_corpus():
+            G = inst.graph
+            C = next(construction._line_digraphs(G))
+            arcs = [chain[0] for chain in C.vertices]
+            scan = [(i, j) for i, a in enumerate(arcs) for j, b in enumerate(arcs)
+                    if a.head_vertex == b.tail_vertex and a.head_edge != b.tail_edge]
+            assert C.depth == 1 and list(C.arcs) == scan, inst.name
+
+    def test_line_digraph_depths_match_the_iterated_digraph(self):
+        for G in (dipole(3), cycle(4), path(5), complete(4), parallel_bridge(),
+                  Multigraph(["z"], [("e1", "a", "b"), ("e2", "b", "c")])):
+            deeper = construction._line_digraphs(G)
+            for k in range(1, 5):
+                assert next(deeper) == iterated_line_digraph(G, k)
 
     def test_natural_iso(self):
         assert digraph_natural_iso_check(dipole(3), 2)
@@ -419,6 +436,19 @@ class TestConnectivity:
         for build in (link_graph, link_graph_connected):
             with pytest.raises(LimitExceeded, match=r"\(35809 > 35808\)"):
                 build(G, ell, limit)
+
+    @pytest.mark.parametrize("G, ell", [(path(4), 3), (petersen(), 4)])
+    def test_connectivity_counts_the_arcs_once(self, G, ell, monkeypatch):
+        # one count up to ell + 1 gives the links, the hub and the search's levels
+        lengths = []
+        for module in (construction, links):
+            real = module._walks
+            monkeypatch.setattr(module, "_walks",
+                                lambda G, L, real=real: lengths.append(L) or real(G, L))
+        want = link_graph(G, ell).is_connected()
+        lengths.clear()
+        assert link_graph_connected(G, ell) == want
+        assert lengths == [ell + 1]
 
     def test_connectivity_fallback_reads_the_kernel_of_the_search(self, monkeypatch):
         # the hub of path(4) at ell = 3 hosts no 3-link: breadth-first search

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import re
 import weakref
 from collections import Counter
 
@@ -317,7 +318,11 @@ class TestBuildOnce:
         counting("_windows_graph", lambda G, ell, windows: (G.serialize(), ell))
         counting("_base_coloring", lambda G, H, solve: (G.serialize(), H.ell))
         counting("_lifted", lambda below, H, levels: (H.source.serialize(), H.ell))
-        counting("hub_subgraph", lambda G, ell, limit: (G.serialize(), ell))
+        # a hub is read off the run's arc counts, once per set of middle units
+        counting("_hub_graph",
+                 lambda G, ell, units: (G.serialize(), (ell % 2, frozenset(units))))
+        for module in (harness, construction, links, minors):
+            monkeypatch.setattr(module, "hub_subgraph", None, raising=False)
         # the colouring claims read the link graphs of the run
         monkeypatch.setattr(coloring, "link_graph", None)
         monkeypatch.setattr(harness, "link_graph", None)
@@ -325,16 +330,55 @@ class TestBuildOnce:
         assert report.passed()
         built = {(G, ell) for name, G, ell in calls if name == "_windows_graph"}
         assert len(built) == 2 * len(self.CAPS.ell_range)
-        hubs = {(G, ell) for name, G, ell in calls if name == "hub_subgraph"}
-        assert hubs == built
+        hubs = {(G, units) for name, G, units in calls if name == "_hub_graph"}
+        assert {G for G, _ in hubs} == {G for G, _ in built}
         kernels = [(G, top) for name, G, top in calls if name == "_arc_levels"]
         assert sorted(kernels) == sorted((inst.graph.serialize(), max(self.CAPS.ell_range) + 1)
                                          for inst in small_corpus())
         assert {name for name, _, _ in calls} == {
-            "_arc_levels", "_windows_graph", "_base_coloring", "_lifted", "hub_subgraph"}
+            "_arc_levels", "_windows_graph", "_base_coloring", "_lifted", "_hub_graph"}
         assert max(calls.values()) == 1, [k for k, c in calls.items() if c > 1]
         # Cor4.4 lifts to the top length on both instances
         assert ("_lifted", complete(4).serialize(), 5) in calls
+
+    @pytest.mark.parametrize("span", [(0, 6), (0, 0)])
+    def test_cache_hub_is_the_hub_subgraph(self, span):
+        # within the run's counts and past them; with an isolated vertex, and
+        # on path(3) past its last arc length
+        lonely = Multigraph(["z"], [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a")])
+        corpus = default_corpus() + [CorpusInstance("lonely", lonely),
+                                     CorpusInstance("path(3)", path(3))]
+        for inst in corpus:
+            G, cache = inst.graph, harness._Cache(Caps(), span)
+            for ell in range(7):
+                try:
+                    units = links.middle_units(G, ell, cache.caps.suite_links)
+                except LimitExceeded as exc:
+                    with pytest.raises(LimitExceeded, match=re.escape(str(exc))):
+                        cache.hub(inst, ell)
+                    continue
+                want = G.edge_subgraph(units) if ell % 2 else G.induced_subgraph(units)
+                assert links.hub_subgraph(G, ell, cache.caps.suite_links) == want
+                got = cache.hub(inst, ell)
+                assert (got.vertices, got.edge_ids) == (want.vertices, want.edge_ids)
+                assert (got is G) == (want == G)
+                for s in (0, 1, 2):
+                    assert cache.hub_links(inst, ell, s) == harness._hub_links(want, s)
+            cache.release()
+
+    def test_a_default_run_makes_each_length_free_fact_once(self, monkeypatch):
+        # per instance one arc count, one chain digraph deepened from depth 1,
+        # and the components of each graph searched once
+        calls = Counter()
+        for owner, name in ((harness, "_walks"), (construction, "enumerate_arcs"),
+                            (links, "hub_subgraph"), (Multigraph, "_bfs_dist")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, real=real, name=name:
+                                calls.update([name]) or real(*args))
+        assert verify_suite().passed()
+        assert calls["_walks"] == calls["enumerate_arcs"] == len(default_corpus())
+        assert calls["hub_subgraph"] == 0
+        assert calls["_bfs_dist"] <= 1400
 
     @pytest.mark.parametrize("claims, caps, want", [
         (["Thm2"], Caps(), (1, 4)),

@@ -171,6 +171,16 @@ class TestMetrics:
         assert G.components() == [["a", "b"], ["x"]]
         assert not G.is_connected()
 
+    def test_components_are_kept_and_returned_as_fresh_lists(self, monkeypatch):
+        G = Multigraph(["x"], [("e1", "a", "b")])
+        starts = []
+        real = Multigraph._bfs_dist
+        monkeypatch.setattr(Multigraph, "_bfs_dist",
+                            lambda self, v: starts.append(v) or real(self, v))
+        G.components()[0].append("y")
+        assert G.components() == [["a", "b"], ["x"]] and not G.is_connected()
+        assert starts == ["a", "x"]
+
     @given(multigraphs())
     @settings(max_examples=60, deadline=None)
     def test_degree_sum(self, G):
