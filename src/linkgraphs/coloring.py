@@ -248,33 +248,30 @@ def reduce_coloring(H, coloring, r):
     most ``floor(t*r/(r+1)) + 1`` colours.
 
     Preconditions: the input is proper, and every vertex sees at most ``r``
-    distinct foreign colours (checked by ``_recolour``).  For ``t <= r + 1``
+    distinct foreign colours (both checked by ``_recolour``).  For ``t <= r + 1``
     the input is returned unchanged (the bound equals t).
     """
     adj = index_adjacency(H)
-    if adj is H:  # a raw list may hold a loop, which is_proper ignores too
+    if adj is H:  # a raw list may hold a loop, which is_proper ignores and _recolour must too
         adj = [{w for w in nbrs if w != v} for v, nbrs in enumerate(adj)]
     if r < 0:
         raise InvalidParameter(f"r must be >= 0, got {r}")
-    if not is_proper(adj, coloring):
-        raise PreconditionViolated("input colouring is not proper")
-    return _recolour(adj, coloring, r)
+    return _recolour(adj, coloring, r, "input colouring is not proper")
 
 
-def _recolour(adj, coloring, r, improper=None):
-    """``reduce_coloring`` on the neighbour sets ``adj`` of a graph that
-    ``coloring`` colours properly.  The bound of ``r`` foreign colours a
-    vertex is checked here, also where the input is returned unchanged, and
-    the output is checked too.  With ``improper`` given, the same first scan
-    checks that the input is total and proper, and raises
-    ``PreconditionViolated(improper)`` if it is not, before any bound."""
+def _recolour(adj, coloring, r, improper):
+    """``reduce_coloring`` on the neighbour sets ``adj`` of a loopless graph.
+    The first scan checks that ``coloring`` is total and proper, and raises
+    ``PreconditionViolated(improper)`` at the first improper edge, before any
+    bound; the bound of ``r`` foreign colours a vertex is checked after it,
+    also where the input is returned unchanged, and the output is checked
+    too."""
     assign = coloring.assignment
-    if improper is not None:
-        _check_total(assign, len(adj))
+    _check_total(assign, len(adj))
     crowded = None
     for v, nbrs in enumerate(adj):
         foreign = set(map(assign.__getitem__, nbrs))
-        if improper is not None and assign[v] in foreign:
+        if assign[v] in foreign:
             raise PreconditionViolated(improper)
         if crowded is None and len(foreign) > r:
             crowded = f"vertex {v} sees {len(foreign)} foreign colours > r={r}"

@@ -17,6 +17,7 @@ from .errors import (
     WindowTooShort,
 )
 from .links import (
+    Arc,
     Link,
     _arc_cap,
     _arc_levels,
@@ -37,7 +38,6 @@ from .links import (
     _unit_tuples,
     _walks,
     _window_ids,
-    arc_windows,
     enumerate_arcs,
     is_cycle,
     is_link_of,
@@ -505,9 +505,11 @@ def arc_digraph(G, ell, limit=None):
     """
     if ell < 1:
         raise InvalidParameter(f"arc digraph needs ell >= 1, got {ell}")
-    verts, labels, windows = arc_windows(G, ell, limit)
-    arcs = tuple((t, h, q) for (t, h), q in zip(windows, labels))
-    return LabeledDigraph(ell, tuple(verts), arcs, G)
+    cap = _arc_cap(limit)
+    levels = _kernel(G, ell, {ell: cap, ell + 1: cap})
+    units, top = _arc_units(G, levels, ell), levels[ell + 1]
+    arcs = tuple(zip(top.parent, top.suffix, map(Arc, units[ell + 1])))
+    return LabeledDigraph(ell, tuple(map(Arc, units[ell])), arcs, G)
 
 
 @dataclass

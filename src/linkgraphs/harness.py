@@ -44,6 +44,7 @@ from .links import (
     _arcs,
     _check_limit,
     _canonical,
+    _cycle_links,
     _hub_graph,
     _inside,
     _kernel,
@@ -552,37 +553,6 @@ def _check_looplessness(inst, caps, cache, ell):
     return "pass", f"{H.m} edges loopless"
 
 
-def _alternating_link(v, e, w, f, length):
-    """The link of the walk of the given length around a parallel pair,
-    starting at ``v`` by ``e``, as a canonical unit tuple."""
-    units = [v]
-    verts = (v, w)
-    edges = (e, f)
-    for k in range(length):
-        units.append(edges[k % 2])
-        units.append(verts[(k + 1) % 2])
-    units = tuple(units)
-    return min(units, units[::-1])
-
-
-def _parallel_patterns(parallel_pairs, ell):
-    """The doubled edges the parallel pairs make at ``ell``: a map from the
-    two ``ell``-links of the walks alternating around a pair to each set of
-    the two ``(ell + 1)``-links that join them, as canonical unit tuples.
-
-    A pair ``(u, v, e, f)`` has four orientations, but starting at ``v`` by
-    ``f`` spells the links of starting at ``u`` by ``e``, so two remain."""
-    table = {}
-    for u, v, e, f in parallel_pairs:
-        for x, y in ((u, v), (v, u)):
-            windows = frozenset((_alternating_link(x, e, y, f, ell),
-                                 _alternating_link(y, f, x, e, ell)))
-            labels = frozenset((_alternating_link(x, e, y, f, ell + 1),
-                                _alternating_link(y, f, x, e, ell + 1)))
-            table.setdefault(windows, set()).add(labels)
-    return table
-
-
 def _doubled_units(G, levels, ell, pairs):
     """Per pair of ``ell``-link indices in ``pairs``, the unit tuples of its two
     links and of the ``(ell + 1)``-links that join them, as two frozensets,
@@ -625,18 +595,20 @@ def _check_multiplicity(inst, caps, cache, ell):
     pairs = Counter(zip(map(min, lo, hi), map(max, lo, hi)))
     doubled = dict(sorted((pair, c) for pair, c in pairs.items() if c > 1))
     units = _doubled_units(G, cache.link_levels(inst, ell, ell + 1), ell, doubled)
-    patterns = _parallel_patterns(parallel_pairs, ell)
+    # per parallel pair, the two ell-links of its 2-cycle and the two
+    # (ell + 1)-links that join them; at ell >= 1 the links hold the pair's
+    # edges, so each pair has its own key, in pair order
+    digons = {frozenset(_cycle_links(d, ell)): frozenset(_cycle_links(d, ell + 1))
+              for d in ((u, e, v, f, u) for u, v, e, f in parallel_pairs)}
     for pair, c in doubled.items():
         if c > 2:
             return "fail", f"multiplicity {c} at {pair}"
         windows, labels = units[pair]
-        if labels not in patterns.get(windows, ()):
+        if digons.get(windows) != labels:
             return "fail", f"doubled edge at {pair} without a parallel-pair pattern"
     # converse: every parallel pair produces its doubled edge
     seen = {windows for windows, _ in units.values()}
-    for u, v, e, f in parallel_pairs:
-        windows = frozenset((_alternating_link(u, e, v, f, ell),
-                             _alternating_link(v, f, u, e, ell)))
+    for (_, _, e, f), windows in zip(parallel_pairs, digons):
         if windows not in seen:
             return "fail", f"parallel pair {e},{f} not doubled at length {ell}"
     return "pass", f"{len(doubled)} doubled pairs, all patterned"

@@ -581,23 +581,6 @@ def _window_ids(levels, ell):
     return top.windows
 
 
-def arc_windows(G, ell, limit=None):
-    """What the arc digraph is built from: the ``ell``-arcs, the
-    ``(ell + 1)``-arcs, and per ``(ell + 1)``-arc the indices of its tail and
-    head windows among the ``ell``-arcs."""
-    cap = _arc_cap(limit)
-    return _arc_windows(G, _kernel(G, ell, {ell: cap, ell + 1: cap}), ell)
-
-
-def _arc_windows(G, levels, ell):
-    """``arc_windows`` read off kernel levels that hold every ``ell``- and
-    ``(ell + 1)``-arc."""
-    top = levels[ell + 1]
-    units = _arc_units(G, levels, ell)
-    windows = list(zip(top.parent, top.suffix))
-    return list(map(Arc, units[ell])), list(map(Arc, units[ell + 1])), windows
-
-
 def _arc_units(G, levels, ell):
     """The unit tuples of every ``ell``- and ``(ell + 1)``-arc, by level."""
     return _unit_tuples(G, levels, {L: _all(len(levels[L].last)) for L in (ell, ell + 1)})
@@ -689,13 +672,39 @@ def conjunction(a, b):
     return Arc(a.units + b.units[1:])
 
 
+def _windows(walk, ell):
+    """The ``ell``-windows of the walk with unit tuple ``walk``, from its
+    start on, each as the canonical unit tuple of its link."""
+    out = []
+    for k in range(0, len(walk) - 2 * ell, 2):
+        w = walk[k : k + 2 * ell + 1]
+        out.append(min(w, w[::-1]))
+    return out
+
+
+def _cycle_links(closed, ell):
+    """The ``ell``-links, ``ell >= 1``, of the cycle that the closed walk
+    ``closed`` (a unit tuple) goes round once, as canonical unit tuples: the
+    windows of the walk, in the order a walk over the cycle's own link graph
+    visits them, from the least link on through its lesser neighbour.
+    Windows at consecutive starts are joined by the one-longer window, so
+    that graph is a cycle through them in start order (for a digon, two
+    links joined twice)."""
+    c = len(closed) // 2
+    walk = closed + closed[1:] * (ell // c + 1)
+    links = _windows(walk[: 2 * (c + ell) - 1], ell)
+    s = links.index(min(links))
+    step = 1 if links[(s + 1) % c] < links[s - 1] else -1
+    return [links[(s + step * k) % c] for k in range(c)]
+
+
 def shunt_trace(base, ell):
     """Slide an ``ell``-window along ``base``; one step per unit shift."""
     if ell > base.length:
         raise WindowTooLong(f"window {ell} exceeds arc length {base.length}")
-    s = base.length - ell
-    images = tuple(Link.from_arc(base.window(i, i + ell)) for i in range(s + 1))
-    steps = tuple(Link.from_arc(base.window(i - 1, i + ell)) for i in range(1, s + 1))
+    if ell < 0:
+        raise InvalidParameter(f"window length must be >= 0, got {ell}")
+    images, steps = (tuple(map(Link, _windows(base.units, w))) for w in (ell, ell + 1))
     return ShuntTrace(base, ell, images, steps)
 
 
@@ -705,27 +714,21 @@ def one_step_shunts(G, link):
     This is exactly the labelled edge neighbourhood of ``link`` in the link
     graph; entries are sorted and pairwise distinct in ``Q``.
     """
-    if link.length == 0:
-        res = []
-        v = link.units[0]
-        for eid, w in G.incident(v):
-            res.append((Link.from_units((v, eid, w)), Link((w,))))
-        res.sort()
-        return res
     return [(Link(q), Link(r)) for q, r in _shunt_steps(G, link.units)]
 
 
 def _shunt_steps(G, units):
-    """``one_step_shunts`` of the link with canonical units ``units``, of
-    length at least 1, as sorted pairs of canonical unit tuples ``(Q, R)``:
-    each orientation of the link extended by one dart at its head, and that
-    extension without its first dart."""
+    """``one_step_shunts`` of the link with canonical units ``units`` as
+    sorted pairs of canonical unit tuples ``(Q, R)``: each orientation of the
+    link (one for a vertex) extended by one dart at its head, not back along
+    its last edge, and that extension without its first dart."""
     res = []
-    for arc in (units, units[::-1]):
-        head_edge, head, rest = arc[-2], arc[-1], arc[2:]
-        for eid, w in G.incident(head):
+    ends = ((units, None),) if len(units) == 1 else ((units, units[-2]), (units[::-1], units[1]))
+    for arc, head_edge in ends:
+        for eid, w in G.incident(arc[-1]):
             if eid != head_edge:
-                q, r = arc + (eid, w), rest + (eid, w)
+                q = arc + (eid, w)
+                r = q[2:]
                 res.append((min(q, q[::-1]), min(r, r[::-1])))
     res.sort()
     return res

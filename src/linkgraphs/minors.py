@@ -22,9 +22,11 @@ from .links import (
     Link,
     _arcs,
     _counted,
+    _cycle_links,
     _link_cap,
     _shunt_steps,
     _walk_arcs,
+    _windows,
     enumerate_links,
     has_arc,
     hub_subgraph,
@@ -458,17 +460,6 @@ def shortest_cycle_arc(G):
     return None if units is None else Arc(units)
 
 
-def _windows(walk, ell):
-    """The ``ell``-windows of the walk with unit tuple ``walk``, from its
-    start on, each as the canonical unit tuple of its link: the links of
-    ``shunt_trace(Arc(walk), ell).images``."""
-    out = []
-    for k in range(0, len(walk) - 2 * ell, 2):
-        w = walk[k : k + 2 * ell + 1]
-        out.append(min(w, w[::-1]))
-    return out
-
-
 def _ending_at(closed, p, ell):
     """The unit tuple of the ``ell`` darts of the closed walk ``closed`` that
     end at its position ``p``, wrapping round it as often as needed."""
@@ -477,22 +468,6 @@ def _ending_at(closed, p, ell):
     end = 2 * (p + c * k)
     walk = closed[:-1] * (k + 1) + closed[-1:]
     return walk[end - 2 * ell : end + 1]
-
-
-def _cycle_links(closed, ell):
-    """The ``ell``-links, ``ell >= 1``, of the cycle that the closed walk
-    ``closed`` (a unit tuple) goes round once, as canonical unit tuples: the
-    windows of the walk, in the order a walk over the cycle's own link graph
-    visits them, from the least link on through its lesser neighbour.
-    Windows at consecutive starts are joined by the one-longer window, so
-    that graph is a cycle through them in start order (for a digon, two
-    links joined twice)."""
-    c = len(closed) // 2
-    walk = closed + closed[1:] * (ell // c + 1)
-    links = _windows(walk[: 2 * (c + ell) - 1], ell)
-    s = links.index(min(links))
-    step = 1 if links[(s + 1) % c] < links[s - 1] else -1
-    return [links[(s + step * k) % c] for k in range(c)]
 
 
 def _x_paths(X, cut, ell):

@@ -5,13 +5,14 @@ claims off the ``Link``s of each link graph: Obs3.3's window test, Obs3.4's
 doubled-edge patterns, the path-graph comparison of PathGirth, Lemma 3.7's
 hub parts and the middle-unit map of Lemma 3.5 and Corollary 3.6.  The
 package reads the same answers off kernel ids and makes no ``Link`` for a
-passing record; the tests check that both agree.
+passing record; the tests check that both agree.  Obs3.4's patterns are
+built here from the walks alternating round each parallel pair, apart from
+the package's cycle links.
 """
 
 from __future__ import annotations
 
 from linkgraphs.construction import _path_graph_of
-from linkgraphs.harness import _alternating_link, _parallel_patterns
 from linkgraphs.links import Link
 
 
@@ -37,13 +38,45 @@ def parallel_pairs(G):
             for a in range(len(eids)) for b in range(a + 1, len(eids))]
 
 
+def alternating_link(v, e, w, f, length):
+    """The link of the walk of the given length around a parallel pair,
+    starting at ``v`` by ``e``, as a canonical unit tuple."""
+    units = [v]
+    verts = (v, w)
+    edges = (e, f)
+    for k in range(length):
+        units.append(edges[k % 2])
+        units.append(verts[(k + 1) % 2])
+    units = tuple(units)
+    return min(units, units[::-1])
+
+
+def parallel_patterns(pairs, ell):
+    """The doubled edges the parallel pairs ``pairs`` make at ``ell``: a map
+    from the two ``ell``-links of the walks alternating around a pair to each
+    set of the two ``(ell + 1)``-links that join them, as canonical unit
+    tuples.
+
+    A pair ``(u, v, e, f)`` has four orientations, but starting at ``v`` by
+    ``f`` spells the links of starting at ``u`` by ``e``, so two remain."""
+    table = {}
+    for u, v, e, f in pairs:
+        for x, y in ((u, v), (v, u)):
+            windows = frozenset((alternating_link(x, e, y, f, ell),
+                                 alternating_link(y, f, x, e, ell)))
+            labels = frozenset((alternating_link(x, e, y, f, ell + 1),
+                                alternating_link(y, f, x, e, ell + 1)))
+            table.setdefault(windows, set()).add(labels)
+    return table
+
+
 def multiplicity(H, pairs):
     """Obs3.4 on the link graph ``H`` with the parallel pairs ``pairs`` of its
     base graph: ``(status, detail)``."""
     ell = H.ell
     groups = H.edge_groups()
     doubled = {pair: labs for pair, labs in groups.items() if len(labs) > 1}
-    patterns = _parallel_patterns(pairs, ell)
+    patterns = parallel_patterns(pairs, ell)
     for pair, labs in doubled.items():
         if len(labs) > 2:
             return "fail", f"multiplicity {len(labs)} at {pair}"
@@ -52,8 +85,8 @@ def multiplicity(H, pairs):
             return "fail", f"doubled edge at {pair} without a parallel-pair pattern"
     # converse: every parallel pair produces its doubled edge
     for u, v, e, f in pairs:
-        i = H.index[Link(_alternating_link(u, e, v, f, ell))]
-        j = H.index[Link(_alternating_link(v, f, u, e, ell))]
+        i = H.index[Link(alternating_link(u, e, v, f, ell))]
+        j = H.index[Link(alternating_link(v, f, u, e, ell))]
         if len(groups.get((i, j) if i < j else (j, i), ())) != 2:
             return "fail", f"parallel pair {e},{f} not doubled at length {ell}"
     return "pass", f"{len(doubled)} doubled pairs, all patterned"

@@ -108,6 +108,19 @@ def test_claim_readers_match_their_link_references(G):
 
 
 @settings(max_examples=60, deadline=None)
+@given(multigraphs(max_n=6, max_m=9))
+def test_digon_cycle_links_are_the_alternating_walk_patterns(G):
+    # Obs3.4 reads a parallel pair's doubled edge off the link graph of its 2-cycle
+    for ell in range(1, 7):
+        digons = {}
+        for u, v, e, f in harness._parallel_pairs(G):
+            digon = (u, e, v, f, u)
+            windows = frozenset(links._cycle_links(digon, ell))
+            digons.setdefault(windows, set()).add(frozenset(links._cycle_links(digon, ell + 1)))
+        assert digons == ref.parallel_patterns(ref.parallel_pairs(G), ell)
+
+
+@settings(max_examples=60, deadline=None)
 @given(multigraphs(max_n=7, max_m=12), st.data())
 def test_hub_parts_and_middle_units_match_their_link_references(G, data):
     edges = data.draw(st.sets(st.sampled_from(sorted(G.edge_ids)))) if G.m else set()

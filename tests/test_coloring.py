@@ -212,6 +212,13 @@ class TestRecolouring:
         with pytest.raises(PreconditionViolated):
             reduce_coloring(adj, Coloring({0: 1, 1: 1}, 1), 0)
 
+    def test_an_improper_edge_is_named_before_a_crowded_vertex(self):
+        # vertex 0 sees three foreign colours, and the edge 4-5 is improper
+        adj = [{1, 2, 3}, {0}, {0}, {0}, {5}, {4}]
+        col = Coloring({0: 4, 1: 1, 2: 2, 3: 3, 4: 1, 5: 1}, 4)
+        with pytest.raises(PreconditionViolated, match="input colouring is not proper"):
+            reduce_coloring(adj, col, 2)
+
     def test_a_loop_in_a_raw_list_is_ignored(self):
         # is_proper ignores the loop at 0, and so does the foreign-colour bound
         adj, col = [{0, 1}, {0}], Coloring({0: 1, 1: 2}, 2)
@@ -471,8 +478,7 @@ Coloring.max_color = lambda self: self.t + 1
 expect_raise(lambda: coloring.reduce_coloring(PATH6, SIX, 2))
 Coloring.max_color = real_max_color
 
-answers = iter([True, False])  # the input passes, the output fails
-coloring.is_proper = lambda H, col: next(answers)
+coloring.is_proper = lambda H, col: False  # the output fails; _recolour checks the input
 expect_raise(lambda: coloring.reduce_coloring(PATH6, SIX, 2))
 coloring.is_proper = real_proper
 

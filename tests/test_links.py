@@ -11,10 +11,12 @@ from linkgraphs.construction import link_graph
 from linkgraphs.errors import (
     BacktrackEdge,
     EndpointMismatch,
+    InvalidParameter,
     LengthMismatch,
     LimitExceeded,
     WindowTooLong,
 )
+from linkgraphs.harness import default_corpus
 from linkgraphs.links import (
     Arc,
     Link,
@@ -182,6 +184,10 @@ class TestShunting:
         with pytest.raises(WindowTooLong):
             shunt_trace(Arc(("v0",)), 1)
 
+    def test_negative_window_rejected(self):
+        with pytest.raises(InvalidParameter):
+            shunt_trace(Arc(("u0", "e1", "u1")), -1)
+
     def test_one_step_counts(self):
         D = dipole(3)
         link = Link.from_units(("u0", "e1", "u1"))
@@ -201,6 +207,15 @@ class TestShunting:
             ("e0", "v1"),
             ("e1", "v1"),
         ]
+
+    def test_one_step_of_a_vertex_is_each_edge_to_a_neighbour(self):
+        for inst in default_corpus():
+            G = inst.graph
+            for v in G.vertices:
+                want = sorted((Link.from_units((v, eid, w)), Link((w,)))
+                              for eid, a, b in G.edges() if v in (a, b)
+                              for w in [b if v == a else a])
+                assert one_step_shunts(G, Link((v,))) == want, inst.name
 
     def test_one_step_middle_of_path(self):
         G = path(3)

@@ -31,7 +31,7 @@ from linkgraphs.minors import (
     verify_minor,
 )
 from linkgraphs.harness import default_corpus
-from linkgraphs.links import _arcs, _walks, enumerate_arcs, shunt_trace
+from linkgraphs.links import Link, _arcs, _walks, enumerate_arcs, shunt_trace
 from linkgraphs.multigraph import (
     Multigraph,
     complete,
@@ -509,8 +509,11 @@ def test_windows_are_the_links_of_a_shunt_trace(G):
     for length in (L for L in range(1, 5) if _arcs(totals, L) <= 400):
         for arc in enumerate_arcs(G, length):
             for ell in range(length + 1):
-                images = shunt_trace(arc, ell).images
+                images = [Link.from_arc(arc.window(i, i + ell)) for i in range(length - ell + 1)]
+                steps = [Link.from_arc(arc.window(i - 1, i + ell)) for i in range(1, length - ell + 1)]
                 assert minors._windows(arc.units, ell) == [link.units for link in images]
+                trace = shunt_trace(arc, ell)
+                assert trace.images == tuple(images) and trace.steps == tuple(steps)
 
 
 @pytest.mark.parametrize("c", range(2, 9))
