@@ -97,6 +97,9 @@ def _cmd_gen(args):
 
 def _cmd_build(args):
     ell = _one_ell(args)
+    if args.kind == "arc" and args.format == "edgelist":
+        raise InvalidParameter("--kind arc takes no --format edgelist: an arc digraph "
+                               "has no edge-list form")
     G = _load_graph(args.graph)
     if args.kind == "link":
         H = link_graph(G, ell, args.limit)

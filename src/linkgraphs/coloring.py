@@ -456,6 +456,8 @@ def _decay_bound(base, steps):
 
 def chromatic_upper_bounds(G, ell, cap=DEFAULT_CHROMATIC_CAP, limit=None):
     """Evaluate every applicable closed-form bound for reporting."""
+    if ell < 0:
+        raise InvalidParameter(f"ell must be >= 0, got {ell}")
     even = ell % 2 == 0
     H = link_graph(G, 0, limit) if even else None
     try:

@@ -902,16 +902,11 @@ def _hub_criterion(G, ell, n_links, hub, graph):
     return reached == n_links
 
 
-def shunt_reach(G, ell, hub):
-    """How many ``ell``-links of ``G`` shunt to a link lying inside the
-    subgraph ``hub``; 0 when no ``ell``-link lies inside it."""
-    levels = _arc_levels(G, _walks(G, ell + 1)[1], ell, ell + 1)
-    return _shunt_search(G, ell, hub, levels, _windows_graph(G, ell, levels))
-
-
 def _shunt_search(G, ell, hub, levels, H):
-    """``shunt_reach`` on kernel levels that hold every ``ell``- and
-    ``(ell + 1)``-arc and the link graph ``H`` built on them.
+    """How many ``ell``-links of ``G`` shunt to a link lying inside the
+    subgraph ``hub``, 0 when no ``ell``-link lies inside it, on kernel levels
+    that hold every ``ell``- and ``(ell + 1)``-arc and the link graph ``H``
+    built on them.
 
     A one-step shunt is a link-graph edge, so this is a search over kernel ids
     from the links all of whose edges (at length 0, whose vertex) are in ``hub``.

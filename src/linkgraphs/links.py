@@ -118,7 +118,7 @@ class Link:
     def middle_segment(self, k):
         """Middle segment of length ``k`` (``k`` must match parity of length)."""
         ell = self.length
-        if k > ell or (ell - k) % 2 != 0:
+        if not 0 <= k <= ell or (ell - k) % 2 != 0:
             raise InvalidParameter(f"no middle segment of length {k} in length {ell}")
         return Link.from_units(self.units[ell - k : ell + k + 1])
 

@@ -27,7 +27,6 @@ from .links import (
     _shunt_steps,
     _walk_arcs,
     _windows,
-    enumerate_links,
     has_arc,
     hub_subgraph,
     validate_arc,
@@ -444,10 +443,9 @@ class CutInstance:
         if missing:
             raise PreconditionViolated(f"unknown vertices {missing}")
         X = self.x_subgraph()
-        if X.diameter() >= ell:
-            raise PreconditionViolated(
-                f"cut set diameter {X.diameter()} is not below {ell}"
-            )
+        diameter = X.diameter()
+        if diameter >= ell:
+            raise PreconditionViolated(f"cut set diameter {diameter} is not below {ell}")
         Y = self.y_subgraph()
         if Y.n == 0 or not Y.is_connected():
             raise PreconditionViolated("complement is empty or disconnected")
@@ -626,13 +624,6 @@ def bipartite_clique_minor(d):
 # -- hub lifting ----------------------------------------------------------------
 
 
-def _middle_in(link, sub, ell):
-    unit = link.middle_unit()
-    if ell % 2 == 0:
-        return sub.has_vertex(unit)
-    return sub.has_edge(unit)
-
-
 def lift_minor(G, ell, branch_sets, H=None, hub=None, limit=None):
     """Lift a minor of the hub subgraph into the link graph.
 
@@ -640,88 +631,87 @@ def lift_minor(G, ell, branch_sets, H=None, hub=None, limit=None):
     set is the component, of links whose middle unit sits in the branch set,
     that contains its links.  Connectors are an edge for even length and a
     two-step path through a link centred on the crossing edge for odd length.
+    One scan of ``H.vertices`` finds each set's links and groups the links
+    by middle unit; the rest reads ``H.adjacency()``.
     """
     if hub is None:
         hub = hub_subgraph(G, ell, limit)
     if H is None:
         H = link_graph(G, ell, limit)
     sets = [frozenset(bs) for bs in branch_sets]
-    seen = set()
-    for bs in sets:
+    part = {}  # hub vertex -> its branch set
+    for k, bs in enumerate(sets):
         if not bs:
             raise PreconditionViolated("empty branch set")
         for v in bs:
             if not hub.has_vertex(v):
                 raise PreconditionViolated(f"{v!r} is not a hub vertex")
-            if v in seen:
+            if v in part:
                 raise PreconditionViolated(f"branch sets overlap at {v!r}")
-            seen.add(v)
-    subs = [hub.induced_subgraph(bs) for bs in sets]
-    for sub in subs:
-        if not sub.is_connected():
+            part[v] = k
+    for bs in sets:
+        if not hub.induced_subgraph(bs).is_connected():
             raise PreconditionViolated("branch set does not induce a connected subgraph")
 
-    inner_links = []
-    for k, sub in enumerate(subs):
-        found = enumerate_links(sub, ell, limit)
+    odd = ell % 2
+    # per set: the links with their middle unit in it, and those inside it
+    members, inner = [set() for _ in sets], [[] for _ in sets]
+    by_middle = {}
+    for i, link in enumerate(H.vertices):
+        units = link.units
+        if odd:
+            by_middle.setdefault(units[ell], []).append(i)
+            k = part.get(units[ell - 1])
+            if part.get(units[ell + 1]) != k:
+                continue
+        else:
+            k = part.get(units[ell])
+        if k is None:
+            continue
+        members[k].add(i)
+        if all(part.get(v) == k for v in units[::2]):
+            inner[k].append(i)
+    for k, found in enumerate(inner):
         if not found:
             raise BranchSetLacksLink(f"branch set {k} holds no link of length {ell}")
-        inner_links.append(set(found))
 
     adj = H.adjacency()
     lifted = []
-    for k, sub in enumerate(subs):
-        members = {i for i, l in enumerate(H.vertices) if _middle_in(l, sub, ell)}
-        inner_idx = {H.index[l] for l in inner_links[k]}
-        comp = reachable(adj, [min(inner_idx)], members)
-        if not inner_idx <= comp:
+    for found, allowed in zip(inner, members):
+        comp = reachable(adj, [found[0]], allowed)
+        if not comp.issuperset(found):
             raise WitnessInvalid("links of one branch set fell into two components")
         lifted.append(frozenset(comp))
 
     # target edges: hub edges between different branch sets, one per pair
-    vertex_part = {}
-    for k, bs in enumerate(sets):
-        for v in bs:
-            vertex_part[v] = k
     cross = {}
     for eid, u, v in hub.edges():
-        pu, pv = vertex_part.get(u), vertex_part.get(v)
+        pu, pv = part.get(u), part.get(v)
         if pu is None or pv is None or pu == pv:
             continue
         pair = (pu, pv) if pu < pv else (pv, pu)
         if pair not in cross or eid < cross[pair]:
             cross[pair] = eid
 
-    middle_map = {}
-    if ell % 2 == 1:
-        for i, l in enumerate(H.vertices):
-            middle_map.setdefault(l.middle_unit(), []).append(i)
-
     connectors = {}
     for (i, j), eid in sorted(cross.items()):
-        if ell % 2 == 0:
-            found = None
-            for a, b, _ in H.edges:
-                if a in lifted[i] and b in lifted[j]:
-                    found = (a, b)
-                    break
-                if b in lifted[i] and a in lifted[j]:
-                    found = (b, a)
-                    break
+        if not odd:
+            # the least end pair: the first such edge of the edge list, sorted by ends
+            found = min(((a, b) for a in lifted[i] for b in adj[a] & lifted[j]),
+                        key=sorted, default=None)
             if found is None:
                 raise WitnessInvalid("no direct edge between lifted branch sets")
-            connectors[(i, j)] = found
         else:
             found = None
-            for mid in middle_map.get(eid, ()):
-                a = next((x for x in sorted(adj[mid]) if x in lifted[i]), None)
-                b = next((x for x in sorted(adj[mid]) if x in lifted[j]), None)
+            for mid in by_middle.get(eid, ()):
+                a = min(adj[mid] & lifted[i], default=None)
+                b = min(adj[mid] & lifted[j], default=None)
                 if a is not None and b is not None:
                     found = (a, mid, b)
                     break
             if found is None:
                 raise WitnessInvalid("no two-step connector through the crossing edge")
-            connectors[(i, j)] = found
+        connectors[(i, j)] = found
 
     witness = MinorWitness(len(sets), frozenset(cross), lifted, connectors, H, "hub-lift")
     return _checked(H, witness, "hub lifting")
@@ -840,10 +830,8 @@ def _eta_route(G, ell, H, eta_cap, limit, solve_eta):
     if eta == 3:
         return _triple_split_cycle_witness(comp_graph, ell, H)
     peeled = _peel_degree_one(comp_graph)
-    hub = hub_subgraph(peeled, ell, limit)
-    if sorted(hub.vertices) != sorted(peeled.vertices) or sorted(hub.edge_ids) != sorted(
-        peeled.edge_ids
-    ):
+    # ``hub_subgraph`` returns the graph itself exactly when it is its own hub
+    if hub_subgraph(peeled, ell, limit) is not peeled:
         return None  # hub equality failed; other routes must serve
     # peeling degree-one vertices keeps every clique minor of order >= 3
     sets = [set(bs) for bs in _model_of_order(peeled, eta)]
@@ -869,24 +857,23 @@ def _eta_route(G, ell, H, eta_cap, limit, solve_eta):
         # the lift reads every vertex of the link graph
         if not isinstance(H, LabeledGraph):
             H = link_graph(G, ell, limit)
-        try:
-            return lift_minor(peeled, ell, [frozenset(bs) for bs in sets], H=H,
-                              hub=hub, limit=limit)
-        except WitnessInvalid:
-            raise
-        except LinkGraphError:
-            return None
-    x_set = frozenset(sets[deficient])
-    inst = CutInstance(peeled, x_set)
+        return _or_none(lift_minor, peeled, ell, [frozenset(bs) for bs in sets], H=H, hub=peeled)
+    inst = CutInstance(peeled, frozenset(sets[deficient]))
+    return _or_none(complete_minor_with_cycle, peeled, ell, inst, H=H)
+
+
+def _or_none(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, or ``None`` when it raises a
+    ``LinkGraphError`` other than ``WitnessInvalid``, which propagates."""
     try:
-        return complete_minor_with_cycle(peeled, ell, inst, H=H, limit=limit)
+        return build(*args, **kwargs)
     except WitnessInvalid:
         raise
     except LinkGraphError:
         return None
 
 
-def _candidate_route(G, ell, H, limit, best):
+def _candidate_route(G, ell, H, best):
     """The largest cut witness that beats ``K_best``, the largest witness found
     before this route, as ``(witness, None)``; ``(None, note)`` when none does.
 
@@ -934,14 +921,10 @@ def _candidate_route(G, ell, H, limit, best):
         inst = CutInstance(sub, ball)
         builders = (complete_minor_with_cycle, complete_minor_from_cut)
         for builder in builders if t > best else builders[:1]:
-            try:
-                w = builder(sub, ell, inst, H=H, limit=limit)
-            except WitnessInvalid:
-                raise
-            except LinkGraphError:
-                continue
-            found, best = w, w.target_size
-            break
+            w = _or_none(builder, sub, ell, inst, H=H)
+            if w is not None:
+                found, best = w, w.target_size
+                break
     if found is not None:
         return found, None
     return None, f"none can beat K_{best}" if stopped else "no witness"
@@ -1010,7 +993,7 @@ def _lower_bound(G, ell, H, eta_cap, limit, solve_eta):
         else:
             notes.append(f"{name}: no witness")
     best = max(witnesses, key=lambda w: w.target_size, default=None)
-    w, note = _candidate_route(G, ell, H, limit, best.target_size if best else 2)
+    w, note = _candidate_route(G, ell, H, best.target_size if best else 2)
     if w is None:
         notes.append(f"cut-candidates: {note}")
     else:

@@ -9,6 +9,10 @@ route that builds a witness for every candidate it tries.
 ``hadwiger_lower_bound`` is the original lower bound on top of those two.
 ``_contracts_to`` is the decision search on neighbour bitmasks as it was
 before it branched on the edges of one vertex: every edge is tried.
+``lift_minor`` is the hub lift as it was before it read its link graph in one
+pass: it enumerates each branch set's links, tests every vertex's middle unit
+against each branch set, and takes each even connector from a scan of the
+edges.
 The package answers the same questions by pruned searches on neighbour
 bitmasks; the tests check that both agree.
 """
@@ -21,17 +25,20 @@ from unittest import mock
 from linkgraphs import minors
 from linkgraphs.canon import canonical_key
 from linkgraphs.errors import (
+    BranchSetLacksLink,
     LinkGraphError,
     NoEdge,
     OracleTooLarge,
     PreconditionViolated,
     WitnessInvalid,
 )
-from linkgraphs.construction import link_graph
+from linkgraphs.construction import link_graph, reachable
+from linkgraphs.links import enumerate_links, hub_subgraph
 from linkgraphs.minors import (
     DEFAULT_HADWIGER_CAP,
     CutInstance,
     LowerBoundResult,
+    MinorWitness,
     complete_minor_from_cut,
     complete_minor_with_cycle,
 )
@@ -235,3 +242,98 @@ def hadwiger_lower_bound(G, ell, H=None, eta_cap=DEFAULT_HADWIGER_CAP, limit=Non
             notes.append(f"{name}: no witness")
     best = max(witnesses, key=lambda w: w.target_size)
     return LowerBoundResult(best.target_size, best, best.route, notes)
+
+
+def _middle_in(link, sub, ell):
+    unit = link.middle_unit()
+    if ell % 2 == 0:
+        return sub.has_vertex(unit)
+    return sub.has_edge(unit)
+
+
+def lift_minor(G, ell, branch_sets, H=None, hub=None, limit=None):
+    """``minors.lift_minor`` as it was before it read its link graph in one pass."""
+    if hub is None:
+        hub = hub_subgraph(G, ell, limit)
+    if H is None:
+        H = link_graph(G, ell, limit)
+    sets = [frozenset(bs) for bs in branch_sets]
+    seen = set()
+    for bs in sets:
+        if not bs:
+            raise PreconditionViolated("empty branch set")
+        for v in bs:
+            if not hub.has_vertex(v):
+                raise PreconditionViolated(f"{v!r} is not a hub vertex")
+            if v in seen:
+                raise PreconditionViolated(f"branch sets overlap at {v!r}")
+            seen.add(v)
+    subs = [hub.induced_subgraph(bs) for bs in sets]
+    for sub in subs:
+        if not sub.is_connected():
+            raise PreconditionViolated("branch set does not induce a connected subgraph")
+
+    inner_links = []
+    for k, sub in enumerate(subs):
+        found = enumerate_links(sub, ell, limit)
+        if not found:
+            raise BranchSetLacksLink(f"branch set {k} holds no link of length {ell}")
+        inner_links.append(set(found))
+
+    adj = H.adjacency()
+    lifted = []
+    for k, sub in enumerate(subs):
+        members = {i for i, l in enumerate(H.vertices) if _middle_in(l, sub, ell)}
+        inner_idx = {H.index[l] for l in inner_links[k]}
+        comp = reachable(adj, [min(inner_idx)], members)
+        if not inner_idx <= comp:
+            raise WitnessInvalid("links of one branch set fell into two components")
+        lifted.append(frozenset(comp))
+
+    # target edges: hub edges between different branch sets, one per pair
+    vertex_part = {}
+    for k, bs in enumerate(sets):
+        for v in bs:
+            vertex_part[v] = k
+    cross = {}
+    for eid, u, v in hub.edges():
+        pu, pv = vertex_part.get(u), vertex_part.get(v)
+        if pu is None or pv is None or pu == pv:
+            continue
+        pair = (pu, pv) if pu < pv else (pv, pu)
+        if pair not in cross or eid < cross[pair]:
+            cross[pair] = eid
+
+    middle_map = {}
+    if ell % 2 == 1:
+        for i, l in enumerate(H.vertices):
+            middle_map.setdefault(l.middle_unit(), []).append(i)
+
+    connectors = {}
+    for (i, j), eid in sorted(cross.items()):
+        if ell % 2 == 0:
+            found = None
+            for a, b, _ in H.edges:
+                if a in lifted[i] and b in lifted[j]:
+                    found = (a, b)
+                    break
+                if b in lifted[i] and a in lifted[j]:
+                    found = (b, a)
+                    break
+            if found is None:
+                raise WitnessInvalid("no direct edge between lifted branch sets")
+            connectors[(i, j)] = found
+        else:
+            found = None
+            for mid in middle_map.get(eid, ()):
+                a = next((x for x in sorted(adj[mid]) if x in lifted[i]), None)
+                b = next((x for x in sorted(adj[mid]) if x in lifted[j]), None)
+                if a is not None and b is not None:
+                    found = (a, mid, b)
+                    break
+            if found is None:
+                raise WitnessInvalid("no two-step connector through the crossing edge")
+            connectors[(i, j)] = found
+
+    witness = MinorWitness(len(sets), frozenset(cross), lifted, connectors, H, "hub-lift")
+    return minors._checked(H, witness, "hub lifting")

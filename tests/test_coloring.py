@@ -26,6 +26,7 @@ from linkgraphs.coloring import (
 )
 from linkgraphs.construction import LabeledGraph, index_adjacency, link_graph
 from linkgraphs.errors import (
+    InvalidParameter,
     LimitExceeded,
     OracleTooLarge,
     PartialColoring,
@@ -429,6 +430,10 @@ class TestBounds:
         # bipartite base: decayed bound may dip below three
         b = chromatic_upper_bounds(cycle(4), 2)
         assert b.chi == 2 and b.parity_bound == 2
+
+    def test_negative_window_raises(self):
+        with pytest.raises(InvalidParameter, match=r"^ell must be >= 0, got -1$"):
+            chromatic_upper_bounds(petersen(), -1)
 
     def test_exact_within_bounds_on_corpus_sample(self):
         for G in (complete(4), dipole(3), cycle(5), complete_bipartite(2, 3)):

@@ -967,6 +967,15 @@ class TestCli:
         assert main(["build", "--ell", "-1", str(gfile)]) == 2
         assert capsys.readouterr().err == "error: ell must be >= 0, got -1\n"
 
+    def test_an_arc_digraph_edge_list_is_a_usage_error(self, tmp_path, capsys):
+        gfile = tmp_path / "c4.txt"
+        main(["gen", "cycle", "4", "--out", str(gfile)])
+        assert main(["build", "--kind", "arc", "--format", "edgelist", str(gfile)]) == 2
+        assert capsys.readouterr() == ("", "error: --kind arc takes no --format edgelist: "
+                                           "an arc digraph has no edge-list form\n")
+        for fmt in ("json", "dot"):
+            assert main(["build", "--kind", "arc", "--format", fmt, str(gfile)]) == 0
+
     @pytest.mark.parametrize("name, content, text", [
         ("missing.txt", None, "No such file or directory"),
         ("adir", "dir", "Is a directory"),

@@ -33,7 +33,6 @@ from linkgraphs.construction import (
     link_graph_connected,
     natural_partition,
     path_graph,
-    shunt_reach,
     verify_almost_standard,
 )
 from linkgraphs.errors import LimitExceeded, LinkGraphError
@@ -86,6 +85,14 @@ def _lengths(G, top=5, budget=ARC_BUDGET):
     return [ell for ell in range(top + 1) if _arcs(totals, ell + 1) <= budget]
 
 
+def _shunt_reach(G, ell, hub):
+    """How many ``ell``-links of ``G`` shunt into ``hub``: the shunt search
+    of ``link_graph_connected`` on kernel levels and a link graph built here."""
+    levels = links._arc_levels(G, _walks(G, ell + 1)[1], ell, ell + 1)
+    return construction._shunt_search(G, ell, hub, levels,
+                                      construction._windows_graph(G, ell, levels))
+
+
 def _raised(fn, *args):
     with pytest.raises(LimitExceeded) as info:
         fn(*args)
@@ -121,7 +128,7 @@ def _tables(levels):
 def _levels_agree(G, ell, block_from, budget=4000):
     """``_arc_levels`` and the arc-by-arc reference give the same tables at
     every level, up to ``ell`` and ``ell + 1``, with the reach table of the
-    count up to the top and of one longer, as ``shunt_reach`` takes it.
+    count up to the top and of one longer, as ``link_graph_connected`` takes it.
     Levels from ``block_from`` parents on may take the block path."""
     for top in (ell, ell + 1):
         for count in (top, top + 1):
@@ -198,7 +205,7 @@ def test_successor_table_is_built_once_per_graph(monkeypatch):
     G = petersen()
     for ell in (7, 8):
         link_graph(G, ell)
-        shunt_reach(G, ell, G)
+        _shunt_reach(G, ell, G)
     recursive_chromatic_bound(G, 8)
     assert len(builds) == 1
     D, succ = G.darts(), G.successors()
@@ -739,7 +746,7 @@ def test_shunt_reach_matches_reference_on_any_hub(G, data):
     verts = data.draw(st.sets(st.sampled_from(G.vertices)))
     for hub in (G.edge_subgraph(edges), G.induced_subgraph(verts)):
         for ell in _lengths(G, 4):
-            assert shunt_reach(G, ell, hub) == ref.shunt_reach(G, ell, hub)
+            assert _shunt_reach(G, ell, hub) == ref.shunt_reach(G, ell, hub)
 
 
 def _corruptions(part, n, m, data):

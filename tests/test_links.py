@@ -139,6 +139,12 @@ class TestPredicates:
             rev = Link.from_arc(link.as_arc().reverse())
             assert rev.middle_segment(2) == seg
 
+    @pytest.mark.parametrize("k", [-1, -2, -4, 4])
+    def test_middle_segment_of_a_bad_length_raises(self, k):
+        link = Link(("a", "e", "b", "f", "c"))
+        with pytest.raises(InvalidParameter, match=f"no middle segment of length {k} in length 2"):
+            link.middle_segment(k)
+
 
 class TestConjunction:
     def test_identity_with_zero_arc(self):

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from linkgraphs import minors
+import reference_minors
+from linkgraphs import links, minors
 from linkgraphs.construction import link_graph
 from linkgraphs.errors import (
     BranchSetLacksLink,
@@ -31,7 +33,7 @@ from linkgraphs.minors import (
     verify_minor,
 )
 from linkgraphs.harness import default_corpus
-from linkgraphs.links import Link, _arcs, _walks, enumerate_arcs, shunt_trace
+from linkgraphs.links import Link, _arcs, _walks, enumerate_arcs, hub_subgraph, shunt_trace
 from linkgraphs.multigraph import (
     Multigraph,
     complete,
@@ -242,6 +244,85 @@ class TestLift:
         sets = [frozenset({"v0"}), frozenset({"v1"}), frozenset({"v2", "v3"})]
         with pytest.raises(BranchSetLacksLink):
             lift_minor(K4, 2, sets)
+
+    def test_lift_enumerates_no_links(self, monkeypatch):
+        # the lift reads the links of each branch set off the link graph
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerate_links called")
+
+        monkeypatch.setattr(links, "enumerate_links", refuse)
+        assert not hasattr(minors, "enumerate_links")
+        grid = [frozenset({f"t{t}a", f"t{t}b", f"t{t}c"}) for t in range(4)]
+        K4 = complete(4)
+        for G, ell, sets in ((K4, 0, [frozenset({v}) for v in K4.vertices]),
+                             (triangle_grid(), 2, grid), (triangle_grid(), 3, grid)):
+            w = lift_minor(G, ell, sets)
+            assert w.target_size == 4 and verify_minor(w.host, w).ok
+        with pytest.raises(BranchSetLacksLink, match="branch set 0 holds no link of length 2"):
+            lift_minor(K4, 2, [frozenset({"v0"}), frozenset({"v1", "v2", "v3"})])
+
+
+def _lift_outcome(lift, G, ell, sets, H, hub):
+    """The witness JSON of a lift, or the type and text of what it raised."""
+    try:
+        return lift(G, ell, sets, H=H, hub=hub).to_json()
+    except LinkGraphError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _lifts_agree(G, ell, sets):
+    H, hub = link_graph(G, ell), hub_subgraph(G, ell)
+    got = _lift_outcome(lift_minor, G, ell, sets, H, hub)
+    assert got == _lift_outcome(reference_minors.lift_minor, G, ell, sets, H, hub)
+    return got
+
+
+def _grown_sets(hub, data):
+    """Connected branch sets of ``hub``: drawn seeds, each grown by drawn
+    neighbours, one at a time, until a drawn stop or none is left."""
+    seeds = data.draw(st.lists(st.sampled_from(hub.vertices), min_size=1, max_size=3,
+                               unique=True))
+    owner = {v: k for k, v in enumerate(seeds)}
+    while data.draw(st.integers(0, 7)):
+        reach = sorted({(w, owner[v]) for v in owner for _, w in hub.incident(v)
+                        if w not in owner})
+        if not reach:
+            break
+        w, k = data.draw(st.sampled_from(reach))
+        owner[w] = k
+    return [frozenset(v for v in owner if owner[v] == k) for k in range(len(seeds))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs(max_n=8, max_m=16), st.data())
+def test_lift_matches_its_reference_on_connected_branch_sets(G, data):
+    totals = _walks(G, 5)[0]
+    for ell in range(5):
+        if _arcs(totals, ell + 1) > 3000:
+            break
+        hub = hub_subgraph(G, ell)
+        if hub.n:
+            _lifts_agree(G, ell, _grown_sets(hub, data))
+
+
+def test_lift_matches_its_reference_on_the_triangle_grid():
+    # each triangle holds links of every length, so every lift gives a witness
+    sets = [frozenset({f"t{t}a", f"t{t}b", f"t{t}c"}) for t in range(4)]
+    for ell in range(5):
+        assert _lifts_agree(triangle_grid(), ell, sets).startswith("{")
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs(max_n=7, max_m=10))
+def test_hub_is_the_graph_itself_exactly_when_it_spans_it(G):
+    # with and without the degree-one peel that the model route applies first
+    core = minors._peel_degree_one(G)
+    for graph in (G, core) if core.n else (G,):
+        for ell in range(5):
+            hub = hub_subgraph(graph, ell)
+            same = (sorted(hub.vertices) == sorted(graph.vertices)
+                    and sorted(hub.edge_ids) == sorted(graph.edge_ids))
+            assert (hub is graph) == same
 
 
 class TestLowerBound:
