@@ -100,6 +100,9 @@ def _cmd_build(args):
     if args.kind == "arc" and args.format == "edgelist":
         raise InvalidParameter("--kind arc takes no --format edgelist: an arc digraph "
                                "has no edge-list form")
+    if args.format == "edgelist" and ell >= 1:
+        raise InvalidParameter(f"--format edgelist needs --ell 0: a {ell}-link's name holds "
+                               "spaces, which an edge-list vertex name cannot")
     G = _load_graph(args.graph)
     if args.kind == "link":
         H = link_graph(G, ell, args.limit)

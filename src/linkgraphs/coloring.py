@@ -58,16 +58,16 @@ class EdgeColoring:
 def is_proper(H, coloring):
     """True iff no edge is monochromatic; the assignment must be total.
 
-    A ``LabeledGraph`` is read off its edge ends in either order
-    (``_pairs``), with no neighbour sets built and no sort; a loop is
-    ignored, as ``index_adjacency`` drops it."""
+    A ``LabeledGraph`` is read off its integer core (``_core``), the edge
+    ends in either order, with no neighbour sets built and no sort; a loop
+    is ignored, as ``index_adjacency`` drops it."""
     labeled = isinstance(H, LabeledGraph)
     adj = None if labeled else index_adjacency(H)
     n = H.n if labeled else len(adj)
     assign = coloring.assignment
     _check_total(assign, n)
     if labeled:
-        tails, heads = H._pairs()
+        tails, heads = H._core
         color = assign.__getitem__
         return not any(map(and_, map(ne, tails, heads), map(eq, map(color, tails), map(color, heads))))
     for i in range(n):

@@ -43,7 +43,7 @@ from .links import (
     is_link_of,
     is_path,
 )
-from .multigraph import Multigraph
+from .multigraph import Multigraph, _components, _pair_adjacency, reachable
 
 # links and arcs order as their unit tuples, which sort and hash without a
 # Python-level comparison
@@ -57,28 +57,26 @@ class LabeledGraph:
     Edges are stored as ``(i, j, label)`` with ``i < j``; labels are pairwise
     distinct and their two windows are exactly the endpoints.
 
-    The integer core is ``n`` and the edge ends, two ``array('i')`` tables.
-    ``ends`` holds them in the order of ``edges``, with ``i < j``.  A graph
-    built from kernel levels (``_windows_graph``) holds kernel ids: its core
-    is the windows of its labels in canonical label order, either end first,
-    and ``ends`` is sorted from them (``_sorted_ends``) on the first read of
-    ``ends`` or of the ``Link``s, which then drops the windows.  ``m``,
-    the degrees, the adjacency and the components read the edges in either
-    order (``_pairs``), so counting, colouring and connectivity sort nothing.
-    The first read of ``edges`` or ``vertices`` makes the ``Link``s in one
-    ``_unit_tuples`` pass and drops the levels.  A graph built from explicit
-    vertices and edges fills ``ends`` from its edges on the first read.
-    ``index`` is made on its first read.  ``_lookup`` finds a vertex by the
-    canonical unit tuple of its link, in a dict made once: from the kernel
-    levels while the graph holds them, so no ``Link`` is made, and from the
-    vertices otherwise.
+    The integer core ``_core`` is the edge ends, two ``array('i')`` tables.
+    Of a graph built from explicit vertices and edges it is ``ends``: the
+    ends of ``edges`` in order, ``i < j``.  A graph built from kernel levels
+    (``_windows_graph``) holds kernel ids, and its core is the windows of its
+    labels in canonical label order, either end first, until the first read
+    of ``ends`` or of the ``Link``s sorts them (``_sorted_ends``) into
+    ``ends``.  ``m``, the degrees, the adjacency, the components and
+    ``first_edge`` read the core in either order, so they sort nothing.  The
+    first read of ``edges`` or ``vertices`` makes the ``Link``s in one
+    ``_unit_tuples`` pass and drops the levels; ``index`` is made on its
+    first read.  ``_unit_ids`` maps the canonical unit tuple of each vertex's
+    link to its index, made once: from the kernel levels while the graph
+    holds them, so no ``Link`` is made, and from the vertices otherwise.
     """
 
     def __init__(self, ell, vertices, edges, source=None, index=None):
         self.ell, self.source, self.n = ell, source, len(vertices)
         self._vertices, self._edges, self._index = vertices, edges, index or None
-        self._ends = self._windows = self._order = self._pending = None
-        self._adj = self._comps = self._ids = None
+        self._core = self._ends = (array("i", map(_first, edges)), array("i", map(_second, edges)))
+        self._order = self._pending = self._adj = self._comps = self._ids = None
 
     def _make_links(self):
         """The ``Link``s of a graph built from kernel levels, in one pass:
@@ -110,12 +108,10 @@ class LabeledGraph:
             self._index = {link: i for i, link in enumerate(self.vertices)}
         return self._index
 
-    def _lookup(self, units):
-        """The vertex index of the link with canonical unit tuple ``units``;
-        ``KeyError`` when it is not a vertex.  Reads a ``{units: index}``
-        dict made on the first lookup: while the graph holds its kernel
-        levels, from one ``_unit_tuples`` pass over its canonical links, so
-        no ``Link`` of the graph is made; otherwise from its vertices."""
+    def _unit_ids(self):
+        """The kept ``{units: index}`` dict of the vertices, in index order:
+        from one ``_unit_tuples`` pass over the kernel levels while the graph
+        holds them, so no ``Link`` is made, and from the vertices otherwise."""
         if self._ids is None:
             if self._pending:
                 levels, ell = self._pending, self.ell
@@ -123,24 +119,18 @@ class LabeledGraph:
             else:
                 found = map(_units, self.vertices)
             self._ids = dict(zip(found, range(self.n)))
-        return self._ids[units]
+        return self._ids
+
+    def _lookup(self, units):
+        """The vertex index of canonical unit tuple ``units``, or ``KeyError``."""
+        return self._unit_ids()[units]
 
     @property
     def ends(self):
         if self._ends is None:
-            if self._windows is None:
-                self._ends = (array("i", map(_first, self._edges)),
-                              array("i", map(_second, self._edges)))
-            else:
-                self._ends, self._order = _sorted_ends(self._windows, self.n)
-                self._windows = None
+            self._ends, self._order = _sorted_ends(self._core, self.n)
+            self._core = self._ends
         return self._ends
-
-    def _pairs(self):
-        """The edge ends as two tables, in whichever order the graph holds:
-        the label-order windows, either end first, until ``ends`` is read,
-        then ``ends``.  For readers that take the edges in any order."""
-        return self.ends if self._windows is None else self._windows
 
     def __eq__(self, other):
         # ``index`` and the integer core follow from the vertices and edges
@@ -153,11 +143,11 @@ class LabeledGraph:
 
     @property
     def m(self):
-        return len(self._pairs()[0])
+        return len(self._core[0])
 
     def degrees(self):
         deg = [0] * self.n
-        for table in self._pairs():
+        for table in self._core:
             for a in table:
                 deg[a] += 1
         return deg
@@ -169,8 +159,14 @@ class LabeledGraph:
         must not mutate it.
         """
         if self._adj is None:
-            self._adj = _pair_adjacency(self.n, zip(*self._pairs()))
+            self._adj = _pair_adjacency(self.n, zip(*self._core))
         return self._adj
+
+    def first_edge(self):
+        """The ends ``(i, j)`` of the first edge of ``edges``, ``None`` without
+        one: the least end pair, in one scan of the core, so no sort."""
+        lo, hi = self._core
+        return min(zip(map(min, lo, hi), map(max, lo, hi)), default=None)
 
     def multiplicity(self, i, j):
         pair = (i, j) if i < j else (j, i)
@@ -257,53 +253,11 @@ class LabeledGraph:
 
 
 def index_adjacency(host):
-    """Simple adjacency of a host as a list of neighbour-index sets.
-
-    Vertices are indexed in the host's order; parallel edges collapse.  A
-    list of neighbour sets passes through unchanged.
-    """
-    if isinstance(host, LabeledGraph):
-        return host.adjacency()
-    if isinstance(host, Multigraph):
-        idx = {v: i for i, v in enumerate(host.vertices)}
-        return _pair_adjacency(host.n, ((idx[u], idx[v]) for _, u, v in host.edges()))
-    return host
-
-
-def _pair_adjacency(n, pairs):
-    """The neighbour-index sets on ``0..n-1`` of the index pairs ``pairs``:
-    repeated pairs collapse and a loop is dropped."""
-    adj = [set() for _ in range(n)]
-    for a, b in pairs:
-        if a != b:
-            adj[a].add(b)
-            adj[b].add(a)
-    return adj
-
-
-def reachable(adj, starts, allowed=None):
-    """Set of indices reachable from the indices ``starts`` over an index
-    adjacency, stepping only onto ``allowed`` indices when given."""
-    seen = set(starts)
-    stack = list(seen)
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen and (allowed is None or y in allowed):
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
-def _components(adj):
-    """Sorted index lists of the connected components of an index adjacency,
-    by least index."""
-    seen, comps = set(), []
-    for s in range(len(adj)):
-        if s not in seen:
-            comp = reachable(adj, (s,))
-            seen |= comp
-            comps.append(sorted(comp))
-    return comps
+    """Simple adjacency of a host as a list of neighbour-index sets, in the
+    host's vertex order: a host's ``adjacency()`` when it has one, and a
+    list of neighbour sets passes through unchanged."""
+    adjacency = getattr(host, "adjacency", None)
+    return host if adjacency is None else adjacency()
 
 
 @dataclass
@@ -398,11 +352,11 @@ def link_graph(G, ell, limit=None):
 def _windows_graph(G, ell, levels):
     """The ``ell``-link graph of ``G`` on the kernel ids of ``levels``, which
     hold every ``ell``- and ``(ell + 1)``-arc: each ``(ell + 1)``-link joins
-    the links of its kernel parent and suffix.  The graph holds these
-    windows in canonical label order (``_window_ids``), unsorted."""
+    the links of its kernel parent and suffix, and these windows in
+    canonical label order (``_window_ids``) are the core, unsorted."""
     H = LabeledGraph(ell, (), (), G)
     H.n = _canonical(levels[ell]).count(1)
-    H._pending, H._windows = levels, _window_ids(levels, ell)
+    H._pending, H._core, H._ends = levels, _window_ids(levels, ell), None
     return H
 
 

@@ -546,7 +546,7 @@ def _check_looplessness(inst, caps, cache, ell):
     # the least loop, the first in the order of ``ends``; a label whose two
     # windows are one link is a loop, as its kernel parent and suffix have
     # one link index
-    lo, hi = H._pairs()
+    lo, hi = H._core
     loop = min(compress(lo, map(eq, lo, hi)), default=None)
     if loop is not None:
         return "fail", f"loop at {H.vertices[loop]}"
@@ -591,7 +591,7 @@ def _check_multiplicity(inst, caps, cache, ell):
     parallel_pairs = cache._answer("parallel_pairs", inst, None, lambda: _parallel_pairs(G))
     H = _fits(cache.graph(inst, ell))
     # the pairs count in sorted order, the order of ``ends``
-    lo, hi = H._pairs()
+    lo, hi = H._core
     pairs = Counter(zip(map(min, lo, hi), map(max, lo, hi)))
     doubled = dict(sorted((pair, c) for pair, c in pairs.items() if c > 1))
     units = _doubled_units(G, cache.link_levels(inst, ell, ell + 1), ell, doubled)
@@ -1145,6 +1145,9 @@ def verify_suite(corpus=None, claims=None, caps=None, seeds=DEFAULT_SEEDS):
     are checked in table order, each length by length; consecutive rows that
     share a check take turns at each length."""
     caps = caps or Caps()
+    least = min((*caps.ell_range, *caps.minor_ells), default=0)
+    if least < 0:
+        raise InvalidParameter(f"ell must be >= 0, got {least}")
     corpus = corpus if corpus is not None else default_corpus(seeds)
     wanted = set(ALL_CLAIMS)
     if claims:

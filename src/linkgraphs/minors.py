@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .construction import LabeledGraph, _components, index_adjacency, link_graph, reachable
+from .construction import LabeledGraph, index_adjacency, link_graph
 from .errors import (
     BranchSetLacksLink,
     InvalidParameter,
@@ -31,7 +31,7 @@ from .links import (
     hub_subgraph,
     validate_arc,
 )
-from .multigraph import Multigraph, complete_bipartite
+from .multigraph import Multigraph, _components, complete_bipartite, reachable
 
 DEFAULT_HADWIGER_CAP = 12
 # the cut-candidate route: balls kept, and the largest cuts among them tried
@@ -110,7 +110,8 @@ class MinorWitness:
     a ``LabeledGraph``, a ``Multigraph``, or the link host of
     ``hadwiger_lower_bound`` (``n``, ``m``, ``host[i]`` the neighbour ids of
     vertex ``i`` and ``host.vertices[i]`` its link); ``to_json`` labels each
-    vertex by its name in ``vertices``.
+    vertex by its name in the host's ``vertices``, and by its index when the
+    host has none.
     """
 
     target_size: int
@@ -128,10 +129,8 @@ class MinorWitness:
         return f"graph({self.target_size},{len(self.target_edges)})"
 
     def to_json(self):
-        def label(i):
-            if isinstance(self.host, (LabeledGraph, Multigraph, _LinkHost)):
-                return str(self.host.vertices[i])
-            return str(i)
+        names = getattr(self.host, "vertices", None)
+        label = str if names is None else lambda i: str(names[i])
 
         data = {
             "target": self.target_name,
@@ -631,8 +630,9 @@ def lift_minor(G, ell, branch_sets, H=None, hub=None, limit=None):
     set is the component, of links whose middle unit sits in the branch set,
     that contains its links.  Connectors are an edge for even length and a
     two-step path through a link centred on the crossing edge for odd length.
-    One scan of ``H.vertices`` finds each set's links and groups the links
-    by middle unit; the rest reads ``H.adjacency()``.
+    One scan of the vertices' unit tuples (``H._unit_ids()``) finds each
+    set's links and groups the links by middle unit, so no ``Link`` is made;
+    the rest reads ``H.adjacency()``.
     """
     if hub is None:
         hub = hub_subgraph(G, ell, limit)
@@ -657,8 +657,7 @@ def lift_minor(G, ell, branch_sets, H=None, hub=None, limit=None):
     # per set: the links with their middle unit in it, and those inside it
     members, inner = [set() for _ in sets], [[] for _ in sets]
     by_middle = {}
-    for i, link in enumerate(H.vertices):
-        units = link.units
+    for units, i in H._unit_ids().items():
         if odd:
             by_middle.setdefault(units[ell], []).append(i)
             k = part.get(units[ell - 1])
@@ -721,15 +720,8 @@ def lift_minor(G, ell, branch_sets, H=None, hub=None, limit=None):
 
 
 def _k2_witness(H):
-    """The first edge of the link graph ``H``, which has one, as a K_2.  On
-    a ``LabeledGraph`` it is the least end pair ``(i, j)``, ``i < j``, found
-    in one scan of the edges in the order the graph holds them, so no sort."""
-    if isinstance(H, LabeledGraph):
-        lo, hi = H._pairs()
-        a, b = min(zip(map(min, lo, hi), map(max, lo, hi)))
-    else:
-        a, b = H.first_edge()
-    return _k2(a, b, H, "edge")
+    """The first edge of the link graph ``H``, which has one, as a K_2."""
+    return _k2(*H.first_edge(), H, "edge")
 
 
 def _degeneracy_route(G, ell, H):
@@ -811,9 +803,8 @@ def _component(G, comp):
 
 
 def _eta_route(G, ell, H, eta_cap, limit, solve_eta):
-    comps = G.components()
     best = None
-    for comp in comps:
+    for comp in G.components():
         sub = _component(G, comp)
         if sub.n > eta_cap:
             continue
@@ -888,10 +879,9 @@ def _candidate_route(G, ell, H, best):
     one before, the last is the one the unbounded search would have kept,
     and a witness that could not be chosen is never built.
     """
-    comps = G.components()
     candidates = []
     seen = set()
-    for comp in comps:
+    for comp in G.components():
         comp_set = set(comp)
         sub = _component(G, comp)
         radius_cap = max(0, (ell + 1) // 2 - 1)
@@ -961,8 +951,8 @@ def hadwiger_lower_bound(G, ell, H=None, eta_cap=DEFAULT_HADWIGER_CAP, limit=Non
     canonical unit tuples and look them up by those (``_lookup``), in a
     ``LabeledGraph`` through a dict of its vertices' unit tuples made once,
     from the kernel levels while it holds them, so of a graph from
-    ``link_graph`` they make no ``Link``, but for the hub lift.  Either way
-    ``witness.to_json()`` labels the vertices by their links.
+    ``link_graph`` they make no ``Link``, the hub lift included.  Either
+    way ``witness.to_json()`` labels the vertices by their links.
     """
     return _lower_bound(G, ell, H, eta_cap, limit, lambda sub: hadwiger_number(sub, eta_cap))
 

@@ -65,11 +65,47 @@ def _bfs_path(starts, target, steps):
     return None
 
 
+def _pair_adjacency(n, pairs):
+    """The neighbour-index sets on ``0..n-1`` of the index pairs ``pairs``:
+    repeated pairs collapse and a loop is dropped."""
+    adj = [set() for _ in range(n)]
+    for a, b in pairs:
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj
+
+
+def reachable(adj, starts, allowed=None):
+    """Set of indices reachable from the indices ``starts`` over an index
+    adjacency, stepping only onto ``allowed`` indices when given."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen and (allowed is None or y in allowed):
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def _components(adj):
+    """Sorted index lists of the connected components of an index adjacency,
+    by least index."""
+    seen, comps = set(), []
+    for s in range(len(adj)):
+        if s not in seen:
+            comp = reachable(adj, (s,))
+            seen |= comp
+            comps.append(sorted(comp))
+    return comps
+
+
 class Multigraph:
     """Finite undirected multigraph without loops; parallel edges allowed."""
 
     __slots__ = ("_vertices", "_endpoints", "_adj", "_vset", "_darts", "_succ", "_peel",
-                 "_comps")
+                 "_comps", "_index_adj")
 
     def __init__(self, vertices=(), edges=()):
         """Build from vertex names and an iterable of ``(edge_id, u, v)``."""
@@ -92,7 +128,7 @@ class Multigraph:
             adj[u].append((eid, v))
             adj[v].append((eid, u))
         self._adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
-        self._darts = self._succ = self._peel = self._comps = None
+        self._darts = self._succ = self._peel = self._comps = self._index_adj = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -162,6 +198,15 @@ class Multigraph:
     def neighbors(self, v):
         return sorted({w for _, w in self.incident(v)})
 
+    def adjacency(self):
+        """Simple adjacency as a list of neighbour-index sets, in ``vertices``
+        order: built on first use and then shared, so callers must not
+        mutate it."""
+        if self._index_adj is None:
+            idx = {v: i for i, v in enumerate(self._vertices)}
+            self._index_adj = [{idx[w] for _, w in self._adj[v]} for v in self._vertices]
+        return self._index_adj
+
     def edges(self):
         """Sorted tuple of ``(edge_id, u, v)`` triples."""
         return tuple((eid, u, v) for eid, (u, v) in self._endpoints.items())
@@ -217,25 +262,16 @@ class Multigraph:
     def components(self):
         """Connected components as sorted lists of vertices, sorted by minimum.
         The search runs on first use and its result is then kept; each call
-        returns fresh lists."""
-        return [list(comp) for comp in self._components()]
-
-    def _components(self):
-        """The kept components, as tuples."""
+        returns fresh lists.  They are the index components of
+        :meth:`adjacency`, by name."""
         if self._comps is None:
-            seen = set()
-            comps = []
-            for start in self._vertices:
-                if start not in seen:
-                    comp = self._bfs_dist(start)
-                    seen.update(comp)
-                    comps.append(tuple(sorted(comp)))
-            self._comps = tuple(comps)
-        return self._comps
+            names = self._vertices.__getitem__
+            self._comps = tuple(tuple(map(names, comp)) for comp in _components(self.adjacency()))
+        return list(map(list, self._comps))
 
     def is_connected(self):
         """True for the null graph by convention."""
-        return len(self._components()) <= 1
+        return len(self.components()) <= 1
 
     def _bfs_dist(self, start):
         dist = {start: 0}
@@ -548,8 +584,12 @@ def random_multigraph(seed, max_vertices=8, max_edges=14):
     """Seeded random loopless multigraph (parallel edges likely)."""
     import random as _random
 
+    if max_vertices < 4:
+        raise InvalidParameter(f"random_multigraph needs max_vertices >= 4, got {max_vertices}")
     rng = _random.Random(seed)
     n = rng.randint(4, max_vertices)
+    if max_edges < n:
+        raise InvalidParameter(f"random_multigraph needs max_edges >= n = {n}, got {max_edges}")
     m = rng.randint(n, max_edges)
     verts = [f"v{i}" for i in range(n)]
     w = _edge_width(m)

@@ -148,7 +148,8 @@ def eager_link_graph(G, ell, limit=None):
     key = list(map(key.__getitem__, order))
     H = LabeledGraph(ell, (), (), G)
     H.n, H._pending, H._order = n, levels, order
-    H._ends = array("i", map(floordiv, key, repeat(n))), array("i", map(mod, key, repeat(n)))
+    H._core = H._ends = (array("i", map(floordiv, key, repeat(n))),
+                         array("i", map(mod, key, repeat(n))))
     _keep_for_links(levels)
     return H
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from strategies import multigraphs
 
-from linkgraphs import canon, construction, links
+from linkgraphs import canon, construction, links, multigraph
 from linkgraphs.construction import (
     ChainDigraph,
     _is_complete_bipartite,
@@ -386,13 +386,13 @@ class TestConnectivity:
     def test_components_are_searched_once_per_graph(self, star3, monkeypatch):
         H = link_graph(star3, 2)
         starts = []
-        real = construction.reachable
+        real = multigraph.reachable
 
         def counting(adj, start, allowed=None):
             starts.append(tuple(start))
             return real(adj, start, allowed)
 
-        monkeypatch.setattr(construction, "reachable", counting)
+        monkeypatch.setattr(multigraph, "reachable", counting)
         comps = H.components()
         assert not H.is_connected() and H.components() is comps
         assert sorted(i for comp in comps for i in comp) == list(range(H.n))

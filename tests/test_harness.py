@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from linkgraphs import cli, coloring, construction, harness, links, minors
+from linkgraphs import canon, cli, coloring, construction, harness, links, minors
 from linkgraphs.coloring import (
     Coloring,
     exact_chromatic,
@@ -20,7 +20,7 @@ from linkgraphs.coloring import (
     reduce_coloring,
 )
 from linkgraphs.cli import main
-from linkgraphs.construction import LabeledGraph, link_graph, link_graph_connected
+from linkgraphs.construction import LabeledGraph, link_graph, link_graph_connected, path_graph
 from linkgraphs.errors import InvalidParameter, LimitExceeded
 from linkgraphs.links import link_count
 from linkgraphs.harness import (
@@ -38,6 +38,7 @@ from linkgraphs.multigraph import (
     complete_bipartite,
     cycle,
     dipole,
+    parse_edge_list,
     path,
     petersen,
     random_multigraph,
@@ -668,7 +669,7 @@ class TestCertificates:
             if rec.graph.n <= self.CAPS.chromatic_cap:
                 return rec
             # the ends of the first edge take one colour
-            a, b = (table[0] for table in rec.graph._pairs())
+            a, b = (table[0] for table in rec.graph._core)
             colours = dict(rec.coloring.assignment)
             colours[a] = colours[b]
             return dataclasses.replace(rec, coloring=Coloring(colours, rec.coloring.t))
@@ -975,6 +976,42 @@ class TestCli:
                                            "an arc digraph has no edge-list form\n")
         for fmt in ("json", "dot"):
             assert main(["build", "--kind", "arc", "--format", fmt, str(gfile)]) == 0
+
+    @pytest.mark.parametrize("kind", ["link", "path"])
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_a_link_edge_list_past_length_zero_is_a_usage_error(self, kind, ell, tmp_path,
+                                                                capsys):
+        # a link's name holds spaces; the check comes before the graph is read
+        missing = tmp_path / "missing.txt"
+        argv = ["build", "--kind", kind, "--ell", str(ell), "--format", "edgelist"]
+        assert main([*argv, str(missing)]) == 2
+        assert capsys.readouterr() == ("", f"error: --format edgelist needs --ell 0: a "
+                                           f"{ell}-link's name holds spaces, which an "
+                                           "edge-list vertex name cannot\n")
+
+    @pytest.mark.parametrize("kind, build", [("link", link_graph), ("path", path_graph)])
+    @pytest.mark.parametrize("G", [cycle(4), dipole(3), petersen()],
+                             ids=["cycle4", "dipole3", "petersen"])
+    def test_a_length_zero_edgelist_round_trips(self, kind, build, G, tmp_path):
+        gfile, out = tmp_path / "g.txt", tmp_path / "h.txt"
+        gfile.write_text(G.serialize())
+        argv = ["build", "--kind", kind, "--ell", "0", "--format", "edgelist"]
+        assert main([*argv, "--out", str(out), str(gfile)]) == 0
+        H = build(G, 0).to_multigraph()
+        assert canon.is_isomorphic(parse_edge_list(out.read_text()), H)
+
+    @pytest.mark.parametrize("field", ["ell_range", "minor_ells"])
+    def test_verify_rejects_a_negative_length(self, field):
+        caps = dataclasses.replace(SMALL_CAPS, **{field: (-1, 0, 1)})
+        with pytest.raises(InvalidParameter, match=r"^ell must be >= 0, got -1$"):
+            verify_suite(corpus=small_corpus(), caps=caps)
+
+    def test_verify_cli_rejects_a_negative_length(self, tmp_path, capsys):
+        gfile, out = tmp_path / "c4.txt", tmp_path / "report.json"
+        main(["gen", "cycle", "4", "--out", str(gfile)])
+        assert main(["verify", "--ell", "-1", "--out", str(out), str(gfile)]) == 2
+        assert capsys.readouterr().err == "error: ell must be >= 0, got -1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("name, content, text", [
         ("missing.txt", None, "No such file or directory"),

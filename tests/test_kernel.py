@@ -24,6 +24,7 @@ from linkgraphs.coloring import (
 )
 from linkgraphs.construction import (
     AlmostStandardPartition,
+    LabeledGraph,
     ChainDigraph,
     _quotient_embeds,
     arc_digraph,
@@ -364,6 +365,45 @@ def test_unordered_reads_match_the_eager_sort(G, rnd):
             assert _unordered_reads(S, colorings) == want
         # a graph with no link is built with no level, and has nothing to sort
         assert len(sorts) == (2 if O.n else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs())
+def test_first_edge_is_the_first_of_edges(G):
+    # read off the integer core in either order, with no sort
+    for ell in range(4):
+        with _counting_sorts() as sorts:
+            H = link_graph(G, ell)
+            first = H.first_edge()
+        assert not sorts
+        want = H.edges[0][:2] if H.m else None
+        assert first == want
+        assert LabeledGraph(ell, H.vertices, H.edges, G).first_edge() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs())
+def test_core_holds_the_ends_in_either_order_until_they_are_read(G):
+    for ell in range(4):
+        H = link_graph(G, ell)
+        lo, hi = H._core
+        unsorted = sorted(zip(map(min, lo, hi), map(max, lo, hi)))
+        assert unsorted == sorted(zip(*H.ends))
+        assert H._core is H.ends
+        X = LabeledGraph(ell, H.vertices, H.edges, G)
+        assert X._core is X.ends and list(zip(*X.ends)) == [e[:2] for e in H.edges]
+
+
+def test_the_hub_lift_makes_no_links_and_sorts_no_ends(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("made a Link or sorted edge ends")
+
+    monkeypatch.setattr(construction.LabeledGraph, "_make_links", refuse)
+    monkeypatch.setattr(construction, "_sorted_ends", refuse)
+    report = verify_suite([CorpusInstance("petersen", petersen())], claims=["Thm2"])
+    rec = next(r for r in report.records if r.ell == 1)
+    assert (rec.status, rec.detail) == ("pass", "bound 5 via hub-lift")
+    assert report.passed()
 
 
 def test_counting_colouring_and_connectivity_sorts_no_edges():

@@ -376,6 +376,17 @@ class TestLowerBound:
         assert isinstance(data["branch_sets"], list)
         assert all("-" in k for k in data["connectors"])
 
+    def test_witness_json_on_a_list_host_labels_vertices_by_index(self):
+        # a triangle as neighbour sets, with a K_3 on vertices 2, 0, 1
+        host = [{1, 2}, {0, 2}, {0, 1}]
+        sets = [frozenset({2}), frozenset({0}), frozenset({1})]
+        w = MinorWitness(3, _complete_edges(3), sets,
+                         {(0, 1): (2, 0), (0, 2): (2, 1), (1, 2): (0, 1)}, host, "list")
+        assert verify_minor(host, w).ok
+        assert json.loads(w.to_json()) == {
+            "target": "K_3", "branch_sets": [["2"], ["0"], ["1"]],
+            "connectors": {"0-1": ["2", "0"], "0-2": ["2", "1"], "1-2": ["0", "1"]}}
+
 
 OVERLAPPING_WITNESS_SCRIPT = """
 import sys

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkgraphs import canon
+import reference_multigraph
+from linkgraphs import canon, multigraph
+from linkgraphs.construction import index_adjacency
 from linkgraphs.errors import (
     InvalidParameter,
     LoopRejected,
@@ -122,6 +124,16 @@ class TestGenerators:
         assert a.vertices == b.vertices and a.edges() == b.edges()
         assert a.n <= 8 and a.m <= 14
 
+    @pytest.mark.parametrize("kwargs, text", [
+        ({"max_vertices": 3}, "random_multigraph needs max_vertices >= 4, got 3"),
+        ({"max_edges": 3}, "random_multigraph needs max_edges >= n = 5, got 3"),
+    ])
+    def test_random_multigraph_parameters_are_checked(self, kwargs, text):
+        # seed 1 draws n = 5 before it draws the edge count
+        with pytest.raises(InvalidParameter) as exc:
+            random_multigraph(1, **kwargs)
+        assert str(exc.value) == text
+
 
 class TestMetrics:
     def test_degrees(self):
@@ -174,12 +186,25 @@ class TestMetrics:
     def test_components_are_kept_and_returned_as_fresh_lists(self, monkeypatch):
         G = Multigraph(["x"], [("e1", "a", "b")])
         starts = []
-        real = Multigraph._bfs_dist
-        monkeypatch.setattr(Multigraph, "_bfs_dist",
-                            lambda self, v: starts.append(v) or real(self, v))
+        real = multigraph.reachable
+        monkeypatch.setattr(multigraph, "reachable",
+                            lambda adj, s, allowed=None: starts.append(tuple(s)) or real(adj, s))
         G.components()[0].append("y")
         assert G.components() == [["a", "b"], ["x"]] and not G.is_connected()
-        assert starts == ["a", "x"]
+        assert starts == [(0,), (2,)]
+
+    @given(multigraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_index_adjacency_matches_the_name_indexed_reference(self, G):
+        adj = index_adjacency(G)
+        assert adj == reference_multigraph.name_index_adjacency(G)
+        assert index_adjacency(G) is adj and G.adjacency() is adj
+
+    @given(multigraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_components_match_the_bfs_reference(self, G):
+        assert G.components() == reference_multigraph.bfs_components(G)
+        assert G.is_connected() == (len(reference_multigraph.bfs_components(G)) <= 1)
 
     @given(multigraphs())
     @settings(max_examples=60, deadline=None)
